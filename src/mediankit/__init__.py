@@ -5,8 +5,7 @@ displacement identities, and circumcenters in euclidean models.
 """
 
 from .algebra import (AXIOMS, AxiomReport, FiniteMedianAlgebra, Halfspace,
-                      IntervalStructure, enumerate_halfspaces,
-                      is_median_morphism, validate_axioms)
+                      IntervalStructure, is_median_morphism, validate_axioms)
 from .convexity import (CircumcenterResult, PointCloud, affine_defect,
                         check_cn_inequality, circumcenter, is_affine,
                         uniform_convexity_modulus)
@@ -17,8 +16,7 @@ from .embedding import (GnsEmbedding, HellyReport, HypermetricReport,
 from .errors import (InputError, InternalCheckError, MedianKitError,
                      NotMedianError, ResourceLimitError, UnsupportedNormError)
 from .graphs import (CubeComplex, MedianGraphCert, SimpleGraph,
-                     certify_median_graph, edge_halfspaces, fill_cubes,
-                     wall_coordinates)
+                     certify_median_graph, fill_cubes)
 from .metric import (Classification, FiniteMetric, MedianMetric,
                      check_colinear_lemma, check_median_lipschitz, classify,
                      find_rectangles, product)

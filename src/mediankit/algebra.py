@@ -19,13 +19,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .errors import InputError, InternalCheckError, ResourceLimitError
+from . import intervals
+from .errors import InputError, InternalCheckError
 
 Point = Hashable
 
 AXIOMS = ("idempotence", "symmetry", "nesting", "unique_median")
-
-DEFAULT_HALFSPACE_CAP = 16
 
 
 class IntervalStructure:
@@ -225,66 +224,37 @@ class FiniteMedianAlgebra:
         }
 
     def is_convex(self, subset: Iterable[Point]) -> bool:
-        sub = frozenset(subset)
-        for p in sub:
-            self.index(p)
-        return all(self.interval(x, y) <= sub
-                   for x, y in itertools.combinations_with_replacement(sub, 2))
+        return intervals.is_convex(self._masks(), self._mask(subset))
 
     # -- halfspaces ---------------------------------------------------
 
     def _masks(self) -> list[list[int]]:
         if self._interval_masks is None:
-            idx = self.index
-            n = len(self.points)
-            masks = [[0] * n for _ in range(n)]
-            for i, x in enumerate(self.points):
-                for j, y in enumerate(self.points):
-                    m = 0
-                    for t in self.interval(x, y):
-                        m |= 1 << idx(t)
-                    masks[i][j] = m
-            self._interval_masks = masks
+            self._interval_masks = [[self._mask(self.interval(x, y)) for y in self.points]
+                                    for x in self.points]
         return self._interval_masks
 
-    def _mask_convex(self, mask: int) -> bool:
-        masks = self._masks()
-        members = [i for i in range(len(self.points)) if mask >> i & 1]
-        for a in members:
-            row = masks[a]
-            for b in members:
-                if row[b] & ~mask:
-                    return False
-        return True
+    def _mask(self, subset: Iterable[Point]) -> int:
+        mask = 0
+        for p in subset:
+            mask |= 1 << self.index(p)
+        return mask
 
-    def halfspaces(self, max_points: int = DEFAULT_HALFSPACE_CAP) -> list[Halfspace]:
+    def _unmask(self, mask: int) -> frozenset:
+        return frozenset(self.points[i] for i in intervals.members(mask))
+
+    def halfspaces(self) -> list[Halfspace]:
         """All walls, one canonical side each (the side holding the first
         point), in lexicographic order of that side; includes the trivial
-        wall.  Exponential scan, hence the point cap.
+        wall.
         """
-        n = len(self.points)
-        if n > max_points:
-            raise ResourceLimitError(
-                f"halfspace enumeration needs <= {max_points} points, got {n}",
-                cap=max_points)
-        full = (1 << n) - 1
-        found: list[tuple[tuple[int, ...], int]] = []
-        # every wall has exactly one side containing point 0
-        for rest in range(1 << (n - 1)):
-            side = (rest << 1) | 1
-            if self._mask_convex(side) and self._mask_convex(full & ~side):
-                key = tuple(i for i in range(n) if side >> i & 1)
-                found.append((key, side))
-        found.sort()
-        out = []
-        for _, side in found:
-            members = frozenset(self.points[i] for i in range(n) if side >> i & 1)
-            other = frozenset(self.points[i] for i in range(n) if not side >> i & 1)
-            out.append(Halfspace(members, other))
-        return out
+        full = (1 << len(self.points)) - 1
+        sides = [side for side, _ in intervals.halfspaces(self._masks())] + [full]
+        sides.sort(key=intervals.members)
+        return [Halfspace(self._unmask(side), self._unmask(full & ~side))
+                for side in sides]
 
-    def separate(self, c1: Iterable[Point], c2: Iterable[Point],
-                 max_points: int = DEFAULT_HALFSPACE_CAP) -> Halfspace:
+    def separate(self, c1: Iterable[Point], c2: Iterable[Point]) -> Halfspace:
         """First halfspace in canonical order with c1 inside and c2 outside."""
         a, b = frozenset(c1), frozenset(c2)
         if not a or not b:
@@ -293,7 +263,7 @@ class FiniteMedianAlgebra:
             raise InputError("the sets must be disjoint")
         if not self.is_convex(a) or not self.is_convex(b):
             raise InputError("both sets must be convex")
-        for h in self.halfspaces(max_points):
+        for h in self.halfspaces():
             if a <= h.side and b <= h.complement:
                 return h
             if a <= h.complement and b <= h.side:
@@ -323,15 +293,8 @@ class FiniteMedianAlgebra:
         return frozenset(current)
 
 
-def enumerate_halfspaces(a: FiniteMedianAlgebra,
-                         max_points: int = DEFAULT_HALFSPACE_CAP) -> list[Halfspace]:
-    """Module-level spelling of :meth:`FiniteMedianAlgebra.halfspaces`."""
-    return a.halfspaces(max_points)
-
-
 def is_median_morphism(f: Mapping[Point, Point], a: FiniteMedianAlgebra,
-                       b: FiniteMedianAlgebra, *, method: str = "both",
-                       max_points: int = DEFAULT_HALFSPACE_CAP) -> bool:
+                       b: FiniteMedianAlgebra, *, method: str = "both") -> bool:
     """Whether f maps every interval of `a` into the image interval in `b`.
 
     ``method`` selects the interval criterion, the halfspace-preimage
@@ -352,7 +315,7 @@ def is_median_morphism(f: Mapping[Point, Point], a: FiniteMedianAlgebra,
         return True
 
     def by_halfspaces() -> bool:
-        for h in b.halfspaces(max_points):
+        for h in b.halfspaces():
             pre = frozenset(p for p in a.points if f[p] in h.side)
             co = frozenset(a.points) - pre
             if not (a.is_convex(pre) and a.is_convex(co)):

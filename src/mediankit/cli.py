@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the verdict is positive or matches a supplied
 expectation, 1 on negative verdicts, 2 on input errors (including usage),
-3 when a resource cap is hit.  Reports are JSON, byte-stable for fixed
+3 when a resource cap is hit, 4 when a theorem-backed internal check
+fails (a bug, never an answer).  Reports are JSON, byte-stable for fixed
 inputs and seeds; timings appear only under --timings.
 """
 
@@ -20,7 +21,7 @@ from .actions import MetricAction, WallAction, displacement_metric, displacement
 from .convexity import circumcenter
 from .embedding import (certify_hypermetric, certify_negative_definite, check_helly,
                         gns_embed, l1_embed)
-from .errors import InputError, NotMedianError, ResourceLimitError
+from .errors import InputError, InternalCheckError, NotMedianError, ResourceLimitError
 from .graphs import certify_median_graph, fill_cubes
 from .metric import classify
 from .walls import cubulate
@@ -40,6 +41,14 @@ def _metric_payload(data: dict):
     if kind == "graph":
         return formats.graph_from_json(data).path_metric()
     raise InputError(f"expected a metric or graph payload, found {kind!r}")
+
+
+def _witness(c) -> dict | None:
+    """The offending triple of a classification and its common points."""
+    return None if c.witness is None else {
+        "triple": [str(p) for p in c.witness],
+        "common_points": sorted(str(p) for p in (c.intersection or ())),
+    }
 
 
 def _emit(report: dict, args) -> None:
@@ -66,10 +75,7 @@ def cmd_classify(args) -> int:
         "command": "classify",
         "input": _digest(args.infile),
         "verdict": c.kind,
-        "witness": None if c.witness is None else {
-            "triple": [str(p) for p in c.witness],
-            "common_points": sorted(str(p) for p in (c.intersection or ())),
-        },
+        "witness": _witness(c),
     }
     _emit(report, args)
     expected = args.expect or data.get("expected", {}).get("classify")
@@ -83,12 +89,8 @@ def cmd_certify_graph(args) -> int:
     try:
         cert = certify_median_graph(g)
     except NotMedianError as exc:
-        c = exc.witness
         report["verdict"] = "rejected"
-        report["witness"] = {
-            "triple": [str(p) for p in c.witness],
-            "common_points": sorted(str(p) for p in (c.intersection or ())),
-        }
+        report["witness"] = _witness(exc.witness)
         _emit(report, args)
         expected = args.expect or data.get("expected", {}).get("classify")
         if expected is not None:
@@ -189,8 +191,13 @@ def cmd_embed(args) -> int:
     data = formats.load_json(args.infile)
     report = {"command": "embed", "mode": args.mode, "input": _digest(args.infile)}
     if args.mode == "l1":
-        g = formats.graph_from_json(data)
-        cert = certify_median_graph(g)
+        try:
+            cert = certify_median_graph(formats.graph_from_json(data))
+        except NotMedianError as exc:
+            report["verdict"] = "rejected"
+            report["witness"] = _witness(exc.witness)
+            _emit(report, args)
+            return 1
         emb = l1_embed(cert)
         report["dimension"] = emb.dimension
         report["vectors"] = {str(v): "".join(map(str, emb.vectors[v]))
@@ -379,6 +386,9 @@ def main(argv=None) -> int:
         sys.stderr.write(formats.dumps({"error": str(exc), "kind": "resource",
                                         "cap": exc.cap}))
         return 3
+    except InternalCheckError as exc:
+        sys.stderr.write(formats.dumps({"error": str(exc), "kind": "internal"}))
+        return 4
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ then verified against the metric.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +17,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
+from . import intervals
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .graphs import MedianGraphCert
 from .metric import FiniteMetric, MedianMetric, Classification, classify
@@ -298,15 +298,9 @@ class HellyReport:
 
 def convex_sets(m: FiniteMetric) -> list[int]:
     """All geodesically convex subsets, as bitmasks (includes empty set)."""
-    n = len(m.points)
     betw = m._between()
-    out = []
-    for mask in range(1 << n):
-        members = [t for t in range(n) if mask >> t & 1]
-        if all(not betw[a][b] & ~mask for a, b in
-               itertools.combinations_with_replacement(members, 2)):
-            out.append(mask)
-    return out
+    return [mask for mask in range(1 << len(m.points))
+            if intervals.is_convex(betw, mask)]
 
 
 def check_helly(m: FiniteMetric, cap: int = DEFAULT_HELLY_CAP) -> HellyReport:
@@ -388,39 +382,7 @@ class DecompositionTrace:
         return total
 
 
-def _proper_halfspace_masks(betw, indices: list[int]) -> list[int]:
-    """Proper convex-complement subsets of the given index set, by scan."""
-    k = len(indices)
-    local = {g: i for i, g in enumerate(indices)}
-
-    def convex(mask: int) -> bool:
-        members = [indices[t] for t in range(k) if mask >> t & 1]
-        for a in members:
-            row = betw[a]
-            for b in members:
-                inter = row[b]
-                t = inter
-                while t:
-                    low = t & -t
-                    g = low.bit_length() - 1
-                    if g in local and not mask >> local[g] & 1:
-                        return False
-                    t ^= low
-        return True
-
-    full = (1 << k) - 1
-    out = []
-    for rest in range(1 << (k - 1)):
-        side = (rest << 1) | 1
-        if side == full:
-            continue
-        if convex(side) and convex(full & ~side):
-            out.append(side)
-            out.append(full & ~side)
-    return out
-
-
-def retraction_decomposition(mm: MedianMetric, cap: int = 16) -> DecompositionTrace:
+def retraction_decomposition(mm: MedianMetric) -> DecompositionTrace:
     """Peel a maximal proper halfspace at a time, checking every clause the
     negative-definiteness argument rests on: unique nearest points lying on
     geodesics, the rectangle property off the halfspace, a constant gap
@@ -428,26 +390,21 @@ def retraction_decomposition(mm: MedianMetric, cap: int = 16) -> DecompositionTr
     separates a point from its retraction.
     """
     n = len(mm.points)
-    if n > cap:
-        raise ResourceLimitError(
-            f"retraction decomposition enumerates halfspaces; capped at {cap} "
-            f"points, got {n}", cap=cap)
     d = [[mm.dist_int(i, j) for j in range(n)] for i in range(n)]
     betw = mm._between()
     steps: list[RetractionStep] = []
-    current = list(range(n))
-    while len(current) > 1:
-        sides = _proper_halfspace_masks(betw, current)
+    current = (1 << n) - 1
+    while current & (current - 1):
+        # current is convex, so its halfspaces restrict the parent's
+        sides = []
+        for side, _ in intervals.halfspaces(betw, within=current):
+            sides += [side, current & ~side]
         if not sides:
             raise InternalCheckError("no proper halfspace in a 2+ point space")
-        expand = {side: [current[t] for t in range(len(current)) if side >> t & 1]
-                  for side in sides}
-        maximal = [s for s in sides
-                   if not any(t != s and expand[s] and
-                              set(expand[s]) < set(expand[t]) for t in sides)]
-        chosen = min(maximal, key=lambda s: tuple(expand[s]))
-        inside = expand[chosen]
-        outside = [g for g in current if g not in set(inside)]
+        maximal = [s for s in sides if not any(t != s and not s & ~t for t in sides)]
+        chosen = min(maximal, key=intervals.members)
+        peeled = current & ~chosen
+        inside, outside = intervals.members(chosen), intervals.members(peeled)
 
         retraction = {}
         delta = None
@@ -463,9 +420,7 @@ def retraction_decomposition(mm: MedianMetric, cap: int = 16) -> DecompositionTr
                     raise InternalCheckError(
                         "nearest point not on the geodesic to the halfspace")
             for s in sides:
-                smem = set(expand[s])
-                if ((x in smem) != (px in smem)) and s != chosen and \
-                        smem != set(outside):
+                if (s >> x ^ s >> px) & 1 and s not in (chosen, peeled):
                     raise InternalCheckError(
                         "a wall other than the peeled one separates x from its "
                         "retraction")
@@ -485,8 +440,8 @@ def retraction_decomposition(mm: MedianMetric, cap: int = 16) -> DecompositionTr
                 if d[x][y] != d[px][py] or d[y][py] != d[px][x]:
                     raise InternalCheckError("rectangle has unequal opposite sides")
 
-        for x in current:
-            for y in current:
+        for x in inside + outside:
+            for y in inside + outside:
                 px = retraction.get(x, x)
                 py = retraction.get(y, y)
                 gap = (x in retraction) != (y in retraction)
@@ -499,7 +454,7 @@ def retraction_decomposition(mm: MedianMetric, cap: int = 16) -> DecompositionTr
             delta=Fraction(delta, mm.scale),
             retraction={mm.points[x]: mm.points[p] for x, p in retraction.items()},
         ))
-        current = inside
+        current = chosen
     return DecompositionTrace(mm, tuple(steps))
 
 

@@ -4,7 +4,7 @@ InputError      -> malformed data or violated preconditions (CLI exit 2)
 ResourceLimitError -> a size/budget cap was exceeded (CLI exit 3)
 NotMedianError  -> a certification produced a negative verdict (CLI exit 1)
 InternalCheckError -> a property the theory guarantees failed; a bug signal,
-                      never an expected runtime outcome.
+                      never an expected runtime outcome (CLI exit 4).
 """
 
 from __future__ import annotations

@@ -13,12 +13,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
+from . import intervals
 from .errors import InputError, InternalCheckError
 from .metric import FiniteMetric, MedianMetric
 
 Vertex = Hashable
-
-HALFSPACE_CHECK_CAP = 16
 
 
 class SimpleGraph:
@@ -117,16 +116,18 @@ class GraphWall:
 class MedianGraphCert:
     """Certificate produced by :func:`certify_median_graph`."""
 
+    # always False: no 2^n halfspace cross-check runs, because the
+    # covering-pair enumeration is complete by theorem; kept for readers
+    halfspaces_exhaustively_checked = False
+
     def __init__(self, graph: SimpleGraph, metric: MedianMetric,
                  walls: list[GraphWall], coords: list[int],
-                 bipartition: tuple[frozenset, frozenset],
-                 halfspaces_exhaustively_checked: bool):
+                 bipartition: tuple[frozenset, frozenset]):
         self.graph = graph
         self.metric = metric
         self.walls = walls
         self._coords = coords      # wall-coordinate bitvector per vertex index
         self.bipartition = bipartition
-        self.halfspaces_exhaustively_checked = halfspaces_exhaustively_checked
 
     @property
     def vertices(self) -> list[Vertex]:
@@ -155,17 +156,15 @@ class MedianGraphCert:
         }
 
 
-def certify_median_graph(g: SimpleGraph,
-                         halfspace_check_cap: int = HALFSPACE_CHECK_CAP) -> MedianGraphCert:
+def certify_median_graph(g: SimpleGraph) -> MedianGraphCert:
     """Certify a connected graph as median, or raise NotMedianError with a
     counterexample triple.
 
-    On success the certificate also carries the wall structure, and the
-    following theorem-backed facts are re-checked (failure raises
-    InternalCheckError): bipartiteness, convexity of both sides of every
-    edge halfspace, and agreement of path distance with the number of
-    separating walls.  Up to ``halfspace_check_cap`` vertices, all
-    halfspaces are enumerated and checked to arise from edges.
+    On success the certificate also carries the wall structure: the
+    halfspaces of the interval kernel, whose covering pairs are exactly the
+    edges.  Bipartiteness and the agreement of path distance with the
+    number of separating walls are re-checked (failure raises
+    InternalCheckError).
     """
     metric = MedianMetric.certify(g.path_metric())   # raises NotMedianError
     n = len(g.vertices)
@@ -179,37 +178,12 @@ def certify_median_graph(g: SimpleGraph,
     odd = frozenset(g.vertices[i] for i in range(n) if colour[i] % 2 == 1)
 
     full = (1 << n) - 1
-    by_side: dict[int, list[tuple[int, int]]] = {}
-    for i, j in g.edge_indices:
-        side_i = 0
-        for z in range(n):
-            if dist[z][i] < dist[z][j]:
-                side_i |= 1 << z
-            elif dist[z][i] == dist[z][j]:
-                raise InternalCheckError(
-                    f"tied edge halfspace at ({g.vertices[i]!r},{g.vertices[j]!r})")
-        canon = side_i if side_i & 1 else full & ~side_i
-        by_side.setdefault(canon, []).append((i, j))
-
-    betw = metric._between()
-
-    def convex(mask: int) -> bool:
-        members = [t for t in range(n) if mask >> t & 1]
-        return all(not betw[a][b] & ~mask for a in members for b in members)
-
-    walls: list[GraphWall] = []
-    order = sorted(by_side, key=lambda m: tuple(t for t in range(n) if m >> t & 1))
-    for canon in order:
-        co = full & ~canon
-        if not (convex(canon) and convex(co)):
-            raise InternalCheckError("edge halfspace with a non-convex side")
-        walls.append(GraphWall(
-            side=frozenset(g.vertices[t] for t in range(n) if canon >> t & 1),
-            complement=frozenset(g.vertices[t] for t in range(n) if co >> t & 1),
-            crossing_edges=tuple((g.vertices[i], g.vertices[j])
-                                 for i, j in sorted(by_side[canon])),
-            side_mask=canon,
-        ))
+    walls = [GraphWall(
+        side=frozenset(g.vertices[t] for t in intervals.members(side)),
+        complement=frozenset(g.vertices[t] for t in intervals.members(full & ~side)),
+        crossing_edges=tuple((g.vertices[i], g.vertices[j]) for i, j in pairs),
+        side_mask=side,
+    ) for side, pairs in intervals.halfspaces(metric._between())]
 
     coords = [0] * n
     for k, wall in enumerate(walls):
@@ -225,28 +199,7 @@ def certify_median_graph(g: SimpleGraph,
                     "wall metric disagrees with path metric at "
                     f"({g.vertices[a]!r},{g.vertices[b]!r})")
 
-    checked_all = n <= halfspace_check_cap
-    if checked_all:
-        wall_sides = {w.side_mask for w in walls}
-        for rest in range(1 << (n - 1)):
-            side = (rest << 1) | 1
-            if side == full:
-                continue
-            if convex(side) and convex(full & ~side):
-                if side not in wall_sides:
-                    raise InternalCheckError(
-                        "a proper halfspace does not come from an edge")
-                wall_sides.discard(side)
-        if wall_sides:
-            raise InternalCheckError("an edge halfspace was not convex-enumerable")
-
-    return MedianGraphCert(g, metric, walls, coords, (even, odd), checked_all)
-
-
-def edge_halfspaces(cert: MedianGraphCert) -> list[GraphWall]:
-    """The deduplicated walls; each pair's distance equals the number of
-    walls separating it (checked at certification time)."""
-    return list(cert.walls)
+    return MedianGraphCert(g, metric, walls, coords, (even, odd))
 
 
 @dataclass(frozen=True)
@@ -313,8 +266,3 @@ def fill_cubes(cert: MedianGraphCert, max_dim: int | None = None) -> CubeComplex
         dim += 1
     return CubeComplex(out)
 
-
-def wall_coordinates(cert: MedianGraphCert,
-                     base: Vertex) -> dict[Vertex, tuple[int, ...]]:
-    """Vertex -> wall-side bit vector, XOR-normalized so base maps to 0."""
-    return cert.wall_coordinates(base)

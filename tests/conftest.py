@@ -23,6 +23,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def subsets_bruteforce_halfspaces(betw, within=None):
+    """Oracle: every split of ``within`` (default: all points) into two
+    convex parts, found by scanning all 2^n subsets of a betweenness
+    bitmask table.  Walls are frozensets of two masks; the trivial wall
+    {within, 0} is included."""
+    n = len(betw)
+    if within is None:
+        within = (1 << n) - 1
+    idx = [t for t in range(n) if within >> t & 1]
+
+    def convex(mask):
+        inside = [t for t in idx if mask >> t & 1]
+        return all(not betw[a][b] & ~mask for a in inside for b in inside)
+
+    out = set()
+    for r in range(len(idx) + 1):
+        for combo in itertools.combinations(idx, r):
+            side = sum(1 << t for t in combo)
+            if convex(side) and convex(within & ~side):
+                out.add(frozenset((side, within & ~side)))
+    return out
+
+
 def boolean_median_algebra(k: int) -> FiniteMedianAlgebra:
     """P({0..k-1}) with [A,B] = {C : A&B <= C <= A|B}."""
     universe = list(range(k))

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import subsets_bruteforce_halfspaces
 from mediankit import (FiniteMedianAlgebra, Halfspace, InputError,
-                       IntervalStructure, ResourceLimitError,
+                       IntervalStructure,
                        is_median_morphism, validate_axioms)
 from mediankit.corpus import asymmetric_interval_fixture, cycle_graph, path_graph
 
@@ -127,17 +128,11 @@ def test_endpoints_of_a_path_are_not_convex():
 
 # ---------------------------------------------------------------- halfspaces
 
-def subsets_bruteforce_halfspaces(alg):
-    """Oracle: scan every subset for convex side + convex complement."""
-    pts = list(alg.points)
-    out = set()
-    for r in range(len(pts) + 1):
-        for side in itertools.combinations(pts, r):
-            side = frozenset(side)
-            other = frozenset(pts) - side
-            if alg.is_convex(side) and alg.is_convex(other):
-                out.add(frozenset((side, other)))
-    return out
+def mask_walls(alg, hs):
+    """Walls as pairs of bitmasks, the form the subset oracle returns."""
+    def mask(side):
+        return sum(1 << alg.index(p) for p in side)
+    return {frozenset((mask(h.side), mask(h.complement))) for h in hs}
 
 
 def test_one_point_algebra_has_only_the_trivial_wall():
@@ -153,7 +148,7 @@ def test_path3_walls_match_bruteforce():
     a = path3_algebra()
     v0, v1, v2 = a.points
     hs = a.halfspaces()
-    assert {h.wall() for h in hs} == subsets_bruteforce_halfspaces(a)
+    assert mask_walls(a, hs) == subsets_bruteforce_halfspaces(a._masks())
     sides = [h.side for h in hs]
     # canonical order: lexicographic on the side containing the first point
     assert sides == [frozenset({v0}), frozenset({v0, v1}),
@@ -165,13 +160,15 @@ def test_cycle4_has_two_nontrivial_walls():
     hs = a.halfspaces()
     nontrivial = [h for h in hs if h.side and h.complement]
     assert len(nontrivial) == 2
-    assert {h.wall() for h in hs} == subsets_bruteforce_halfspaces(a)
+    assert mask_walls(a, hs) == subsets_bruteforce_halfspaces(a._masks())
 
 
-def test_halfspace_cap_raises_resource_error():
-    a = path_algebra(5)
-    with pytest.raises(ResourceLimitError):
-        a.halfspaces(max_points=4)
+def test_halfspaces_and_separation_above_sixteen_points():
+    a = path_algebra(20)
+    assert len(a.halfspaces()) == 20
+    v = a.points
+    h = a.separate({v[3]}, {v[4]})
+    assert h.side == frozenset(v[:4])
 
 
 # ---------------------------------------------------------------- separation

@@ -277,10 +277,14 @@ def test_trace_on_cube():
         distance_form(m, alpha)
 
 
-def test_retraction_cap():
+def test_retraction_above_sixteen_points():
     m = MedianMetric.certify(random_tree(18, 3).path_metric())
-    with pytest.raises(ResourceLimitError):
-        retraction_decomposition(m, cap=16)
+    trace = retraction_decomposition(m)
+    assert len(trace.steps) == 17
+    assert all(s.delta == 1 for s in trace.steps)
+    alpha = random_zero_sum(random.Random(5), 18)
+    assert trace.form_value_via_trace(dict(zip(m.points, alpha))) == \
+        distance_form(m, alpha)
 
 
 # ---------------------------------------------------------------- oracle

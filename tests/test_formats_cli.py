@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mediankit import InputError, certify_median_graph
+from mediankit import InputError, InternalCheckError, certify_median_graph
 from mediankit import formats
 from mediankit.corpus import (cycle_graph, generate_corpus, hypercube_graph,
                               path_graph)
@@ -222,6 +222,29 @@ def test_embed_l1_and_gns(files):
     r2 = run_cli("embed", "--mode", "gns", "--in", str(files["p3_metric"]))
     assert r2.returncode == 0
     assert json.loads(r2.stdout)["max_error"] <= 1e-9
+
+
+def test_embed_l1_rejects_a_non_median_graph(files):
+    r = run_cli("embed", "--mode", "l1", "--in", str(files["c6_graph"]))
+    assert r.returncode == 1 and r.stderr == ""
+    report = json.loads(r.stdout)
+    assert report["verdict"] == "rejected"
+    graph = json.loads(run_cli("certify-graph", "--in", str(files["c6_graph"])).stdout)
+    assert report["witness"] == graph["witness"]
+    assert len(report["witness"]["triple"]) == 3
+
+
+def test_internal_check_error_exits_four(files, monkeypatch, capsys):
+    from mediankit import cli
+
+    def broken(metric):
+        raise InternalCheckError("invariant broken")
+
+    monkeypatch.setattr(cli, "classify", broken)
+    assert cli.main(["classify", "--in", str(files["p3_metric"])]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "invariant broken", "kind": "internal"}
 
 
 def test_helly_exit_codes(files):

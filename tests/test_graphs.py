@@ -3,9 +3,9 @@ import itertools
 import networkx as nx
 import pytest
 
+from conftest import subsets_bruteforce_halfspaces
 from mediankit import (InputError, NotMedianError, SimpleGraph,
-                       certify_median_graph, edge_halfspaces, fill_cubes,
-                       wall_coordinates)
+                       certify_median_graph, fill_cubes)
 from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               grid_graph, hypercube_graph, path_graph,
                               random_tree, star_graph)
@@ -124,8 +124,14 @@ def test_distance_equals_wall_separation_everywhere():
 
 
 def test_every_proper_halfspace_comes_from_an_edge_small():
-    cert = certify_median_graph(grid_graph(3, 3))
-    assert cert.halfspaces_exhaustively_checked
+    for g in (grid_graph(3, 3), hypercube_graph(3)):
+        cert = certify_median_graph(g)
+        full = (1 << len(cert.vertices)) - 1
+        walls = {frozenset((w.side_mask, full & ~w.side_mask)) for w in cert.walls}
+        oracle = subsets_bruteforce_halfspaces(cert.metric._between())
+        assert walls | {frozenset((full, 0))} == oracle
+        crossing = [e for w in cert.walls for e in w.crossing_edges]
+        assert sorted(crossing) == sorted(cert.graph.edges)
 
 
 # ---------------------------------------------------------------- coordinates
@@ -133,7 +139,7 @@ def test_every_proper_halfspace_comes_from_an_edge_small():
 def test_wall_coordinates_base_is_zero():
     cert = certify_median_graph(grid_graph(2, 3))
     base = cert.vertices[3]
-    coords = wall_coordinates(cert, base)
+    coords = cert.wall_coordinates(base)
     assert coords[base] == (0,) * len(cert.walls)
 
 
