@@ -163,7 +163,7 @@ def cmd_certify_negdef(args) -> int:
         "pivots": [formats.rational_str(p) for p in cert.pivots],
         "witness": None if cert.witness is None else {
             "coefficients": [formats.rational_str(a) for a in cert.witness],
-            "form_value": formats.rational_str(cert.form_value(cert.witness)),
+            "form_value": formats.rational_str(cert.witness_value),
         },
     }
     _emit(report, args)

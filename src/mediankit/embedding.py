@@ -3,9 +3,11 @@
 A metric is negative definite when sum a_i a_j d(x_i,x_j) <= 0 for every
 real weight vector with zero sum; equivalently the doubly-centered matrix
 B = -1/2 J D J is positive semidefinite.  The decision here is exact:
-rational elimination with complete diagonal pivoting, a witness vector on
-failure.  Float linear algebra only ever produces coordinates, which are
-then verified against the metric.
+B is scaled to an integer matrix and reduced by fraction-free (Bareiss)
+integer elimination with greedy diagonal pivoting, which yields the
+rational pivots and, on failure, a witness vector.  Float linear algebra
+only ever produces coordinates, which are then verified against the
+metric.
 """
 
 from __future__ import annotations
@@ -31,73 +33,111 @@ DEFAULT_GNS_TOL = 1e-9
 
 
 def distance_form(m: FiniteMetric, coeffs: Sequence[Fraction | int]) -> Fraction:
-    """sum_{i,j} a_i a_j d(x_i, x_j), exactly."""
+    """sum_{i,j} a_i a_j d(x_i, x_j), exactly: summed in integers after
+    clearing the denominators of the a_i, divided once at the end."""
     n = len(m.points)
     if len(coeffs) != n:
         raise InputError(f"expected {n} coefficients, got {len(coeffs)}")
-    total = Fraction(0)
-    for i in range(n):
-        ai = coeffs[i]
-        if not ai:
-            continue
-        for j in range(i + 1, n):
-            if coeffs[j]:
-                total += 2 * ai * coeffs[j] * m.dist_int(i, j)
-    return total / m.scale
+    frac = [Fraction(a) for a in coeffs]
+    den = math.lcm(*(a.denominator for a in frac))
+    a = [v.numerator * (den // v.denominator) for v in frac]
+    total = 0
+    for ai, row in zip(a, m._di):
+        if ai:
+            total += ai * sum(aj * d for aj, d in zip(a, row) if aj)
+    return Fraction(total, den * den * m.scale)
 
 
-def centered_gram(m: FiniteMetric) -> list[list[Fraction]]:
-    """B = -1/2 J D J with J the mean-centering projector; B is PSD iff
-    the distance form is <= 0 on zero-sum vectors."""
+def _integer_gram(m: FiniteMetric) -> tuple[list[list[int]], int]:
+    """(G, c) with G = c * B an integer matrix, B = -1/2 J D J the
+    doubly-centered form (J the mean-centering projector) and
+    c = 2 n^2 scale.  B is PSD iff the distance form is <= 0 on zero-sum
+    vectors; in the scaled integer distances D', with row sums r and total
+    g, G_ij = -(n^2 D'_ij - n r_i - n r_j + g).
+
+    Every k x k minor of G is divisible by n^(2k-3): G = n^2 A with
+    A_ij = -D'_ij + v_i + v_j - g/n^2 and v = r/n, so each column of a
+    submatrix of A is an integer column plus the shared column v plus a
+    multiple of the all-ones column, and expanding the determinant by
+    columns, each of those two can be chosen at most once (denominators n
+    and n^2)."""
     n = len(m.points)
-    d = [[Fraction(m.dist_int(i, j), m.scale) for j in range(n)] for i in range(n)]
-    row = [sum(d[i]) / n for i in range(n)]
-    grand = sum(row) / n
-    return [[-(d[i][j] - row[i] - row[j] + grand) / 2 for j in range(n)]
-            for i in range(n)]
+    r = [sum(row) for row in m._di]
+    g = sum(r)
+    nr = [n * v for v in r]
+    nn = n * n
+    gram = [[nr[i] + nr[j] - g - nn * dij for j, dij in enumerate(row)]
+            for i, row in enumerate(m._di)]
+    return gram, 2 * nn * m.scale
 
 
-def _psd_eliminate(b: list[list[Fraction]]):
-    """Exact PSD test by elimination with greedy diagonal pivoting.
+def _psd_eliminate(g: Sequence[Sequence[int]], h: int = 1):
+    """Exact PSD test of a symmetric integer matrix by symmetric
+    fraction-free (Bareiss) elimination with greedy diagonal pivoting.
 
-    Returns (is_psd, pivots, witness) where witness is a vector v with
-    v^T B v < 0 when the test fails.  Rows of the tracked transform M keep
-    the reduced form expressed in original coordinates: S = M B M^T.
+    Returns (is_psd, pivots, witness): the pivots are the successive Schur
+    complement diagonals, and the witness is a vector v with v^T g v < 0
+    when the test fails.  The caller promises that every k x k minor of g
+    with k >= 2 is divisible by h^(2k-3) (h = 1 promises nothing).
+
+    Bareiss keeps, after pivots P, each remaining entry as the Schur
+    complement entry times the positive minor det g[P,P]; here it is also
+    divided by the known factor h^(2|P|-1), which the update does by
+    dividing the first two steps by h and h*p_1.  The common factor is
+    positive, so the greedy choice and its ties are those of rational
+    elimination, and every division is exact.  Only the upper triangle of
+    the remaining block is stored: row s holds its entries from the
+    diagonal on.  A remaining row i of the transform M (S = M g M^T) is
+    held as its coefficients on the pivots so far; its own coordinate is
+    always the last pivot ``prev``, the factor divided out of a witness.
     """
-    n = len(b)
-    work = [row[:] for row in b]
-    trans = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-             for i in range(n)]
-    remaining = list(range(n))
+    remaining = list(range(len(g)))
+    upper = [list(row[i:]) for i, row in enumerate(g)]
+    done: list[int] = []                   # pivot indices, in order
+    coef: list[list[int]] = [[] for _ in remaining]
+    prev = 1       # last pivot: the transform's divisor
+    div = h        # the work matrix's divisor
+    unit = 1       # a pivot of g is unit * p / prev
     pivots: list[Fraction] = []
+
+    def witness(*rows: tuple[int, int]) -> list[Fraction]:
+        """sum of sign * (row s of M), divided by prev."""
+        vec = [0] * len(g)
+        for sign, s in rows:
+            vec[remaining[s]] += sign * prev
+            for q, v in zip(done, coef[s]):
+                vec[q] += sign * v
+        return [Fraction(v, prev) for v in vec]
+
     while remaining:
-        k = max(remaining, key=lambda i: work[i][i])
-        if work[k][k] > 0:
-            d = work[k][k]
-            pivots.append(d)
-            remaining.remove(k)
-            for i in remaining:
-                c = work[i][k] / d
-                if c:
-                    wk = work[k]
-                    wi = work[i]
-                    for j in remaining:
-                        wi[j] -= c * wk[j]
-                    tk = trans[k]
-                    ti = trans[i]
-                    for j in range(n):
-                        ti[j] -= c * tk[j]
+        t = max(range(len(remaining)), key=lambda s: upper[s][0])
+        p = upper[t][0]
+        if p > 0:
+            pivots.append(Fraction(unit * p, prev))
+            first = not done
+            done.append(remaining.pop(t))
+            col = [upper[s][t - s] for s in range(t)] + upper.pop(t)
+            del col[t]                     # col[s] = entry (s, pivot)
+            ck = coef.pop(t)
+            for s, (row, cs) in enumerate(zip(upper, coef)):
+                a = col[s]
+                if s < t:
+                    del row[t - s]
+                # rows with a == 0 are rescaled too: every entry carries the minor
+                upper[s] = [(p * x - a * y) // div for x, y in zip(row, col[s:])]
+                coef[s] = [(p * x - a * y) // prev for x, y in zip(cs, ck)]
+                coef[s].append(-a)
+            div, unit = (h * p, h) if first else (p, h * h)
+            prev = p
             continue
-        neg = [i for i in remaining if work[i][i] < 0]
-        if neg:
-            return False, pivots, trans[neg[0]]
-        for i in remaining:
-            for j in remaining:
-                if i < j and work[i][j] != 0:
+        for s, row in enumerate(upper):
+            if row[0] < 0:
+                return False, pivots, witness((1, s))
+        for s, row in enumerate(upper):
+            for u in range(1, len(row)):
+                if row[u] != 0:
                     # diagonal all zero, off-diagonal not: e_i -/+ e_j is negative
-                    s = 1 if work[i][j] > 0 else -1
-                    witness = [trans[i][t] - s * trans[j][t] for t in range(n)]
-                    return False, pivots, witness
+                    return False, pivots, witness((1, s), (-1 if row[u] > 0 else 1, s + u))
         pivots.extend(Fraction(0) for _ in remaining)
         remaining = []
     return True, pivots, None
@@ -106,10 +146,12 @@ def _psd_eliminate(b: list[list[Fraction]]):
 @dataclass(frozen=True)
 class NegDefCertificate:
     metric: FiniteMetric
-    centered: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[int, ...], ...]      # gram_scale * (-1/2 J D J)
+    gram_scale: int
     negative_definite: bool
     pivots: tuple[Fraction, ...]
     witness: tuple[Fraction, ...] | None   # zero-sum vector with positive form
+    witness_value: Fraction | None         # its distance form, as re-evaluated
 
     def form_value(self, coeffs) -> Fraction:
         return distance_form(self.metric, coeffs)
@@ -118,9 +160,9 @@ class NegDefCertificate:
 def certify_negative_definite(m: FiniteMetric) -> NegDefCertificate:
     """Exact verdict; a failing certificate carries a zero-sum rational
     vector whose distance form is positive (re-evaluated to confirm)."""
-    b = centered_gram(m)
-    ok, pivots, raw = _psd_eliminate(b)
-    witness = None
+    g, scale = _integer_gram(m)
+    ok, pivots, raw = _psd_eliminate(g, len(m.points))
+    witness = value = None
     if not ok:
         n = len(m.points)
         mean = sum(raw) / n
@@ -131,15 +173,18 @@ def certify_negative_definite(m: FiniteMetric) -> NegDefCertificate:
         alpha = [a * den for a in alpha]
         if sum(alpha) != 0:
             raise InternalCheckError("witness is not zero-sum")
-        if distance_form(m, alpha) <= 0:
+        value = distance_form(m, alpha)
+        if value <= 0:
             raise InternalCheckError("extracted witness fails to certify")
         witness = tuple(alpha)
     return NegDefCertificate(
         metric=m,
-        centered=tuple(tuple(row) for row in b),
+        gram=tuple(map(tuple, g)),
+        gram_scale=scale,
         negative_definite=ok,
-        pivots=tuple(pivots),
+        pivots=tuple(p / scale for p in pivots),
         witness=witness,
+        witness_value=value,
     )
 
 
@@ -245,7 +290,8 @@ def gns_embed(m: FiniteMetric, tol: float = DEFAULT_GNS_TOL,
         err.witness = cert.witness
         raise err
     n = len(m.points)
-    b = np.array([[float(v) for v in row] for row in cert.centered])
+    # int / int true division rounds correctly, as float(Fraction) does
+    b = np.array([[v / cert.gram_scale for v in row] for row in cert.gram])
     evals, evecs = np.linalg.eigh(b)
     cut = max(float(evals.max()), 1.0) * 1e-13
     keep = evals > cut
@@ -253,11 +299,10 @@ def gns_embed(m: FiniteMetric, tol: float = DEFAULT_GNS_TOL,
     if coords.shape[1] > max(n - 1, 0):
         raise InternalCheckError("embedding dimension exceeds n-1")
     worst = 0.0
-    for i in range(n):
+    for i, row in enumerate(m._di):
         for j in range(i + 1, n):
             diff = coords[i] - coords[j]
-            worst = max(worst, abs(float(diff @ diff) - float(m.dist(m.points[i],
-                                                                     m.points[j]))))
+            worst = max(worst, abs(float(diff @ diff) - row[j] / m.scale))
     if worst > tol:
         raise InternalCheckError(
             f"embedding error {worst:.3e} exceeds tolerance {tol:.3e}")

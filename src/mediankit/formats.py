@@ -152,6 +152,15 @@ def cloud_from_json(data: dict) -> PointCloud:
         norm = data.get("norm", "euclidean")
     except KeyError as exc:
         raise InputError(f"point-cloud JSON missing key {exc}") from None
+    if not isinstance(points, list) or not points:
+        raise InputError("point-cloud 'points' must be a nonempty list of coordinate lists")
+    for p in points:
+        if not isinstance(p, list) or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in p):
+            raise InputError(f"point {p!r} is not a list of numbers")
+        if len(p) != len(points[0]):
+            raise InputError(f"point {p!r} has {len(p)} coordinates, "
+                             f"the first point has {len(points[0])}")
     return PointCloud.build(points, norm)
 
 

@@ -54,7 +54,7 @@ class FiniteMetric:
         for row in frac:
             for v in row:
                 scale = scale * v.denominator // math.gcd(scale, v.denominator)
-        di = [[int(v * scale) for v in row] for row in frac]
+        di = [[v.numerator * (scale // v.denominator) for v in row] for row in frac]
         for i in range(n):
             if di[i][i] != 0:
                 raise InputError(f"nonzero self-distance at {pts[i]!r}")

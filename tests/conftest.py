@@ -1,8 +1,10 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
-from mediankit import certify_median_graph
+from mediankit import FiniteMetric, certify_median_graph
 from mediankit.algebra import FiniteMedianAlgebra, IntervalStructure
 from mediankit.corpus import graph_instances, median_graph_instances
 
@@ -44,6 +46,82 @@ def subsets_bruteforce_halfspaces(betw, within=None):
             if convex(side) and convex(within & ~side):
                 out.add(frozenset((side, within & ~side)))
     return out
+
+
+def random_shortest_path_metric(rng, n):
+    """Metric closure of a random rational-weighted complete graph."""
+    w = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i][j] = w[j][i] = Fraction(rng.randint(1, 12), rng.randint(1, 3))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if w[i][k] + w[k][j] < w[i][j]:
+                    w[i][j] = w[i][k] + w[k][j]
+    return FiniteMetric(list(range(n)), w)
+
+
+def centered_gram(m: FiniteMetric) -> list[list[Fraction]]:
+    """Oracle: B = -1/2 J D J with J the mean-centering projector, in
+    Fractions; B is PSD iff the distance form is <= 0 on zero-sum vectors."""
+    n = len(m.points)
+    d = [[Fraction(m.dist_int(i, j), m.scale) for j in range(n)] for i in range(n)]
+    row = [sum(d[i]) / n for i in range(n)]
+    grand = sum(row) / n
+    return [[-(d[i][j] - row[i] - row[j] + grand) / 2 for j in range(n)]
+            for i in range(n)]
+
+
+def fraction_psd_eliminate(b):
+    """Oracle: PSD test by rational elimination with greedy diagonal
+    pivoting.  Returns (is_psd, pivots, witness) where witness is a vector
+    v with v^T B v < 0 when the test fails; rows of the tracked transform M
+    keep the reduced form expressed in original coordinates: S = M B M^T."""
+    n = len(b)
+    work = [[Fraction(v) for v in row] for row in b]
+    trans = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
+             for i in range(n)]
+    remaining = list(range(n))
+    pivots: list[Fraction] = []
+    while remaining:
+        k = max(remaining, key=lambda i: work[i][i])
+        if work[k][k] > 0:
+            d = work[k][k]
+            pivots.append(d)
+            remaining.remove(k)
+            for i in remaining:
+                c = work[i][k] / d
+                if c:
+                    for j in remaining:
+                        work[i][j] -= c * work[k][j]
+                    for j in range(n):
+                        trans[i][j] -= c * trans[k][j]
+            continue
+        neg = [i for i in remaining if work[i][i] < 0]
+        if neg:
+            return False, pivots, trans[neg[0]]
+        for i in remaining:
+            for j in remaining:
+                if i < j and work[i][j] != 0:
+                    s = 1 if work[i][j] > 0 else -1
+                    return False, pivots, [trans[i][t] - s * trans[j][t] for t in range(n)]
+        pivots.extend(Fraction(0) for _ in remaining)
+        remaining = []
+    return True, pivots, None
+
+
+def fraction_negdef_oracle(m: FiniteMetric):
+    """Oracle: (negative_definite, pivots, witness) of a metric by rational
+    elimination of the centered form, the witness projected to zero sum
+    and cleared of denominators."""
+    ok, pivots, raw = fraction_psd_eliminate(centered_gram(m))
+    if ok:
+        return True, tuple(pivots), None
+    mean = sum(raw) / len(raw)
+    alpha = [v - mean for v in raw]
+    den = math.lcm(*(a.denominator for a in alpha))
+    return False, tuple(pivots), tuple(a * den for a in alpha)
 
 
 def boolean_median_algebra(k: int) -> FiniteMedianAlgebra:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (centered_gram, fraction_negdef_oracle,
+                      fraction_psd_eliminate, random_shortest_path_metric)
 from mediankit import (FiniteMetric, InputError, MedianMetric,
                        ResourceLimitError, certify_hypermetric,
                        certify_median_graph, certify_negative_definite,
@@ -15,7 +17,7 @@ from mediankit import (FiniteMetric, InputError, MedianMetric,
 from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               grid_graph, hypercube_graph, path_graph,
                               random_tree)
-from mediankit.embedding import (centered_gram, distance_form,
+from mediankit.embedding import (_psd_eliminate, distance_form,
                                  zero_sum_sampling_oracle)
 
 
@@ -77,11 +79,83 @@ def test_median_instances_are_negative_definite():
 def test_centered_form_matches_distance_form_on_zero_sums(seed):
     rng = random.Random(seed)
     m = cycle_graph(4).path_metric()
-    b = centered_gram(m)
+    cert = certify_negative_definite(m)
+    b = [[Fraction(v, cert.gram_scale) for v in row] for row in cert.gram]
+    assert b == centered_gram(m)
     alpha = random_zero_sum(rng, len(m.points))
     via_b = sum(alpha[i] * alpha[j] * b[i][j]
                 for i in range(4) for j in range(4))
     assert via_b == -distance_form(m, alpha) / 2
+    assert distance_form(m, alpha) == sum(
+        alpha[i] * alpha[j] * m.dist(x, y)
+        for i, x in enumerate(m.points) for j, y in enumerate(m.points))
+
+
+def one_two_metric(rng, n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.choice((1, 2))
+    return FiniteMetric(list(range(n)), rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(("shortest-path", "one-two", "grid")))
+def test_certificate_matches_rational_elimination(seed, family):
+    rng = random.Random(seed)
+    if family == "shortest-path":
+        m = random_shortest_path_metric(rng, rng.randint(1, 9))
+    elif family == "one-two":
+        m = one_two_metric(rng, rng.randint(2, 12))
+    else:
+        m = grid_graph(rng.randint(1, 4), rng.randint(1, 4)).path_metric()
+    cert = certify_negative_definite(m)
+    assert (cert.negative_definite, cert.pivots, cert.witness) == \
+        fraction_negdef_oracle(m)
+    if cert.witness is not None:
+        assert cert.witness_value == distance_form(m, cert.witness) > 0
+
+
+@st.composite
+def symmetric_integer_matrices(draw):
+    n = draw(st.integers(1, 6))
+    small = st.integers(-2, 2)
+    hollow = draw(st.booleans())    # a zero diagonal reaches the zero-diagonal exit
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + hollow, n):
+            a[i][j] = a[j][i] = draw(small)
+    # adding a PSD part sum_r x_r x_r^T keeps the elimination going for a while
+    xs = draw(st.lists(st.lists(small, min_size=n, max_size=n), max_size=n))
+    return [[a[i][j] + sum(x[i] * x[j] for x in xs) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_integer_matrices())
+def test_integer_elimination_matches_rational_elimination(g):
+    got = _psd_eliminate(g)
+    assert got == fraction_psd_eliminate(g)
+    if not got[0]:
+        v = got[2]
+        assert sum(v[i] * g[i][j] * v[j] for i in range(len(g)) for j in range(len(g))) < 0
+
+
+@pytest.mark.parametrize("g, pivots, witness", [
+    # a negative diagonal, at once and after one pivot
+    ([[-1]], [], [1]),
+    ([[1, 2], [2, 1]], [1], [-2, 1]),
+    # a zero diagonal with a nonzero off-diagonal entry, at once and after a pivot
+    ([[0, 1], [1, 0]], [], [1, -1]),
+    ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], [1], [0, 1, -1]),
+    ([[0, -3], [-3, 0]], [], [1, 1]),
+    # all zeros left: the pivots are padded with zeros
+    ([[0, 0], [0, 0]], [0, 0], None),
+    ([[4, 2, 0], [2, 1, 0], [0, 0, 0]], [4, 0, 0], None),
+])
+def test_each_exit_of_the_integer_elimination(g, pivots, witness):
+    got = _psd_eliminate(g)
+    assert got == (witness is None, pivots, witness)
+    assert got == fraction_psd_eliminate(g)
 
 
 def test_witness_survives_rescaling():
@@ -92,7 +166,7 @@ def test_witness_survives_rescaling():
     m = FiniteMetric(["a1", "a2", "b1", "b2", "b3"], half)
     cert = certify_negative_definite(m)
     assert not cert.negative_definite
-    assert cert.form_value(cert.witness) > 0
+    assert cert.form_value(cert.witness) == cert.witness_value > 0
 
 
 # ---------------------------------------------------------------- hypermetric

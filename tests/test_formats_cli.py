@@ -279,6 +279,28 @@ def test_circumcenter_cli(files):
     assert report["radius"] == 1.0
 
 
+def circumcenter_error(path, capsys) -> dict:
+    from mediankit import cli
+    assert cli.main(["circumcenter", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    return json.loads(err)
+
+
+def test_circumcenter_on_a_wall_space_exits_two(files, capsys):
+    error = circumcenter_error(files["c4_walls"], capsys)
+    assert error["kind"] == "input"
+    assert "not a list of numbers" in error["error"]
+
+
+def test_circumcenter_on_a_ragged_cloud_exits_two(tmp_path, capsys):
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(formats.dumps({"norm": "euclidean", "points": [[0, 0], [1, 2, 3]]}))
+    error = circumcenter_error(ragged, capsys)
+    assert error["kind"] == "input"
+    assert "coordinates" in error["error"]
+
+
 def test_corpus_generation_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     r1 = run_cli("corpus", "--out-dir", str(d1), "--names", "path3,cycle6,asymmetric3")

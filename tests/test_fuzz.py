@@ -2,30 +2,16 @@
 oracles, over instance families the named fixtures do not reach."""
 
 import random
-from fractions import Fraction
 
 import networkx as nx
 import pytest
 
-from mediankit import (FiniteMetric, InputError, WallSpace,
-                       certify_negative_definite, cubulate, fill_cubes)
+from conftest import random_shortest_path_metric
+from mediankit import (InputError, WallSpace, certify_negative_definite,
+                       cubulate, fill_cubes)
 from mediankit.corpus import hypercube_graph
 from mediankit.embedding import distance_form, zero_sum_sampling_oracle
 from mediankit.walls import consistent_orientations_bruteforce
-
-
-def random_shortest_path_metric(rng, n):
-    """Metric closure of a random rational-weighted complete graph."""
-    w = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            w[i][j] = w[j][i] = Fraction(rng.randint(1, 12), rng.randint(1, 3))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if w[i][k] + w[k][j] < w[i][j]:
-                    w[i][j] = w[i][k] + w[k][j]
-    return FiniteMetric(list(range(n)), w)
 
 
 def random_crossing_wall_space(rng, n_points, n_walls):
