@@ -10,6 +10,7 @@ inputs and seeds; timings appear only under --timings.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -373,9 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing never mutates it, and its handlers
+    and defaults are static."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args._t0 = time.perf_counter()
     try:
         return args.handler(args)

@@ -41,6 +41,23 @@ def rational_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _ids(value, what: str) -> list:
+    """A list of point or vertex ids; an id must be a JSON scalar."""
+    for p in _list(value, what):
+        if not isinstance(p, _SCALARS):
+            raise InputError(f"{what}: id {p!r} is not a JSON scalar")
+    return value
+
+
 # -- interval structures ----------------------------------------------
 
 def interval_structure_from_json(data: dict) -> IntervalStructure:
@@ -76,10 +93,12 @@ def interval_structure_to_json(s: IntervalStructure, expected: dict | None = Non
 
 def metric_from_json(data: dict) -> FiniteMetric:
     try:
-        points = list(data["points"])
-        rows = data["dist"]
+        points, rows = data["points"], data["dist"]
     except KeyError as exc:
         raise InputError(f"metric JSON missing key {exc}") from None
+    _ids(points, "metric points")
+    for row in _list(rows, "metric 'dist'"):
+        _list(row, "a 'dist' row")
     if len(rows) == len(points) and all(len(r) == len(points) for r in rows):
         return FiniteMetric(points, rows)
     return FiniteMetric.from_upper_triangle(points, rows)
@@ -99,14 +118,14 @@ def metric_to_json(m: FiniteMetric, expected: dict | None = None) -> dict:
 
 def graph_from_json(data: dict) -> SimpleGraph:
     try:
-        vertices = list(data["vertices"])
-        edges = [tuple(e) for e in data["edges"]]
+        vertices, edges = data["vertices"], data["edges"]
     except KeyError as exc:
         raise InputError(f"graph JSON missing key {exc}") from None
-    for e in edges:
-        if len(e) != 2:
+    _ids(vertices, "graph vertices")
+    for e in _list(edges, "graph edges"):
+        if len(_ids(e, "an edge")) != 2:
             raise InputError(f"edge {e!r} must have exactly two endpoints")
-    return SimpleGraph(vertices, edges)
+    return SimpleGraph(vertices, [tuple(e) for e in edges])
 
 
 def graph_to_json(g: SimpleGraph, expected: dict | None = None) -> dict:
@@ -121,15 +140,15 @@ def graph_to_json(g: SimpleGraph, expected: dict | None = None) -> dict:
 
 def walls_from_json(data: dict) -> WallSpace:
     try:
-        points = list(data["points"])
-        walls = data["walls"]
+        points, walls = data["points"], data["walls"]
     except KeyError as exc:
         raise InputError(f"wall-space JSON missing key {exc}") from None
+    _ids(points, "wall-space points")
     pairs = []
-    for w in walls:
-        if len(w) != 2:
+    for w in _list(walls, "wall-space 'walls'"):
+        if len(_list(w, "a wall")) != 2:
             raise InputError(f"wall {w!r} must list exactly two sides")
-        pairs.append((w[0], w[1]))
+        pairs.append((_ids(w[0], "a wall side"), _ids(w[1], "a wall side")))
     return WallSpace(points, pairs, warn_missing_trivial=True)
 
 
@@ -181,6 +200,11 @@ def action_from_json(data: dict) -> tuple[dict, object]:
         raise InputError(f"action JSON missing key {exc}") from None
     if not isinstance(generators, dict) or not generators:
         raise InputError("action JSON needs a nonempty 'generators' object")
+    for name, mapping in generators.items():
+        if not isinstance(mapping, dict):
+            raise InputError(f"generator {name!r} must be an object mapping points to points")
+        _ids(list(mapping.values()), f"generator {name!r}")
+    _ids([basepoint], "action basepoint")
     return generators, basepoint
 
 

@@ -100,7 +100,9 @@ class SimpleGraph:
         return self._dist
 
     def path_metric(self) -> FiniteMetric:
-        return FiniteMetric(self.vertices, self.all_pairs())
+        """BFS distances of a connected graph are a metric by construction,
+        so they are not validated again."""
+        return FiniteMetric._trusted(self.vertices, self.all_pairs())
 
 
 @dataclass(frozen=True)

@@ -69,11 +69,24 @@ class FiniteMetric:
             if a + b < c or a + c < b or b + c < a:
                 raise InputError(
                     f"triangle inequality fails on ({pts[i]!r},{pts[j]!r},{pts[k]!r})")
-        self.points = pts
-        self._index = {p: i for i, p in enumerate(pts)}
+        self._adopt(pts, di, scale)
+
+    def _adopt(self, points: list, di: list[list[int]], scale: int) -> None:
+        self.points = points
+        self._index = {p: i for i, p in enumerate(points)}
         self._scale = scale
         self._di = di
         self._betw: list[list[int]] | None = None
+
+    @classmethod
+    def _trusted(cls, points: Sequence[Point], di: list[list[int]],
+                 scale: int = 1) -> "FiniteMetric":
+        """Wrap a scaled integer matrix that is a metric by construction
+        (BFS distances, or another metric's validated matrix); nothing is
+        re-checked."""
+        out = cls.__new__(cls)
+        out._adopt(list(points), di, scale)
+        return out
 
     @classmethod
     def from_upper_triangle(cls, points: Sequence[Point],
@@ -232,10 +245,12 @@ class MedianMetric(FiniteMetric):
 
     @classmethod
     def certify(cls, metric: FiniteMetric) -> "MedianMetric":
-        rows = [[Fraction(metric._di[i][j], metric._scale)
-                 for j in range(len(metric.points))]
-                for i in range(len(metric.points))]
-        return cls(metric.points, rows)
+        """Certify a metric as median, sharing its integer matrix (not
+        validated again) and its betweenness table."""
+        out = cls._trusted(metric.points, metric._di, metric._scale)
+        out._betw = metric._betw
+        out._certify()
+        return out
 
     def median_index(self, i: int, j: int, k: int) -> int:
         key = tuple(sorted((i, j, k)))

@@ -17,8 +17,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .graphs import MedianGraphCert, SimpleGraph, certify_median_graph
 
@@ -27,7 +25,6 @@ Point = Hashable
 DEFAULT_WALL_CAP = 24
 DEFAULT_VERTEX_CAP = 65536
 DEFAULT_CERTIFY_CAP = 300
-DEFAULT_CLOSURE_CAP = 600
 DEFAULT_DISTANCE_CHECK_CAP = 2048
 
 
@@ -256,56 +253,79 @@ def _vertex_name(bits: int, width: int) -> str:
     return format(bits, f"0{max(width, 1)}b")
 
 
-def _majority_closure_check(vertex_bits: np.ndarray, image_bits: list[int]) -> bool:
-    """vertex set is majority-stable AND equals the closure of the image."""
-    arr = np.sort(vertex_bits.astype(np.int64))
-    nv = len(arr)
+def _count_closure(image_bits: Sequence[int], width: int, limit: int) -> int:
+    """Number of orientations satisfying every 2-clause (and unit clause)
+    that all of ``image_bits`` satisfy, counted up to ``limit + 1``.
 
-    def all_members(values: np.ndarray) -> bool:
-        flat = values.ravel()
-        pos = np.searchsorted(arr, flat)
-        pos[pos == nv] = nv - 1
-        return bool((arr[pos] == flat).all())
+    A set of bitvectors is closed under the majority median iff it is the
+    solution set of a 2-CNF (Schaefer 1978), so this counts the median
+    closure of the image.  The search assigns walls in index order and
+    takes side s of wall k only if some image element has it and every
+    earlier chosen side occurs with it in some image element.  The clause
+    set is closed under resolution, so every partial assignment extends:
+    the search never dead-ends and visits at most (limit + 1) * (width + 1)
+    nodes.
+    """
+    occ = [[0, 0] for _ in range(width)]    # occ[k][s]: image elements with bit k == s
+    for e, bits in enumerate(image_bits):
+        for k in range(width):
+            occ[k][bits >> k & 1] |= 1 << e
+    # compat[k][s]: literals 2l+t (l < k) occurring together with (k, s)
+    compat = [[sum(1 << (2 * l + t) for l in range(k) for t in (0, 1)
+                   if occ[l][t] & occ[k][s]) for s in (0, 1)] for k in range(width)]
+    count = 0
+    stack = [(0, 0)]                      # (next wall, chosen literals)
+    while stack:
+        k, path = stack.pop()
+        if k == width:
+            count += 1
+            if count > limit:
+                break
+            continue
+        for s in (0, 1):
+            if occ[k][s] and not path & ~compat[k][s]:
+                stack.append((k + 1, path | 1 << (2 * k + s)))
+    return count
 
-    g = arr[:, None] & arr[None, :]
-    u = arr[:, None] | arr[None, :]
-    for c in arr:
-        if not all_members(g | (u & c)):
+
+def _steps_toward_all(vertex_bits: Sequence[int], adj: Sequence[Sequence[int]]) -> bool:
+    """True iff path distance equals Hamming distance for every pair of
+    vertices of the graph with adjacency lists ``adj``.
+
+    Every edge must flip exactly one bit, so path distance is at least
+    Hamming distance.  With flips(a) the bits flipped by the edges at a,
+    a has a neighbour one step closer to b iff a and b differ somewhere in
+    flips(a); by induction on Hamming distance this holding for all pairs
+    is equivalent to the two distances agreeing.
+    """
+    for a, nbrs in zip(vertex_bits, adj):
+        flips = 0
+        for j in nbrs:
+            step = a ^ vertex_bits[j]
+            if step.bit_count() != 1:
+                return False
+            flips |= step
+        if [b & flips for b in vertex_bits].count(a & flips) != 1:
             return False
-
-    current = set(image_bits)
-    fresh = list(current)
-    while fresh:
-        cur = np.fromiter(current, dtype=np.int64, count=len(current))
-        gg = cur[:, None] & cur[None, :]
-        uu = cur[:, None] | cur[None, :]
-        added: set[int] = set()
-        for c in fresh:
-            meds = gg | (uu & c)
-            new = np.unique(meds[~np.isin(meds, cur)])
-            added.update(int(x) for x in new)
-        added -= current
-        current |= added
-        fresh = list(added)
-    return current == {int(b) for b in vertex_bits}
+    return True
 
 
 def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
              max_vertices: int = DEFAULT_VERTEX_CAP,
              certify_cap: int = DEFAULT_CERTIFY_CAP,
-             closure_cap: int = DEFAULT_CLOSURE_CAP,
              distance_check_cap: int = DEFAULT_DISTANCE_CHECK_CAP) -> CubulationResult:
     """Build the canonical median graph of a wall space.
 
     Vertices are the consistent orientations reachable from the principal
     orientations by consistency-preserving single-wall flips; edges join
     orientations differing on one wall.  The construction is verified:
-    path distance equals Hamming distance on orientation bitvectors, the
-    embedded image has the whole vertex set as median closure, the point
-    embedding is isometric for the wall metric, and walls correspond
-    bijectively.  The cubic-cost checks (generic median certification and
-    the closure fixpoint) are gated by ``certify_cap``/``closure_cap``;
-    the structural checks always run.
+    path distance equals Hamming distance on orientation bitvectors
+    (exhaustively up to ``distance_check_cap`` vertices, by sampled BFS
+    beyond), the embedded image has the whole vertex set as median closure
+    (always checked, by counting the solutions of the image's 2-clause
+    theory), the point embedding is isometric for the wall metric, and
+    walls correspond bijectively (through generic median certification up
+    to ``certify_cap`` vertices, structurally beyond).
     """
     W = w.wall_count
     if W > max_walls:
@@ -313,23 +333,28 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
             f"cubulation capped at {max_walls} nontrivial walls, got {W}",
             cap=max_walls)
     sides = [w.side_masks(k) for k in range(W)]
+    # an orientation is also a literal mask: bit 2k+s set iff wall k is on
+    # side s; blocked[k][s] holds the literals of other walls whose side
+    # misses side s of wall k, so a flip to (k, s) is legal iff it meets none
+    blocked = [[sum(1 << (2 * l + t) for l in range(W) if l != k for t in (0, 1)
+                    if not sides[k][s] & sides[l][t]) for s in (0, 1)]
+               for k in range(W)]
 
-    def flip_ok(masks: list[int], k: int, newmask: int) -> bool:
-        return all(newmask & masks[l] for l in range(W) if l != k)
+    def literals(bits: int) -> int:
+        return sum(1 << (2 * k + (bits >> k & 1)) for k in range(W))
 
     principals = {p: w.sigma_bits(p) for p in w.points}
-    frontier = deque(sorted(set(principals.values())))
-    vertex_set: set[int] = set(frontier)
+    frontier = deque((b, literals(b)) for b in sorted(set(principals.values())))
+    vertex_set: set[int] = {b for b, _ in frontier}
     while frontier:
-        bits = frontier.popleft()
-        masks = [sides[k][bits >> k & 1] for k in range(W)]
+        bits, lits = frontier.popleft()
         for k in range(W):
             flipped = bits ^ (1 << k)
             if flipped in vertex_set:
                 continue
-            if flip_ok(masks, k, sides[k][flipped >> k & 1]):
+            if not lits & blocked[k][flipped >> k & 1]:
                 vertex_set.add(flipped)
-                frontier.append(flipped)
+                frontier.append((flipped, lits ^ 3 << 2 * k))
                 if len(vertex_set) > max_vertices:
                     raise ResourceLimitError(
                         f"cubulation exceeded {max_vertices} vertices",
@@ -363,13 +388,9 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
     checks["vertices_consistent"] = True
 
     if nv <= distance_check_cap:
-        dist = graph.all_pairs()
-        for a in range(nv):
-            ba = ordered[a]
-            for b in range(a + 1, nv):
-                if dist[a][b] != (ba ^ ordered[b]).bit_count():
-                    raise InternalCheckError(
-                        "path distance differs from wall-flip distance")
+        if not _steps_toward_all(ordered, graph._adj):
+            raise InternalCheckError(
+                "path distance differs from wall-flip distance")
         checks["distance_vs_hamming"] = "exhaustive"
     else:
         rng = random.Random(0)
@@ -381,20 +402,23 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
                         "path distance differs from wall-flip distance")
         checks["distance_vs_hamming"] = "sampled"
 
-    for x in w.points:
-        for y in w.points:
-            if w.wall_metric(x, y) != (principals[x] ^ principals[y]).bit_count():
-                raise InternalCheckError("embedding not isometric for wall metric")
+    sigma = {x: w.sigma_halfspaces(x) for x in w.points}
+    for x, y in itertools.combinations(w.points, 2):
+        count = len(w.separating_walls(x, y))
+        sym = len(sigma[x] ^ sigma[y])
+        if sym != 2 * count:
+            raise InternalCheckError(
+                f"wall metric mismatch at ({x!r},{y!r}): {count} vs {sym}/2")
+        if (principals[x] ^ principals[y]).bit_count() != count:
+            raise InternalCheckError("embedding not isometric for wall metric")
     checks["embedding_isometric"] = True
 
-    if nv <= closure_cap:
-        arr = np.fromiter(ordered, dtype=np.int64, count=nv)
-        if not _majority_closure_check(arr, sorted(set(principals.values()))):
-            raise InternalCheckError(
-                "vertex set is not the median closure of the embedded image")
-        checks["median_closure"] = "checked"
-    else:
-        checks["median_closure"] = "skipped"
+    # vertices_consistent puts every vertex among the solutions, so equal
+    # counts make the vertex set the median closure of the image
+    if _count_closure(sorted(set(principals.values())), W, nv) != nv:
+        raise InternalCheckError(
+            "vertex set is not the median closure of the embedded image")
+    checks["median_closure"] = "checked"
 
     cert = None
     if nv <= certify_cap:

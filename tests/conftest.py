@@ -1,7 +1,9 @@
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mediankit import FiniteMetric, certify_median_graph
@@ -122,6 +124,64 @@ def fraction_negdef_oracle(m: FiniteMetric):
     alpha = [v - mean for v in raw]
     den = math.lcm(*(a.denominator for a in alpha))
     return False, tuple(pivots), tuple(a * den for a in alpha)
+
+
+def majority_closure(image_bits) -> set[int]:
+    """Oracle: the median closure of a set of bitvectors, by iterating the
+    bitwise majority to a fixpoint."""
+    current = set(image_bits)
+    fresh = list(current)
+    while fresh:
+        cur = np.fromiter(current, dtype=np.int64, count=len(current))
+        gg = cur[:, None] & cur[None, :]
+        uu = cur[:, None] | cur[None, :]
+        added: set[int] = set()
+        for c in fresh:
+            meds = gg | (uu & c)
+            added.update(int(x) for x in np.unique(meds[~np.isin(meds, cur)]))
+        added -= current
+        current |= added
+        fresh = list(added)
+    return current
+
+
+def majority_closure_check(vertex_bits, image_bits) -> bool:
+    """Oracle: the vertex set is majority-stable AND equals the median
+    closure of the image (bitvectors of fewer than 63 bits)."""
+    arr = np.sort(np.fromiter(vertex_bits, dtype=np.int64))
+    nv = len(arr)
+
+    def all_members(values: np.ndarray) -> bool:
+        flat = values.ravel()
+        pos = np.searchsorted(arr, flat)
+        pos[pos == nv] = nv - 1
+        return bool((arr[pos] == flat).all())
+
+    g = arr[:, None] & arr[None, :]
+    u = arr[:, None] | arr[None, :]
+    if not all(all_members(g | (u & c)) for c in arr):
+        return False
+    return majority_closure(image_bits) == {int(b) for b in arr}
+
+
+def bfs_distance_check(vertex_bits, adj) -> bool:
+    """Oracle: BFS path distance equals Hamming distance for every pair of
+    vertices of the graph with adjacency lists ``adj``."""
+    n = len(vertex_bits)
+    for a in range(n):
+        dist = [-1] * n
+        dist[a] = 0
+        queue = deque([a])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if any(dist[b] != (vertex_bits[a] ^ vertex_bits[b]).bit_count()
+               for b in range(n)):
+            return False
+    return True
 
 
 def boolean_median_algebra(k: int) -> FiniteMedianAlgebra:

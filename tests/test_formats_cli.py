@@ -366,3 +366,31 @@ def test_report_out_file(files):
     assert r.returncode == 0
     assert r.stdout == ""
     assert json.loads(dest.read_text())["verdict"] == "median"
+
+
+AB_METRIC = {"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("command, payload, action", [
+    ("certify-graph", {"vertices": [["a"], ["b"]], "edges": [[["a"], ["b"]]]}, None),
+    ("certify-graph", {"vertices": ["a", "b"], "edges": [[["a"], "b"]]}, None),
+    ("classify", {"points": [["a"], ["b"]], "dist": [[0, 1], [1, 0]]}, None),
+    ("classify", {"points": 3, "dist": [[0]]}, None),
+    ("cubulate", {"points": [["a"], ["b"]], "walls": [[[["a"]], [["b"]]]]}, None),
+    ("cubulate", {"points": ["a", "b"], "walls": [[[["a"]], ["b"]]]}, None),
+    ("displace", AB_METRIC, {"generators": {"s": {"a": ["b"], "b": "a"}}, "basepoint": "a"}),
+    ("displace", AB_METRIC, {"generators": {"s": {"a": "b", "b": "a"}}, "basepoint": ["a"]}),
+])
+def test_non_scalar_ids_exit_two(tmp_path, capsys, command, payload, action):
+    from mediankit import cli
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(payload))
+    argv = [command, "--in", str(infile)]
+    if action is not None:
+        act = tmp_path / "action.json"
+        act.write_text(json.dumps(action))
+        argv += ["--action", str(act), "--word", "s"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["kind"] == "input"

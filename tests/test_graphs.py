@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from conftest import subsets_bruteforce_halfspaces
-from mediankit import (InputError, NotMedianError, SimpleGraph,
+from mediankit import (FiniteMetric, InputError, NotMedianError, SimpleGraph,
                        certify_median_graph, fill_cubes)
 from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               grid_graph, hypercube_graph, path_graph,
@@ -44,6 +44,16 @@ def test_bfs_distances():
     g = path_graph(4)
     assert g.bfs_distances(0) == [0, 1, 2, 3]
     assert g.all_pairs()[0][3] == 3
+
+
+def test_path_metric_passes_full_validation(corpus_graphs):
+    # path_metric skips the metric checks, which BFS distances pass by construction
+    for inst in corpus_graphs.values():
+        g = inst.payload
+        checked = FiniteMetric(g.vertices, g.all_pairs())
+        trusted = g.path_metric()
+        assert (trusted.points, trusted.scale, trusted._di) == \
+            (checked.points, checked.scale, checked._di)
 
 
 # ---------------------------------------------------------------- certify

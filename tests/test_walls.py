@@ -12,7 +12,10 @@ from mediankit import (InputError, Orientation, ResourceLimitError, WallSpace,
 from mediankit.corpus import (cycle_graph, grid_graph, hypercube_graph,
                               nested_wall_space, path_graph, random_tree,
                               random_wall_space)
-from mediankit.walls import consistent_orientations_bruteforce
+from mediankit.walls import (_count_closure, _steps_toward_all,
+                             consistent_orientations_bruteforce)
+
+from conftest import bfs_distance_check, majority_closure, majority_closure_check
 
 
 def two_point_space():
@@ -227,6 +230,24 @@ def test_wall_cap_raises_resource_error():
     assert res.vertex_count == 30
 
 
+def test_cubulate_beyond_sixty_three_walls():
+    w = graph_wall_space(certify_median_graph(path_graph(66)))
+    res = cubulate(w, max_walls=80)
+    assert res.vertex_count == 66
+    assert res.checks["median_closure"] == "checked"
+    assert res.checks["distance_vs_hamming"] == "exhaustive"
+
+
+def test_verification_agrees_with_former_checks():
+    for seed in range(8):
+        w = random_wall_space(seed)
+        res = cubulate(w)
+        bits = [res.vertex_bits[v] for v in res.graph.vertices]
+        image = set(res.vertex_bits[v] for v in res.embedding.values())
+        assert majority_closure_check(bits, image)
+        assert bfs_distance_check(bits, res.graph._adj)
+
+
 def test_bruteforce_oracle_cap():
     w = graph_wall_space(certify_median_graph(random_tree(30, 1)))
     with pytest.raises(ResourceLimitError):
@@ -292,3 +313,68 @@ def test_extend_rejects_non_morphisms():
     w2 = two_point_space()
     with pytest.raises(InputError, match="morphism"):
         extend_morphism({"p0": "a", "p1": "b", "p2": "a"}, w1, w2)
+
+
+# ---------------------------------------------------------------- verification kernels
+
+def cube_adjacency(bits):
+    """Adjacency lists of the subgraph of the hypercube induced on bits."""
+    return [[j for j, b in enumerate(bits) if (a ^ b).bit_count() == 1] for a in bits]
+
+
+@st.composite
+def images(draw):
+    width = draw(st.integers(0, 7))
+    image = draw(st.sets(st.integers(0, (1 << width) - 1), min_size=1, max_size=12))
+    if width and draw(st.booleans()):           # make one coordinate constant
+        k = draw(st.integers(0, width - 1))
+        image = {b | 1 << k for b in image} if draw(st.booleans()) else \
+            {b & ~(1 << k) for b in image}
+    return width, sorted(image)
+
+
+@settings(max_examples=150, deadline=None)
+@given(images(), st.integers(0, 130))
+def test_closure_count_matches_majority_closure(case, limit):
+    width, image = case
+    size = len(majority_closure(image))
+    assert _count_closure(image, width, 1 << width) == size
+    assert _count_closure(image, width, limit) == min(size, limit + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda w: st.tuples(
+    st.just(w), st.sets(st.integers(0, (1 << w) - 1), min_size=1))), st.booleans())
+def test_one_step_test_matches_bfs(case, down_close):
+    width, chosen = case
+    if down_close:       # order ideals of the cube induce isometric subgraphs
+        chosen = {s for s in range(1 << width) if any(s & ~c == 0 for c in chosen)}
+    bits = sorted(chosen)
+    adj = cube_adjacency(bits)
+    assert _steps_toward_all(bits, adj) == bfs_distance_check(bits, adj)
+    if down_close:
+        assert _steps_toward_all(bits, adj)
+
+
+def test_one_step_test_rejects_an_edge_flipping_two_walls():
+    assert not _steps_toward_all([0b00, 0b11], [[1], [0]])
+
+
+def test_checks_fire_on_tampered_vertex_sets():
+    # the tripod cubulates to a star: three image leaves around a Steiner centre
+    w = tripod_space()
+    res = cubulate(w)
+    bits = sorted(res.vertex_bits.values())
+    image = sorted(res.vertex_bits[v] for v in res.embedding.values())
+    centre = next(b for b in bits if b not in image)
+    outsider = centre ^ ((1 << w.wall_count) - 1)   # inconsistent, adjacent to no vertex
+    assert outsider not in consistent_orientations_bruteforce(w)
+    for tampered in ([b for b in bits if b != centre], sorted(bits + [outsider])):
+        adj = cube_adjacency(tampered)
+        assert not majority_closure_check(tampered, image)
+        assert _count_closure(image, w.wall_count, len(tampered)) != len(tampered)
+        assert not bfs_distance_check(tampered, adj)
+        assert not _steps_toward_all(tampered, adj)
+    adj = cube_adjacency(bits)
+    assert _count_closure(image, w.wall_count, len(bits)) == len(bits)
+    assert _steps_toward_all(bits, adj)
