@@ -27,6 +27,8 @@ from .graphs import certify_median_graph, fill_cubes
 from .metric import classify
 from .walls import cubulate
 
+CLASSIFY_KINDS = ("median", "modular", "neither")
+
 
 def _digest(path: str) -> str:
     try:
@@ -62,6 +64,18 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
+def _expected(data: dict, override: str | None) -> str | None:
+    """The expected classification: ``--expect``, else the input's
+    ``"expected": {"classify": ...}``, which is validated either way."""
+    expected = data.get("expected", {})
+    if not isinstance(expected, dict):
+        raise InputError('"expected" must be an object')
+    value = expected.get("classify")
+    if value is not None and value not in CLASSIFY_KINDS:
+        raise InputError(f'"expected.classify" must be one of {list(CLASSIFY_KINDS)}')
+    return override or value
+
+
 def _verdict_exit(actual: str, positive: str, expected: str | None) -> int:
     if expected is not None:
         return 0 if actual == expected else 1
@@ -71,6 +85,7 @@ def _verdict_exit(actual: str, positive: str, expected: str | None) -> int:
 def cmd_classify(args) -> int:
     data = formats.load_json(args.infile)
     metric = _metric_payload(data)
+    expected = _expected(data, args.expect)
     c = classify(metric)
     report = {
         "command": "classify",
@@ -79,13 +94,13 @@ def cmd_classify(args) -> int:
         "witness": _witness(c),
     }
     _emit(report, args)
-    expected = args.expect or data.get("expected", {}).get("classify")
     return _verdict_exit(c.kind, "median", expected)
 
 
 def cmd_certify_graph(args) -> int:
     data = formats.load_json(args.infile)
     g = formats.graph_from_json(data)
+    expected = _expected(data, args.expect)
     report = {"command": "certify-graph", "input": _digest(args.infile)}
     try:
         cert = certify_median_graph(g)
@@ -93,7 +108,6 @@ def cmd_certify_graph(args) -> int:
         report["verdict"] = "rejected"
         report["witness"] = _witness(exc.witness)
         _emit(report, args)
-        expected = args.expect or data.get("expected", {}).get("classify")
         if expected is not None:
             return 0 if expected != "median" else 1
         return 1
@@ -101,7 +115,6 @@ def cmd_certify_graph(args) -> int:
     report["walls"] = len(cert.walls)
     report["vertices"] = len(cert.vertices)
     _emit(report, args)
-    expected = args.expect or data.get("expected", {}).get("classify")
     if expected is not None:
         return 0 if expected == "median" else 1
     return 0
@@ -309,12 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="median / modular / neither, with witness")
     common(p)
-    p.add_argument("--expect", choices=["median", "modular", "neither"])
+    p.add_argument("--expect", choices=CLASSIFY_KINDS)
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("certify-graph", help="certify a median graph")
     common(p)
-    p.add_argument("--expect", choices=["median", "modular", "neither"])
+    p.add_argument("--expect", choices=CLASSIFY_KINDS)
     p.set_defaults(handler=cmd_certify_graph)
 
     p = sub.add_parser("cubulate", help="wall space -> median graph")

@@ -2,9 +2,12 @@
 cube complex obtained by filling hypercube skeletons.
 
 A connected simple graph is median when its path metric is a median
-metric.  Certification derives the wall structure from the edge
-halfspaces H(x,y) = {z : d(z,x) < d(z,y)} and checks that the wall count
-between any two vertices equals their path distance.
+metric, equivalently when it is a partial cube whose hypercube
+coordinates are closed under the bitwise majority.  Certification reads
+the walls off the edge halfspaces W_ij = {z : d(z,i) < d(z,j)} of the BFS
+table, checks that Hamming distance on the wall coordinates equals path
+distance, and counts the median closure of the coordinates; the O(n^3)
+triple scan of ``classify`` runs only on rejection, to name a witness.
 """
 
 from __future__ import annotations
@@ -118,8 +121,8 @@ class GraphWall:
 class MedianGraphCert:
     """Certificate produced by :func:`certify_median_graph`."""
 
-    # always False: no 2^n halfspace cross-check runs, because the
-    # covering-pair enumeration is complete by theorem; kept for readers
+    # always False: no 2^n halfspace cross-check runs, because the edge
+    # halfspaces are complete by theorem; kept for readers
     halfspaces_exhaustively_checked = False
 
     def __init__(self, graph: SimpleGraph, metric: MedianMetric,
@@ -129,6 +132,7 @@ class MedianGraphCert:
         self.metric = metric
         self.walls = walls
         self._coords = coords      # wall-coordinate bitvector per vertex index
+        self._by_coord = {c: i for i, c in enumerate(coords)}
         self.bipartition = bipartition
 
     @property
@@ -139,7 +143,9 @@ class MedianGraphCert:
         return self.graph.all_pairs()[self.graph.index(u)][self.graph.index(v)]
 
     def median(self, u: Vertex, v: Vertex, w: Vertex) -> Vertex:
-        return self.metric.median_point(u, v, w)
+        """The vertex whose coordinates are the bitwise majority of theirs."""
+        a, b, c = (self._coords[self.graph.index(x)] for x in (u, v, w))
+        return self.vertices[self._by_coord[a & b | b & c | a & c]]
 
     def coordinate_int(self, v: Vertex, base: Vertex | None = None) -> int:
         bits = self._coords[self.graph.index(v)]
@@ -158,50 +164,91 @@ class MedianGraphCert:
         }
 
 
+def _edge_halfspaces(dist: list[list[int]], edges: Iterable[tuple[int, int]]
+                     ) -> dict[int, list[tuple[int, int]]]:
+    """Edges grouped by their halfspace {z : d(z,i) < d(z,j)}, each taken
+    on the side holding vertex 0, in first-seen order.
+
+    Across an edge distances change by at most one, so the halfspace is
+    the union over L of level L of i and level L+1 of j.  On a bipartite
+    graph it is {z : i in [z,j]}, so the groups are the covering-pair
+    halfspaces of ``intervals.halfspaces`` on the path metric.
+    """
+    levels = []
+    for row in dist:
+        level = [0] * (max(row) + 1)
+        for z, d in enumerate(row):
+            level[d] |= 1 << z
+        levels.append(level)
+    full = (1 << len(dist)) - 1
+    by_side: dict[int, list[tuple[int, int]]] = {}
+    for i, j in edges:
+        side = 0
+        for near, far in zip(levels[i], levels[j][1:]):
+            side |= near & far
+        if not side & 1:
+            side = full & ~side
+        by_side.setdefault(side, []).append((i, j))
+    return by_side
+
+
 def certify_median_graph(g: SimpleGraph) -> MedianGraphCert:
     """Certify a connected graph as median, or raise NotMedianError with a
     counterexample triple.
 
-    On success the certificate also carries the wall structure: the
-    halfspaces of the interval kernel, whose covering pairs are exactly the
-    edges.  Bipartiteness and the agreement of path distance with the
-    number of separating walls are re-checked (failure raises
-    InternalCheckError).
+    The wall coordinates come from the edge halfspaces (Djokovic 1973):
+    bit k of a vertex is set iff it lies off the side of wall k holding
+    vertex 0.  The graph is median iff it is bipartite, Hamming distance
+    on the coordinates equals path distance for every pair (a partial
+    cube), and the coordinates are closed under the bitwise majority,
+    which holds iff their 2-clause closure count is the vertex count.  The
+    majority of three vertices then lies in all three of their intervals
+    and is their only common point, so the certificate's medians are read
+    off the coordinates and its metric fills its median table lazily.
+
+    Only when a test fails does ``MedianMetric.certify`` scan the triples,
+    to raise NotMedianError with the lexicographically first witness; if
+    it finds none, InternalCheckError is raised.
     """
-    metric = MedianMetric.certify(g.path_metric())   # raises NotMedianError
+    cert = _wall_certificate(g)
+    if cert is not None:
+        return cert
+    MedianMetric.certify(g.path_metric())   # raises NotMedianError
+    raise InternalCheckError(
+        "graph failed the median-graph test but classify found no witness")
+
+
+def _wall_certificate(g: SimpleGraph) -> MedianGraphCert | None:
+    """The certificate of a median graph from its wall coordinates, or
+    None when a test fails."""
     n = len(g.vertices)
     dist = g.all_pairs()
-
     colour = dist[0]
-    for i, j in g.edge_indices:
-        if (colour[i] + colour[j]) % 2 == 0:
-            raise InternalCheckError("median graph failed bipartiteness")
-    even = frozenset(g.vertices[i] for i in range(n) if colour[i] % 2 == 0)
-    odd = frozenset(g.vertices[i] for i in range(n) if colour[i] % 2 == 1)
-
+    if any((colour[i] + colour[j]) % 2 == 0 for i, j in g.edge_indices):
+        return None
+    by_side = _edge_halfspaces(dist, g.edge_indices)
+    if len(by_side) >= n:      # each wall of a partial cube owns a spanning-tree edge
+        return None
+    sides = sorted(by_side.items(), key=lambda entry: intervals.members(entry[0]))
     full = (1 << n) - 1
+    coords = [0] * n
+    for k, (side, _) in enumerate(sides):
+        for t in intervals.members(full & ~side):
+            coords[t] |= 1 << k
+    if any([(c ^ d).bit_count() for d in coords] != row for c, row in zip(coords, dist)):
+        return None            # not a partial cube
+    if intervals.count_closure(coords, len(sides), n) != n:
+        return None            # not closed under majority
     walls = [GraphWall(
         side=frozenset(g.vertices[t] for t in intervals.members(side)),
         complement=frozenset(g.vertices[t] for t in intervals.members(full & ~side)),
         crossing_edges=tuple((g.vertices[i], g.vertices[j]) for i, j in pairs),
         side_mask=side,
-    ) for side, pairs in intervals.halfspaces(metric._between())]
-
-    coords = [0] * n
-    for k, wall in enumerate(walls):
-        for t in range(n):
-            if not wall.side_mask >> t & 1:
-                coords[t] |= 1 << k
-    base = coords[0]
-    coords = [c ^ base for c in coords]
-    for a in range(n):
-        for b in range(a + 1, n):
-            if (coords[a] ^ coords[b]).bit_count() != dist[a][b]:
-                raise InternalCheckError(
-                    "wall metric disagrees with path metric at "
-                    f"({g.vertices[a]!r},{g.vertices[b]!r})")
-
-    return MedianGraphCert(g, metric, walls, coords, (even, odd))
+    ) for side, pairs in sides]
+    even = frozenset(g.vertices[i] for i in range(n) if colour[i] % 2 == 0)
+    odd = frozenset(g.vertices[i] for i in range(n) if colour[i] % 2 == 1)
+    return MedianGraphCert(g, MedianMetric._proven(g.path_metric()),
+                           walls, coords, (even, odd))
 
 
 @dataclass(frozen=True)
@@ -228,12 +275,9 @@ def fill_cubes(cert: MedianGraphCert, max_dim: int | None = None) -> CubeComplex
     """
     if max_dim is not None and max_dim < 1:
         raise InputError("max_dim must be >= 1")
-    n = len(cert.vertices)
     nwalls = len(cert.walls)
-    coords = [cert.coordinate_int(v) for v in cert.vertices]
-    by_coord = {c: i for i, c in enumerate(coords)}
-    if len(by_coord) != n:
-        raise InternalCheckError("wall coordinates are not injective")
+    coords = cert._coords
+    by_coord = cert._by_coord
 
     # level k maps (fixed coordinate part, varying wall mask) -> present
     level: dict[tuple[int, int], None] = {}

@@ -188,7 +188,9 @@ class Classification:
 
 def classify(m: FiniteMetric, _collect: dict | None = None) -> Classification:
     """Scan all triples: median iff every triple intersection is a
-    singleton, modular iff every one is nonempty, else neither.
+    singleton, modular iff every one is nonempty, else neither.  The
+    witness is the first offending triple in lexicographic order, empty
+    intersections first, so the scan stops at the first empty one.
 
     Direct O(n^4) scan (n^3 triples, n-bit intersections); fine at desk
     scale, say n up to a couple hundred points.
@@ -204,8 +206,9 @@ def classify(m: FiniteMetric, _collect: dict | None = None) -> Classification:
             if _collect is not None:
                 _collect[(i, j, k)] = inter.bit_length() - 1
         elif c == 0:
-            if empty_w is None:
-                empty_w = ((i, j, k), inter)
+            # the first empty triple decides the verdict and the witness
+            empty_w = ((i, j, k), inter)
+            break
         else:
             if multi_w is None:
                 multi_w = ((i, j, k), inter)
@@ -247,9 +250,18 @@ class MedianMetric(FiniteMetric):
     def certify(cls, metric: FiniteMetric) -> "MedianMetric":
         """Certify a metric as median, sharing its integer matrix (not
         validated again) and its betweenness table."""
+        out = cls._proven(metric)
+        out._certify()
+        return out
+
+    @classmethod
+    def _proven(cls, metric: FiniteMetric) -> "MedianMetric":
+        """Wrap a metric already proven median by other means (a median
+        graph's wall coordinates); no triple is scanned, and the median
+        table fills lazily."""
         out = cls._trusted(metric.points, metric._di, metric._scale)
         out._betw = metric._betw
-        out._certify()
+        out._med = {}
         return out
 
     def median_index(self, i: int, j: int, k: int) -> int:

@@ -19,6 +19,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .graphs import MedianGraphCert, SimpleGraph, certify_median_graph
+from .intervals import count_closure
 
 Point = Hashable
 
@@ -242,7 +243,7 @@ class CubulationResult:
     vertex_bits: dict[Hashable, int]          # vertex name -> orientation bits
     wall_correspondence: dict[int, int]       # input wall k -> graph wall index
     cert: MedianGraphCert | None
-    checks: dict[str, bool | str] = field(default_factory=dict)
+    checks: dict[str, bool | str | int] = field(default_factory=dict)
 
     @property
     def vertex_count(self) -> int:
@@ -251,41 +252,6 @@ class CubulationResult:
 
 def _vertex_name(bits: int, width: int) -> str:
     return format(bits, f"0{max(width, 1)}b")
-
-
-def _count_closure(image_bits: Sequence[int], width: int, limit: int) -> int:
-    """Number of orientations satisfying every 2-clause (and unit clause)
-    that all of ``image_bits`` satisfy, counted up to ``limit + 1``.
-
-    A set of bitvectors is closed under the majority median iff it is the
-    solution set of a 2-CNF (Schaefer 1978), so this counts the median
-    closure of the image.  The search assigns walls in index order and
-    takes side s of wall k only if some image element has it and every
-    earlier chosen side occurs with it in some image element.  The clause
-    set is closed under resolution, so every partial assignment extends:
-    the search never dead-ends and visits at most (limit + 1) * (width + 1)
-    nodes.
-    """
-    occ = [[0, 0] for _ in range(width)]    # occ[k][s]: image elements with bit k == s
-    for e, bits in enumerate(image_bits):
-        for k in range(width):
-            occ[k][bits >> k & 1] |= 1 << e
-    # compat[k][s]: literals 2l+t (l < k) occurring together with (k, s)
-    compat = [[sum(1 << (2 * l + t) for l in range(k) for t in (0, 1)
-                   if occ[l][t] & occ[k][s]) for s in (0, 1)] for k in range(width)]
-    count = 0
-    stack = [(0, 0)]                      # (next wall, chosen literals)
-    while stack:
-        k, path = stack.pop()
-        if k == width:
-            count += 1
-            if count > limit:
-                break
-            continue
-        for s in (0, 1):
-            if occ[k][s] and not path & ~compat[k][s]:
-                stack.append((k + 1, path | 1 << (2 * k + s)))
-    return count
 
 
 def _steps_toward_all(vertex_bits: Sequence[int], adj: Sequence[Sequence[int]]) -> bool:
@@ -310,6 +276,29 @@ def _steps_toward_all(vertex_bits: Sequence[int], adj: Sequence[Sequence[int]]) 
     return True
 
 
+def _blocked_literals(sides: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """An orientation is also a literal mask: bit 2k+s set iff wall k is on
+    side s.  blocked[k][s] holds the literals of other walls whose side
+    misses side s of wall k."""
+    W = len(sides)
+    return [[sum(1 << (2 * l + t) for l in range(W) if l != k for t in (0, 1)
+                 if not sides[k][s] & sides[l][t]) for s in (0, 1)]
+            for k in range(W)]
+
+
+def _literals(bits: int, width: int) -> int:
+    # read as base 4, a binary numeral puts bit k at bit 2k
+    return (int(format(bits ^ (1 << width) - 1, "b"), 4)
+            | int(format(bits, "b"), 4) << 1)
+
+
+def _consistent(bits: int, blocked: Sequence[Sequence[int]]) -> bool:
+    """Whether the chosen sides of orientation ``bits`` pairwise meet: no
+    chosen side blocks another, in O(walls) mask tests."""
+    lits = _literals(bits, len(blocked))
+    return not any(lits & row[bits >> k & 1] for k, row in enumerate(blocked))
+
+
 def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
              max_vertices: int = DEFAULT_VERTEX_CAP,
              certify_cap: int = DEFAULT_CERTIFY_CAP,
@@ -319,32 +308,26 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
     Vertices are the consistent orientations reachable from the principal
     orientations by consistency-preserving single-wall flips; edges join
     orientations differing on one wall.  The construction is verified:
-    path distance equals Hamming distance on orientation bitvectors
-    (exhaustively up to ``distance_check_cap`` vertices, by sampled BFS
-    beyond), the embedded image has the whole vertex set as median closure
-    (always checked, by counting the solutions of the image's 2-clause
-    theory), the point embedding is isometric for the wall metric, and
-    walls correspond bijectively (through generic median certification up
-    to ``certify_cap`` vertices, structurally beyond).
+    every vertex is consistent (one mask test per wall), path distance
+    equals Hamming distance on orientation bitvectors (exhaustively up to
+    ``distance_check_cap`` vertices, beyond by BFS from a seeded sample,
+    the seed recorded in ``checks``), the embedded image has the whole
+    vertex set as median closure (always checked, by counting the
+    solutions of the image's 2-clause theory), the point embedding is
+    isometric for the wall metric, and walls correspond bijectively
+    (through median-graph certification up to ``certify_cap`` vertices,
+    structurally beyond).
     """
     W = w.wall_count
     if W > max_walls:
         raise ResourceLimitError(
             f"cubulation capped at {max_walls} nontrivial walls, got {W}",
             cap=max_walls)
-    sides = [w.side_masks(k) for k in range(W)]
-    # an orientation is also a literal mask: bit 2k+s set iff wall k is on
-    # side s; blocked[k][s] holds the literals of other walls whose side
-    # misses side s of wall k, so a flip to (k, s) is legal iff it meets none
-    blocked = [[sum(1 << (2 * l + t) for l in range(W) if l != k for t in (0, 1)
-                    if not sides[k][s] & sides[l][t]) for s in (0, 1)]
-               for k in range(W)]
-
-    def literals(bits: int) -> int:
-        return sum(1 << (2 * k + (bits >> k & 1)) for k in range(W))
+    # a flip to side s of wall k is legal iff no literal meets blocked[k][s]
+    blocked = _blocked_literals([w.side_masks(k) for k in range(W)])
 
     principals = {p: w.sigma_bits(p) for p in w.points}
-    frontier = deque((b, literals(b)) for b in sorted(set(principals.values())))
+    frontier = deque((b, _literals(b, W)) for b in sorted(set(principals.values())))
     vertex_set: set[int] = {b for b, _ in frontier}
     while frontier:
         bits, lits = frontier.popleft()
@@ -374,7 +357,7 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
     except InputError as exc:
         raise InternalCheckError(f"cubulation graph invalid: {exc}") from exc
 
-    checks: dict[str, bool | str] = {}
+    checks: dict[str, bool | str | int] = {}
     nv = len(ordered)
 
     if len(set(principals.values())) != len(w.points):
@@ -382,8 +365,7 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
     checks["embedding_injective"] = True
 
     for bits in ordered:
-        o = Orientation(w, bits)
-        if not o.is_consistent():
+        if not _consistent(bits, blocked):
             raise InternalCheckError(f"inconsistent vertex {bits:b} generated")
     checks["vertices_consistent"] = True
 
@@ -393,7 +375,8 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
                 "path distance differs from wall-flip distance")
         checks["distance_vs_hamming"] = "exhaustive"
     else:
-        rng = random.Random(0)
+        seed = 0
+        rng = random.Random(seed)
         for a in rng.sample(range(nv), min(nv, 64)):
             dist_a = graph.bfs_distances(a)
             for b in range(nv):
@@ -401,6 +384,7 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
                     raise InternalCheckError(
                         "path distance differs from wall-flip distance")
         checks["distance_vs_hamming"] = "sampled"
+        checks["distance_vs_hamming_seed"] = seed
 
     sigma = {x: w.sigma_halfspaces(x) for x in w.points}
     for x, y in itertools.combinations(w.points, 2):
@@ -415,7 +399,7 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
 
     # vertices_consistent puts every vertex among the solutions, so equal
     # counts make the vertex set the median closure of the image
-    if _count_closure(sorted(set(principals.values())), W, nv) != nv:
+    if count_closure(sorted(set(principals.values())), W, nv) != nv:
         raise InternalCheckError(
             "vertex set is not the median closure of the embedded image")
     checks["median_closure"] = "checked"

@@ -267,6 +267,18 @@ def test_p4_and_cube_l1_exact():
                 assert emb.hamming(u, v) == cert.dist(u, v)
 
 
+def test_l1_vectors_are_the_certificate_coordinates(median_certs):
+    # l1_embed does not re-check Hamming against path distance; this oracle does
+    for cert in median_certs.values():
+        emb = l1_embed(cert)
+        assert emb.dimension == len(cert.walls)
+        for v in cert.vertices:
+            assert emb.vectors[v] == tuple(cert.coordinate_int(v) >> k & 1
+                                           for k in range(emb.dimension))
+        for u, v in itertools.combinations(cert.vertices, 2):
+            assert emb.hamming(u, v) == cert.dist(u, v)
+
+
 # ---------------------------------------------------------------- helly
 
 def test_p3_helly_holds():

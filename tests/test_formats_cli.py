@@ -394,3 +394,35 @@ def test_non_scalar_ids_exit_two(tmp_path, capsys, command, payload, action):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["kind"] == "input"
+
+
+P3_GRAPH = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}
+
+
+@pytest.mark.parametrize("command, payload", [
+    (command, {**base, "expected": expected})
+    for command, base in (("classify", AB_METRIC), ("certify-graph", P3_GRAPH))
+    for expected in (1, "median", ["median"], {"classify": "tree"}, {"classify": 2})
+])
+def test_malformed_expectation_exits_two_before_any_report(tmp_path, capsys,
+                                                            command, payload):
+    from mediankit import cli
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(payload))
+    assert cli.main([command, "--in", str(infile)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["kind"] == "input"
+    assert "expected" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command, base", [("classify", AB_METRIC),
+                                           ("certify-graph", P3_GRAPH)])
+def test_wellformed_expectations_still_decide_the_exit(tmp_path, capsys, command, base):
+    from mediankit import cli
+    infile = tmp_path / "in.json"
+    for expected, rc in (({}, 0), ({"classify": "median"}, 0), ({"classify": None}, 0),
+                         ({"classify": "neither"}, 1), ({"helly": "holds"}, 0)):
+        infile.write_text(json.dumps({**base, "expected": expected}))
+        assert cli.main([command, "--in", str(infile)]) == rc
+    assert capsys.readouterr().out.count(f'"command": "{command}"') == 5

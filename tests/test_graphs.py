@@ -2,10 +2,13 @@ import itertools
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import subsets_bruteforce_halfspaces
-from mediankit import (FiniteMetric, InputError, NotMedianError, SimpleGraph,
-                       certify_median_graph, fill_cubes)
+from mediankit import (FiniteMetric, InputError, InternalCheckError, MedianMetric,
+                       NotMedianError, SimpleGraph, certify_median_graph, classify,
+                       fill_cubes, intervals)
 from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               grid_graph, hypercube_graph, path_graph,
                               random_tree, star_graph)
@@ -90,6 +93,124 @@ def test_certificate_is_bipartite():
     assert even | odd == frozenset(cert.vertices)
     for u, v in cert.graph.edges:
         assert (u in even) != (v in even)
+
+
+# ------------------------------------------------- wall certificate vs classify
+
+def cube_subgraph(k, chosen):
+    """The subgraph of Q_k induced on ``chosen``, cut down to the component
+    of its smallest member."""
+    chosen = set(chosen)
+    start = min(chosen)
+    comp, stack = {start}, [start]
+    while stack:
+        a = stack.pop()
+        for b in range(k):
+            nb = a ^ 1 << b
+            if nb in chosen and nb not in comp:
+                comp.add(nb)
+                stack.append(nb)
+    names = {a: format(a, f"0{k}b") for a in comp}
+    edges = [(names[a], names[a ^ 1 << b]) for a in comp for b in range(k)
+             if a < a ^ 1 << b and a ^ 1 << b in comp]
+    return SimpleGraph([names[a] for a in sorted(comp)], edges)
+
+
+@st.composite
+def down_closed_cube_subgraphs(draw):
+    """Order ideals of Q_k: partial cubes, median only when closed under
+    majority (Q3 minus its top vertex is not)."""
+    k = draw(st.integers(1, 4))
+    gens = draw(st.sets(st.integers(0, (1 << k) - 1), min_size=1, max_size=4))
+    return cube_subgraph(k, [a for a in range(1 << k) if any(a & ~c == 0 for c in gens)])
+
+
+@st.composite
+def cube_subgraphs(draw):
+    """Connected induced subgraphs of Q_k, isometric or not."""
+    k = draw(st.integers(2, 4))
+    return cube_subgraph(k, draw(st.sets(st.integers(0, (1 << k) - 1), min_size=1)))
+
+
+@st.composite
+def random_graphs(draw):
+    """A random spanning tree plus random extra edges."""
+    n = draw(st.integers(1, 9))
+    edges = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    if n > 1:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges += [e for e in draw(st.lists(pair, max_size=8)) if e[0] != e[1]]
+    return SimpleGraph(list(range(n)), edges)
+
+
+def q3_minus_a_vertex():
+    return cube_subgraph(3, range(7))
+
+
+graphs = st.one_of(
+    st.builds(random_tree, st.integers(1, 14), st.integers(0, 10 ** 6)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(lambda rc: grid_graph(*rc)),
+    down_closed_cube_subgraphs(),
+    cube_subgraphs(),
+    st.integers(3, 12).map(cycle_graph),
+    st.just(q3_minus_a_vertex()),
+    st.tuples(st.integers(1, 4), st.integers(1, 5)).map(
+        lambda mn: complete_bipartite_graph(*mn)),
+    random_graphs(),
+)
+
+
+def check_against_classify(g):
+    verdict = classify(g.path_metric())
+    try:
+        cert = certify_median_graph(g)
+    except NotMedianError as err:
+        assert not verdict.is_median
+        assert err.witness == verdict           # kind, witness triple, common points
+        return
+    assert verdict.is_median
+    index = g.index
+    got = [(w.side_mask, tuple((index(u), index(v)) for u, v in w.crossing_edges))
+           for w in cert.walls]
+    assert got == intervals.halfspaces(cert.metric._between())
+    for w in cert.walls:
+        assert w.side | w.complement == frozenset(g.vertices)
+        assert w.side == frozenset(v for v in g.vertices if w.side_mask >> index(v) & 1)
+    if len(g.vertices) <= 12:
+        oracle = MedianMetric.certify(g.path_metric())
+        for u, v, w in itertools.product(g.vertices, repeat=3):
+            assert cert.median(u, v, w) == oracle.median_point(u, v, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs)
+def test_wall_certificate_agrees_with_classify(g):
+    check_against_classify(g)
+
+
+@pytest.mark.parametrize("g", [
+    cycle_graph(6), cycle_graph(8), q3_minus_a_vertex(),        # partial cubes, not median
+    complete_bipartite_graph(2, 3), complete_bipartite_graph(3, 4),   # bipartite, not partial cubes
+    cycle_graph(3), cycle_graph(7),                              # not bipartite
+    hypercube_graph(4), grid_graph(4, 4), random_tree(14, 3),      # median
+], ids=["c6", "c8", "q3-v", "k23", "k34", "c3", "c7", "q4", "grid4x4", "tree14"])
+def test_each_rejection_path_gives_the_classify_witness(g):
+    check_against_classify(g)
+
+
+def test_certificate_scans_no_triples(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classify ran on a median graph")
+    monkeypatch.setattr("mediankit.metric.classify", forbidden)
+    cert = certify_median_graph(grid_graph(5, 6))
+    assert cert.metric._betw is None and cert.metric._med == {}
+    assert cert.median("0,0", "4,5", "0,5") == "0,5"
+
+
+def test_a_wall_test_failing_on_a_median_graph_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(intervals, "count_closure", lambda *args: -1)
+    with pytest.raises(InternalCheckError, match="no witness"):
+        certify_median_graph(grid_graph(2, 3))
 
 
 # ---------------------------------------------------------------- halfspaces

@@ -120,6 +120,51 @@ def test_classify_matches_oracle_on_mixed_instances():
         assert classify(m).kind == expect
 
 
+class CountingTable(list):
+    """A betweenness table that counts its row reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingTable.reads += 1
+        return list.__getitem__(self, i)
+
+
+def test_classify_stops_at_the_first_empty_triple():
+    m = cycle_graph(60).path_metric()
+    betw = m._between()
+    triples = list(itertools.combinations(range(60), 3))
+    scanned = 1 + next(k for k, (i, j, l) in enumerate(triples)
+                       if not betw[i][j] & betw[j][l] & betw[l][i])
+    assert scanned < 100 < len(triples)
+    full = classify(m)
+    assert full.kind == "neither"
+    assert full.witness == tuple(m.points[t] for t in triples[scanned - 1])
+    m._betw = CountingTable(betw)
+    CountingTable.reads = 0
+    assert classify(m) == full
+    assert CountingTable.reads <= 1 + 3 * scanned
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10 ** 6))
+def test_classify_witness_matches_the_oracle_scan(n, seed):
+    import random
+    from conftest import random_shortest_path_metric
+    m = random_shortest_path_metric(random.Random(seed), n)
+    oracle = triple_intersections_oracle(m)
+    empty = [t for t, common in oracle.items() if not common]
+    multi = [t for t, common in oracle.items() if len(common) > 1]
+    got = classify(m)
+    if empty:
+        assert (got.kind, got.witness, got.intersection) == ("neither", empty[0], frozenset())
+    elif multi:
+        assert (got.kind, got.witness, got.intersection) == \
+            ("modular", multi[0], frozenset(oracle[multi[0]]))
+    else:
+        assert got.kind == "median"
+
+
 # ---------------------------------------------------------------- medians
 
 def test_median_point_degenerate_triple():

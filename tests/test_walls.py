@@ -12,7 +12,8 @@ from mediankit import (InputError, Orientation, ResourceLimitError, WallSpace,
 from mediankit.corpus import (cycle_graph, grid_graph, hypercube_graph,
                               nested_wall_space, path_graph, random_tree,
                               random_wall_space)
-from mediankit.walls import (_count_closure, _steps_toward_all,
+from mediankit.intervals import count_closure
+from mediankit.walls import (_blocked_literals, _consistent, _steps_toward_all,
                              consistent_orientations_bruteforce)
 
 from conftest import bfs_distance_check, majority_closure, majority_closure_check
@@ -188,6 +189,38 @@ def test_median_graph_round_trip_is_isomorphic():
         assert res.checks["wall_bijection"] == "certified"
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_consistency_mask_test_matches_pairwise_oracle(seed):
+    w = random_wall_space(seed, max_walls=7)
+    blocked = _blocked_literals([w.side_masks(k) for k in range(w.wall_count)])
+    for bits in range(1 << w.wall_count):
+        assert _consistent(bits, blocked) == Orientation(w, bits).is_consistent()
+
+
+def test_consistency_mask_test_rejects_a_tampered_vertex():
+    w = tripod_space()
+    res = cubulate(w)
+    blocked = _blocked_literals([w.side_masks(k) for k in range(w.wall_count)])
+    for bits in res.vertex_bits.values():
+        assert _consistent(bits, blocked) and Orientation(w, bits).is_consistent()
+    centre = next(b for b in res.vertex_bits.values()
+                  if b not in {res.vertex_bits[v] for v in res.embedding.values()})
+    outsider = centre ^ ((1 << w.wall_count) - 1)   # every point on the far side of its wall
+    assert not Orientation(w, outsider).is_consistent()
+    assert not _consistent(outsider, blocked)
+
+
+def test_sampled_distance_check_records_its_seed():
+    w = graph_wall_space(certify_median_graph(grid_graph(3, 3)))
+    sampled = cubulate(w, distance_check_cap=4).checks
+    assert sampled["distance_vs_hamming"] == "sampled"
+    assert sampled["distance_vs_hamming_seed"] == 0
+    exhaustive = cubulate(w).checks
+    assert exhaustive["distance_vs_hamming"] == "exhaustive"
+    assert "distance_vs_hamming_seed" not in exhaustive
+
+
 def test_flip_reachable_equals_bruteforce_oracle():
     for seed in range(8):
         w = random_wall_space(seed)
@@ -338,8 +371,8 @@ def images(draw):
 def test_closure_count_matches_majority_closure(case, limit):
     width, image = case
     size = len(majority_closure(image))
-    assert _count_closure(image, width, 1 << width) == size
-    assert _count_closure(image, width, limit) == min(size, limit + 1)
+    assert count_closure(image, width, 1 << width) == size
+    assert count_closure(image, width, limit) == min(size, limit + 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -372,9 +405,9 @@ def test_checks_fire_on_tampered_vertex_sets():
     for tampered in ([b for b in bits if b != centre], sorted(bits + [outsider])):
         adj = cube_adjacency(tampered)
         assert not majority_closure_check(tampered, image)
-        assert _count_closure(image, w.wall_count, len(tampered)) != len(tampered)
+        assert count_closure(image, w.wall_count, len(tampered)) != len(tampered)
         assert not bfs_distance_check(tampered, adj)
         assert not _steps_toward_all(tampered, adj)
     adj = cube_adjacency(bits)
-    assert _count_closure(image, w.wall_count, len(bits)) == len(bits)
+    assert count_closure(image, w.wall_count, len(bits)) == len(bits)
     assert _steps_toward_all(bits, adj)
