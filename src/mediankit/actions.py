@@ -8,6 +8,7 @@ wall space it is |sigma_gv symdiff sigma_v| = 2 * wall-distance(v, gv).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
@@ -121,6 +122,8 @@ def displacement_metric(action: MetricAction, word: str | Sequence[str],
                         embedding: GnsEmbedding | None = None) -> MetricDisplacement:
     """d(v, gv) exactly, plus the squared displacement of the embedded
     points, which must agree within tol."""
+    if not math.isfinite(tol) or tol < 0:
+        raise InputError(f"tol must be finite and >= 0, got {tol!r}")
     names = parse_word(word)
     g = apply_word(action.generators, names, action.metric.points)
     v = action.basepoint

@@ -122,9 +122,18 @@ def circumcenter(cloud: PointCloud, tol: float = 1e-9,
         raise UnsupportedNormError(
             f"circumcenter needs the euclidean norm; {cloud.norm!r} is not "
             "uniformly convex at this level")
-    if tol <= 0:
-        raise InputError("tol must be positive")
-    pts = cloud.points
+    if not math.isfinite(tol) or tol <= 0:
+        raise InputError(f"tol must be finite and > 0, got {tol!r}")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _pivot(cloud.points, tol, seed)
+    except FloatingPointError as exc:
+        raise InputError(
+            f"point cloud is out of double-precision range ({exc})") from None
+
+
+def _pivot(pts: np.ndarray, tol: float, seed: int) -> CircumcenterResult:
+    """The support-set pivoting of :func:`circumcenter`."""
     m = len(pts)
     rng = random.Random(seed)
     support = [rng.randrange(m)]

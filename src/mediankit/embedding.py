@@ -284,6 +284,8 @@ def gns_embed(m: FiniteMetric, tol: float = DEFAULT_GNS_TOL,
     to the raised error.  The squared-distance reproduction is verified at
     every pair.
     """
+    if not math.isfinite(tol) or tol < 0:
+        raise InputError(f"tol must be finite and >= 0, got {tol!r}")
     cert = certificate or certify_negative_definite(m)
     if not cert.negative_definite:
         err = InputError("metric is not negative definite; witness attached")
@@ -351,6 +353,8 @@ def check_helly(m: FiniteMetric, cap: int = DEFAULT_HELLY_CAP) -> HellyReport:
     checking every triple of nonempty convex sets decides the property.
     The verdict must match modularity of the metric.
     """
+    if cap < 0:
+        raise InputError(f"cap must be >= 0, got {cap}")
     n = len(m.points)
     if n > cap:
         raise ResourceLimitError(f"Helly check capped at {cap} points, got {n}",

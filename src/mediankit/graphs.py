@@ -1,17 +1,19 @@
 """Median graphs: recognition, edge halfspaces, wall coordinates, and the
 cube complex obtained by filling hypercube skeletons.
 
-A connected simple graph is median when its path metric is a median
-metric, equivalently when it is a partial cube whose hypercube
-coordinates are closed under the bitwise majority.  Certification reads
-the walls off the edge halfspaces W_ij = {z : d(z,i) < d(z,j)} of the BFS
-table, checks that Hamming distance on the wall coordinates equals path
-distance, and counts the median closure of the coordinates; the O(n^3)
-triple scan of ``classify`` runs only on rejection, to name a witness.
+A connected graph is median iff its vertices carry distinct bitvectors,
+closed under the bitwise majority, whose Hamming-1 pairs are exactly its
+edges (the lemma at :class:`MedianGraphCert`).  Certification reads
+candidate coordinates off the edge halfspaces W_ij = {z : d(z,i) < d(z,j)}
+of the BFS table and tests those hypotheses; the cubulation of a wall
+space passes its orientation bits, which meet them by construction.  The
+O(n^3) triple scan of ``classify`` runs only on rejection, to name a
+witness.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
@@ -119,25 +121,77 @@ class GraphWall:
 
 
 class MedianGraphCert:
-    """Certificate produced by :func:`certify_median_graph`."""
+    """A median graph with its walls and wall coordinates.
 
-    # always False: no 2^n halfspace cross-check runs, because the edge
-    # halfspaces are complete by theorem; kept for readers
+    The lemma behind every certificate: let the vertices of a connected
+    graph carry distinct bitvectors, let the edges be exactly the pairs at
+    Hamming distance 1, and let the set of bitvectors be closed under the
+    bitwise majority.  Then path distance equals Hamming distance, so the
+    graph is a median graph whose medians are the majorities and whose
+    walls are the non-constant bits (Bandelt-Chepoi, "Metric graph theory
+    and geometry: a survey", 2008; Chatterji-Niblo 2005).  Proof: any path
+    from a to b maps under x -> maj(a,b,x) to a walk through vertices in
+    the cube interval [a,b], each step flipping at most one bit, so each
+    move is an edge; its first move reaches a neighbour of a one bit
+    nearer b, so induction on Hamming distance bounds path distance by
+    Hamming distance, and one bit per edge bounds it below.
+
+    The constructor takes the hypotheses as proven by the caller and reads
+    the certificate off ``coords`` (one ``width``-bit vector per vertex
+    index, every bit non-constant): coordinates are re-based to vertex 0,
+    so every wall's side holds vertex 0, and walls are sorted on their
+    sides' vertex indices.  Wall k is input bit ``wall_bits[k]``; its
+    crossing edges are the edges flipping it, in ``edge_indices`` order.
+    """
+
+    # always False: the walls are the coordinate bits by the lemma, and no
+    # 2^n halfspace scan runs; kept for readers
     halfspaces_exhaustively_checked = False
 
-    def __init__(self, graph: SimpleGraph, metric: MedianMetric,
-                 walls: list[GraphWall], coords: list[int],
-                 bipartition: tuple[frozenset, frozenset]):
+    def __init__(self, graph: SimpleGraph, coords: Sequence[int], width: int):
         self.graph = graph
-        self.metric = metric
-        self.walls = walls
-        self._coords = coords      # wall-coordinate bitvector per vertex index
-        self._by_coord = {c: i for i, c in enumerate(coords)}
-        self.bipartition = bipartition
+        n = len(coords)
+        base = coords[0]
+        split = [([], []) for _ in range(width)]    # per bit: vertex indices with it clear, set
+        for t, c in enumerate(coords):
+            c ^= base
+            for k in range(width):
+                split[k][c >> k & 1].append(t)
+        self.wall_bits = tuple(sorted(range(width), key=lambda k: split[k][0]))
+        rebased = [0] * n
+        for i, k in enumerate(self.wall_bits):
+            for t in split[k][1]:
+                rebased[t] |= 1 << i
+        crossing: list[list[tuple[Vertex, Vertex]]] = [[] for _ in range(width)]
+        vs = graph.vertices
+        for i, j in graph.edge_indices:
+            crossing[(rebased[i] ^ rebased[j]).bit_length() - 1].append((vs[i], vs[j]))
+        self.walls = []
+        for k, bit in enumerate(self.wall_bits):
+            side, off = split[bit]
+            self.walls.append(GraphWall(
+                side=frozenset(map(vs.__getitem__, side)),
+                complement=frozenset(map(vs.__getitem__, off)),
+                crossing_edges=tuple(crossing[k]),
+                side_mask=_mask(side, n)))
+        self._coords = rebased     # wall-coordinate bitvector per vertex index
+        self._by_coord = {c: i for i, c in enumerate(rebased)}
 
     @property
     def vertices(self) -> list[Vertex]:
         return self.graph.vertices
+
+    @functools.cached_property
+    def metric(self) -> MedianMetric:
+        """The path metric, median by the lemma; its tables fill lazily."""
+        return MedianMetric._proven(self.graph.path_metric())
+
+    @functools.cached_property
+    def bipartition(self) -> tuple[frozenset, frozenset]:
+        """Vertices at even and at odd distance from vertex 0."""
+        even = [c.bit_count() % 2 == 0 for c in self._coords]
+        return (frozenset(v for v, e in zip(self.vertices, even) if e),
+                frozenset(v for v, e in zip(self.vertices, even) if not e))
 
     def dist(self, u: Vertex, v: Vertex) -> int:
         return self.graph.all_pairs()[self.graph.index(u)][self.graph.index(v)]
@@ -164,15 +218,20 @@ class MedianGraphCert:
         }
 
 
-def _edge_halfspaces(dist: list[list[int]], edges: Iterable[tuple[int, int]]
-                     ) -> dict[int, list[tuple[int, int]]]:
-    """Edges grouped by their halfspace {z : d(z,i) < d(z,j)}, each taken
-    on the side holding vertex 0, in first-seen order.
+def _mask(indices: Sequence[int], n: int) -> int:
+    """The bitmask of ``indices`` < n, read from one binary numeral."""
+    flags = bytearray(b"0") * n
+    for t in indices:
+        flags[t] = 49          # ord("1")
+    return int(flags[::-1], 2)
+
+
+def _edge_halfspaces(dist: list[list[int]], edges: Iterable[tuple[int, int]]) -> list[int]:
+    """The distinct halfspaces {z : d(z,i) < d(z,j)} of the edges, each
+    taken on the side holding vertex 0, in first-seen order.
 
     Across an edge distances change by at most one, so the halfspace is
-    the union over L of level L of i and level L+1 of j.  On a bipartite
-    graph it is {z : i in [z,j]}, so the groups are the covering-pair
-    halfspaces of ``intervals.halfspaces`` on the path metric.
+    the union over L of level L of i and level L+1 of j.
     """
     levels = []
     for row in dist:
@@ -181,74 +240,58 @@ def _edge_halfspaces(dist: list[list[int]], edges: Iterable[tuple[int, int]]
             level[d] |= 1 << z
         levels.append(level)
     full = (1 << len(dist)) - 1
-    by_side: dict[int, list[tuple[int, int]]] = {}
+    sides: dict[int, None] = {}
     for i, j in edges:
         side = 0
         for near, far in zip(levels[i], levels[j][1:]):
             side |= near & far
-        if not side & 1:
-            side = full & ~side
-        by_side.setdefault(side, []).append((i, j))
-    return by_side
+        sides[side if side & 1 else full & ~side] = None
+    return list(sides)
+
+
+def _lemma_holds(g: SimpleGraph, coords: Sequence[int], width: int) -> bool:
+    """Whether ``coords`` meet the hypotheses of the lemma at
+    :class:`MedianGraphCert`: distinct, one flipped bit per edge, exactly
+    the edges at Hamming distance 1 (O(n*width) set lookups), and closed
+    under the bitwise majority (their 2-clause closure count is n).  The
+    graph is connected by construction."""
+    n = len(coords)
+    present = set(coords)
+    if len(present) != n:
+        return False
+    if any((coords[i] ^ coords[j]).bit_count() != 1 for i, j in g.edge_indices):
+        return False
+    pairs = sum((c ^ 1 << k) in present for c in coords for k in range(width) if c >> k & 1)
+    return pairs == len(g.edge_indices) and intervals.count_closure(coords, width, n) == n
 
 
 def certify_median_graph(g: SimpleGraph) -> MedianGraphCert:
     """Certify a connected graph as median, or raise NotMedianError with a
     counterexample triple.
 
-    The wall coordinates come from the edge halfspaces (Djokovic 1973):
-    bit k of a vertex is set iff it lies off the side of wall k holding
-    vertex 0.  The graph is median iff it is bipartite, Hamming distance
-    on the coordinates equals path distance for every pair (a partial
-    cube), and the coordinates are closed under the bitwise majority,
-    which holds iff their 2-clause closure count is the vertex count.  The
-    majority of three vertices then lies in all three of their intervals
-    and is their only common point, so the certificate's medians are read
-    off the coordinates and its metric fills its median table lazily.
+    The candidate wall coordinates come from the edge halfspaces of the
+    BFS table (Djokovic 1973): bit k of a vertex is set iff it lies off
+    the side of halfspace k holding vertex 0.  The graph is median iff
+    they satisfy :func:`_lemma_holds`; the certificate's medians
+    are then read off the coordinates, and no triple is scanned.
 
-    Only when a test fails does ``MedianMetric.certify`` scan the triples,
-    to raise NotMedianError with the lexicographically first witness; if
-    it finds none, InternalCheckError is raised.
+    Only when the test fails does ``MedianMetric.certify`` scan the
+    triples, to raise NotMedianError with the lexicographically first
+    witness; if it finds none, InternalCheckError is raised.
     """
-    cert = _wall_certificate(g)
-    if cert is not None:
-        return cert
+    n = len(g.vertices)
+    sides = _edge_halfspaces(g.all_pairs(), g.edge_indices)
+    if len(sides) < n:         # each wall of a median graph owns a spanning-tree edge
+        full = (1 << n) - 1
+        coords = [0] * n
+        for k, side in enumerate(sides):
+            for t in intervals.members(full & ~side):
+                coords[t] |= 1 << k
+        if _lemma_holds(g, coords, len(sides)):
+            return MedianGraphCert(g, coords, len(sides))
     MedianMetric.certify(g.path_metric())   # raises NotMedianError
     raise InternalCheckError(
         "graph failed the median-graph test but classify found no witness")
-
-
-def _wall_certificate(g: SimpleGraph) -> MedianGraphCert | None:
-    """The certificate of a median graph from its wall coordinates, or
-    None when a test fails."""
-    n = len(g.vertices)
-    dist = g.all_pairs()
-    colour = dist[0]
-    if any((colour[i] + colour[j]) % 2 == 0 for i, j in g.edge_indices):
-        return None
-    by_side = _edge_halfspaces(dist, g.edge_indices)
-    if len(by_side) >= n:      # each wall of a partial cube owns a spanning-tree edge
-        return None
-    sides = sorted(by_side.items(), key=lambda entry: intervals.members(entry[0]))
-    full = (1 << n) - 1
-    coords = [0] * n
-    for k, (side, _) in enumerate(sides):
-        for t in intervals.members(full & ~side):
-            coords[t] |= 1 << k
-    if any([(c ^ d).bit_count() for d in coords] != row for c, row in zip(coords, dist)):
-        return None            # not a partial cube
-    if intervals.count_closure(coords, len(sides), n) != n:
-        return None            # not closed under majority
-    walls = [GraphWall(
-        side=frozenset(g.vertices[t] for t in intervals.members(side)),
-        complement=frozenset(g.vertices[t] for t in intervals.members(full & ~side)),
-        crossing_edges=tuple((g.vertices[i], g.vertices[j]) for i, j in pairs),
-        side_mask=side,
-    ) for side, pairs in sides]
-    even = frozenset(g.vertices[i] for i in range(n) if colour[i] % 2 == 0)
-    odd = frozenset(g.vertices[i] for i in range(n) if colour[i] % 2 == 1)
-    return MedianGraphCert(g, MedianMetric._proven(g.path_metric()),
-                           walls, coords, (even, odd))
 
 
 @dataclass(frozen=True)

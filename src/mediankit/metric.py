@@ -18,8 +18,6 @@ from .errors import InputError, InternalCheckError, NotMedianError
 
 Point = Hashable
 
-EAGER_MEDIAN_TABLE_CAP = 100
-
 
 def _to_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -186,7 +184,7 @@ class Classification:
         return self.kind == "median"
 
 
-def classify(m: FiniteMetric, _collect: dict | None = None) -> Classification:
+def classify(m: FiniteMetric) -> Classification:
     """Scan all triples: median iff every triple intersection is a
     singleton, modular iff every one is nonempty, else neither.  The
     witness is the first offending triple in lexicographic order, empty
@@ -202,16 +200,12 @@ def classify(m: FiniteMetric, _collect: dict | None = None) -> Classification:
     for i, j, k in itertools.combinations(range(n), 3):
         inter = betw[i][j] & betw[j][k] & betw[k][i]
         c = inter.bit_count()
-        if c == 1:
-            if _collect is not None:
-                _collect[(i, j, k)] = inter.bit_length() - 1
-        elif c == 0:
+        if c == 0:
             # the first empty triple decides the verdict and the witness
             empty_w = ((i, j, k), inter)
             break
-        else:
-            if multi_w is None:
-                multi_w = ((i, j, k), inter)
+        elif c > 1 and multi_w is None:
+            multi_w = ((i, j, k), inter)
     hit = empty_w if empty_w is not None else multi_w
     if hit is not None:
         (i, j, k), inter = hit
@@ -236,15 +230,12 @@ class MedianMetric(FiniteMetric):
         self._certify()
 
     def _certify(self) -> None:
-        table: dict = {}
-        n = len(self.points)
-        verdict = classify(self, _collect=table if n <= EAGER_MEDIAN_TABLE_CAP else None)
+        verdict = classify(self)
         if not verdict.is_median:
             raise NotMedianError(
                 f"not a median metric: triple {verdict.witness!r} has "
                 f"{len(verdict.intersection or ())} common interval points",
                 witness=verdict)
-        self._med = table
 
     @classmethod
     def certify(cls, metric: FiniteMetric) -> "MedianMetric":

@@ -184,6 +184,28 @@ def bfs_distance_check(vertex_bits, adj) -> bool:
     return True
 
 
+def steps_toward_all(vertex_bits, adj) -> bool:
+    """Oracle: True iff path distance equals Hamming distance for every
+    pair of vertices of the graph with adjacency lists ``adj``, in O(n^2).
+
+    Every edge must flip exactly one bit, so path distance is at least
+    Hamming distance.  With flips(a) the bits flipped by the edges at a,
+    a has a neighbour one step closer to b iff a and b differ somewhere in
+    flips(a); by induction on Hamming distance this holding for all pairs
+    is equivalent to the two distances agreeing.
+    """
+    for a, nbrs in zip(vertex_bits, adj):
+        flips = 0
+        for j in nbrs:
+            step = a ^ vertex_bits[j]
+            if step.bit_count() != 1:
+                return False
+            flips |= step
+        if [b & flips for b in vertex_bits].count(a & flips) != 1:
+            return False
+    return True
+
+
 def boolean_median_algebra(k: int) -> FiniteMedianAlgebra:
     """P({0..k-1}) with [A,B] = {C : A&B <= C <= A|B}."""
     universe = list(range(k))

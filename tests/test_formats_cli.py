@@ -426,3 +426,41 @@ def test_wellformed_expectations_still_decide_the_exit(tmp_path, capsys, command
         infile.write_text(json.dumps({**base, "expected": expected}))
         assert cli.main([command, "--in", str(infile)]) == rc
     assert capsys.readouterr().out.count(f'"command": "{command}"') == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--mode", "gns", "--in", "{p3_metric}", "--tol", "nan"],
+    ["embed", "--mode", "gns", "--in", "{p3_metric}", "--tol", "-1"],
+    ["embed", "--mode", "gns", "--in", "{p3_metric}", "--tol", "inf"],
+    ["displace", "--action", "{c4_action}", "--in", "{c4_graph}", "--word", "r",
+     "--tol", "nan"],
+    ["displace", "--action", "{c4_action}", "--in", "{c4_graph}", "--word", "r",
+     "--tol", "-1"],
+    ["circumcenter", "--in", "{cloud}", "--tol", "nan"],
+    ["circumcenter", "--in", "{cloud}", "--tol", "inf"],
+    ["helly", "--in", "{p3_metric}", "--cap", "-1"],
+    ["cubulate", "--in", "{c4_walls}", "--max-walls", "-1"],
+], ids=["gns-tol-nan", "gns-tol-negative", "gns-tol-inf", "displace-tol-nan",
+        "displace-tol-negative", "circumcenter-tol-nan", "circumcenter-tol-inf",
+        "helly-cap-negative", "cubulate-max-walls-negative"])
+def test_out_of_range_option_values_exit_two(files, capsys, argv):
+    from mediankit import cli
+    argv = [a.format(**{k: str(v) for k, v in files.items()}) for a in argv]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
+    assert error["kind"] == "input"
+    assert argv[-2].lstrip("-").replace("max-", "max_") in error["error"]
+
+
+def test_overflowing_cloud_exits_two_with_one_json_error(tmp_path):
+    cloud = tmp_path / "huge.json"
+    cloud.write_text(json.dumps({"norm": "euclidean",
+                                 "points": [[1e308, 1e308], [-1e308, -1e308],
+                                            [1e308, -1e308]]}))
+    r = run_cli("circumcenter", "--in", str(cloud))
+    assert r.returncode == 2 and r.stdout == ""
+    error = json.loads(r.stderr)            # no warning lines around it
+    assert error["kind"] == "input"
+    assert "double-precision" in error["error"]

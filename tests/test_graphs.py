@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import subsets_bruteforce_halfspaces
+from conftest import (bfs_distance_check, majority_closure_check,
+                      subsets_bruteforce_halfspaces)
 from mediankit import (FiniteMetric, InputError, InternalCheckError, MedianMetric,
                        NotMedianError, SimpleGraph, certify_median_graph, classify,
                        fill_cubes, intervals)
 from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               grid_graph, hypercube_graph, path_graph,
                               random_tree, star_graph)
+from mediankit.graphs import MedianGraphCert, _lemma_holds
 
 
 def to_networkx(g: SimpleGraph) -> nx.Graph:
@@ -211,6 +213,71 @@ def test_a_wall_test_failing_on_a_median_graph_is_an_internal_error(monkeypatch)
     monkeypatch.setattr(intervals, "count_closure", lambda *args: -1)
     with pytest.raises(InternalCheckError, match="no witness"):
         certify_median_graph(grid_graph(2, 3))
+
+
+# ---------------------------------------------------------------- the lemma
+
+def induced_cube_graph(bits):
+    """The subgraph of the hypercube induced on ``bits``, vertex i = bits[i]."""
+    edges = [(i, j) for i, j in itertools.combinations(range(len(bits)), 2)
+             if (bits[i] ^ bits[j]).bit_count() == 1]
+    return SimpleGraph(list(range(len(bits))), edges)
+
+
+@st.composite
+def connected_cube_subsets(draw):
+    width = draw(st.integers(1, 6))
+    chosen = draw(st.sets(st.integers(0, (1 << width) - 1), min_size=1, max_size=40))
+    start = min(chosen)
+    seen, stack = {start}, [start]
+    while stack:                       # keep the component of the first vertex
+        b = stack.pop()
+        for nb in (b ^ 1 << k for k in range(width)):
+            if nb in chosen and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return width, sorted(seen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_cube_subsets())
+def test_lemma_holds_exactly_on_isometric_majority_closed_subsets(case):
+    width, bits = case
+    g = induced_cube_graph(bits)
+    expected = bfs_distance_check(bits, g._adj) and majority_closure_check(bits, bits)
+    assert _lemma_holds(g, bits, width) == expected
+    if not expected:
+        return
+    cert = certify_median_graph(g)
+    varying = sum(1 for k in range(width) if len({b >> k & 1 for b in bits}) == 2)
+    assert len(cert.walls) == varying
+    if varying == width:               # every bit is a wall: same certificate
+        direct = MedianGraphCert(g, bits, width)
+        assert direct.walls == cert.walls and direct._coords == cert._coords
+
+
+@pytest.mark.parametrize("coords, edges, width, median", [
+    ([0b0, 0b1, 0b0], [(0, 1), (1, 2)], 1, True),                 # duplicate coordinate
+    ([0b00, 0b11], [(0, 1)], 2, True),                            # edge flips two bits
+    ([0b00, 0b01, 0b11, 0b10], [(0, 1), (1, 2), (2, 3)], 2, True),  # Q2 minus an edge
+    ([0b000, 0b001, 0b011, 0b111, 0b110, 0b100],                  # C6 in Q3: isometric,
+     [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)], 3, False), # not majority-closed
+], ids=["duplicate", "two-bit-edge", "q2-minus-edge", "c6-in-q3"])
+def test_lemma_rejections(coords, edges, width, median):
+    g = SimpleGraph(list(range(len(coords))), edges)
+    assert not _lemma_holds(g, coords, width)
+    if median:                           # a path, whose own coordinates pass
+        assert len(certify_median_graph(g).walls) == len(edges)
+    else:
+        with pytest.raises(NotMedianError):
+            certify_median_graph(g)
+
+
+def test_certificate_metric_and_bipartition_are_built_on_demand():
+    cert = certify_median_graph(grid_graph(3, 4))
+    assert "metric" not in vars(cert) and "bipartition" not in vars(cert)
+    assert cert.metric is cert.metric
+    assert cert.metric.median_point("0,0", "2,3", "0,3") == "0,3"
 
 
 # ---------------------------------------------------------------- halfspaces

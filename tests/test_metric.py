@@ -192,6 +192,16 @@ def test_cube_median_is_bitwise_majority():
         assert m.median_point(x, y, z) == maj
 
 
+def test_median_table_fills_on_demand():
+    grid = grid_graph(3, 3).path_metric()
+    m = MedianMetric(grid.points, [[grid.dist(x, y) for y in grid.points]
+                                   for x in grid.points])
+    assert m._med == {}                  # certification keeps no table
+    for x, y, z in itertools.combinations(m.points, 3):
+        m.median_point(x, y, z)
+    assert len(m._med) == 84
+
+
 def test_leg_identity_exact_on_all_triples():
     for g in (path_graph(4), cycle_graph(4), hypercube_graph(3), grid_graph(3, 3)):
         m = MedianMetric.certify(g.path_metric())

@@ -13,10 +13,11 @@ from mediankit.corpus import (cycle_graph, grid_graph, hypercube_graph,
                               nested_wall_space, path_graph, random_tree,
                               random_wall_space)
 from mediankit.intervals import count_closure
-from mediankit.walls import (_blocked_literals, _consistent, _steps_toward_all,
+from mediankit.walls import (_blocked_literals, _consistent,
                              consistent_orientations_bruteforce)
 
-from conftest import bfs_distance_check, majority_closure, majority_closure_check
+from conftest import (bfs_distance_check, majority_closure, majority_closure_check,
+                      steps_toward_all)
 
 
 def two_point_space():
@@ -211,14 +212,47 @@ def test_consistency_mask_test_rejects_a_tampered_vertex():
     assert not _consistent(outsider, blocked)
 
 
-def test_sampled_distance_check_records_its_seed():
-    w = graph_wall_space(certify_median_graph(grid_graph(3, 3)))
-    sampled = cubulate(w, distance_check_cap=4).checks
-    assert sampled["distance_vs_hamming"] == "sampled"
-    assert sampled["distance_vs_hamming_seed"] == 0
-    exhaustive = cubulate(w).checks
-    assert exhaustive["distance_vs_hamming"] == "exhaustive"
-    assert "distance_vs_hamming_seed" not in exhaustive
+def box_wall_space(*dims, spread=None):
+    """The grid [0,d1) x ... x [0,dk) with its axis-parallel cuts; it
+    cubulates to the grid graph itself.  With ``spread``, only the points
+    with at most that many nonzero coordinates are kept: for spread >= 2
+    any two sides with a common grid point still share a kept point, so
+    the cubulation is the same grid."""
+    pts = [",".join(map(str, p)) for p in itertools.product(*map(range, dims))
+           if spread is None or sum(map(bool, p)) <= spread]
+    coords = {p: tuple(map(int, p.split(","))) for p in pts}
+    walls = [([p for p in pts if coords[p][axis] < cut],
+              [p for p in pts if coords[p][axis] >= cut])
+             for axis, d in enumerate(dims) for cut in range(1, d)]
+    return WallSpace(pts, walls)
+
+
+def test_checks_run_exhaustively_beyond_the_old_sampling_size():
+    w = box_wall_space(8, 8, 8, 5, spread=2)    # 257 points, 25 walls
+    res = cubulate(w, max_walls=25)
+    assert res.vertex_count == 2560
+    assert res.checks == {"embedding_injective": True, "vertices_consistent": True,
+                          "embedding_isometric": True, "median_closure": "checked",
+                          "distance_vs_hamming": "exhaustive",
+                          "wall_bijection": "certified"}
+    assert len(res.cert.walls) == 25
+
+
+def test_certificate_beyond_the_old_certify_size_matches_certification():
+    w = box_wall_space(4, 4, 4, 5)         # 320 vertices
+    res = cubulate(w)
+    assert res.vertex_count == 320 and res.checks["wall_bijection"] == "certified"
+    oracle = certify_median_graph(res.graph)
+    assert res.cert.walls == oracle.walls
+    assert res.cert._coords == oracle._coords
+    bits = [res.vertex_bits[v] for v in res.graph.vertices]
+    assert steps_toward_all(bits, res.graph._adj)
+    base = bits[0]
+    for k in range(w.wall_count):
+        near = frozenset(v for v, b in zip(res.graph.vertices, bits)
+                         if (b ^ base) >> k & 1 == 0)
+        assert oracle.walls[res.wall_correspondence[k]].side == near
+    assert sorted(res.wall_correspondence.values()) == list(range(w.wall_count))
 
 
 def test_flip_reachable_equals_bruteforce_oracle():
@@ -384,13 +418,13 @@ def test_one_step_test_matches_bfs(case, down_close):
         chosen = {s for s in range(1 << width) if any(s & ~c == 0 for c in chosen)}
     bits = sorted(chosen)
     adj = cube_adjacency(bits)
-    assert _steps_toward_all(bits, adj) == bfs_distance_check(bits, adj)
+    assert steps_toward_all(bits, adj) == bfs_distance_check(bits, adj)
     if down_close:
-        assert _steps_toward_all(bits, adj)
+        assert steps_toward_all(bits, adj)
 
 
 def test_one_step_test_rejects_an_edge_flipping_two_walls():
-    assert not _steps_toward_all([0b00, 0b11], [[1], [0]])
+    assert not steps_toward_all([0b00, 0b11], [[1], [0]])
 
 
 def test_checks_fire_on_tampered_vertex_sets():
@@ -407,7 +441,7 @@ def test_checks_fire_on_tampered_vertex_sets():
         assert not majority_closure_check(tampered, image)
         assert count_closure(image, w.wall_count, len(tampered)) != len(tampered)
         assert not bfs_distance_check(tampered, adj)
-        assert not _steps_toward_all(tampered, adj)
+        assert not steps_toward_all(tampered, adj)
     adj = cube_adjacency(bits)
     assert count_closure(image, w.wall_count, len(bits)) == len(bits)
-    assert _steps_toward_all(bits, adj)
+    assert steps_toward_all(bits, adj)
