@@ -14,6 +14,7 @@ import functools
 import hashlib
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -398,7 +399,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     args._t0 = time.perf_counter()
     try:
-        return args.handler(args)
+        # warnings are shown after a report, never before a JSON error
+        with warnings.catch_warnings(record=True) as caught:
+            rc = args.handler(args)
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, line=w.line)
+        return rc
     except InputError as exc:
         sys.stderr.write(formats.dumps({"error": str(exc), "kind": "input"}))
         return 2

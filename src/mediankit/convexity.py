@@ -46,7 +46,10 @@ class PointCloud:
     @staticmethod
     def build(points: Sequence[Sequence[float]],
               norm: str | float = EUCLIDEAN) -> "PointCloud":
-        arr = np.asarray(points, dtype=float)
+        try:
+            arr = np.asarray(points, dtype=float)
+        except OverflowError:
+            raise InputError("point cloud is out of double-precision range") from None
         if arr.ndim != 2 or arr.shape[0] == 0:
             raise InputError("point cloud must be a nonempty list of vectors")
         if not np.isfinite(arr).all():

@@ -282,7 +282,9 @@ def gns_embed(m: FiniteMetric, tol: float = DEFAULT_GNS_TOL,
 
     Requires a negative-definite metric; a failing certificate is attached
     to the raised error.  The squared-distance reproduction is verified at
-    every pair.
+    every pair in one pass: the squared norms of all pair differences come
+    from one stacked matmul, which rounds as ``diff @ diff`` does pair by
+    pair, against targets divided exactly from the integer distances.
     """
     if not math.isfinite(tol) or tol < 0:
         raise InputError(f"tol must be finite and >= 0, got {tol!r}")
@@ -292,20 +294,38 @@ def gns_embed(m: FiniteMetric, tol: float = DEFAULT_GNS_TOL,
         err.witness = cert.witness
         raise err
     n = len(m.points)
-    # int / int true division rounds correctly, as float(Fraction) does
-    b = np.array([[v / cert.gram_scale for v in row] for row in cert.gram])
-    evals, evecs = np.linalg.eigh(b)
-    cut = max(float(evals.max()), 1.0) * 1e-13
-    keep = evals > cut
-    coords = evecs[:, keep] * np.sqrt(evals[keep])
+    out_of_range = InputError("metric is out of double-precision range for a GNS embedding")
+    try:
+        # int / int true division rounds correctly, as float(Fraction) does
+        b = np.array([[v / cert.gram_scale for v in row] for row in cert.gram])
+        target = np.array([v / m.scale for a, row in enumerate(m._di) for v in row[a + 1:]],
+                          dtype=float)
+    except OverflowError:
+        raise out_of_range from None
+    # overflow past here shows as a non-finite value, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            evals, evecs = np.linalg.eigh(b)
+        except np.linalg.LinAlgError:
+            raise out_of_range from None
+        cut = max(float(evals.max()), 1.0) * 1e-13
+        keep = evals > cut
+        coords = evecs[:, keep] * np.sqrt(evals[keep])
+        i, j = np.triu_indices(n, 1)
+        diff = coords[i] - coords[j]
+        sq = (diff[:, None, :] @ diff[:, :, None]).ravel()
+        err = np.abs(sq - target)
+    if not (np.isfinite(evals).all() and np.isfinite(err).all()):
+        raise out_of_range
     if coords.shape[1] > max(n - 1, 0):
         raise InternalCheckError("embedding dimension exceeds n-1")
-    worst = 0.0
-    for i, row in enumerate(m._di):
-        for j in range(i + 1, n):
-            diff = coords[i] - coords[j]
-            worst = max(worst, abs(float(diff @ diff) - row[j] / m.scale))
+    worst = float(err.max(initial=0.0))
     if worst > tol:
+        dmax = float(target.max())
+        if tol < n * dmax * 2.0 ** -44:
+            raise InputError(
+                f"embedding error {worst:.3e} exceeds tolerance {tol:.3e}, which is "
+                f"below double-precision resolution at distances up to {dmax:.3e}")
         raise InternalCheckError(
             f"embedding error {worst:.3e} exceeds tolerance {tol:.3e}")
     return GnsEmbedding(list(m.points), coords, tol, worst)

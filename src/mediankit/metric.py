@@ -2,6 +2,13 @@
 
 Distances are rationals; internally everything is rescaled to integers so
 interval membership and the lemma scans are plain integer equalities.  Geodesic intervals are [x,y] = {t : d(x,t)+d(t,y) = d(x,y)}.
+
+An input matrix is read once: ints as they are, each distinct string
+through ``Fraction`` once, floats rejected.  The scaled matrix is checked
+as a whole by exact numpy kernels (int64 while every sum of two entries
+fits, Python ints beyond), the triangle inequality as one broadcast
+comparison per middle point.  Only a rejected matrix is scanned in
+Python, for the first failed axiom that the error reports.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
+
+import numpy as np
 
 from .algebra import FiniteMedianAlgebra, IntervalStructure
 from .errors import InputError, InternalCheckError, NotMedianError
@@ -35,6 +44,80 @@ def _to_fraction(value) -> Fraction:
     raise InputError(f"cannot interpret {value!r} as a rational")
 
 
+def _scaled_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Every entry as an integer multiple of 1/scale, scale the least
+    common denominator.  A plain int is taken as it is, a string is parsed
+    by :func:`_to_fraction` once per distinct string, and any other value
+    goes through it one by one, so the grammar and the first bad entry
+    (row-major) are those of :func:`_to_fraction`."""
+    memo: dict[str, Fraction] = {}
+    parsed = []
+    dens = {1}
+    for row in matrix:
+        out = []
+        for v in row:
+            if type(v) is not int:
+                if type(v) is str:
+                    f = memo.get(v)
+                    if f is None:
+                        f = memo[v] = _to_fraction(v)
+                else:
+                    f = _to_fraction(v)
+                if f.denominator == 1:
+                    v = f.numerator
+                else:
+                    v = f
+                    dens.add(f.denominator)
+            out.append(v)
+        parsed.append(out)
+    scale = math.lcm(*dens)
+    if scale == 1:
+        return parsed, 1
+    return [[v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+             for v in row] for row in parsed], scale
+
+
+_INT64_HALF = 1 << 61       # entries below 2^61 in size: a + b never overflows
+
+
+def _is_metric(di: list[list[int]]) -> bool:
+    """Zero diagonal, symmetric, positive off the diagonal and the triangle
+    inequality, checked exactly: in int64 when every sum of two entries
+    fits, in Python ints (an object array) otherwise."""
+    n = len(di)
+    lo, hi = min(map(min, di)), max(map(max, di))
+    dtype = np.int64 if -_INT64_HALF < lo and hi < _INT64_HALF else object
+    d = np.array(di, dtype=dtype)
+    positive = d > 0
+    np.fill_diagonal(positive, True)
+    if d.diagonal().any() or not positive.all() or (d != d.T).any():
+        return False
+    return not any((d[:, k, None] + d[None, k, :] < d).any() for k in range(n))
+
+
+def _raise_first_violation(pts: list, di: list[list[int]]) -> None:
+    """The first failed metric axiom, scanned in the reported order: per
+    point its self-distance, then symmetry and positivity against later
+    points; then the triangle inequality over triples in lexicographic
+    order."""
+    n = len(pts)
+    for i in range(n):
+        if di[i][i] != 0:
+            raise InputError(f"nonzero self-distance at {pts[i]!r}")
+        for j in range(i + 1, n):
+            if di[i][j] != di[j][i]:
+                raise InputError(f"asymmetric distances for ({pts[i]!r},{pts[j]!r})")
+            if di[i][j] <= 0:
+                raise InputError(
+                    f"non-positive distance between distinct points ({pts[i]!r},{pts[j]!r})")
+    for i, j, k in itertools.combinations(range(n), 3):
+        a, b, c = di[i][j], di[j][k], di[i][k]
+        if a + b < c or a + c < b or b + c < a:
+            raise InputError(
+                f"triangle inequality fails on ({pts[i]!r},{pts[j]!r},{pts[k]!r})")
+    raise InternalCheckError("metric check rejected a matrix with no failed axiom")
+
+
 class FiniteMetric:
     """A finite point set with an exact, validated metric."""
 
@@ -47,26 +130,9 @@ class FiniteMetric:
             raise InputError("duplicate point identifiers")
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise InputError(f"distance matrix must be {n}x{n}")
-        frac = [[_to_fraction(v) for v in row] for row in matrix]
-        scale = 1
-        for row in frac:
-            for v in row:
-                scale = scale * v.denominator // math.gcd(scale, v.denominator)
-        di = [[v.numerator * (scale // v.denominator) for v in row] for row in frac]
-        for i in range(n):
-            if di[i][i] != 0:
-                raise InputError(f"nonzero self-distance at {pts[i]!r}")
-            for j in range(i + 1, n):
-                if di[i][j] != di[j][i]:
-                    raise InputError(f"asymmetric distances for ({pts[i]!r},{pts[j]!r})")
-                if di[i][j] <= 0:
-                    raise InputError(
-                        f"non-positive distance between distinct points ({pts[i]!r},{pts[j]!r})")
-        for i, j, k in itertools.combinations(range(n), 3):
-            a, b, c = di[i][j], di[j][k], di[i][k]
-            if a + b < c or a + c < b or b + c < a:
-                raise InputError(
-                    f"triangle inequality fails on ({pts[i]!r},{pts[j]!r},{pts[k]!r})")
+        di, scale = _scaled_rows(matrix)
+        if not _is_metric(di):
+            _raise_first_violation(pts, di)
         self._adopt(pts, di, scale)
 
     def _adopt(self, points: list, di: list[list[int]], scale: int) -> None:
@@ -89,19 +155,25 @@ class FiniteMetric:
     @classmethod
     def from_upper_triangle(cls, points: Sequence[Point],
                             rows: Sequence[Sequence]) -> "FiniteMetric":
-        """Rows i = distances from points[i] to points[i+1:], row-major."""
+        """Rows i = distances from points[i] to points[i+1:], row-major.
+
+        The entries are mirrored unparsed into a square matrix, which the
+        constructor parses.  A bad entry is reported before a malformed
+        later row, and before repeated points."""
         pts = list(points)
         n = len(pts)
         if len(rows) not in (n - 1, n):
             raise InputError(f"expected {n - 1} upper-triangle rows, got {len(rows)}")
-        full = [[Fraction(0)] * n for _ in range(n)]
+        full: list[list] = [[0] * n for _ in range(n)]
         for i in range(n - 1):
             row = rows[i]
             if len(row) != n - 1 - i:
+                _scaled_rows(rows[:i])
                 raise InputError(f"upper-triangle row {i} must have {n - 1 - i} entries")
-            for off, v in enumerate(row):
-                j = i + 1 + off
-                full[i][j] = full[j][i] = _to_fraction(v)
+            for j, v in enumerate(row, i + 1):
+                full[i][j] = full[j][i] = v
+        if len(set(pts)) != n:
+            _scaled_rows(rows[:n - 1])
         return cls(pts, full)
 
     def __len__(self) -> int:

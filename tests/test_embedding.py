@@ -15,8 +15,8 @@ from mediankit import (FiniteMetric, InputError, MedianMetric,
                        check_helly, gns_embed, l1_embed,
                        retraction_decomposition)
 from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
-                              grid_graph, hypercube_graph, path_graph,
-                              random_tree)
+                              graph_instances, grid_graph, hypercube_graph,
+                              path_graph, random_tree)
 from mediankit.embedding import (_psd_eliminate, distance_form,
                                  zero_sum_sampling_oracle)
 
@@ -241,6 +241,55 @@ def test_cube_embedding_faithful():
     m = hypercube_graph(3).path_metric()
     emb = gns_embed(m)
     assert emb.max_error <= 1e-9
+
+
+def pairwise_max_error(m, coords) -> float:
+    """Oracle: the GNS reproduction error pair by pair, as ``diff @ diff``."""
+    worst = 0.0
+    n = len(m.points)
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = coords[i] - coords[j]
+            worst = max(worst, abs(float(diff @ diff) - m.dist_int(i, j) / m.scale))
+    return worst
+
+
+def random_l1_metric(rng, n, dim, span, den=1) -> FiniteMetric:
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(rng.randrange(span) for _ in range(dim)))
+    pts = sorted(pts)
+    rng.shuffle(pts)
+    rows = [[Fraction(sum(abs(a - b) for a, b in zip(p, q)), den) for q in pts] for p in pts]
+    return FiniteMetric(list(range(n)), rows)
+
+
+def test_gns_max_error_matches_the_pairwise_oracle_bit_for_bit():
+    metrics = [inst.payload.path_metric() for inst in graph_instances()]
+    rng = random.Random(7)
+    for n in (2, 3, 8, 17, 24, 32, 40):
+        metrics.append(random_l1_metric(rng, n, rng.randint(1, 5), rng.randint(3, 9),
+                                        rng.choice((1, 1, 2, 3))))
+    embedded = 0
+    for m in metrics:
+        cert = certify_negative_definite(m)
+        if cert.negative_definite:
+            emb = gns_embed(m, certificate=cert)
+            assert emb.max_error.hex() == pairwise_max_error(m, emb.coords).hex()
+            embedded += 1
+    assert embedded >= 20
+
+
+def test_gns_beyond_double_precision_is_an_input_error():
+    def equilateral(entry):
+        return FiniteMetric.from_upper_triangle(["a", "b", "c"], [[entry, entry], [entry]])
+
+    with pytest.raises(InputError, match="out of double-precision range"):
+        gns_embed(equilateral("1e400"))
+    large = equilateral("1e150")
+    with pytest.raises(InputError, match="below double-precision resolution"):
+        gns_embed(large)
+    assert gns_embed(large, tol=1e140).max_error <= 1e140
 
 
 def test_gns_rejects_indefinite_with_witness():

@@ -464,3 +464,25 @@ def test_overflowing_cloud_exits_two_with_one_json_error(tmp_path):
     error = json.loads(r.stderr)            # no warning lines around it
     assert error["kind"] == "input"
     assert "double-precision" in error["error"]
+
+
+def test_cloud_past_the_float_range_exits_two(tmp_path, capsys):
+    from mediankit import cli
+    cloud = tmp_path / "huge.json"
+    cloud.write_text(json.dumps({"norm": "euclidean", "points": [[10 ** 400], [0]]}))
+    assert cli.main(["circumcenter", "--in", str(cloud)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "double-precision" in json.loads(err)["error"]
+
+
+def test_warnings_follow_a_report_and_never_precede_an_error(tmp_path):
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"points": ["a", "b"], "walls": [[["a"], ["b"]]]}))
+    r = run_cli("cubulate", "--in", str(ok))
+    assert r.returncode == 0
+    assert "trivial wall absent" in r.stderr
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"points": ["a", "b", "c"], "walls": [[["a"], ["b", "c"]]]}))
+    r = run_cli("cubulate", "--in", str(bad))
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["kind"] == "input"      # the JSON error alone

@@ -6,22 +6,12 @@ import random
 import networkx as nx
 import pytest
 
-from conftest import random_shortest_path_metric
-from mediankit import (InputError, WallSpace, certify_negative_definite,
-                       cubulate, fill_cubes)
+from conftest import random_crossing_wall_space, random_shortest_path_metric
+from mediankit import (InputError, certify_negative_definite, cubulate,
+                       fill_cubes)
 from mediankit.corpus import hypercube_graph
 from mediankit.embedding import distance_form, zero_sum_sampling_oracle
 from mediankit.walls import consistent_orientations_bruteforce
-
-
-def random_crossing_wall_space(rng, n_points, n_walls):
-    pts = [f"p{i}" for i in range(n_points)]
-    walls = []
-    for _ in range(n_walls):
-        size = rng.randint(1, n_points - 1)
-        side = rng.sample(pts, size)
-        walls.append((side, [p for p in pts if p not in side]))
-    return WallSpace(pts, walls)       # may raise InputError (unseparated pair)
 
 
 def test_exact_psd_verdicts_never_contradicted():

@@ -12,6 +12,8 @@ from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               grid_graph, hypercube_graph, path_graph,
                               random_tree)
 
+from conftest import fraction_metric_oracle, upper_triangle_oracle
+
 
 def triple_intersections_oracle(metric):
     """Direct scan from the distance matrix, independent of the library's
@@ -55,6 +57,124 @@ def test_upper_triangle_round_trip():
     m = FiniteMetric.from_upper_triangle(["a", "b", "c"], [["1/2", "3/4"], ["1/4"]])
     assert m.dist("b", "c") == Fraction(1, 4)
     assert m.upper_triangle() == [[Fraction(1, 2), Fraction(3, 4)], [Fraction(1, 4)]]
+
+
+BIG = 1 << 62            # entries from here on take the exact object path
+
+JUNK = st.one_of(st.floats(allow_nan=True), st.booleans(), st.none(),
+                 st.lists(st.integers(0, 3), max_size=2),
+                 st.sampled_from(["abc", "1/0", "", "1//2", "0x10", "nan", "inf",
+                                  "-3", "0", "0/7", "2**3"]),
+                 st.integers(-3, 3), st.integers(2 ** 63, 2 ** 70))
+
+
+@st.composite
+def spellings(draw, value: Fraction):
+    """One of the input spellings of a rational accepted by _to_fraction."""
+    forms = [value, str(value), f" {value} ",
+             f"{value.numerator * 3}/{value.denominator * 3}"]
+    if value.denominator == 1:
+        v = value.numerator
+        forms += [v, f"{v:_}", f"{v}e0", f"{v}.0"] + [True] * (v == 1)
+    if value.denominator == 2:
+        forms.append(f"{value.numerator // 2}.5")
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def raw_metrics(draw):
+    """A points list and a square matrix of raw entries: valid metrics in
+    every spelling, with seeded faults (junk entries, asymmetry, zero or
+    negative distances, nonzero diagonals, triangle violations, ragged
+    rows, repeated points) and magnitudes past 2^62."""
+    n = draw(st.integers(1, 6))
+    unit = draw(st.sampled_from([1, 1, BIG, 1 << 70]))
+    lo = draw(st.integers(1, 8))
+    hi = draw(st.sampled_from([lo, 2 * lo, 5 * lo]))   # lo..2lo keeps triangles
+    den = draw(st.sampled_from([1, 1, 2, 3, 6]))
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = draw(st.sampled_from([0, "0", Fraction(0), False, "0/5", " 0 "]))
+        for j in range(i + 1, n):
+            v = Fraction(draw(st.integers(lo, hi)) * unit, den)
+            m[i][j] = draw(spellings(v))
+            m[j][i] = draw(spellings(v))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            m[i][j] = draw(JUNK)
+        else:                                      # a symmetric change
+            k = draw(st.one_of(st.integers(-1, 0), st.integers(1, 6 * hi)))
+            v = Fraction(k * unit, den)
+            m[i][j], m[j][i] = draw(spellings(v)), draw(spellings(v))
+    if n > 1 and draw(st.integers(0, 9)) == 0:
+        m[draw(st.integers(0, n - 1))].pop()
+    pts = list(range(n))
+    if n > 1 and draw(st.integers(0, 9)) == 0:
+        pts[-1] = 0
+    return pts, m
+
+
+def outcome(build, *args):
+    try:
+        got = build(*args)
+    except Exception as exc:       # the exception is the outcome
+        return type(exc), str(exc)
+    return got if isinstance(got, tuple) else (got.scale, got._di)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_metrics())
+def test_construction_matches_the_fraction_oracle(raw):
+    pts, m = raw
+    got = outcome(FiniteMetric, pts, m)
+    assert got == outcome(fraction_metric_oracle, pts, m)
+    if not isinstance(got[0], type):
+        assert all(type(v) is int for row in got[1] for v in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_metrics(), st.booleans(), st.integers(-1, 5))
+def test_upper_triangle_matches_the_fraction_oracle(raw, trailing_row, cut):
+    pts, m = raw
+    n = len(pts)
+    rows = [row[i + 1:] for i, row in enumerate(m[:n - 1])]
+    if trailing_row:
+        rows.append([])
+    if 0 <= cut < len(rows) and rows[cut]:
+        rows[cut] = rows[cut][1:]                  # a short row
+    assert outcome(FiniteMetric.from_upper_triangle, pts, rows) == \
+        outcome(upper_triangle_oracle, pts, rows)
+
+
+def test_ingestion_edge_cases_match_the_oracle():
+    big = 1 << 70
+    cases = [
+        (["a", "b"], [[0, "1e400"], ["1e400", 0]]),
+        (["a", "b"], [[0, " 1 "], ["1_000", 0]]),
+        (["a", "b"], [[0, "1_000"], ["1000", 0]]),
+        (["a", "b"], [[0, "1.5"], ["3/2", 0]]),
+        (["a", "b"], [[0, True], [1, 0]]),
+        (["a", "b"], [[0, 1.0], [1, 0]]),
+        (["a", "b"], [[0, "1/0"], ["1/0", 0]]),
+        (["a", "b", "c"], [[0, 2, 2], [2, 0, 2], [2, 2, 1]]),
+        (["a", "b", "c"], [[0, 1, 3], [1, 0, 1], [3, 1, 0]]),
+        (["a", "b", "c"], [[0, big, big], [big, 0, big], [big, big, 0]]),
+        (["a", "b", "c"], [[0, big, 3 * big], [big, 0, big], [3 * big, big, 0]]),
+        (["a", "b", "c"], [[0, -big, big], [-big, 0, big], [big, big, 0]]),
+        (["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+    ]
+    for middle in range(4):                 # one violated triangle, each middle point
+        for unit in (1, big):
+            d = [[0 if i == j else 2 * unit for j in range(4)] for i in range(4)]
+            i, j = (t for t in range(4) if t != middle and t != (middle + 1) % 4)
+            d[i][middle] = d[middle][i] = d[j][middle] = d[middle][j] = unit
+            d[i][j] = d[j][i] = 3 * unit
+            cases.append((["a", "b", "c", "d"], d))
+    for pts, m in cases:
+        assert outcome(FiniteMetric, pts, m) == outcome(fraction_metric_oracle, pts, m)
+    m = FiniteMetric(["a", "b"], [[0, "1e400"], ["1e400", 0]])
+    assert m.dist_int(0, 1) == 10 ** 400 and m.scale == 1
 
 
 # ---------------------------------------------------------------- intervals

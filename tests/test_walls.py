@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -11,13 +12,13 @@ from mediankit import (InputError, Orientation, ResourceLimitError, WallSpace,
                        principal_orientation)
 from mediankit.corpus import (cycle_graph, grid_graph, hypercube_graph,
                               nested_wall_space, path_graph, random_tree,
-                              random_wall_space)
+                              random_wall_space, wall_instances)
 from mediankit.intervals import count_closure
 from mediankit.walls import (_blocked_literals, _consistent,
                              consistent_orientations_bruteforce)
 
 from conftest import (bfs_distance_check, majority_closure, majority_closure_check,
-                      steps_toward_all)
+                      random_crossing_wall_space, steps_toward_all, wall_metric_recount)
 
 
 def two_point_space():
@@ -59,6 +60,45 @@ def test_five_points_with_three_nested_cuts_is_rejected():
     walls = [(pts[:1], pts[1:]), (pts[:2], pts[2:]), (pts[:3], pts[3:])]
     with pytest.raises(InputError, match="separated"):
         WallSpace(pts, walls)
+
+
+def first_unseparated_pair(points, walls):
+    """Oracle: the first pair in combinations order that no wall splits."""
+    for x, y in itertools.combinations(points, 2):
+        if not any((x in a) != (y in a) for a, _ in walls):
+            return x, y
+    return None
+
+
+def test_unseparated_pair_reported_is_the_first_in_combinations_order():
+    clashes = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 9)
+        pts = [f"p{i}" for i in range(n)]
+        walls = []
+        for _ in range(rng.randint(0, 4)):
+            side = rng.sample(pts, rng.randint(1, n - 1))
+            walls.append((side, [p for p in pts if p not in side]))
+        want = first_unseparated_pair(pts, walls)
+        if want is None:
+            w = WallSpace(pts, walls)
+            assert len({w.sigma_bits(p) for p in pts}) == n
+            continue
+        clashes += 1
+        with pytest.raises(InputError) as err:
+            WallSpace(pts, walls)
+        assert str(err.value) == f"points {want[0]!r} and {want[1]!r} are separated by no wall"
+    assert clashes > 100
+
+
+def test_sigma_bits_mark_the_non_canonical_sides():
+    for seed in range(20):
+        w = random_wall_space(seed)
+        for i, x in enumerate(w.points):
+            want = sum(1 << k for k in range(w.wall_count)
+                       if not w.side_masks(k)[0] >> i & 1)
+            assert w.sigma_bits(x) == want
 
 
 def test_duplicate_walls_are_merged():
@@ -272,6 +312,23 @@ def test_embedding_is_isometric_for_the_wall_metric():
                 ix = res.graph.index(res.embedding[x])
                 iy = res.graph.index(res.embedding[y])
                 assert dist[ix][iy] == w.wall_metric(x, y)
+
+
+def test_separating_walls_sigma_halfspaces_and_hamming_agree():
+    # cubulate takes this by definition: principal bits are sigma bits
+    spaces = [inst.payload for inst in wall_instances()]
+    for seed in range(60):
+        rng = random.Random(seed)
+        try:
+            spaces.append(random_crossing_wall_space(rng, rng.randint(2, 7),
+                                                     rng.randint(1, 9)))
+        except InputError:
+            continue
+    assert len(spaces) > 40
+    for w in spaces:
+        res = cubulate(w)
+        assert res.checks["embedding_isometric"] is True
+        assert wall_metric_recount(w, res)
 
 
 def test_cubulation_idempotence():
