@@ -12,6 +12,7 @@ metric.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +31,8 @@ DEFAULT_HYPERMETRIC_BOUND = 2
 DEFAULT_HYPERMETRIC_BUDGET = 20_000_000
 DEFAULT_HELLY_CAP = 12
 DEFAULT_GNS_TOL = 1e-9
+_BLOCK = 1 << 16           # elements per numpy block in the exponential scans
+_MASK_POINTS = 62         # int64 subset masks hold at most this many points
 
 
 def distance_form(m: FiniteMetric, coeffs: Sequence[Fraction | int]) -> Fraction:
@@ -197,13 +200,38 @@ class HypermetricReport:
     vectors_checked: int
 
 
+def _lex_vectors(length: int, bound: int) -> np.ndarray:
+    """Every integer vector of ``length`` entries in [-bound, bound], as
+    the rows of an int64 array in lexicographic order."""
+    base = 2 * bound + 1
+    rank = np.arange(base ** length, dtype=np.int64)
+    place = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    return rank[:, None] // place % base - bound
+
+
 def certify_hypermetric(m: FiniteMetric, bound: int = DEFAULT_HYPERMETRIC_BOUND,
                         budget: int = DEFAULT_HYPERMETRIC_BUDGET) -> HypermetricReport:
     """Exhaustively evaluate the form over integer vectors with entries in
-    [-bound, bound] summing to 1; reports the maximum and its vector.
+    [-bound, bound] summing to 1; reports the maximum and its
+    lexicographically first maximiser.
 
     The hypermetric condition asks <= 0 for all such vectors (unbounded in
-    general; this is the desk-scale truncation).
+    general; this is the desk-scale truncation).  ``budget`` caps the
+    (2*bound+1)^n vectors of the box and is checked before anything is
+    enumerated.
+
+    The scan meets in the middle.  Each half of the coordinates (a prefix
+    of n//2 and the suffix) is enumerated once in lexicographic order, with
+    its own form and the prefix's cross term 2*P*D_ps.  The prefixes of sum
+    t pair with the suffixes of sum 1-t, and each such class is scored in
+    row blocks of at most ``_BLOCK`` vectors (one prefix row when the
+    class has more suffixes).  A vector's lexicographic
+    rank is its prefix's rank, then its suffix's, so a block's first
+    argmax is its first maximiser, and across blocks a tie goes to the
+    smaller prefix.  Cost: O((2*bound+1)^(n/2) * n) memory and
+    O(vectors_checked * n) integer operations.  Arithmetic is exact:
+    int64 while (n*bound)^2 * max d' < 2^62 bounds every partial sum,
+    Python ints in object arrays beyond.
     """
     if bound < 1:
         raise InputError("bound must be >= 1")
@@ -213,48 +241,42 @@ def certify_hypermetric(m: FiniteMetric, bound: int = DEFAULT_HYPERMETRIC_BOUND,
         raise ResourceLimitError(
             f"hypermetric enumeration of ({2 * bound + 1})^{n} vectors exceeds "
             f"budget {budget} at bound {bound}", cap=budget)
-    d = [[m.dist_int(i, j) for j in range(n)] for i in range(n)]
-    best_val: int | None = None
-    best_vec: tuple[int, ...] = ()
+    peak = max(map(max, m._di))
+    exact = np.int64 if (n * bound) ** 2 * peak < 2 ** 62 else object
+    d = np.array(m._di, dtype=exact)
+    half = n // 2
+    pre, suf = _lex_vectors(half, bound), _lex_vectors(n - half, bound)
+    pre_x, suf_x = pre.astype(exact, copy=False), suf.astype(exact, copy=False)
+    form_pre = (pre_x @ d[:half, :half] * pre_x).sum(axis=1)
+    form_suf = (suf_x @ d[half:, half:] * suf_x).sum(axis=1)
+    cross = 2 * (pre_x @ d[:half, half:])
+    sum_pre, sum_suf = pre.sum(axis=1), suf.sum(axis=1)
+    best = None           # (value, prefix rank, suffix rank)
     checked = 0
-    vec = [0] * n
-    contrib = [0] * n      # contrib[j] = sum_i vec[i] * d[i][j] over assigned i
-
-    def rec(pos: int, ssum: int, form: int):
-        nonlocal best_val, best_vec, checked
-        rem = n - pos
-        if pos == n:
-            if ssum == 1:
-                checked += 1
-                if best_val is None or form > best_val:
-                    best_val = form
-                    best_vec = tuple(vec)
-            return
-        lo, hi = 1 - ssum - bound * (rem - 1), 1 - ssum + bound * (rem - 1)
-        for t in range(-bound, bound + 1):
-            if t < lo or t > hi:
-                continue
-            vec[pos] = t
-            if t == 0:
-                rec(pos + 1, ssum, form)
-            else:
-                dp = d[pos]
-                for j in range(pos + 1, n):
-                    contrib[j] += t * dp[j]
-                rec(pos + 1, ssum + t, form + 2 * t * contrib[pos])
-                for j in range(pos + 1, n):
-                    contrib[j] -= t * dp[j]
-        vec[pos] = 0
-
-    # contrib[pos] accumulates pairs (i < pos); form gains 2*t*contrib[pos]
-    rec(0, 0, 0)
-    if best_val is None:
+    for t in range(-half * bound, half * bound + 1):
+        rows = np.flatnonzero(sum_pre == t)
+        cols = np.flatnonzero(sum_suf == 1 - t)
+        if not len(rows) or not len(cols):
+            continue
+        checked += len(rows) * len(cols)
+        suf_t = suf_x[cols].T
+        form_t = form_suf[cols]
+        step = max(1, _BLOCK // len(cols))
+        for lo in range(0, len(rows), step):
+            r = rows[lo:lo + step]
+            block = form_pre[r][:, None] + form_t + cross[r] @ suf_t
+            i, j = divmod(int(np.argmax(block)), len(cols))
+            val = int(block[i, j])
+            if best is None or val > best[0] or (val == best[0] and r[i] < best[1]):
+                best = (val, int(r[i]), int(cols[j]))
+    if best is None:
         raise InternalCheckError("no admissible vector enumerated")
+    val, i, j = best
     return HypermetricReport(
         bound=bound,
-        holds=best_val <= 0,
-        max_value=Fraction(best_val, m.scale),
-        argmax=best_vec,
+        holds=val <= 0,
+        max_value=Fraction(val, m.scale),
+        argmax=tuple(pre[i].tolist() + suf[j].tolist()),
         vectors_checked=checked,
     )
 
@@ -359,10 +381,75 @@ class HellyReport:
 
 
 def convex_sets(m: FiniteMetric) -> list[int]:
-    """All geodesically convex subsets, as bitmasks (includes empty set)."""
+    """All geodesically convex subsets, as bitmasks in ascending order
+    (includes the empty set).
+
+    The 2^n masks are tested in int64 blocks of ``_BLOCK``: a mask is
+    convex iff it holds [a,b] whenever it holds a and b, and only the
+    pairs whose interval has a third point can reject.  Each pair's test
+    drops the masks it rejects, so the survivors shrink as the scan goes:
+    O(2^n * n^2) integer operations at worst, in O(_BLOCK) memory.  Masks
+    of more than ``_MASK_POINTS`` points do not fit int64.
+    """
+    n = len(m.points)
+    if n > _MASK_POINTS:
+        raise ResourceLimitError(
+            f"convex-set scan holds at most {_MASK_POINTS} points in int64 masks, "
+            f"got {n}", cap=_MASK_POINTS)
     betw = m._between()
-    return [mask for mask in range(1 << len(m.points))
-            if intervals.is_convex(betw, mask)]
+    tests = [(betw[a][b], 1 << a | 1 << b) for a, b in itertools.combinations(range(n), 2)
+             if betw[a][b] != 1 << a | 1 << b]
+    out: list[int] = []
+    for lo in range(0, 1 << n, _BLOCK):
+        masks = np.arange(lo, min(lo + _BLOCK, 1 << n), dtype=np.int64)
+        for full, ends in tests:
+            held = masks & full
+            masks = masks[(held == full) | (held & ends != ends)]
+        out += masks.tolist()
+    return out
+
+
+def _pair_hulls_meet(arr: np.ndarray, n: int) -> bool:
+    """Whether, for every three points x, y, z, the convex hulls of
+    {x,y}, {y,z} and {z,x} share a point; ``arr`` holds every nonempty
+    convex set as an int64 mask.
+
+    This decides the triple case of Helly.  Given convex A, B, C that
+    meet pairwise but not all together, take x in A&B, y in B&C and z in
+    C&A: then hull{x,y} <= B, hull{y,z} <= C and hull{z,x} <= A meet
+    pairwise (at y, z and x) but not all together.  Each hull is the
+    meet of the convex sets holding its two points: O(n^2 * k + n^3).
+    """
+    hull = np.diag(np.left_shift(1, np.arange(n, dtype=np.int64)))
+    for x, y in itertools.combinations(range(n), 2):
+        pair = 1 << x | 1 << y
+        hull[x, y] = hull[y, x] = np.bitwise_and.reduce(arr[arr & pair == pair])
+    return bool((hull[:, :, None] & hull[None, :, :] & hull[:, None, :]).all())
+
+
+def _first_bad_triple(arr: np.ndarray) -> tuple[int, int, int] | None:
+    """Indices (a, b, c), first in lexicographic order, of masks that meet
+    pairwise but have no common point.
+
+    For each a, in order, one boolean block over the later sets b meeting
+    a and the sets c after b meeting a marks the bad triples; blocks hold
+    at most ``_BLOCK`` entries, or one row of b.  O(k^3) mask operations
+    over the k masks, stopping at the first witness.
+    """
+    for a, ma in enumerate(arr):
+        later = np.flatnonzero(arr[a + 1:] & ma) + a + 1
+        if len(later) < 2:
+            continue
+        sets_c = arr[later]
+        step = max(1, _BLOCK // len(later))
+        for lo in range(0, len(later), step):
+            b = later[lo:lo + step, None]
+            mb = arr[b]
+            hit = np.argwhere((sets_c & mb & ma == 0) & (sets_c & mb != 0) & (later > b))
+            if len(hit):
+                i, j = hit[0]
+                return a, int(later[lo + i]), int(later[j])
+    return None
 
 
 def check_helly(m: FiniteMetric, cap: int = DEFAULT_HELLY_CAP) -> HellyReport:
@@ -372,6 +459,11 @@ def check_helly(m: FiniteMetric, cap: int = DEFAULT_HELLY_CAP) -> HellyReport:
     of convex sets are convex, so C1,C2 may be replaced by their meet), so
     checking every triple of nonempty convex sets decides the property.
     The verdict must match modularity of the metric.
+
+    The hulls of point pairs decide the triple case in O(n^2 * k + n^3)
+    over the k convex sets (``_pair_hulls_meet``).  Only when it fails are the
+    triples of the k convex sets scanned, for the witness: the first bad
+    triple in the ascending order of their masks.
     """
     if cap < 0:
         raise InputError(f"cap must be >= 0, got {cap}")
@@ -381,30 +473,15 @@ def check_helly(m: FiniteMetric, cap: int = DEFAULT_HELLY_CAP) -> HellyReport:
                                  cap=cap)
     masks = [x for x in convex_sets(m) if x]
     cls = classify(m)
-
-    def unmask(x):
-        return frozenset(m.points[t] for t in range(n) if x >> t & 1)
-
-    witness = None
     arr = np.array(masks, dtype=np.int64)
-    k = len(masks)
-    for a in range(k):
-        ma = masks[a]
-        hits_a = arr & ma
-        for b in range(a + 1, k):
-            mb = masks[b]
-            common = ma & mb
-            if not common:
-                continue
-            tail = arr[b + 1:]
-            bad = ((tail & common) == 0) & (hits_a[b + 1:] != 0) & ((tail & mb) != 0)
-            if bad.any():
-                c = int(np.flatnonzero(bad)[0]) + b + 1
-                witness = (unmask(ma), unmask(mb), unmask(masks[c]))
-                break
-        if witness:
-            break
-    holds = witness is None
+    holds = _pair_hulls_meet(arr, n)
+    witness = None
+    if not holds:
+        found = _first_bad_triple(arr)
+        if found is None:
+            raise InternalCheckError("pair hulls fail Helly but no triple of convex sets does")
+        witness = tuple(frozenset(m.points[t] for t in range(n) if masks[i] >> t & 1)
+                        for i in found)
     agrees = holds == (cls.kind in ("median", "modular"))
     return HellyReport(holds, cls, agrees, len(masks) + 1, witness)
 
@@ -520,24 +597,3 @@ def retraction_decomposition(mm: MedianMetric) -> DecompositionTrace:
         ))
         current = chosen
     return DecompositionTrace(mm, tuple(steps))
-
-
-def zero_sum_sampling_oracle(m: FiniteMetric, samples: int = 10_000,
-                             seed: int = 0, span: int = 9) -> Fraction:
-    """Maximum form value over seeded random integer zero-sum vectors.
-
-    Integer vectors cover the rational condition (the form is homogeneous,
-    so denominators clear); evaluation is exact in int64.  A certificate
-    claiming negative definiteness must never be contradicted by this.
-    """
-    n = len(m.points)
-    rng = np.random.default_rng(seed)
-    a = rng.integers(-span, span + 1, size=(samples, n), dtype=np.int64)
-    a[:, -1] -= a.sum(axis=1)
-    d = np.array([[m.dist_int(i, j) for j in range(n)] for i in range(n)],
-                 dtype=np.int64)
-    peak = int(np.abs(a).max(initial=0))
-    if peak ** 2 * int(d.max(initial=0)) * n * n >= 2 ** 62:
-        raise InputError("sampling oracle would overflow int64")
-    vals = np.einsum("si,ij,sj->s", a, d, a)
-    return Fraction(int(vals.max()), m.scale)

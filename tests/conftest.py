@@ -9,6 +9,7 @@ import pytest
 from mediankit import FiniteMetric, InputError, WallSpace, certify_median_graph
 from mediankit.algebra import FiniteMedianAlgebra, IntervalStructure
 from mediankit.corpus import graph_instances, median_graph_instances
+from mediankit.intervals import is_convex
 from mediankit.metric import _to_fraction
 
 ACCEPTANCE_LINES: list[str] = []
@@ -203,6 +204,100 @@ def fraction_negdef_oracle(m: FiniteMetric):
     alpha = [v - mean for v in raw]
     den = math.lcm(*(a.denominator for a in alpha))
     return False, tuple(pivots), tuple(a * den for a in alpha)
+
+
+def zero_sum_sampling_oracle(m: FiniteMetric, samples: int = 10_000,
+                             seed: int = 0, span: int = 9) -> Fraction:
+    """Oracle: maximum form value over seeded random integer zero-sum
+    vectors.
+
+    Integer vectors cover the rational condition (the form is homogeneous,
+    so denominators clear); evaluation is exact in int64.  A certificate
+    claiming negative definiteness must never be contradicted by this.
+    """
+    n = len(m.points)
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-span, span + 1, size=(samples, n), dtype=np.int64)
+    a[:, -1] -= a.sum(axis=1)
+    d = np.array([[m.dist_int(i, j) for j in range(n)] for i in range(n)],
+                 dtype=np.int64)
+    peak = int(np.abs(a).max(initial=0))
+    if peak ** 2 * int(d.max(initial=0)) * n * n >= 2 ** 62:
+        raise InputError("sampling oracle would overflow int64")
+    vals = np.einsum("si,ij,sj->s", a, d, a)
+    return Fraction(int(vals.max()), m.scale)
+
+
+def hypermetric_oracle(m: FiniteMetric, bound: int):
+    """Oracle: (max_value, argmax, vectors_checked) of the hypermetric
+    form over integer vectors in [-bound, bound]^n summing to 1, by a
+    recursive enumeration in lexicographic order that keeps the first
+    maximiser, in Python ints."""
+    n = len(m.points)
+    d = [[m.dist_int(i, j) for j in range(n)] for i in range(n)]
+    best_val = None
+    best_vec: tuple[int, ...] = ()
+    checked = 0
+    vec = [0] * n
+    contrib = [0] * n      # contrib[j] = sum_i vec[i] * d[i][j] over assigned i
+
+    def rec(pos: int, ssum: int, form: int):
+        nonlocal best_val, best_vec, checked
+        rem = n - pos
+        if pos == n:
+            if ssum == 1:
+                checked += 1
+                if best_val is None or form > best_val:
+                    best_val = form
+                    best_vec = tuple(vec)
+            return
+        lo, hi = 1 - ssum - bound * (rem - 1), 1 - ssum + bound * (rem - 1)
+        for t in range(max(-bound, lo), min(bound, hi) + 1):
+            vec[pos] = t
+            dp = d[pos]
+            for j in range(pos + 1, n):
+                contrib[j] += t * dp[j]
+            rec(pos + 1, ssum + t, form + 2 * t * contrib[pos])
+            for j in range(pos + 1, n):
+                contrib[j] -= t * dp[j]
+        vec[pos] = 0
+
+    rec(0, 0, 0)
+    return Fraction(best_val, m.scale), best_vec, checked
+
+
+def convex_sets_oracle(m: FiniteMetric) -> list[int]:
+    """Oracle: every convex subset as a bitmask, ascending, by testing each
+    of the 2^n masks with ``intervals.is_convex``."""
+    betw = m._between()
+    return [mask for mask in range(1 << len(m.points)) if is_convex(betw, mask)]
+
+
+def helly_witness_oracle(m: FiniteMetric):
+    """Oracle: the first triple, in (a, b, c) order over the ascending
+    nonempty convex masks, of pairwise-meeting convex sets with no common
+    point, by a Python loop over the pairs (a, b) that tests every later c
+    at once; None if Helly holds."""
+    n = len(m.points)
+    masks = [x for x in convex_sets_oracle(m) if x]
+
+    def unmask(x):
+        return frozenset(m.points[t] for t in range(n) if x >> t & 1)
+
+    arr = np.array(masks, dtype=np.int64)
+    for a, ma in enumerate(masks):
+        hits_a = arr & ma
+        for b in range(a + 1, len(masks)):
+            mb = masks[b]
+            common = ma & mb
+            if not common:
+                continue
+            tail = arr[b + 1:]
+            bad = ((tail & common) == 0) & (hits_a[b + 1:] != 0) & ((tail & mb) != 0)
+            if bad.any():
+                c = int(np.flatnonzero(bad)[0]) + b + 1
+                return unmask(ma), unmask(mb), unmask(masks[c])
+    return None
 
 
 def majority_closure(image_bits) -> set[int]:

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import networkx as nx
 import numpy as np
 
-from conftest import record_acceptance
+from conftest import record_acceptance, zero_sum_sampling_oracle
 from mediankit import (certify_hypermetric, certify_negative_definite,
                        check_colinear_lemma, check_helly,
                        check_median_lipschitz, cubulate, fill_cubes, gns_embed,
@@ -70,7 +70,6 @@ def test_criterion_02_leg_formula_exact(median_certs):
 
 
 def test_criterion_03_negdef_and_hypermetric(median_metrics):
-    from mediankit.embedding import zero_sum_sampling_oracle
     with criterion(3, "exact negative-definite + hypermetric certificates", 30.0):
         for name, m in median_metrics.items():
             cert = certify_negative_definite(m)

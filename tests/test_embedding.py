@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (centered_gram, fraction_negdef_oracle,
-                      fraction_psd_eliminate, random_shortest_path_metric)
+from conftest import (centered_gram, convex_sets_oracle, fraction_negdef_oracle,
+                      fraction_psd_eliminate, helly_witness_oracle,
+                      hypermetric_oracle, random_shortest_path_metric,
+                      zero_sum_sampling_oracle)
 from mediankit import (FiniteMetric, InputError, MedianMetric,
                        ResourceLimitError, certify_hypermetric,
                        certify_median_graph, certify_negative_definite,
@@ -17,8 +19,8 @@ from mediankit import (FiniteMetric, InputError, MedianMetric,
 from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               graph_instances, grid_graph, hypercube_graph,
                               path_graph, random_tree)
-from mediankit.embedding import (_psd_eliminate, distance_form,
-                                 zero_sum_sampling_oracle)
+from mediankit import embedding
+from mediankit.embedding import _psd_eliminate, convex_sets, distance_form
 
 
 def random_zero_sum(rng, n, span=6):
@@ -218,6 +220,97 @@ def test_hypermetric_budget():
         certify_hypermetric(m, bound=2, budget=1000)
 
 
+def random_integer_metric(rng, n, span):
+    """Metric closure of a random integer-weighted complete graph."""
+    w = [[0 if i == j else rng.randint(1, span) for j in range(n)] for i in range(n)]
+    w = [[max(w[i][j], w[j][i]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                w[i][j] = min(w[i][j], w[i][k] + w[k][j])
+    return FiniteMetric(list(range(n)), w)
+
+
+def scaled(m, factor):
+    n = len(m.points)
+    return FiniteMetric(m.points, [[m.dist_int(i, j) * factor for j in range(n)]
+                                   for i in range(n)])
+
+
+def hypermetric_triple(m, bound):
+    rep = certify_hypermetric(m, bound=bound)
+    assert rep.holds == (rep.max_value <= 0)
+    return rep.max_value, rep.argmax, rep.vectors_checked
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 8), st.integers(1, 3),
+       st.sampled_from(("shortest-path", "integer", "graph")))
+def test_hypermetric_matches_the_recursive_oracle(seed, n, bound, family):
+    rng = random.Random(seed)
+    n = min(n, {1: 8, 2: 8, 3: 6}[bound])
+    if family == "shortest-path":
+        m = random_shortest_path_metric(rng, n)
+    elif family == "integer":
+        m = random_integer_metric(rng, n, rng.choice((2, 3, 7)))
+    else:
+        m = rng.choice((cycle_graph(max(n, 3)), complete_bipartite_graph(2, 3),
+                        random_tree(n, seed), path_graph(n))).path_metric()
+    assert hypermetric_triple(m, bound) == hypermetric_oracle(m, bound)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_hypermetric_row_blocks_keep_the_first_maximiser(monkeypatch, block):
+    # small blocks split every sum class, so ties cross block boundaries
+    monkeypatch.setattr(embedding, "_BLOCK", block)
+    rng = random.Random(block)
+    for m in (path_graph(6).path_metric(), complete_bipartite_graph(2, 3).path_metric(),
+              random_shortest_path_metric(rng, 6), random_integer_metric(rng, 7, 2)):
+        for bound in (1, 2):
+            assert hypermetric_triple(m, bound) == hypermetric_oracle(m, bound)
+
+
+def test_hypermetric_on_one_point():
+    m = FiniteMetric(["a"], [[0]])
+    for bound in (1, 2, 3):
+        assert hypermetric_triple(m, bound) == hypermetric_oracle(m, bound) \
+            == (0, (1,), 1)
+
+
+def test_hypermetric_beyond_int64_matches_the_oracle():
+    rng = random.Random(20)
+    for n, bound in ((5, 2), (6, 2), (7, 1), (4, 3)):
+        base = random_integer_metric(rng, n, 5)
+        big = scaled(base, 10 ** 20)
+        got = hypermetric_triple(big, bound)
+        assert got == hypermetric_oracle(big, bound)
+        value, argmax, checked = hypermetric_triple(base, bound)
+        assert got == (value * 10 ** 20, argmax, checked)
+
+
+def test_hypermetric_at_the_int64_threshold():
+    # int64 holds the form while (n*bound)^2 * max d' < 2^62; check both sides
+    rng = random.Random(21)
+    n, bound = 6, 2
+    base = random_integer_metric(rng, n, 9)
+    peak = max(map(max, base._di))
+    limit = 2 ** 62 // (n * bound) ** 2
+    for factor in (limit // peak, limit // peak + 1):
+        m = scaled(base, factor)
+        assert hypermetric_triple(m, bound) == hypermetric_oracle(m, bound)
+
+
+def test_hypermetric_budget_boundary():
+    m = cycle_graph(5).path_metric()
+    for bound in (1, 2):
+        box = (2 * bound + 1) ** 5
+        assert certify_hypermetric(m, bound=bound, budget=box).vectors_checked == \
+            hypermetric_oracle(m, bound)[2]
+        with pytest.raises(ResourceLimitError, match=rf"\({2 * bound + 1}\)\^5 vectors "
+                           rf"exceeds budget {box - 1} at bound {bound}"):
+            certify_hypermetric(m, bound=bound, budget=box - 1)
+
+
 # ---------------------------------------------------------------- gns
 
 def test_two_points_distance_four_embeds_at_euclidean_two():
@@ -364,6 +457,70 @@ def test_helly_agrees_with_modularity_on_small_corpus():
 def test_helly_cap():
     with pytest.raises(ResourceLimitError):
         check_helly(random_tree(13, 1).path_metric(), cap=12)
+
+
+def helly_matches_the_oracles(m, cap=12):
+    sets = convex_sets(m)
+    assert sets == convex_sets_oracle(m)
+    rep = check_helly(m, cap=cap)
+    assert rep.convex_count == len(sets)
+    assert rep.witness == helly_witness_oracle(m)
+    assert rep.holds == (rep.witness is None)
+    return rep
+
+
+@pytest.mark.parametrize("g", [cycle_graph(5), cycle_graph(6), cycle_graph(7),
+                               cycle_graph(8), complete_bipartite_graph(2, 3),
+                               grid_graph(3, 4), grid_graph(2, 5), random_tree(11, 2)],
+                         ids=["C5", "C6", "C7", "C8", "K23", "grid3x4", "grid2x5", "tree11"])
+def test_helly_matches_the_oracles_on_graphs(g):
+    rep = helly_matches_the_oracles(g.path_metric())
+    assert rep.agrees
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 9), st.booleans())
+def test_helly_matches_the_oracles_on_random_metrics(seed, n, rational):
+    rng = random.Random(seed)
+    m = (random_shortest_path_metric(rng, n) if rational
+         else random_integer_metric(rng, n, rng.choice((2, 3))))
+    helly_matches_the_oracles(m)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_helly_blocks_keep_the_first_witness(monkeypatch, block):
+    monkeypatch.setattr(embedding, "_BLOCK", block)
+    rng = random.Random(block)
+    for m in (cycle_graph(6).path_metric(), complete_bipartite_graph(2, 3).path_metric(),
+              grid_graph(2, 3).path_metric(), random_shortest_path_metric(rng, 7),
+              random_integer_metric(rng, 8, 2)):
+        helly_matches_the_oracles(m)
+
+
+def test_helly_on_a_star_with_many_convex_sets():
+    # K_{1,11}: every set holding the centre is convex, 2^11 + 12 in all
+    m = FiniteMetric(list(range(12)), [[0 if i == j else 1 if 0 in (i, j) else 2
+                                        for j in range(12)] for i in range(12)])
+    assert convex_sets(m) == convex_sets_oracle(m)
+    rep = check_helly(m)
+    assert rep.holds and rep.agrees and rep.witness is None
+    assert rep.convex_count == 2 ** 11 + 12
+
+
+def test_helly_across_the_mask_block_boundary():
+    # 2^17 masks fill two int64 blocks of 2^16
+    rep = helly_matches_the_oracles(path_graph(17).path_metric(), cap=17)
+    assert rep.holds and rep.convex_count == 17 * 18 // 2 + 1
+    rep = helly_matches_the_oracles(cycle_graph(17).path_metric(), cap=17)
+    assert not rep.holds and rep.agrees
+
+
+def test_convex_sets_beyond_int64_masks_is_a_resource_limit():
+    m = path_graph(63).path_metric()
+    with pytest.raises(ResourceLimitError, match="at most 62 points"):
+        convex_sets(m)
+    with pytest.raises(ResourceLimitError):
+        check_helly(m, cap=63)
 
 
 # ---------------------------------------------------------------- retraction
