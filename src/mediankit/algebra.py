@@ -11,6 +11,10 @@ ground set.  Four axioms make it a median algebra:
 
 Raw data arrives as an :class:`IntervalStructure` and is promoted to a
 :class:`FiniteMedianAlgebra` only after passing :func:`validate_axioms`.
+The structure keeps its intervals as a table of bitmasks over the point
+indices, built once; the axioms, medians and halfspaces read that table,
+and ``unique_median`` counts the meets of all ordered triples with the
+packed kernel of :mod:`intervals`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ class IntervalStructure:
 
     Every ordered pair must have an interval and every member must be a
     known point; beyond that nothing is assumed (in particular symmetry
-    is checked later, not presumed).
+    is checked later, not presumed).  ``masks[i][j]`` is the interval of
+    points i and j as a bitmask over the point indices.
     """
 
     def __init__(self, points: Sequence[Point],
@@ -62,6 +67,9 @@ class IntervalStructure:
                     raise InputError(
                         f"interval ({x!r},{y!r}) missing; every ordered pair must be given")
         self._table = table
+        index = self._index
+        self.masks = [[sum(1 << index[p] for p in table[(x, y)]) for y in pts]
+                      for x in pts]
 
     def index(self, p: Point) -> int:
         try:
@@ -111,52 +119,35 @@ def validate_axioms(s: IntervalStructure) -> AxiomReport:
     """Check the four axioms, reporting the first violating tuple of each.
 
     The scan order follows the point ordering, so witnesses are minimal
-    in that order and the report is deterministic.
+    in that order and the report is deterministic.  Every check reads the
+    interval masks: nesting tests [x,z] against [x,y] for each member z
+    of [x,y], and unique_median counts the meets of the ordered triples
+    in product order with ``intervals.meet_counts``.
     """
     pts = s.points
+    n = len(pts)
+    masks = s.masks
     checks = []
 
-    witness = None
-    for x in pts:
-        if s.interval(x, x) != frozenset((x,)):
-            witness = (x,)
-            break
+    witness = next(((pts[i],) for i in range(n) if masks[i][i] != 1 << i), None)
     checks.append(AxiomCheck("idempotence", witness is None, witness))
 
-    witness = None
-    for x, y in itertools.combinations(pts, 2):
-        if s.interval(x, y) != s.interval(y, x):
-            witness = (x, y)
-            break
+    witness = next(((pts[i], pts[j]) for i, j in itertools.combinations(range(n), 2)
+                    if masks[i][j] != masks[j][i]), None)
     checks.append(AxiomCheck("symmetry", witness is None, witness))
 
-    witness = None
-    for x in pts:
-        for y in pts:
-            ivl = s.interval(x, y)
-            for z in sorted(ivl, key=s.index):
-                if not s.interval(x, z) <= ivl:
-                    witness = (x, y, z)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next(((pts[x], pts[y], pts[z]) for x, row in enumerate(masks)
+                    for y, ivl in enumerate(row) for z in intervals.members(ivl)
+                    if row[z] & ~ivl), None)
     checks.append(AxiomCheck("nesting", witness is None, witness))
 
-    witness = None
-    detail = None
-    for x in pts:
-        for y in pts:
-            for z in pts:
-                common = s.interval(x, y) & s.interval(y, z) & s.interval(z, x)
-                if len(common) != 1:
-                    witness = (x, y, z)
-                    detail = frozenset(common)
-                    break
-            if witness:
-                break
-        if witness:
+    witness = detail = None
+    packed = intervals.pack(masks)
+    for a, lo, counts in intervals.meet_counts(packed, ordered=True):
+        hit = intervals.first_hit(a, lo, counts != 1)
+        if hit is not None:
+            witness = tuple(pts[t] for t in hit)
+            detail = frozenset(pts[t] for t in intervals.members(intervals.meet(packed, *hit)))
             break
     checks.append(AxiomCheck("unique_median", witness is None, witness, detail))
 
@@ -184,7 +175,6 @@ class FiniteMedianAlgebra:
         self.report = report
         self.points = structure.points
         self._median_cache: dict[tuple[int, int, int], Point] = {}
-        self._interval_masks: list[list[int]] | None = None
 
     @staticmethod
     def promote(structure: IntervalStructure) -> "FiniteMedianAlgebra":
@@ -204,15 +194,17 @@ class FiniteMedianAlgebra:
         return self._s.interval(x, y)
 
     def median(self, x: Point, y: Point, z: Point) -> Point:
-        key = tuple(sorted((self.index(x), self.index(y), self.index(z))))
+        i, j, k = self.index(x), self.index(y), self.index(z)
+        key = tuple(sorted((i, j, k)))
         cached = self._median_cache.get(key)
         if cached is not None:
             return cached
-        common = self.interval(x, y) & self.interval(y, z) & self.interval(z, x)
-        if len(common) != 1:
+        masks = self._s.masks
+        common = masks[i][j] & masks[j][k] & masks[k][i]
+        if common.bit_count() != 1:
             raise InternalCheckError(
                 f"median of ({x!r},{y!r},{z!r}) not unique on a validated algebra")
-        (m,) = common
+        m = self.points[common.bit_length() - 1]
         self._median_cache[key] = m
         return m
 
@@ -224,15 +216,9 @@ class FiniteMedianAlgebra:
         }
 
     def is_convex(self, subset: Iterable[Point]) -> bool:
-        return intervals.is_convex(self._masks(), self._mask(subset))
+        return intervals.is_convex(self._s.masks, self._mask(subset))
 
     # -- halfspaces ---------------------------------------------------
-
-    def _masks(self) -> list[list[int]]:
-        if self._interval_masks is None:
-            self._interval_masks = [[self._mask(self.interval(x, y)) for y in self.points]
-                                    for x in self.points]
-        return self._interval_masks
 
     def _mask(self, subset: Iterable[Point]) -> int:
         mask = 0
@@ -249,7 +235,7 @@ class FiniteMedianAlgebra:
         wall.
         """
         full = (1 << len(self.points)) - 1
-        sides = [side for side, _ in intervals.halfspaces(self._masks())] + [full]
+        sides = [side for side, _ in intervals.halfspaces(self._s.masks)] + [full]
         sides.sort(key=intervals.members)
         return [Halfspace(self._unmask(side), self._unmask(full & ~side))
                 for side in sides]

@@ -1,14 +1,15 @@
-"""Median graphs: recognition, edge halfspaces, wall coordinates, and the
-cube complex obtained by filling hypercube skeletons.
+"""Median graphs: recognition, wall coordinates, and the cube complex
+obtained by filling hypercube skeletons.
 
 A connected graph is median iff its vertices carry distinct bitvectors,
 closed under the bitwise majority, whose Hamming-1 pairs are exactly its
 edges (the lemma at :class:`MedianGraphCert`).  Certification reads
-candidate coordinates off the edge halfspaces W_ij = {z : d(z,i) < d(z,j)}
-of the BFS table and tests those hypotheses; the cubulation of a wall
-space passes its orientation bits, which meet them by construction.  The
-O(n^3) triple scan of ``classify`` runs only on rejection, to name a
-witness.
+candidate coordinates off one BFS from vertex 0 (:func:`_bfs_coordinates`)
+and tests those hypotheses; no distance table is built.  The cubulation
+of a wall space passes its orientation bits, which meet them by
+construction.  Only on rejection is the path metric built, and the
+triple scan of ``classify`` (a numpy kernel on the packed betweenness
+table) names a witness.
 """
 
 from __future__ import annotations
@@ -86,17 +87,21 @@ class SimpleGraph:
         return [(self.vertices[i], self.vertices[j]) for i, j in self.edge_indices]
 
     def bfs_distances(self, start: int) -> list[int]:
-        n = len(self.vertices)
-        dist = [-1] * n
+        """Distances from ``start``, one BFS level at a time."""
+        adj = self._adj
+        dist = [-1] * len(adj)
         dist[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for w in self._adj[u]:
-                if dist[w] < 0:
-                    dist[w] = du + 1
-                    queue.append(w)
+        frontier = [start]
+        d = 0
+        while frontier:
+            d += 1
+            reached = []
+            for u in frontier:
+                for w in adj[u]:
+                    if dist[w] < 0:
+                        dist[w] = d
+                        reached.append(w)
+            frontier = reached
         return dist
 
     def all_pairs(self) -> list[list[int]]:
@@ -226,27 +231,48 @@ def _mask(indices: Sequence[int], n: int) -> int:
     return int(flags[::-1], 2)
 
 
-def _edge_halfspaces(dist: list[list[int]], edges: Iterable[tuple[int, int]]) -> list[int]:
-    """The distinct halfspaces {z : d(z,i) < d(z,j)} of the edges, each
-    taken on the side holding vertex 0, in first-seen order.
+def _bfs_coordinates(g: SimpleGraph) -> tuple[list[int], int]:
+    """Candidate wall coordinates from one BFS from vertex 0, and their
+    width.  A vertex with exactly one down-neighbour u (a neighbour one
+    level nearer vertex 0) gets coord(u) plus a fresh bit; a vertex with
+    several gets the OR of their coordinates.
 
-    Across an edge distances change by at most one, so the halfspace is
-    the union over L of level L of i and level L+1 of j.
+    On a median graph these are its wall coordinates, zero at vertex 0.
+    Let v have one down-neighbour u, and let H be the side of the wall of
+    uv that holds v.  H is convex, so its gate (its vertex nearest vertex
+    0) lies on a geodesic from vertex 0 to every vertex of H; were the
+    gate not v, a geodesic from it to v would give v a second
+    down-neighbour, inside H.  So v is the gate, every vertex seen before
+    v lies off H, and the wall is new.  If v has several down-neighbours,
+    the wall of each edge down from v separates vertex 0 from every other
+    down-neighbour (they are at distance 2 across it), so it is already a
+    bit of their coordinates.  Soundness never rests on this: the caller
+    tests the coordinates with :func:`_lemma_holds`.
     """
-    levels = []
-    for row in dist:
-        level = [0] * (max(row) + 1)
-        for z, d in enumerate(row):
-            level[d] |= 1 << z
-        levels.append(level)
-    full = (1 << len(dist)) - 1
-    sides: dict[int, None] = {}
-    for i, j in edges:
-        side = 0
-        for near, far in zip(levels[i], levels[j][1:]):
-            side |= near & far
-        sides[side if side & 1 else full & ~side] = None
-    return list(sides)
+    n = len(g.vertices)
+    adj = g._adj
+    level = [-1] * n
+    level[0] = 0
+    coords = [0] * n
+    width = 0
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        up = level[v] - 1
+        down = 0
+        c = 0
+        for u in adj[v]:
+            if level[u] < 0:
+                level[u] = up + 2
+                queue.append(u)
+            elif level[u] == up:
+                down += 1
+                c |= coords[u]
+        if down == 1:
+            c |= 1 << width
+            width += 1
+        coords[v] = c
+    return coords, width
 
 
 def _lemma_holds(g: SimpleGraph, coords: Sequence[int], width: int) -> bool:
@@ -269,26 +295,22 @@ def certify_median_graph(g: SimpleGraph) -> MedianGraphCert:
     """Certify a connected graph as median, or raise NotMedianError with a
     counterexample triple.
 
-    The candidate wall coordinates come from the edge halfspaces of the
-    BFS table (Djokovic 1973): bit k of a vertex is set iff it lies off
-    the side of halfspace k holding vertex 0.  The graph is median iff
-    they satisfy :func:`_lemma_holds`; the certificate's medians
-    are then read off the coordinates, and no triple is scanned.
+    One BFS from vertex 0 gives candidate wall coordinates
+    (:func:`_bfs_coordinates`), in O(n + m); on a median graph they are
+    its wall coordinates, since each vertex with a single down-neighbour
+    is the gate of a new wall's far side.  The graph is median iff they
+    satisfy :func:`_lemma_holds`; the certificate's medians are then read
+    off the coordinates, and neither a distance table nor a triple scan
+    is built.
 
-    Only when the test fails does ``MedianMetric.certify`` scan the
-    triples, to raise NotMedianError with the lexicographically first
+    Only when the test fails are the path metric and its packed
+    betweenness table built, and ``MedianMetric.certify`` scans the
+    triples to raise NotMedianError with the lexicographically first
     witness; if it finds none, InternalCheckError is raised.
     """
-    n = len(g.vertices)
-    sides = _edge_halfspaces(g.all_pairs(), g.edge_indices)
-    if len(sides) < n:         # each wall of a median graph owns a spanning-tree edge
-        full = (1 << n) - 1
-        coords = [0] * n
-        for k, side in enumerate(sides):
-            for t in intervals.members(full & ~side):
-                coords[t] |= 1 << k
-        if _lemma_holds(g, coords, len(sides)):
-            return MedianGraphCert(g, coords, len(sides))
+    coords, width = _bfs_coordinates(g)
+    if _lemma_holds(g, coords, width):
+        return MedianGraphCert(g, coords, width)
     MedianMetric.certify(g.path_metric())   # raises NotMedianError
     raise InternalCheckError(
         "graph failed the median-graph test but classify found no witness")

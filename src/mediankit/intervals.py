@@ -1,11 +1,18 @@
 """The interval kernel: convexity and halfspaces on betweenness bitmasks,
-and the median-closure count on wall coordinates.
+the triple-meet count on packed tables, and the median-closure count on
+wall coordinates.
 
-``is_convex`` and ``halfspaces`` read a symmetric table ``betw`` in which
-bit t of ``betw[i][j]`` is set iff t lies in the interval [i,j], as built
-by ``FiniteMetric._between`` and ``FiniteMedianAlgebra._masks``.
-``count_closure`` reads points as wall-coordinate bitvectors, where the
-median is the bitwise majority.
+``is_convex`` and ``halfspaces`` read a table ``betw`` of Python ints in
+which bit t of ``betw[i][j]`` is set iff t lies in the interval [i,j], as
+built by ``FiniteMetric._between`` and ``IntervalStructure.masks``.
+``pack`` stores such a table as an (n, n, ceil(n/64)) uint64 array, bit t
+at bit t % 64 of word t // 64, and ``meet_counts`` reads that array: it
+counts the common points |[i,j] & [j,k] & [k,i]| of every triple with
+``np.bitwise_count``, in blocks of consecutive rows i of about
+``BLOCK`` triples, in lexicographic order, so a caller that stops at its
+first hit reads only the blocks up to it.  ``count_closure``
+reads points as wall-coordinate bitvectors, where the median is the
+bitwise majority.
 
 Halfspaces come from covering pairs.  In a finite median algebra, if
 [x,y] = {x,y} then every z has median m(x,y,z) in {x,y}, so
@@ -17,9 +24,13 @@ O(n), so no subset scan is needed.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 Table = Sequence[Sequence[int]]
+
+BLOCK = 1 << 14     # entries per block of meet_counts and of the metric's table build
 
 
 def members(mask: int) -> tuple[int, ...]:
@@ -31,6 +42,74 @@ def members(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def words(n: int) -> int:
+    """uint64 words per mask of n bits in a packed table."""
+    return (n + 63) // 64
+
+
+def pack(table: Table) -> np.ndarray:
+    """The n x n mask table as a packed (n, n, words(n)) uint64 array."""
+    width = 8 * words(len(table))
+    data = b"".join(m.to_bytes(width, "little") for row in table for m in row)
+    return np.frombuffer(data, dtype="<u8").reshape(len(table), len(table), -1)
+
+
+def unpack(packed: np.ndarray) -> list[list[int]]:
+    """The packed table as rows of Python int masks, in one pass over its bytes."""
+    n, _, w = packed.shape
+    data = packed.astype("<u8", copy=False).tobytes()
+    step = 8 * w
+    flat = [int.from_bytes(data[k:k + step], "little") for k in range(0, len(data), step)]
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def meet(packed: np.ndarray, i: int, j: int, k: int) -> int:
+    """The mask [i,j] & [j,k] & [k,i] of a packed table."""
+    both = packed[i, j] & packed[j, k] & packed[k, i]
+    return int.from_bytes(both.astype("<u8", copy=False).tobytes(), "little")
+
+
+def meet_counts(packed: np.ndarray, ordered: bool
+                ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Blocks (a, lo, counts) of the meet counts of a packed table, in
+    lexicographic order of the triples (i, j, k): ``counts[i - a, j - lo,
+    k - lo]`` is |[i,j] & [j,k] & [k,i]| for the block's rows i = a, a+1,
+    ... and every j, k >= lo.  With ``ordered`` every ordered triple
+    counts and lo = 0.  Otherwise the table is a metric's (symmetric, with
+    [x,x] = {x}), the triples are i < j < k, and lo = a + 1.  An entry that
+    is no such triple then either repeats a point, so its count is 1, or
+    permutes a triple i < j < k that comes earlier in the same block; so
+    the first entry of a block with a given count is such a triple.
+
+    Each block reads views of the table and holds about ``BLOCK``
+    entries (one row i at least).  The counts add one popcount per word,
+    since a sum over the few words of the last axis costs more than the
+    adds."""
+    n, _, w = packed.shape
+    rev = np.ascontiguousarray(packed.swapaxes(0, 1)) if ordered else packed  # [z,x] at [x, z]
+    a = 0
+    while a < n:
+        lo = 0 if ordered else a + 1
+        m = n - lo
+        b = min(n, a + max(1, BLOCK // max(1, m * m)))
+        both = (packed[a:b, lo:, None, :] & packed[None, lo:, lo:]
+                & rev[a:b, None, lo:])
+        counts = np.bitwise_count(both[..., 0]).astype(np.int32)
+        for x in range(1, w):
+            counts += np.bitwise_count(both[..., x])
+        yield a, lo, counts
+        a = b
+
+
+def first_hit(a: int, lo: int, hits: np.ndarray) -> tuple[int, int, int] | None:
+    """The first triple (i, j, k) of a block with ``hits[i - a, j - lo, k - lo]``, or None."""
+    flat = np.flatnonzero(hits)
+    if not flat.size:
+        return None
+    i, j, k = np.unravel_index(int(flat[0]), hits.shape)
+    return a + int(i), lo + int(j), lo + int(k)
 
 
 def is_convex(betw: Table, mask: int) -> bool:

@@ -1,7 +1,8 @@
 """Finite metric spaces with exact arithmetic.
 
 Distances are rationals; internally everything is rescaled to integers so
-interval membership and the lemma scans are plain integer equalities.  Geodesic intervals are [x,y] = {t : d(x,t)+d(t,y) = d(x,y)}.
+interval membership and the lemma scans are plain integer equalities.
+Geodesic intervals are [x,y] = {t : d(x,t)+d(t,y) = d(x,y)}.
 
 An input matrix is read once: ints as they are, each distinct string
 through ``Fraction`` once, floats rejected.  The scaled matrix is checked
@@ -9,6 +10,13 @@ as a whole by exact numpy kernels (int64 while every sum of two entries
 fits, Python ints beyond), the triangle inequality as one broadcast
 comparison per middle point.  Only a rejected matrix is scanned in
 Python, for the first failed axiom that the error reports.
+
+The betweenness table is built the same way: one broadcast comparison
+d(i,t) + d(j,t) == d(i,j) per block of rows i, packed into uint64 words
+(``intervals.pack`` layout).  ``classify`` counts the common points of
+each triple's intervals on that packed table with the blocked meet
+kernel of :mod:`intervals`; ``_between`` decodes it once into Python int
+masks for the callers that walk single intervals.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
+from . import intervals
 from .algebra import FiniteMedianAlgebra, IntervalStructure
 from .errors import InputError, InternalCheckError, NotMedianError
 
@@ -80,14 +89,19 @@ def _scaled_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
 _INT64_HALF = 1 << 61       # entries below 2^61 in size: a + b never overflows
 
 
-def _is_metric(di: list[list[int]]) -> bool:
-    """Zero diagonal, symmetric, positive off the diagonal and the triangle
-    inequality, checked exactly: in int64 when every sum of two entries
-    fits, in Python ints (an object array) otherwise."""
-    n = len(di)
+def _exact_array(di: list[list[int]]) -> np.ndarray:
+    """The matrix as an exact numpy array: int64 when every sum of two
+    entries fits, Python ints (an object array) otherwise."""
     lo, hi = min(map(min, di)), max(map(max, di))
     dtype = np.int64 if -_INT64_HALF < lo and hi < _INT64_HALF else object
-    d = np.array(di, dtype=dtype)
+    return np.array(di, dtype=dtype)
+
+
+def _is_metric(di: list[list[int]]) -> bool:
+    """Zero diagonal, symmetric, positive off the diagonal and the triangle
+    inequality, checked exactly on :func:`_exact_array`."""
+    n = len(di)
+    d = _exact_array(di)
     positive = d > 0
     np.fill_diagonal(positive, True)
     if d.diagonal().any() or not positive.all() or (d != d.T).any():
@@ -141,6 +155,7 @@ class FiniteMetric:
         self._scale = scale
         self._di = di
         self._betw: list[list[int]] | None = None
+        self._packed_betw: np.ndarray | None = None
 
     @classmethod
     def _trusted(cls, points: Sequence[Point], di: list[list[int]],
@@ -203,23 +218,26 @@ class FiniteMetric:
 
     # -- geodesic intervals -------------------------------------------
 
+    def _packed(self) -> np.ndarray:
+        """The betweenness table packed as in ``intervals.pack``: one
+        broadcast comparison d(i,t) + d(j,t) == d(i,j) per block of rows i,
+        of about ``intervals.BLOCK`` entries."""
+        if self._packed_betw is None:
+            n = len(self.points)
+            d = _exact_array(self._di)
+            out = np.zeros((n, n, 8 * intervals.words(n)), dtype=np.uint8)
+            step = max(1, intervals.BLOCK // (n * n))
+            for s in range(0, n, step):
+                rows = d[s:s + step]
+                out[s:s + step, :, :(n + 7) // 8] = np.packbits(
+                    rows[:, None, :] + d == rows[:, :, None], axis=-1, bitorder="little")
+            self._packed_betw = out.view("<u8")
+        return self._packed_betw
+
     def _between(self) -> list[list[int]]:
         """Bitmask table: bit t of [i][j] set iff t lies between i and j."""
         if self._betw is None:
-            n = len(self.points)
-            d = self._di
-            betw = [[0] * n for _ in range(n)]
-            for i in range(n):
-                di_ = d[i]
-                for j in range(i, n):
-                    dj = d[j]
-                    dij = di_[j]
-                    m = 0
-                    for t in range(n):
-                        if di_[t] + dj[t] == dij:
-                            m |= 1 << t
-                    betw[i][j] = betw[j][i] = m
-            self._betw = betw
+            self._betw = intervals.unpack(self._packed())
         return self._betw
 
     def between_mask(self, i: int, j: int) -> int:
@@ -257,35 +275,30 @@ class Classification:
 
 
 def classify(m: FiniteMetric) -> Classification:
-    """Scan all triples: median iff every triple intersection is a
-    singleton, modular iff every one is nonempty, else neither.  The
+    """Scan all triples i < j < k: median iff every triple intersection
+    is a singleton, modular iff every one is nonempty, else neither.  The
     witness is the first offending triple in lexicographic order, empty
     intersections first, so the scan stops at the first empty one.
 
-    Direct O(n^4) scan (n^3 triples, n-bit intersections); fine at desk
-    scale, say n up to a couple hundred points.
+    The intersections are counted on the packed betweenness table by
+    ``intervals.meet_counts``, O(n^3 * n/64) word operations in blocks
+    that stop with the first block holding an empty triple.
     """
-    n = len(m.points)
-    betw = m._between()
-    empty_w = None
-    multi_w = None
-    for i, j, k in itertools.combinations(range(n), 3):
-        inter = betw[i][j] & betw[j][k] & betw[k][i]
-        c = inter.bit_count()
-        if c == 0:
-            # the first empty triple decides the verdict and the witness
-            empty_w = ((i, j, k), inter)
+    packed = m._packed()
+    empty = multi = None
+    for a, lo, counts in intervals.meet_counts(packed, ordered=False):
+        empty = intervals.first_hit(a, lo, counts == 0)
+        if empty is not None:
             break
-        elif c > 1 and multi_w is None:
-            multi_w = ((i, j, k), inter)
-    hit = empty_w if empty_w is not None else multi_w
-    if hit is not None:
-        (i, j, k), inter = hit
-        pts = tuple(m.points[t] for t in (i, j, k))
-        members = frozenset(m.points[t] for t in range(n) if inter >> t & 1)
-        return Classification("neither" if empty_w is not None else "modular",
-                              pts, members)
-    return Classification("median")
+        if multi is None:
+            multi = intervals.first_hit(a, lo, counts > 1)
+    hit = empty or multi
+    if hit is None:
+        return Classification("median")
+    inter = intervals.meet(packed, *hit)
+    return Classification("neither" if empty else "modular",
+                          tuple(m.points[t] for t in hit),
+                          frozenset(m.points[t] for t in intervals.members(inter)))
 
 
 class MedianMetric(FiniteMetric):
@@ -312,7 +325,7 @@ class MedianMetric(FiniteMetric):
     @classmethod
     def certify(cls, metric: FiniteMetric) -> "MedianMetric":
         """Certify a metric as median, sharing its integer matrix (not
-        validated again) and its betweenness table."""
+        validated again) and its betweenness tables."""
         out = cls._proven(metric)
         out._certify()
         return out
@@ -324,6 +337,7 @@ class MedianMetric(FiniteMetric):
         table fills lazily."""
         out = cls._trusted(metric.points, metric._di, metric._scale)
         out._betw = metric._betw
+        out._packed_betw = metric._packed_betw
         out._med = {}
         return out
 

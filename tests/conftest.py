@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from mediankit import FiniteMetric, InputError, WallSpace, certify_median_graph
-from mediankit.algebra import FiniteMedianAlgebra, IntervalStructure
+from mediankit.algebra import (AxiomCheck, AxiomReport, FiniteMedianAlgebra,
+                               IntervalStructure)
 from mediankit.corpus import graph_instances, median_graph_instances
-from mediankit.intervals import is_convex
-from mediankit.metric import _to_fraction
+from mediankit.graphs import MedianGraphCert, _lemma_holds
+from mediankit.intervals import is_convex, members
+from mediankit.metric import Classification, _to_fraction
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -50,6 +52,110 @@ def subsets_bruteforce_halfspaces(betw, within=None):
             if convex(side) and convex(within & ~side):
                 out.add(frozenset((side, within & ~side)))
     return out
+
+
+def between_oracle(m: FiniteMetric) -> list[list[int]]:
+    """Oracle: the betweenness bitmask table by a Python loop over every
+    (i, j, t): bit t of [i][j] set iff d(i,t) + d(t,j) = d(i,j)."""
+    n = len(m.points)
+    d = m._di
+    betw = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mask = 0
+            for t in range(n):
+                if d[i][t] + d[j][t] == d[i][j]:
+                    mask |= 1 << t
+            betw[i][j] = betw[j][i] = mask
+    return betw
+
+
+def classify_oracle(m: FiniteMetric) -> Classification:
+    """Oracle: classify by a Python scan of the triples i < j < k in
+    lexicographic order on :func:`between_oracle`, stopping at the first
+    empty intersection and otherwise naming the first with several
+    points."""
+    betw = between_oracle(m)
+    empty = multi = None
+    for i, j, k in itertools.combinations(range(len(m.points)), 3):
+        inter = betw[i][j] & betw[j][k] & betw[k][i]
+        if inter == 0:
+            empty = ((i, j, k), inter)
+            break
+        if inter.bit_count() > 1 and multi is None:
+            multi = ((i, j, k), inter)
+    hit = empty or multi
+    if hit is None:
+        return Classification("median")
+    triple, inter = hit
+    return Classification("neither" if empty else "modular",
+                          tuple(m.points[t] for t in triple),
+                          frozenset(m.points[t] for t in members(inter)))
+
+
+def validate_axioms_oracle(s: IntervalStructure) -> AxiomReport:
+    """Oracle: the four axioms by a scan of frozenset intervals, each in
+    point order, reporting the first violating tuple of each."""
+    pts = s.points
+    checks = []
+    witness = next(((x,) for x in pts if s.interval(x, x) != frozenset((x,))), None)
+    checks.append(AxiomCheck("idempotence", witness is None, witness))
+    witness = next(((x, y) for x, y in itertools.combinations(pts, 2)
+                    if s.interval(x, y) != s.interval(y, x)), None)
+    checks.append(AxiomCheck("symmetry", witness is None, witness))
+    witness = next(((x, y, z) for x in pts for y in pts
+                    for z in sorted(s.interval(x, y), key=s.index)
+                    if not s.interval(x, z) <= s.interval(x, y)), None)
+    checks.append(AxiomCheck("nesting", witness is None, witness))
+    witness = detail = None
+    for x, y, z in itertools.product(pts, repeat=3):
+        common = s.interval(x, y) & s.interval(y, z) & s.interval(z, x)
+        if len(common) != 1:
+            witness, detail = (x, y, z), frozenset(common)
+            break
+    checks.append(AxiomCheck("unique_median", witness is None, witness, detail))
+    return AxiomReport(tuple(checks))
+
+
+def edge_halfspaces(dist: list[list[int]], edges) -> list[int]:
+    """Oracle: the distinct halfspaces {z : d(z,i) < d(z,j)} of the edges,
+    each taken on the side holding vertex 0, in first-seen order, from
+    the all-pairs BFS table.
+
+    Across an edge distances change by at most one, so the halfspace is
+    the union over L of level L of i and level L+1 of j.
+    """
+    levels = []
+    for row in dist:
+        level = [0] * (max(row) + 1)
+        for z, d in enumerate(row):
+            level[d] |= 1 << z
+        levels.append(level)
+    full = (1 << len(dist)) - 1
+    sides: dict[int, None] = {}
+    for i, j in edges:
+        side = 0
+        for near, far in zip(levels[i], levels[j][1:]):
+            side |= near & far
+        sides[side if side & 1 else full & ~side] = None
+    return list(sides)
+
+
+def edge_halfspace_certificate(g) -> MedianGraphCert | None:
+    """Oracle: the median-graph certificate built from wall coordinates
+    read off the edge halfspaces of the all-pairs BFS table (bit k set
+    off the side of halfspace k holding vertex 0), or None when those
+    coordinates fail the lemma."""
+    n = len(g.vertices)
+    sides = edge_halfspaces(g.all_pairs(), g.edge_indices)
+    full = (1 << n) - 1
+    coords = [0] * n
+    for k, side in enumerate(sides):
+        for t in members(full & ~side):
+            coords[t] |= 1 << k
+    if not _lemma_holds(g, coords, len(sides)):
+        return None
+    return MedianGraphCert(g, coords, len(sides))
 
 
 def random_shortest_path_metric(rng, n):

@@ -148,7 +148,7 @@ def test_path3_walls_match_bruteforce():
     a = path3_algebra()
     v0, v1, v2 = a.points
     hs = a.halfspaces()
-    assert mask_walls(a, hs) == subsets_bruteforce_halfspaces(a._masks())
+    assert mask_walls(a, hs) == subsets_bruteforce_halfspaces(a._s.masks)
     sides = [h.side for h in hs]
     # canonical order: lexicographic on the side containing the first point
     assert sides == [frozenset({v0}), frozenset({v0, v1}),
@@ -160,7 +160,7 @@ def test_cycle4_has_two_nontrivial_walls():
     hs = a.halfspaces()
     nontrivial = [h for h in hs if h.side and h.complement]
     assert len(nontrivial) == 2
-    assert mask_walls(a, hs) == subsets_bruteforce_halfspaces(a._masks())
+    assert mask_walls(a, hs) == subsets_bruteforce_halfspaces(a._s.masks)
 
 
 def test_halfspaces_and_separation_above_sixteen_points():

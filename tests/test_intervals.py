@@ -30,7 +30,7 @@ GRIDS = [(r, c) for r in range(1, 4) for c in range(r, 7) if r * c <= 12]
 tables = st.one_of(
     st.builds(rational_tree_table, st.integers(1, 12), st.integers(0, 10 ** 6)),
     st.sampled_from(GRIDS).map(lambda rc: grid_graph(*rc).path_metric()._between()),
-    st.integers(1, 3).map(lambda k: boolean_median_algebra(k)._masks()),
+    st.integers(1, 3).map(lambda k: boolean_median_algebra(k)._s.masks),
 )
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mediankit import (FiniteMetric, InputError, MedianMetric, NotMedianError,
                        check_colinear_lemma, check_median_lipschitz, classify,
-                       find_rectangles, product)
+                       find_rectangles, intervals, product)
 from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               grid_graph, hypercube_graph, path_graph,
                               random_tree)
@@ -240,17 +240,7 @@ def test_classify_matches_oracle_on_mixed_instances():
         assert classify(m).kind == expect
 
 
-class CountingTable(list):
-    """A betweenness table that counts its row reads."""
-
-    reads = 0
-
-    def __getitem__(self, i):
-        CountingTable.reads += 1
-        return list.__getitem__(self, i)
-
-
-def test_classify_stops_at_the_first_empty_triple():
+def test_classify_stops_at_the_first_empty_triple(monkeypatch):
     m = cycle_graph(60).path_metric()
     betw = m._between()
     triples = list(itertools.combinations(range(60), 3))
@@ -260,10 +250,16 @@ def test_classify_stops_at_the_first_empty_triple():
     full = classify(m)
     assert full.kind == "neither"
     assert full.witness == tuple(m.points[t] for t in triples[scanned - 1])
-    m._betw = CountingTable(betw)
-    CountingTable.reads = 0
+    rows = []
+    kernel = intervals.meet_counts
+
+    def counting(*args, **kwargs):
+        for block in kernel(*args, **kwargs):
+            rows.append(block[0])
+            yield block
+    monkeypatch.setattr(intervals, "meet_counts", counting)
     assert classify(m) == full
-    assert CountingTable.reads <= 1 + 3 * scanned
+    assert rows == [0]          # the witness lies in the first block of rows
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,0 +1,230 @@
+"""Packed betweenness tables, the triple-meet kernel, interval-mask axiom
+checks and one-BFS wall coordinates, each against its Python oracle."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (between_oracle, classify_oracle, edge_halfspace_certificate,
+                      random_shortest_path_metric, validate_axioms_oracle)
+from mediankit import (FiniteMetric, IntervalStructure, NotMedianError, SimpleGraph,
+                       certify_median_graph, classify, cubulate, intervals, validate_axioms)
+from mediankit.corpus import (asymmetric_interval_fixture, complete_bipartite_graph,
+                              cycle_graph, grid_graph, hypercube_graph, path_graph,
+                              random_tree, random_wall_space, star_graph)
+from mediankit.graphs import _bfs_coordinates, _lemma_holds
+from mediankit.metric import _exact_array
+
+
+def graphs_on(n):
+    out = [path_graph(n), random_tree(n, n)]
+    if n >= 2:
+        out += [star_graph(n - 1), complete_bipartite_graph(1 + n // 3, n - 1 - n // 3)]
+    if n >= 3:
+        out.append(cycle_graph(n))
+    return out
+
+
+def check_tables(m):
+    n = len(m.points)
+    assert m._packed().shape == (n, n, intervals.words(n))
+    betw = m._between()
+    assert betw == between_oracle(m)
+    assert intervals.unpack(intervals.pack(betw)) == betw
+    assert classify(m) == classify_oracle(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 130])
+def test_tables_and_classify_match_the_oracles_across_word_boundaries(n):
+    for g in graphs_on(n):
+        check_tables(g.path_metric())
+
+
+def scaled(m, factor):
+    return FiniteMetric(m.points, [[m.dist(x, y) * factor for y in m.points]
+                                   for x in m.points])
+
+
+@pytest.mark.parametrize("g", [cycle_graph(6), complete_bipartite_graph(3, 4),
+                               grid_graph(3, 3), cycle_graph(65)],
+                         ids=["c6", "k34", "grid3x3", "c65"])
+def test_metrics_past_two_to_the_61_take_the_object_path(g):
+    m = scaled(g.path_metric(), 2 ** 62)
+    assert _exact_array(m._di).dtype == object
+    check_tables(m)
+    assert classify(m) == classify(g.path_metric())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 10 ** 6), st.sampled_from([1, 2 ** 61 + 1]))
+def test_rational_metrics_match_the_oracles_on_both_paths(n, seed, factor):
+    check_tables(scaled(random_shortest_path_metric(random.Random(seed), n), factor))
+
+
+def multi_row_then_empty_row_graph():
+    """An 8-vertex graph whose triples through vertex 0 are all nonempty,
+    one of them with several points, and which has an empty triple among
+    the others."""
+    edges = [(0, 1), (0, 2), (0, 6), (1, 3), (1, 7), (2, 7), (3, 4), (3, 5), (3, 6),
+             (4, 7), (5, 7)]
+    return SimpleGraph(list(range(8)), edges)
+
+
+def test_a_multi_median_block_before_an_empty_block_gives_the_empty_witness(monkeypatch):
+    m = multi_row_then_empty_row_graph().path_metric()
+    betw = between_oracle(m)
+    counts = {t: (betw[t[0]][t[1]] & betw[t[1]][t[2]] & betw[t[2]][t[0]]).bit_count()
+              for t in itertools.combinations(range(8), 3)}
+    assert min(c for t, c in counts.items() if t[0] == 0) == 1
+    assert max(c for t, c in counts.items() if t[0] == 0) > 1
+    expected = classify_oracle(m)
+    assert expected.kind == "neither" and expected.witness[0] > 0
+    monkeypatch.setattr(intervals, "BLOCK", 1)          # one row i per block
+    blocks = [a for a, _, _ in intervals.meet_counts(m._packed(), ordered=False)]
+    assert blocks == list(range(8))
+    assert classify(m) == expected
+
+
+def test_ordered_meet_counts_match_a_direct_count_on_an_asymmetric_table():
+    rng = random.Random(7)
+    for n in (1, 2, 5, 65):
+        table = [[rng.getrandbits(n) for _ in range(n)] for _ in range(n)]
+        got = {}
+        for a, lo, counts in intervals.meet_counts(intervals.pack(table), ordered=True):
+            for (i, j, k), c in zip(itertools.product(range(a, a + len(counts)),
+                                                      range(lo, n), range(lo, n)),
+                                    counts.ravel()):
+                got[i, j, k] = int(c)
+        assert got == {(i, j, k): (table[i][j] & table[j][k] & table[k][i]).bit_count()
+                       for i, j, k in itertools.product(range(n), repeat=3)}
+
+
+# ---------------------------------------------------------------- algebra axioms
+
+@st.composite
+def perturbed_structures(draw):
+    """The interval structure of a small path metric with a few intervals
+    gaining or losing members, so that any axiom may fail."""
+    g = draw(st.sampled_from([path_graph(4), cycle_graph(4), cycle_graph(6),
+                              complete_bipartite_graph(2, 3), grid_graph(2, 3),
+                              star_graph(3)]))
+    s = g.path_metric().interval_structure()
+    pts = s.points
+    table = {(x, y): set(s.interval(x, y)) for x in pts for y in pts}
+    for _ in range(draw(st.integers(0, 4))):
+        key = draw(st.sampled_from(sorted(table, key=repr)))
+        table[key] ^= {draw(st.sampled_from(pts))}
+    return IntervalStructure(pts, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_structures())
+def test_validate_axioms_matches_the_frozenset_scan(s):
+    assert validate_axioms(s) == validate_axioms_oracle(s)
+
+
+def test_validate_axioms_matches_the_frozenset_scan_on_fixtures():
+    structures = [asymmetric_interval_fixture()]
+    structures += [g.path_metric().interval_structure()
+                   for g in (grid_graph(4, 4), cycle_graph(6), hypercube_graph(3),
+                             complete_bipartite_graph(3, 3), path_graph(1))]
+    for s in structures:
+        assert validate_axioms(s) == validate_axioms_oracle(s)
+        assert validate_axioms(s).as_dict() == validate_axioms_oracle(s).as_dict()
+
+
+# ---------------------------------------------------------------- one-BFS coordinates
+
+def shuffled(g, seed):
+    """The same graph with its vertices and edges listed in a seeded order."""
+    rng = random.Random(seed)
+    vs = list(g.vertices)
+    rng.shuffle(vs)
+    es = list(g.edges)
+    rng.shuffle(es)
+    return SimpleGraph(vs, es)
+
+
+def median_graphs():
+    out = [shuffled(g, seed) for seed in range(3)
+           for g in (grid_graph(4, 5), grid_graph(1, 6), random_tree(20, 5),
+                     hypercube_graph(4), star_graph(5), path_graph(1))]
+    out += [cubulate(random_wall_space(seed)).graph for seed in range(6)]
+    return out
+
+
+@pytest.mark.parametrize("g", median_graphs())
+def test_one_bfs_walls_match_the_edge_halfspace_certificate(g):
+    cert = certify_median_graph(g)
+    oracle = edge_halfspace_certificate(g)
+    assert oracle is not None
+    assert cert.walls == oracle.walls             # sides, crossing edges, masks
+    assert cert.wall_coordinates() == oracle.wall_coordinates()
+
+
+def theta_graph(*lengths):
+    """Internally disjoint paths of the given lengths between s and t."""
+    vs, es = ["s", "t"], []
+    for p, length in enumerate(lengths):
+        prev = "s"
+        for i in range(1, length):
+            vs.append(f"p{p}.{i}")
+            es.append((prev, vs[-1]))
+            prev = vs[-1]
+        es.append((prev, "t"))
+    return SimpleGraph(vs, es)
+
+
+def cube_subgraph(keep):
+    keep = sorted(keep)
+    return SimpleGraph(keep, [(a, b) for a, b in itertools.combinations(keep, 2)
+                              if (a ^ b).bit_count() == 1])
+
+
+def lemma_checks(g):
+    """Which hypotheses of the lemma the one-BFS coordinates meet."""
+    coords, width = _bfs_coordinates(g)
+    n = len(coords)
+    present = set(coords)
+    return {
+        "distinct": len(present) == n,
+        "one_bit": all((coords[i] ^ coords[j]).bit_count() == 1 for i, j in g.edge_indices),
+        "pairs": sum((c ^ 1 << k) in present for c in coords for k in range(width)
+                     if c >> k & 1) == len(g.edge_indices),
+        "closure": intervals.count_closure(coords, width, n) == n,
+    }
+
+
+@pytest.mark.parametrize("g, passing", [
+    (cycle_graph(6), {"distinct"}),
+    (complete_bipartite_graph(2, 3), {"distinct"}),
+    (theta_graph(3, 3, 3), {"distinct"}),
+    (theta_graph(2, 2, 4), {"distinct"}),
+    (theta_graph(1, 2, 3), {"distinct", "closure"}),
+    (cube_subgraph(range(7)), {"distinct", "one_bit", "pairs"}),
+], ids=["c6", "k23", "theta333", "theta224", "theta123", "q3-v"])
+def test_non_median_graphs_passing_some_checks_give_the_classify_witness(g, passing):
+    assert {name for name, ok in lemma_checks(g).items() if ok} == passing
+    coords, width = _bfs_coordinates(g)
+    assert not _lemma_holds(g, coords, width)
+    with pytest.raises(NotMedianError) as err:
+        certify_median_graph(g)
+    assert err.value.witness == classify_oracle(g.path_metric())
+
+
+def test_a_median_theta_graph_is_certified():
+    g = theta_graph(1, 3, 3)              # the 2x3 grid
+    assert all(lemma_checks(g).values())
+    assert len(certify_median_graph(g).walls) == 3
+
+
+def test_acceptance_runs_one_bfs_and_no_distance_table(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a BFS table was built for a median graph")
+    g = shuffled(grid_graph(6, 7), 1)
+    monkeypatch.setattr(SimpleGraph, "bfs_distances", forbidden)
+    cert = certify_median_graph(g)
+    assert len(cert.walls) == 11 and g._dist is None
