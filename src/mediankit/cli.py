@@ -65,13 +65,18 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _expected(data: dict, override: str | None) -> str | None:
-    """The expected classification: ``--expect``, else the input's
-    ``"expected": {"classify": ...}``, which is validated either way."""
+def _expected_block(data: dict) -> dict:
+    """The input's ``"expected"`` object (empty if absent)."""
     expected = data.get("expected", {})
     if not isinstance(expected, dict):
         raise InputError('"expected" must be an object')
-    value = expected.get("classify")
+    return expected
+
+
+def _expected(data: dict, override: str | None) -> str | None:
+    """The expected classification: ``--expect``, else the input's
+    ``"expected": {"classify": ...}``, which is validated either way."""
+    value = _expected_block(data).get("classify")
     if value is not None and value not in CLASSIFY_KINDS:
         raise InputError(f'"expected.classify" must be one of {list(CLASSIFY_KINDS)}')
     return override or value
@@ -113,7 +118,7 @@ def cmd_certify_graph(args) -> int:
             return 0 if expected != "median" else 1
         return 1
     report["verdict"] = "certified"
-    report["walls"] = len(cert.walls)
+    report["walls"] = len(cert.wall_bits)
     report["vertices"] = len(cert.vertices)
     _emit(report, args)
     if expected is not None:
@@ -124,6 +129,7 @@ def cmd_certify_graph(args) -> int:
 def cmd_cubulate(args) -> int:
     data = formats.load_json(args.infile)
     w = formats.walls_from_json(data)
+    _expected_block(data)
     result = cubulate(w, max_walls=args.max_walls)
     if args.graph_out:
         Path(args.graph_out).write_text(formats.dumps(

@@ -368,7 +368,7 @@ class L1Embedding:
 def l1_embed(cert: MedianGraphCert) -> L1Embedding:
     """The certificate's wall coordinates as 0/1 vectors; their Hamming
     distance equals path distance, as certification has checked."""
-    return L1Embedding(tuple(cert.vertices), cert.wall_coordinates(), len(cert.walls))
+    return L1Embedding(tuple(cert.vertices), cert.wall_coordinates(), len(cert.wall_bits))
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ byte-stable for golden tests.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .algebra import IntervalStructure
 from .convexity import PointCloud
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .graphs import CubeComplex, MedianGraphCert, SimpleGraph
 from .metric import FiniteMetric
 from .walls import WallSpace
@@ -38,7 +39,16 @@ def load_json(path: str | Path) -> dict:
 
 
 def rational_str(value: Fraction) -> str:
-    return str(Fraction(value))
+    """"p/q" or "p"; a numerator or denominator past Python's limit on
+    int-to-string conversion (``sys.get_int_max_str_digits``, 4300 digits
+    by default) is a resource error, and the limit is left as it is."""
+    try:
+        return str(Fraction(value))
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ResourceLimitError(
+            f"a rational in the report has more than {limit} digits, "
+            "Python's limit on int-to-string conversion", cap=limit) from None
 
 
 _SCALARS = (str, int, float, bool, type(None))

@@ -19,6 +19,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
+import numpy as np
+
 from . import intervals
 from .errors import InputError, InternalCheckError
 from .metric import FiniteMetric, MedianMetric
@@ -36,15 +38,13 @@ class SimpleGraph:
             raise InputError("a graph needs at least one vertex")
         if len(set(vs)) != len(vs):
             raise InputError("duplicate vertex identifiers")
-        self.vertices = vs
-        self._index = {v: i for i, v in enumerate(vs)}
-        n = len(vs)
-        adj: list[set[int]] = [set() for _ in range(n)]
+        index = {v: i for i, v in enumerate(vs)}
+        adj: list[set[int]] = [set() for _ in vs]
         canon = set()
         for u, v in edges:
-            if u not in self._index or v not in self._index:
+            if u not in index or v not in index:
                 raise InputError(f"edge ({u!r},{v!r}) references an unknown vertex")
-            i, j = self._index[u], self._index[v]
+            i, j = index[u], index[v]
             if i == j:
                 raise InputError(f"loop at {u!r}")
             key = (min(i, j), max(i, j))
@@ -53,22 +53,37 @@ class SimpleGraph:
             canon.add(key)
             adj[i].add(j)
             adj[j].add(i)
-        self.edge_indices = sorted(canon)
-        self._adj = [sorted(s) for s in adj]
-        if self._component(0) != (1 << n) - 1:
-            raise InputError("graph is not connected")
-        self._dist: list[list[int]] | None = None
+        self._adopt(vs, index, sorted(canon), [sorted(a) for a in adj])
 
-    def _component(self, start: int) -> int:
-        seen = 1 << start
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if not seen >> w & 1:
-                    seen |= 1 << w
-                    queue.append(w)
-        return seen
+    @classmethod
+    def _trusted(cls, vertices: list[Vertex], src: np.ndarray,
+                 dst: np.ndarray) -> "SimpleGraph":
+        """The graph on distinct ``vertices`` whose edges are the index
+        pairs (src[e], dst[e]), distinct, with src < dst and sorted, as a
+        construction guarantees (the cubulation's Hamming-1 pairs); only
+        connectivity is checked."""
+        n = len(vertices)
+        ends = np.concatenate((dst, src))
+        order = np.argsort(ends, kind="stable")
+        nbrs = np.concatenate((src, dst))[order].tolist()
+        stops = np.cumsum(np.bincount(ends, minlength=n)).tolist()
+        # a stable sort of the sorted pairs lists each vertex's lower
+        # neighbours, then its upper ones, each ascending: sorted lists
+        adj = [nbrs[a:b] for a, b in zip([0] + stops, stops)]
+        out = cls.__new__(cls)
+        out._adopt(vertices, dict(zip(vertices, range(n))),
+                   list(zip(src.tolist(), dst.tolist())), adj)
+        return out
+
+    def _adopt(self, vs: list[Vertex], index: dict, edge_indices: list[tuple[int, int]],
+               adj: list[list[int]]) -> None:
+        self.vertices = vs
+        self._index = index
+        self.edge_indices = edge_indices
+        self._adj = adj
+        self._dist: list[list[int]] | None = None
+        if -1 in self.bfs_distances(0):
+            raise InputError("graph is not connected")
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -143,10 +158,13 @@ class MedianGraphCert:
 
     The constructor takes the hypotheses as proven by the caller and reads
     the certificate off ``coords`` (one ``width``-bit vector per vertex
-    index, every bit non-constant): coordinates are re-based to vertex 0,
+    index, every bit non-constant) as one 0/1 matrix
+    (:func:`intervals.bit_rows`): coordinates are re-based to vertex 0,
     so every wall's side holds vertex 0, and walls are sorted on their
-    sides' vertex indices.  Wall k is input bit ``wall_bits[k]``; its
-    crossing edges are the edges flipping it, in ``edge_indices`` order.
+    sides' vertex indices.  Wall k is input bit ``wall_bits[k]``.  The
+    :class:`GraphWall` objects, with each wall's crossing edges (the
+    edges flipping it, in ``edge_indices`` order), are built on first
+    use of ``walls``.
     """
 
     # always False: the walls are the coordinate bits by the lemma, and no
@@ -156,31 +174,35 @@ class MedianGraphCert:
     def __init__(self, graph: SimpleGraph, coords: Sequence[int], width: int):
         self.graph = graph
         n = len(coords)
-        base = coords[0]
-        split = [([], []) for _ in range(width)]    # per bit: vertex indices with it clear, set
-        for t, c in enumerate(coords):
-            c ^= base
-            for k in range(width):
-                split[k][c >> k & 1].append(t)
-        self.wall_bits = tuple(sorted(range(width), key=lambda k: split[k][0]))
-        rebased = [0] * n
-        for i, k in enumerate(self.wall_bits):
-            for t in split[k][1]:
-                rebased[t] |= 1 << i
-        crossing: list[list[tuple[Vertex, Vertex]]] = [[] for _ in range(width)]
-        vs = graph.vertices
-        for i, j in graph.edge_indices:
-            crossing[(rebased[i] ^ rebased[j]).bit_length() - 1].append((vs[i], vs[j]))
-        self.walls = []
-        for k, bit in enumerate(self.wall_bits):
-            side, off = split[bit]
-            self.walls.append(GraphWall(
+        bits = intervals.bit_rows(coords, width)
+        bits ^= bits[0]
+        # per bit, the vertex indices with it clear (the side of vertex 0)
+        clear = bits.T == 0
+        members = (np.flatnonzero(clear) % n).tolist()
+        stops = np.cumsum(clear.sum(axis=1)).tolist()
+        sides = [members[a:b] for a, b in zip([0] + stops, stops)]
+        self.wall_bits = tuple(sorted(range(width), key=sides.__getitem__))
+        self._coords = intervals.row_ints(bits[:, list(self.wall_bits)])  # per vertex index
+        self._by_coord = dict(zip(self._coords, range(n)))
+
+    @functools.cached_property
+    def walls(self) -> list[GraphWall]:
+        """The walls in order, each with its sides and crossing edges."""
+        vs = self.graph.vertices
+        coords = self._coords
+        n = len(coords)
+        crossing: list[list[tuple[Vertex, Vertex]]] = [[] for _ in self.wall_bits]
+        for i, j in self.graph.edge_indices:
+            crossing[(coords[i] ^ coords[j]).bit_length() - 1].append((vs[i], vs[j]))
+        out = []
+        for col, edges in zip(intervals.bit_rows(coords, len(self.wall_bits)).T, crossing):
+            side = np.flatnonzero(col == 0).tolist()
+            out.append(GraphWall(
                 side=frozenset(map(vs.__getitem__, side)),
-                complement=frozenset(map(vs.__getitem__, off)),
-                crossing_edges=tuple(crossing[k]),
+                complement=frozenset(map(vs.__getitem__, np.flatnonzero(col).tolist())),
+                crossing_edges=tuple(edges),
                 side_mask=_mask(side, n)))
-        self._coords = rebased     # wall-coordinate bitvector per vertex index
-        self._by_coord = {c: i for i, c in enumerate(rebased)}
+        return out
 
     @property
     def vertices(self) -> list[Vertex]:
@@ -216,11 +238,10 @@ class MedianGraphCert:
         """Per-vertex wall-side indicators, zeroed at the base vertex.
         Hamming distance between two coordinate vectors equals path distance.
         """
-        w = len(self.walls)
-        return {
-            v: tuple(self.coordinate_int(v, base) >> k & 1 for k in range(w))
-            for v in self.vertices
-        }
+        rows = intervals.bit_rows(self._coords, len(self.wall_bits))
+        if base is not None:
+            rows ^= rows[self.graph.index(base)]
+        return dict(zip(self.vertices, map(tuple, rows.tolist())))
 
 
 def _mask(indices: Sequence[int], n: int) -> int:
@@ -340,7 +361,7 @@ def fill_cubes(cert: MedianGraphCert, max_dim: int | None = None) -> CubeComplex
     """
     if max_dim is not None and max_dim < 1:
         raise InputError("max_dim must be >= 1")
-    nwalls = len(cert.walls)
+    nwalls = len(cert.wall_bits)
     coords = cert._coords
     by_coord = cert._by_coord
 

@@ -12,7 +12,8 @@ counts the common points |[i,j] & [j,k] & [k,i]| of every triple with
 ``BLOCK`` triples, in lexicographic order, so a caller that stops at its
 first hit reads only the blocks up to it.  ``count_closure``
 reads points as wall-coordinate bitvectors, where the median is the
-bitwise majority.
+bitwise majority; ``bit_rows`` and ``row_ints`` turn such bitvectors, of
+any width, into 0/1 matrices (bit k in column k) and back.
 
 Halfspaces come from covering pairs.  In a finite median algebra, if
 [x,y] = {x,y} then every z has median m(x,y,z) in {x,y}, so
@@ -63,6 +64,27 @@ def unpack(packed: np.ndarray) -> list[list[int]]:
     step = 8 * w
     flat = [int.from_bytes(data[k:k + step], "little") for k in range(0, len(data), step)]
     return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def bit_rows(values: Sequence[int], width: int) -> np.ndarray:
+    """Non-negative ints below 2^width as a (len(values), width) uint8
+    matrix of their bits, bit k in column k: one ``to_bytes`` row per
+    value, unpacked at once."""
+    size = (width + 7) // 8
+    data = b"".join(v.to_bytes(size, "little") for v in values)
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(len(values), size)
+    return np.unpackbits(rows, axis=1, count=width, bitorder="little")
+
+
+def row_ints(bits: np.ndarray) -> list[int]:
+    """The rows of a 0/1 uint8 matrix as ints, column k as bit k: the
+    inverse of :func:`bit_rows`."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    step = packed.shape[1]
+    if not step:
+        return [0] * len(bits)
+    data = packed.tobytes()
+    return [int.from_bytes(data[k:k + step], "little") for k in range(0, len(data), step)]
 
 
 def meet(packed: np.ndarray, i: int, j: int, k: int) -> int:

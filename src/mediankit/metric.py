@@ -38,6 +38,9 @@ Point = Hashable
 
 
 def _to_fraction(value) -> Fraction:
+    if isinstance(value, bool):
+        raise InputError(
+            f"boolean distance {value!r} rejected; pass an int, Fraction or 'p/q' string")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
+import numpy as np
+
+from . import intervals
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .graphs import MedianGraphCert, SimpleGraph
-from .intervals import count_closure
 
 Point = Hashable
 
@@ -177,22 +178,6 @@ class Orientation:
         return all(a & b for a, b in itertools.combinations(masks, 2)) \
             if len(masks) > 1 else True
 
-    def check_upward_closure(self) -> bool:
-        """If a chosen side is contained in a side of another wall, that
-        side must be the chosen one (implied by pairwise consistency in
-        the finite model; checked independently)."""
-        w = self.space.wall_count
-        chosen = [self.side_mask(k) for k in range(w)]
-        for k in range(w):
-            s = chosen[k]
-            for l in range(w):
-                if l == k:
-                    continue
-                for t in self.space.side_masks(l):
-                    if not s & ~t and chosen[l] != t:
-                        return False
-        return True
-
 
 def principal_orientation(w: WallSpace, x: Point) -> Orientation:
     """For each wall, choose the side containing x."""
@@ -224,21 +209,6 @@ def is_wall_morphism(f: Mapping[Point, Point], w1: WallSpace, w2: WallSpace) -> 
     return True
 
 
-def consistent_orientations_bruteforce(w: WallSpace, max_walls: int = 20) -> set[int]:
-    """Oracle: every orientation bitvector whose chosen sides pairwise meet."""
-    W = w.wall_count
-    if W > max_walls:
-        raise ResourceLimitError(
-            f"brute-force orientation scan capped at {max_walls} walls", cap=max_walls)
-    sides = [w.side_masks(k) for k in range(W)]
-    out = set()
-    for bits in range(1 << W):
-        chosen = [sides[k][bits >> k & 1] for k in range(W)]
-        if all(a & b for a, b in itertools.combinations(chosen, 2)) or W <= 1:
-            out.add(bits)
-    return out
-
-
 @dataclass
 class CubulationResult:
     graph: SimpleGraph
@@ -257,27 +227,54 @@ def _vertex_name(bits: int, width: int) -> str:
     return format(bits, f"0{max(width, 1)}b")
 
 
-def _blocked_literals(sides: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """An orientation is also a literal mask: bit 2k+s set iff wall k is on
-    side s.  blocked[k][s] holds the literals of other walls whose side
-    misses side s of wall k."""
-    W = len(sides)
-    return [[sum(1 << (2 * l + t) for l in range(W) if l != k for t in (0, 1)
-                 if not sides[k][s] & sides[l][t]) for s in (0, 1)]
-            for k in range(W)]
+def _orientation_array(values, width: int) -> np.ndarray:
+    """Orientation bitvectors of ``width`` bits as one array: uint64 up
+    to 64 walls, Python ints (an object array) beyond."""
+    return np.array(values, dtype=np.uint64 if width <= 64 else object)
 
 
-def _literals(bits: int, width: int) -> int:
-    # read as base 4, a binary numeral puts bit k at bit 2k
-    return (int(format(bits ^ (1 << width) - 1, "b"), 4)
-            | int(format(bits, "b"), 4) << 1)
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending."""
+    out = np.sort(values)
+    keep = np.ones(len(out), dtype=bool)
+    keep[1:] = out[1:] != out[:-1]
+    return out[keep]
 
 
-def _consistent(bits: int, blocked: Sequence[Sequence[int]]) -> bool:
-    """Whether the chosen sides of orientation ``bits`` pairwise meet: no
-    chosen side blocks another, in O(walls) mask tests."""
-    lits = _literals(bits, len(blocked))
-    return not any(lits & row[bits >> k & 1] for k, row in enumerate(blocked))
+def _lookup(ordered: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``values`` sits in the ascending array ``ordered``,
+    and whether it is there."""
+    at = np.searchsorted(ordered, values)
+    return at, ordered[np.minimum(at, len(ordered) - 1)] == values
+
+
+def _side_tables(sigma: np.ndarray, walls: np.ndarray, full: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Tables (force, value) of shape (2, W) for side s of wall k: the
+    walls l != k one of whose sides misses that side, and the side each of
+    them must then be on (bit l set iff its side 0 misses, so side 1 must
+    be chosen).  A point's sigma bits say which side of every wall it is
+    on, so side 0 of wall l misses side s of wall k iff every point with
+    bit k == s has bit l set (the AND of their sigma bits), and side 1
+    misses it iff none has (the complement of their OR).  No wall has
+    both sides missing a nonempty side, so an orientation b may take side
+    s of wall k iff ``b & force[s, k] == value[s, k]``: ``~b & Z`` and
+    ``b & O`` are empty for Z = value and O = force & ~value."""
+    on = (sigma[:, None] & walls) != 0
+    side = np.stack((~on, on))            # [s, point, k]: the point is on side s of wall k
+    col = sigma[:, None]
+    others = full & ~walls
+    value = np.bitwise_and.reduce(np.where(side, col, full), axis=1) & others
+    force = value | others & ~np.bitwise_or.reduce(np.where(side, col, 0), axis=1)
+    return force, value
+
+
+def _meets(bits: np.ndarray, side: np.ndarray, force: np.ndarray,
+           value: np.ndarray) -> np.ndarray:
+    """Entry (i, k): whether side ``side[i, k]`` of wall k meets every side
+    that orientation ``bits[i]`` chooses on another wall."""
+    return (bits[:, None] & np.where(side, force[1], force[0])) \
+        == np.where(side, value[1], value[0])
 
 
 def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
@@ -286,18 +283,24 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
 
     Vertices are the consistent orientations reachable from the principal
     orientations by consistency-preserving single-wall flips; edges join
-    orientations differing on one wall.  The construction is verified:
-    every vertex is consistent (one mask test per wall) and the embedded
-    image has the whole vertex set as median closure (by counting the
-    solutions of the image's 2-clause theory).  The point embedding is
-    isometric for the wall metric by definition: a point's vertex is its
-    sigma bits, which differ exactly on the separating walls.  The graph
-    is connected, its edges are its Hamming-1 pairs, and its vertex set
-    is majority-closed, so by the lemma at :class:`MedianGraphCert` path
-    distance equals Hamming distance and the orientation bits are its
-    walls: the certificate is built from them, and wall k of the input is
-    certificate wall ``wall_correspondence[k]``.  Every check runs at
-    every size.
+    orientations differing on one wall.  Orientations are held as one
+    array (:func:`_orientation_array`).  A flip of orientation b to side s
+    of wall k is legal iff that side meets every other chosen side, one
+    mask test (:func:`_side_tables`).  So the flip search runs one BFS
+    level at a time over every wall at once, and the edges are found by
+    one sorted search for every vertex with one more bit set.
+
+    The construction is verified: every vertex is consistent (the same
+    mask test, on every wall of every vertex) and the embedded image has
+    the whole vertex set as median closure (by counting the solutions of
+    the image's 2-clause theory).  The point embedding is isometric for
+    the wall metric by definition: a point's vertex is its sigma bits,
+    which differ exactly on the separating walls.  The graph is connected (one BFS), its edges are its
+    Hamming-1 pairs, and its vertex set is majority-closed, so by the
+    lemma at :class:`MedianGraphCert` path distance equals Hamming
+    distance and the orientation bits are its walls: the certificate is
+    built from them, and wall k of the input is certificate wall
+    ``wall_correspondence[k]``.  Every check runs at every size.
     """
     W = w.wall_count
     if max_walls < 0 or max_vertices < 0:
@@ -307,49 +310,48 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
         raise ResourceLimitError(
             f"cubulation capped at {max_walls} nontrivial walls, got {W}",
             cap=max_walls)
-    # a flip to side s of wall k is legal iff no literal meets blocked[k][s]
-    blocked = _blocked_literals([w.side_masks(k) for k in range(W)])
+    walls = _orientation_array([1 << k for k in range(W)], W)
+    sigma = _orientation_array(w._sigma, W)
+    force, value = _side_tables(sigma, walls, (1 << W) - 1)
 
-    principals = {p: w.sigma_bits(p) for p in w.points}
-    frontier = deque((b, _literals(b, W)) for b in sorted(set(principals.values())))
-    vertex_set: set[int] = {b for b, _ in frontier}
-    while frontier:
-        bits, lits = frontier.popleft()
-        for k in range(W):
-            flipped = bits ^ (1 << k)
-            if flipped in vertex_set:
-                continue
-            if not lits & blocked[k][flipped >> k & 1]:
-                vertex_set.add(flipped)
-                frontier.append((flipped, lits ^ 3 << 2 * k))
-                if len(vertex_set) > max_vertices:
-                    raise ResourceLimitError(
-                        f"cubulation exceeded {max_vertices} vertices",
-                        cap=max_vertices)
+    image = vertices = frontier = _distinct(sigma)
+    while True:
+        # a flip is legal iff its new side meets every other chosen side
+        legal = _meets(frontier, (frontier[:, None] & walls) == 0, force, value)
+        reached = (frontier[:, None] ^ walls)[legal]
+        fresh = ~_lookup(vertices, reached)[1]
+        if not fresh.any():
+            break
+        frontier = _distinct(reached[fresh])
+        vertices = np.sort(np.concatenate((vertices, frontier)))
+        if len(vertices) > max_vertices:
+            raise ResourceLimitError(
+                f"cubulation exceeded {max_vertices} vertices", cap=max_vertices)
 
-    ordered = sorted(vertex_set)
-    names = [_vertex_name(b, W) for b in ordered]
-    edges = []
-    for b in ordered:
-        for k in range(W):
-            nb = b ^ (1 << k)
-            if nb > b and nb in vertex_set:
-                edges.append((_vertex_name(b, W), _vertex_name(nb, W)))
+    nv = len(vertices)
+    ordered = vertices.tolist()
+    # vertex names: the binary numerals, read off one bit matrix
+    width = max(W, 1)
+    numerals = intervals.bit_rows(ordered, width)[:, ::-1] + ord("0")
+    names = np.ascontiguousarray(numerals).view(f"S{width}").ravel().astype(str).tolist()
+    # edges (i, j), i < j: vertex j is vertex i with one more bit set
+    up = vertices[:, None] | walls
+    at, hit = _lookup(vertices, up)
+    src, k = np.nonzero(hit & (up != vertices[:, None]))
     try:
-        graph = SimpleGraph(names, edges)      # checks connectivity
+        graph = SimpleGraph._trusted(names, src, at[src, k])   # checks connectivity
     except InputError as exc:
         raise InternalCheckError(f"cubulation graph invalid: {exc}") from exc
 
     checks: dict[str, bool | str] = {}
-    nv = len(ordered)
-
-    if len(set(principals.values())) != len(w.points):
+    if len(image) != len(w.points):
         raise InternalCheckError("point embedding is not injective")
     checks["embedding_injective"] = True
 
-    for bits in ordered:
-        if not _consistent(bits, blocked):
-            raise InternalCheckError(f"inconsistent vertex {bits:b} generated")
+    bad = ~_meets(vertices, (vertices[:, None] & walls) != 0, force, value).all(axis=1)
+    if bad.any():
+        raise InternalCheckError(
+            f"inconsistent vertex {ordered[int(np.argmax(bad))]:b} generated")
     checks["vertices_consistent"] = True
 
     # principal bits are sigma bits: their Hamming distance counts the
@@ -358,7 +360,7 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
 
     # vertices_consistent puts every vertex among the solutions, so equal
     # counts make the vertex set the median closure of the image
-    if count_closure(sorted(set(principals.values())), W, nv) != nv:
+    if intervals.count_closure(image.tolist(), W, nv) != nv:
         raise InternalCheckError(
             "vertex set is not the median closure of the embedded image")
     checks["median_closure"] = "checked"
@@ -369,8 +371,9 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
     corr = dict(sorted((k, widx) for widx, k in enumerate(cert.wall_bits)))
     checks["wall_bijection"] = "certified"
 
-    embedding = {p: _vertex_name(bits, W) for p, bits in principals.items()}
-    vertex_bits = {name: b for name, b in zip(names, ordered)}
+    embedding = dict(zip(w.points, map(names.__getitem__,
+                                       np.searchsorted(vertices, sigma).tolist())))
+    vertex_bits = dict(zip(names, ordered))
     return CubulationResult(graph, embedding, vertex_bits, corr, cert, checks)
 
 

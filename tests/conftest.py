@@ -6,13 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mediankit import FiniteMetric, InputError, WallSpace, certify_median_graph
+from mediankit import (FiniteMetric, InputError, InternalCheckError, ResourceLimitError,
+                       WallSpace, certify_median_graph)
 from mediankit.algebra import (AxiomCheck, AxiomReport, FiniteMedianAlgebra,
                                IntervalStructure)
 from mediankit.corpus import graph_instances, median_graph_instances
-from mediankit.graphs import MedianGraphCert, _lemma_holds
-from mediankit.intervals import is_convex, members
+from mediankit.graphs import GraphWall, MedianGraphCert, SimpleGraph, _lemma_holds, _mask
+from mediankit.intervals import count_closure, is_convex, members
 from mediankit.metric import Classification, _to_fraction
+from mediankit.walls import CubulationResult, Orientation, _vertex_name
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -234,6 +236,148 @@ def random_crossing_wall_space(rng, n_points, n_walls):
         side = rng.sample(pts, size)
         walls.append((side, [p for p in pts if p not in side]))
     return WallSpace(pts, walls)       # may raise InputError (unseparated pair)
+
+
+def consistent_orientations_bruteforce(w: WallSpace, max_walls: int = 20) -> set[int]:
+    """Oracle: every orientation bitvector whose chosen sides pairwise meet."""
+    W = w.wall_count
+    if W > max_walls:
+        raise ResourceLimitError(
+            f"brute-force orientation scan capped at {max_walls} walls", cap=max_walls)
+    sides = [w.side_masks(k) for k in range(W)]
+    out = set()
+    for bits in range(1 << W):
+        chosen = [sides[k][bits >> k & 1] for k in range(W)]
+        if all(a & b for a, b in itertools.combinations(chosen, 2)) or W <= 1:
+            out.add(bits)
+    return out
+
+
+def check_upward_closure(o: Orientation) -> bool:
+    """Oracle: if a chosen side is contained in a side of another wall,
+    that side must be the chosen one (implied by pairwise consistency in
+    the finite model; checked independently)."""
+    w = o.space.wall_count
+    chosen = [o.side_mask(k) for k in range(w)]
+    for k in range(w):
+        s = chosen[k]
+        for l in range(w):
+            if l == k:
+                continue
+            for t in o.space.side_masks(l):
+                if not s & ~t and chosen[l] != t:
+                    return False
+    return True
+
+
+class EagerCertificate:
+    """Oracle: the median-graph certificate read off wall coordinates by
+    Python loops, every wall built at once: coordinates re-based to
+    vertex 0, walls sorted on their sides' vertex indices, wall k input
+    bit ``wall_bits[k]`` with the edges flipping it as crossing edges."""
+
+    def __init__(self, graph: SimpleGraph, coords, width: int):
+        self.graph = graph
+        n = len(coords)
+        base = coords[0]
+        split = [([], []) for _ in range(width)]
+        for t, c in enumerate(coords):
+            c ^= base
+            for k in range(width):
+                split[k][c >> k & 1].append(t)
+        self.wall_bits = tuple(sorted(range(width), key=lambda k: split[k][0]))
+        rebased = [0] * n
+        for i, k in enumerate(self.wall_bits):
+            for t in split[k][1]:
+                rebased[t] |= 1 << i
+        crossing = [[] for _ in range(width)]
+        vs = graph.vertices
+        for i, j in graph.edge_indices:
+            crossing[(rebased[i] ^ rebased[j]).bit_length() - 1].append((vs[i], vs[j]))
+        self.walls = [GraphWall(side=frozenset(vs[t] for t in split[bit][0]),
+                                complement=frozenset(vs[t] for t in split[bit][1]),
+                                crossing_edges=tuple(crossing[k]),
+                                side_mask=_mask(split[bit][0], n))
+                      for k, bit in enumerate(self.wall_bits)]
+        self._coords = rebased
+
+    def wall_coordinates(self, base=None) -> dict:
+        shift = 0 if base is None else self._coords[self.graph.index(base)]
+        return {v: tuple((c ^ shift) >> k & 1 for k in range(len(self.walls)))
+                for v, c in zip(self.graph.vertices, self._coords)}
+
+
+def _blocked_literals(sides) -> list[list[int]]:
+    """An orientation is also a literal mask: bit 2k+s set iff wall k is on
+    side s.  blocked[k][s] holds the literals of other walls whose side
+    misses side s of wall k."""
+    W = len(sides)
+    return [[sum(1 << (2 * l + t) for l in range(W) if l != k for t in (0, 1)
+                 if not sides[k][s] & sides[l][t]) for s in (0, 1)]
+            for k in range(W)]
+
+
+def _literals(bits: int, width: int) -> int:
+    # read as base 4, a binary numeral puts bit k at bit 2k
+    return (int(format(bits ^ (1 << width) - 1, "b"), 4)
+            | int(format(bits, "b"), 4) << 1)
+
+
+def cubulate_oracle(w: WallSpace, *, max_walls: int = 24,
+                    max_vertices: int = 65536) -> CubulationResult:
+    """Oracle: the cubulation by a Python flip BFS on literal masks, one
+    vertex and one wall at a time, with Hamming-1 edges found by set
+    lookups, the graph built from vertex names, and an
+    :class:`EagerCertificate`; the checks are those of ``cubulate``."""
+    W = w.wall_count
+    if max_walls < 0 or max_vertices < 0:
+        raise InputError(f"max_walls and max_vertices must be >= 0, "
+                         f"got {max_walls} and {max_vertices}")
+    if W > max_walls:
+        raise ResourceLimitError(
+            f"cubulation capped at {max_walls} nontrivial walls, got {W}", cap=max_walls)
+    blocked = _blocked_literals([w.side_masks(k) for k in range(W)])
+    principals = {p: w.sigma_bits(p) for p in w.points}
+    frontier = deque((b, _literals(b, W)) for b in sorted(set(principals.values())))
+    vertex_set = {b for b, _ in frontier}
+    while frontier:
+        bits, lits = frontier.popleft()
+        for k in range(W):
+            flipped = bits ^ (1 << k)
+            if flipped in vertex_set:
+                continue
+            if not lits & blocked[k][flipped >> k & 1]:
+                vertex_set.add(flipped)
+                frontier.append((flipped, lits ^ 3 << 2 * k))
+                if len(vertex_set) > max_vertices:
+                    raise ResourceLimitError(
+                        f"cubulation exceeded {max_vertices} vertices", cap=max_vertices)
+    ordered = sorted(vertex_set)
+    names = [_vertex_name(b, W) for b in ordered]
+    edges = [(_vertex_name(b, W), _vertex_name(b ^ (1 << k), W))
+             for b in ordered for k in range(W)
+             if b ^ (1 << k) > b and b ^ (1 << k) in vertex_set]
+    graph = SimpleGraph(names, edges)
+    checks = {}
+    if len(set(principals.values())) != len(w.points):
+        raise InternalCheckError("point embedding is not injective")
+    checks["embedding_injective"] = True
+    for bits in ordered:
+        lits = _literals(bits, W)
+        if any(lits & row[bits >> k & 1] for k, row in enumerate(blocked)):
+            raise InternalCheckError(f"inconsistent vertex {bits:b} generated")
+    checks["vertices_consistent"] = True
+    checks["embedding_isometric"] = True
+    if count_closure(sorted(set(principals.values())), W, len(ordered)) != len(ordered):
+        raise InternalCheckError("vertex set is not the median closure of the embedded image")
+    checks["median_closure"] = "checked"
+    checks["distance_vs_hamming"] = "exhaustive"
+    cert = EagerCertificate(graph, ordered, W)
+    corr = dict(sorted((k, widx) for widx, k in enumerate(cert.wall_bits)))
+    checks["wall_bijection"] = "certified"
+    embedding = {p: _vertex_name(bits, W) for p, bits in principals.items()}
+    vertex_bits = dict(zip(names, ordered))
+    return CubulationResult(graph, embedding, vertex_bits, corr, cert, checks)
 
 
 def wall_metric_recount(w: WallSpace, res) -> bool:

@@ -10,7 +10,8 @@ from contextlib import contextmanager
 import networkx as nx
 import numpy as np
 
-from conftest import record_acceptance, zero_sum_sampling_oracle
+from conftest import (consistent_orientations_bruteforce, record_acceptance,
+                      zero_sum_sampling_oracle)
 from mediankit import (certify_hypermetric, certify_negative_definite,
                        check_colinear_lemma, check_helly,
                        check_median_lipschitz, cubulate, fill_cubes, gns_embed,
@@ -21,7 +22,6 @@ from mediankit.convexity import (PointCloud, check_cn_inequality, circumcenter,
                                  circumradius_at)
 from mediankit.corpus import (asymmetric_interval_fixture, cycle_graph,
                               hypercube_graph, wall_instances)
-from mediankit.walls import consistent_orientations_bruteforce
 
 
 @contextmanager

@@ -7,6 +7,7 @@ no warning before it.  An uncaught exception or an exit 4 fails the test.
 
 import json
 import random
+import sys
 import warnings
 
 import pytest
@@ -50,6 +51,19 @@ def metric_doc(rng):
     return {"points": pts, "dist": d}
 
 
+def big_metric_doc(rng):
+    """A metric whose entries, or the pivots and form values they lead
+    to, have more digits than Python turns into a string by default
+    (4300): every report of them must end in a resource error."""
+    n = rng.randint(2, 5)
+    exp = rng.choice((4300, 4400, 5000))
+    unit = rng.choice((f"1e{exp}", f"7.5e{exp}", f"1e-{exp}"))
+    dist = [[0 if i == j else unit for j in range(n)] for i in range(n)]
+    if rng.random() < 0.5:
+        dist = [row[i + 1:] for i, row in enumerate(dist[:-1])]     # upper triangle
+    return {"points": [f"p{i}" for i in range(n)], "dist": dist}
+
+
 def graph_doc(rng):
     n = rng.randint(1, 6)
     vs = [f"v{i}" for i in range(n)]
@@ -88,7 +102,8 @@ def intervals_doc(rng):
                                          for x in pts for y in pts}}
 
 
-TEMPLATES = (metric_doc, graph_doc, walls_doc, cloud_doc, action_doc, intervals_doc)
+TEMPLATES = (metric_doc, big_metric_doc, graph_doc, walls_doc, cloud_doc, action_doc,
+             intervals_doc)
 
 
 def mutate(rng, value, depth=0):
@@ -157,3 +172,38 @@ def test_every_subcommand_ends_in_a_defined_way(tmp_path, capsys, seed):
                 assert error["kind"] == ("input" if rc == 2 else "resource"), where
                 assert out == "", where
     assert {0, 1, 2} <= exits
+
+
+@pytest.mark.parametrize("command, unit", [
+    (["certify-negdef"], "1e5000"), (["certify-negdef"], "7.5e4400"),
+    (["certify-negdef"], "1e-5000"),
+    (["displace", "--word", "s"], "1e-5000"),     # 1e5000 is past the float range: exit 2
+])
+def test_rationals_past_the_digit_limit_are_a_resource_error(tmp_path, capsys, command, unit):
+    metric = tmp_path / "big.json"
+    metric.write_text(json.dumps({"points": ["a", "b", "c"],
+                                  "dist": [[unit, unit], [unit]]}))
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps({"generators": {"s": {"a": "b", "b": "c", "c": "a"}},
+                                  "basepoint": "a"}))
+    argv = command + ["--in", str(metric)]
+    if command[0] == "displace":
+        argv += ["--action", str(action)]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "cap": sys.get_int_max_str_digits(), "kind": "resource",
+        "error": f"a rational in the report has more than {sys.get_int_max_str_digits()} "
+                 "digits, Python's limit on int-to-string conversion"}
+
+
+def test_boolean_metric_entries_are_rejected(tmp_path, capsys):
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps({"points": ["a", "b", "c"],
+                                "dist": [[0, True, True], [True, 0, True], [True, True, 0]]}))
+    for argv in (["certify-negdef"], ["classify"], ["embed", "--mode", "gns"]):
+        assert cli.main(argv + ["--in", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["kind"] == "input"
+        assert "boolean distance True rejected" in json.loads(err)["error"]

@@ -17,6 +17,12 @@ def run_cli(*argv, cwd=None):
                           capture_output=True, text=True, cwd=cwd)
 
 
+def test_python_dash_m_mediankit_runs_the_cli(tmp_path):
+    done = subprocess.run([sys.executable, "-m", "mediankit", "corpus", "--names", "path2",
+                           "--out-dir", str(tmp_path)], capture_output=True, text=True)
+    assert (done.returncode, json.loads(done.stdout)["command"]) == (0, "corpus")
+
+
 @pytest.fixture()
 def files(tmp_path):
     """A small stable of input files."""
@@ -414,6 +420,23 @@ def test_malformed_expectation_exits_two_before_any_report(tmp_path, capsys,
     assert out == ""
     assert json.loads(err)["kind"] == "input"
     assert "expected" in json.loads(err)["error"]
+
+
+AB_WALLS = {"points": ["a", "b"], "walls": [[[], ["a", "b"]], [["a"], ["b"]]]}
+
+
+@pytest.mark.parametrize("expected", [1, "two vertices", ["a"], None])
+def test_cubulate_rejects_a_non_object_expectation(tmp_path, capsys, expected):
+    from mediankit import cli
+    infile, graph_out = tmp_path / "in.json", tmp_path / "graph.json"
+    infile.write_text(json.dumps({**AB_WALLS, "expected": expected}))
+    assert cli.main(["cubulate", "--in", str(infile), "--out", str(graph_out)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not graph_out.exists()
+    assert json.loads(err) == {"error": '"expected" must be an object', "kind": "input"}
+    infile.write_text(json.dumps({**AB_WALLS, "expected": {"vertices": 2}}))
+    assert cli.main(["cubulate", "--in", str(infile)]) == 0
+    assert json.loads(capsys.readouterr().out)["vertices"] == 2
 
 
 @pytest.mark.parametrize("command, base", [("classify", AB_METRIC),

@@ -6,13 +6,12 @@ import random
 import networkx as nx
 import pytest
 
-from conftest import (random_crossing_wall_space, random_shortest_path_metric,
-                      zero_sum_sampling_oracle)
+from conftest import (consistent_orientations_bruteforce, random_crossing_wall_space,
+                      random_shortest_path_metric, zero_sum_sampling_oracle)
 from mediankit import (InputError, certify_negative_definite, cubulate,
                        fill_cubes)
 from mediankit.corpus import hypercube_graph
 from mediankit.embedding import distance_form
-from mediankit.walls import consistent_orientations_bruteforce
 
 
 def test_exact_psd_verdicts_never_contradicted():

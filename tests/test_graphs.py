@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bfs_distance_check, majority_closure_check,
+from conftest import (EagerCertificate, bfs_distance_check, majority_closure_check,
                       subsets_bruteforce_halfspaces)
 from mediankit import (FiniteMetric, InputError, InternalCheckError, MedianMetric,
                        NotMedianError, SimpleGraph, certify_median_graph, classify,
@@ -13,7 +13,7 @@ from mediankit import (FiniteMetric, InputError, InternalCheckError, MedianMetri
 from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               grid_graph, hypercube_graph, path_graph,
                               random_tree, star_graph)
-from mediankit.graphs import MedianGraphCert, _lemma_holds
+from mediankit.graphs import MedianGraphCert, _bfs_coordinates, _lemma_holds
 
 
 def to_networkx(g: SimpleGraph) -> nx.Graph:
@@ -254,6 +254,24 @@ def test_lemma_holds_exactly_on_isometric_majority_closed_subsets(case):
     if varying == width:               # every bit is a wall: same certificate
         direct = MedianGraphCert(g, bits, width)
         assert direct.walls == cert.walls and direct._coords == cert._coords
+
+
+def test_certificate_matches_the_eager_oracle_at_every_width():
+    graphs = [SimpleGraph(["v"], []), path_graph(2), cycle_graph(4), hypercube_graph(4),
+              grid_graph(5, 7), star_graph(9), random_tree(40, 2),
+              random_tree(100, 5), grid_graph(3, 40)]      # 99 and 41 walls
+    for g in graphs:
+        coords, width = _bfs_coordinates(g)
+        for shift in (0, 3):                # re-basing: vertex 0's coordinates need not be 0
+            shifted = [c ^ shift & ((1 << width) - 1) for c in coords]
+            cert = MedianGraphCert(g, shifted, width)
+            want = EagerCertificate(g, shifted, width)
+            assert cert.wall_bits == want.wall_bits and cert._coords == want._coords
+            assert "walls" not in vars(cert)               # built on first use
+            assert cert.wall_coordinates() == want.wall_coordinates()
+            base = g.vertices[-1]
+            assert cert.wall_coordinates(base) == want.wall_coordinates(base)
+            assert cert.walls == want.walls
 
 
 @pytest.mark.parametrize("coords, edges, width, median", [

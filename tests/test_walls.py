@@ -14,10 +14,11 @@ from mediankit.corpus import (cycle_graph, grid_graph, hypercube_graph,
                               nested_wall_space, path_graph, random_tree,
                               random_wall_space, wall_instances)
 from mediankit.intervals import count_closure
-from mediankit.walls import (_blocked_literals, _consistent,
-                             consistent_orientations_bruteforce)
+from mediankit.walls import _meets, _orientation_array, _side_tables
 
-from conftest import (bfs_distance_check, majority_closure, majority_closure_check,
+from conftest import (bfs_distance_check, check_upward_closure,
+                      consistent_orientations_bruteforce, cubulate_oracle,
+                      majority_closure, majority_closure_check,
                       random_crossing_wall_space, steps_toward_all, wall_metric_recount)
 
 
@@ -29,6 +30,13 @@ def tripod_space():
     pts = ["a", "b", "c"]
     return WallSpace(pts, [(["a"], ["b", "c"]), (["b"], ["a", "c"]),
                            (["c"], ["a", "b"])])
+
+
+def star_space(k):
+    """k points, each cut off from the rest: the cubulation is a star
+    whose centre is no point."""
+    pts = [f"l{i}" for i in range(k)]
+    return WallSpace(pts, [([p], [q for q in pts if q != p]) for p in pts])
 
 
 def c4_wall_space():
@@ -153,7 +161,7 @@ def test_principal_orientation_chooses_sides_containing_the_point():
             side = o.side_mask(k)
             assert side >> w.index(x) & 1
         assert o.is_consistent()
-        assert o.check_upward_closure()
+        assert check_upward_closure(o)
 
 
 def test_two_point_space_sigma():
@@ -165,7 +173,7 @@ def test_upward_closure_matches_consistency_on_all_orientations():
     w = tripod_space()
     for bits in range(1 << w.wall_count):
         o = Orientation(w, bits)
-        assert o.is_consistent() == o.check_upward_closure()
+        assert o.is_consistent() == check_upward_closure(o)
 
 
 # ---------------------------------------------------------------- morphisms
@@ -230,26 +238,104 @@ def test_median_graph_round_trip_is_isomorphic():
         assert res.checks["wall_bijection"] == "certified"
 
 
+def mask_consistent(w, orientations) -> list[bool]:
+    """cubulate's mask test: per orientation, whether no chosen side
+    misses another."""
+    W = w.wall_count
+    walls = _orientation_array([1 << k for k in range(W)], W)
+    force, value = _side_tables(_orientation_array(w._sigma, W), walls, (1 << W) - 1)
+    v = _orientation_array(orientations, W)
+    return _meets(v, (v[:, None] & walls) != 0, force, value).all(axis=1).tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_consistency_mask_test_matches_pairwise_oracle(seed):
     w = random_wall_space(seed, max_walls=7)
-    blocked = _blocked_literals([w.side_masks(k) for k in range(w.wall_count)])
-    for bits in range(1 << w.wall_count):
-        assert _consistent(bits, blocked) == Orientation(w, bits).is_consistent()
+    every = range(1 << w.wall_count)
+    assert mask_consistent(w, every) == [Orientation(w, b).is_consistent() for b in every]
 
 
 def test_consistency_mask_test_rejects_a_tampered_vertex():
     w = tripod_space()
     res = cubulate(w)
-    blocked = _blocked_literals([w.side_masks(k) for k in range(w.wall_count)])
+    assert all(mask_consistent(w, list(res.vertex_bits.values())))
     for bits in res.vertex_bits.values():
-        assert _consistent(bits, blocked) and Orientation(w, bits).is_consistent()
+        assert Orientation(w, bits).is_consistent()
     centre = next(b for b in res.vertex_bits.values()
                   if b not in {res.vertex_bits[v] for v in res.embedding.values()})
     outsider = centre ^ ((1 << w.wall_count) - 1)   # every point on the far side of its wall
     assert not Orientation(w, outsider).is_consistent()
-    assert not _consistent(outsider, blocked)
+    assert mask_consistent(w, [outsider]) == [False]
+
+
+def assert_same_outcome(w, **caps):
+    """cubulate and its oracle raise the same cap error, or build the same
+    cubulation."""
+    outcomes = []
+    for build in (cubulate, cubulate_oracle):
+        try:
+            outcomes.append(build(w, **caps))
+        except ResourceLimitError as exc:
+            outcomes.append((str(exc), exc.cap))
+    got, want = outcomes
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_cubulation(got, want)
+
+
+def assert_same_cubulation(res, want):
+    assert res.graph.vertices == want.graph.vertices
+    assert res.graph.edge_indices == want.graph.edge_indices
+    assert res.graph._adj == want.graph._adj
+    assert list(res.embedding.items()) == list(want.embedding.items())
+    assert list(res.vertex_bits.items()) == list(want.vertex_bits.items())
+    assert list(res.wall_correspondence.items()) == list(want.wall_correspondence.items())
+    assert list(res.checks.items()) == list(want.checks.items())
+    assert res.cert.wall_bits == want.cert.wall_bits
+    assert res.cert._coords == want.cert._coords
+    assert res.cert.wall_coordinates() == want.cert.wall_coordinates()
+    assert res.cert.walls == want.cert.walls           # built on first use
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_cubulate_matches_the_flip_bfs_oracle(seed):
+    rng = random.Random(seed)
+    spaces = [random_wall_space(seed, max_points=rng.randint(4, 12), max_walls=12)]
+    try:
+        spaces.append(random_crossing_wall_space(rng, rng.randint(2, 8), rng.randint(1, 10)))
+    except InputError:
+        pass
+    for w in spaces:
+        res = cubulate(w)
+        assert_same_cubulation(res, cubulate_oracle(w))
+        # the vertex cap: both raise the same error, or neither does
+        image = len(set(res.embedding.values()))
+        for cap in {0, image - 1, image, res.vertex_count - 1, res.vertex_count}:
+            if cap >= 0:
+                assert_same_outcome(w, max_vertices=cap)
+
+
+def test_cubulate_matches_the_oracle_without_walls_and_beyond_64_walls():
+    spaces = [WallSpace(["a"], []),                                    # W = 0
+              nested_wall_space(66),                                  # W = 65
+              graph_wall_space(certify_median_graph(random_tree(70, 3))),
+              graph_wall_space(certify_median_graph(grid_graph(3, 30))),
+              star_space(70)]                                         # a Steiner centre
+    assert [w.wall_count for w in spaces] == [0, 65, 69, 31, 70]
+    for w in spaces:
+        assert_same_cubulation(cubulate(w, max_walls=80), cubulate_oracle(w, max_walls=80))
+    wide = spaces[1]
+    with pytest.raises(ResourceLimitError):
+        cubulate(wide, max_walls=64)
+    assert_same_outcome(wide, max_walls=64)
+    assert_same_outcome(wide, max_walls=80, max_vertices=0)   # no flip adds a vertex
+    assert_same_outcome(spaces[3], max_walls=80, max_vertices=89)
+    with pytest.raises(ResourceLimitError, match="exceeded 70 vertices"):
+        cubulate(spaces[4], max_walls=80, max_vertices=70)
+    assert_same_outcome(spaces[4], max_walls=80, max_vertices=70)
 
 
 def box_wall_space(*dims, spread=None):
