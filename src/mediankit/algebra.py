@@ -208,13 +208,6 @@ class FiniteMedianAlgebra:
         self._median_cache[key] = m
         return m
 
-    def median_table(self) -> dict[tuple[Point, Point, Point], Point]:
-        """The ternary operation, derived on demand from the intervals."""
-        return {
-            (x, y, z): self.median(x, y, z)
-            for x, y, z in itertools.combinations_with_replacement(self.points, 3)
-        }
-
     def is_convex(self, subset: Iterable[Point]) -> bool:
         return intervals.is_convex(self._s.masks, self._mask(subset))
 

@@ -167,26 +167,6 @@ def _pivot(pts: np.ndarray, tol: float, seed: int) -> CircumcenterResult:
                               support=tuple(sorted(support)))
 
 
-def enclosing_ball_oracle(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, float]:
-    """Exact brute force: smallest feasible circumsphere over all subsets
-    of size <= d+1.  Exponential; meant for low dimension in tests."""
-    pts = np.asarray(points, dtype=float)
-    m, d = pts.shape
-    best = None
-    for r in range(1, min(m, d + 1) + 1):
-        for subset in itertools.combinations(range(m), r):
-            got = _circumsphere(pts[list(subset)])
-            if got is None:
-                continue
-            center, radius = got
-            if np.linalg.norm(pts - center, axis=1).max() <= radius * (1 + 1e-10) + 1e-10:
-                if best is None or radius < best[1]:
-                    best = (center, radius)
-    if best is None:
-        raise InternalCheckError("oracle found no enclosing ball")
-    return best
-
-
 @dataclass(frozen=True)
 class CnReport:
     lhs: float                  # |z m|

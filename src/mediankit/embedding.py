@@ -5,18 +5,19 @@ real weight vector with zero sum; equivalently the doubly-centered matrix
 B = -1/2 J D J is positive semidefinite.  The decision here is exact:
 B is scaled to an integer matrix and reduced by fraction-free (Bareiss)
 integer elimination with greedy diagonal pivoting, which yields the
-rational pivots and, on failure, a witness vector.  Float linear algebra
-only ever produces coordinates, which are then verified against the
-metric.
+rational pivots, the exact LDL^T factor of B and, on failure, a witness
+vector.  GNS coordinates are read off that factor in floats and then
+verified against the metric.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,42 +75,61 @@ def _integer_gram(m: FiniteMetric) -> tuple[list[list[int]], int]:
     return gram, 2 * nn * m.scale
 
 
-def _psd_eliminate(g: Sequence[Sequence[int]], h: int = 1):
-    """Exact PSD test of a symmetric integer matrix by symmetric
-    fraction-free (Bareiss) elimination with greedy diagonal pivoting.
+class Elimination(NamedTuple):
+    """The outcome of :func:`_psd_eliminate`: the verdict, the pivots, a
+    witness on failure, and the unit lower-triangular factor L of the
+    positive pivots, held as integer Bareiss columns."""
 
-    Returns (is_psd, pivots, witness): the pivots are the successive Schur
-    complement diagonals, and the witness is a vector v with v^T g v < 0
-    when the test fails.  The caller promises that every k x k minor of g
-    with k >= 2 is divisible by h^(2k-3) (h = 1 promises nothing).
+    psd: bool
+    pivots: list[Fraction]
+    witness: list[Fraction] | None
+    order: list[int]            # indices of the positive pivots, in turn
+    columns: list[list[int]]    # L[i][k] = columns[k][i] / columns[k][order[k]]
+
+
+def _psd_eliminate(g: Sequence[Sequence[int]], h: int = 1) -> Elimination:
+    """Exact PSD test and LDL^T factor of a symmetric integer matrix by
+    symmetric fraction-free (Bareiss) elimination with greedy diagonal
+    pivoting.
+
+    The pivots are the successive Schur complement diagonals, and the
+    witness is a vector v with v^T g v < 0 when the test fails.  When g is
+    PSD, g[i][j] = sum_k L[i][k] * pivots[k] * L[j][k] over the positive
+    pivots.  The caller promises that every k x k minor of g with k >= 2
+    is divisible by h^(2k-3) (h = 1 promises nothing).
 
     Bareiss keeps, after pivots P, each remaining entry as the Schur
     complement entry times the positive minor det g[P,P]; here it is also
     divided by the known factor h^(2|P|-1), which the update does by
     dividing the first two steps by h and h*p_1.  The common factor is
     positive, so the greedy choice and its ties are those of rational
-    elimination, and every division is exact.  Only the upper triangle of
-    the remaining block is stored: row s holds its entries from the
-    diagonal on.  A remaining row i of the transform M (S = M g M^T) is
-    held as its coefficients on the pivots so far; its own coordinate is
-    always the last pivot ``prev``, the factor divided out of a witness.
+    elimination, and every division is exact.  It also cancels in the
+    ratio of a pivot's column to the pivot, which is the entry of L; the
+    column is kept over all indices, 0 at the earlier pivots.  Only the
+    upper triangle of the remaining block is stored: row s holds its
+    entries from the diagonal on.
     """
-    remaining = list(range(len(g)))
+    n = len(g)
+    remaining = list(range(n))
     upper = [list(row[i:]) for i, row in enumerate(g)]
-    done: list[int] = []                   # pivot indices, in order
-    coef: list[list[int]] = [[] for _ in remaining]
-    prev = 1       # last pivot: the transform's divisor
+    order: list[int] = []
+    columns: list[list[int]] = []
+    prev = 1       # last pivot
     div = h        # the work matrix's divisor
     unit = 1       # a pivot of g is unit * p / prev
     pivots: list[Fraction] = []
 
     def witness(*rows: tuple[int, int]) -> list[Fraction]:
-        """sum of sign * (row s of M), divided by prev."""
-        vec = [0] * len(g)
+        """sum of sign * (row s of L^-1), the remaining rows taken as unit
+        columns of L, by back-substitution through L.  By Cramer's rule,
+        prev times such a row holds minors of g over the factor the
+        elimination divides out, as the entries do, so every division is
+        exact."""
+        vec = [0] * n
         for sign, s in rows:
-            vec[remaining[s]] += sign * prev
-            for q, v in zip(done, coef[s]):
-                vec[q] += sign * v
+            vec[remaining[s]] = sign * prev
+        for q, col in zip(reversed(order), reversed(columns)):
+            vec[q] = -sum(map(operator.mul, vec, col)) // col[q]
         return [Fraction(v, prev) for v in vec]
 
     while remaining:
@@ -117,33 +137,36 @@ def _psd_eliminate(g: Sequence[Sequence[int]], h: int = 1):
         p = upper[t][0]
         if p > 0:
             pivots.append(Fraction(unit * p, prev))
-            first = not done
-            done.append(remaining.pop(t))
             col = [upper[s][t - s] for s in range(t)] + upper.pop(t)
             del col[t]                     # col[s] = entry (s, pivot)
-            ck = coef.pop(t)
-            for s, (row, cs) in enumerate(zip(upper, coef)):
+            q = remaining.pop(t)
+            full = [0] * n
+            full[q] = p
+            for r, a in zip(remaining, col):
+                full[r] = a
+            order.append(q)
+            columns.append(full)
+            for s, row in enumerate(upper):
                 a = col[s]
                 if s < t:
                     del row[t - s]
                 # rows with a == 0 are rescaled too: every entry carries the minor
                 upper[s] = [(p * x - a * y) // div for x, y in zip(row, col[s:])]
-                coef[s] = [(p * x - a * y) // prev for x, y in zip(cs, ck)]
-                coef[s].append(-a)
-            div, unit = (h * p, h) if first else (p, h * h)
+            div, unit = (h * p, h) if len(order) == 1 else (p, h * h)
             prev = p
             continue
         for s, row in enumerate(upper):
             if row[0] < 0:
-                return False, pivots, witness((1, s))
+                return Elimination(False, pivots, witness((1, s)), order, columns)
         for s, row in enumerate(upper):
             for u in range(1, len(row)):
                 if row[u] != 0:
                     # diagonal all zero, off-diagonal not: e_i -/+ e_j is negative
-                    return False, pivots, witness((1, s), (-1 if row[u] > 0 else 1, s + u))
+                    v = witness((1, s), (-1 if row[u] > 0 else 1, s + u))
+                    return Elimination(False, pivots, v, order, columns)
         pivots.extend(Fraction(0) for _ in remaining)
         remaining = []
-    return True, pivots, None
+    return Elimination(True, pivots, None, order, columns)
 
 
 @dataclass(frozen=True)
@@ -155,27 +178,26 @@ class NegDefCertificate:
     pivots: tuple[Fraction, ...]
     witness: tuple[Fraction, ...] | None   # zero-sum vector with positive form
     witness_value: Fraction | None         # its distance form, as re-evaluated
+    pivot_order: tuple[int, ...]           # indices of the positive pivots, in turn
+    columns: tuple[tuple[int, ...], ...]   # L[i][k] = columns[k][i] / columns[k][pivot_order[k]]
 
     def form_value(self, coeffs) -> Fraction:
         return distance_form(self.metric, coeffs)
 
 
 def certify_negative_definite(m: FiniteMetric) -> NegDefCertificate:
-    """Exact verdict; a failing certificate carries a zero-sum rational
-    vector whose distance form is positive (re-evaluated to confirm)."""
+    """Exact verdict, with the LDL^T factor of the centered form (-1/2 J D J
+    = L diag(pivots) L^T on success); a failing certificate carries a
+    zero-sum rational vector whose distance form is positive
+    (re-evaluated to confirm)."""
     g, scale = _integer_gram(m)
-    ok, pivots, raw = _psd_eliminate(g, len(m.points))
+    ok, pivots, raw, order, columns = _psd_eliminate(g, len(m.points))
     witness = value = None
     if not ok:
-        n = len(m.points)
-        mean = sum(raw) / n
+        mean = sum(raw) / len(raw)
         alpha = [v - mean for v in raw]          # project to zero sum
-        den = 1
-        for a in alpha:
-            den = den * a.denominator // math.gcd(den, a.denominator)
+        den = math.lcm(*(a.denominator for a in alpha))
         alpha = [a * den for a in alpha]
-        if sum(alpha) != 0:
-            raise InternalCheckError("witness is not zero-sum")
         value = distance_form(m, alpha)
         if value <= 0:
             raise InternalCheckError("extracted witness fails to certify")
@@ -188,6 +210,8 @@ def certify_negative_definite(m: FiniteMetric) -> NegDefCertificate:
         pivots=tuple(p / scale for p in pivots),
         witness=witness,
         witness_value=value,
+        pivot_order=tuple(order),
+        columns=tuple(map(tuple, columns)),
     )
 
 
@@ -300,7 +324,11 @@ class GnsEmbedding:
 
 def gns_embed(m: FiniteMetric, tol: float = DEFAULT_GNS_TOL,
               certificate: NegDefCertificate | None = None) -> GnsEmbedding:
-    """Euclidean coordinates from the centered form's eigendecomposition.
+    """Euclidean coordinates read off the certificate's exact LDL^T factor
+    of the centered form B: point i's coordinate k is L[i][k] *
+    sqrt(pivot k), in pivot order, so the dimension is the exact rank of B
+    and no float factorisation runs.  Greedy pivoting on a PSD matrix keeps
+    |L| <= 1, and each entry of L is one correctly rounded integer ratio.
 
     Requires a negative-definite metric; a failing certificate is attached
     to the raised error.  The squared-distance reproduction is verified at
@@ -316,31 +344,27 @@ def gns_embed(m: FiniteMetric, tol: float = DEFAULT_GNS_TOL,
         err.witness = cert.witness
         raise err
     n = len(m.points)
+    dim = len(cert.pivot_order)
     out_of_range = InputError("metric is out of double-precision range for a GNS embedding")
     try:
         # int / int true division rounds correctly, as float(Fraction) does
-        b = np.array([[v / cert.gram_scale for v in row] for row in cert.gram])
+        lower = np.array([[v / col[q] for v in col]
+                          for q, col in zip(cert.pivot_order, cert.columns)],
+                         dtype=float).reshape(dim, n)
+        root = np.sqrt(np.array([float(p) for p in cert.pivots[:dim]]))
         target = np.array([v / m.scale for a, row in enumerate(m._di) for v in row[a + 1:]],
                           dtype=float)
     except OverflowError:
         raise out_of_range from None
-    # overflow past here shows as a non-finite value, checked below
+    coords = lower.T * root
+    # overflow past here shows as a non-finite error, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            evals, evecs = np.linalg.eigh(b)
-        except np.linalg.LinAlgError:
-            raise out_of_range from None
-        cut = max(float(evals.max()), 1.0) * 1e-13
-        keep = evals > cut
-        coords = evecs[:, keep] * np.sqrt(evals[keep])
         i, j = np.triu_indices(n, 1)
         diff = coords[i] - coords[j]
         sq = (diff[:, None, :] @ diff[:, :, None]).ravel()
         err = np.abs(sq - target)
-    if not (np.isfinite(evals).all() and np.isfinite(err).all()):
+    if not np.isfinite(err).all():
         raise out_of_range
-    if coords.shape[1] > max(n - 1, 0):
-        raise InternalCheckError("embedding dimension exceeds n-1")
     worst = float(err.max(initial=0.0))
     if worst > tol:
         dmax = float(target.max())

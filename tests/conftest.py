@@ -10,6 +10,7 @@ from mediankit import (FiniteMetric, InputError, InternalCheckError, ResourceLim
                        WallSpace, certify_median_graph)
 from mediankit.algebra import (AxiomCheck, AxiomReport, FiniteMedianAlgebra,
                                IntervalStructure)
+from mediankit.convexity import _circumsphere
 from mediankit.corpus import graph_instances, median_graph_instances
 from mediankit.graphs import GraphWall, MedianGraphCert, SimpleGraph, _lemma_holds, _mask
 from mediankit.intervals import count_closure, is_convex, members
@@ -394,6 +395,35 @@ def wall_metric_recount(w: WallSpace, res) -> bool:
     return True
 
 
+def median_table(a: FiniteMedianAlgebra) -> dict:
+    """The ternary operation of an algebra as a table over every
+    unordered triple, derived from its intervals."""
+    return {
+        (x, y, z): a.median(x, y, z)
+        for x, y, z in itertools.combinations_with_replacement(a.points, 3)
+    }
+
+
+def enclosing_ball_oracle(points) -> tuple[np.ndarray, float]:
+    """Exact brute force: smallest feasible circumsphere over all subsets
+    of size <= d+1.  Exponential; meant for low dimension."""
+    pts = np.asarray(points, dtype=float)
+    m, d = pts.shape
+    best = None
+    for r in range(1, min(m, d + 1) + 1):
+        for subset in itertools.combinations(range(m), r):
+            got = _circumsphere(pts[list(subset)])
+            if got is None:
+                continue
+            center, radius = got
+            if np.linalg.norm(pts - center, axis=1).max() <= radius * (1 + 1e-10) + 1e-10:
+                if best is None or radius < best[1]:
+                    best = (center, radius)
+    if best is None:
+        raise InternalCheckError("oracle found no enclosing ball")
+    return best
+
+
 def centered_gram(m: FiniteMetric) -> list[list[Fraction]]:
     """Oracle: B = -1/2 J D J with J the mean-centering projector, in
     Fractions; B is PSD iff the distance form is <= 0 on zero-sum vectors."""
@@ -454,6 +484,22 @@ def fraction_negdef_oracle(m: FiniteMetric):
     alpha = [v - mean for v in raw]
     den = math.lcm(*(a.denominator for a in alpha))
     return False, tuple(pivots), tuple(a * den for a in alpha)
+
+
+def eigh_gns_oracle(m: FiniteMetric) -> tuple[int, np.ndarray]:
+    """Oracle: the rank of the centered form and the squared pair
+    distances of its GNS embedding, from a float eigendecomposition
+    (eigenvalues above 1e-13 of the largest count).  The eigenvectors of a
+    repeated eigenvalue are not unique, so no coordinates are returned;
+    the distances are in ``np.triu_indices(n, 1)`` order."""
+    n = len(m.points)
+    b = np.array([[float(v) for v in row] for row in centered_gram(m)])
+    evals, evecs = np.linalg.eigh(b)
+    keep = evals > max(float(evals.max(initial=0.0)), 1.0) * 1e-13
+    coords = evecs[:, keep] * np.sqrt(evals[keep])
+    i, j = np.triu_indices(n, 1)
+    diff = coords[i] - coords[j]
+    return int(keep.sum()), (diff * diff).sum(axis=1)
 
 
 def zero_sum_sampling_oracle(m: FiniteMetric, samples: int = 10_000,

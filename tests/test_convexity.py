@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import enclosing_ball_oracle
 from mediankit import InputError, UnsupportedNormError
 from mediankit.convexity import (PointCloud, affine_defect, check_cn_inequality,
-                                 circumcenter, circumradius_at,
-                                 enclosing_ball_oracle, is_affine,
+                                 circumcenter, circumradius_at, is_affine,
                                  midpoint_contraction_ratio,
                                  uniform_convexity_modulus, vector_norm)
 from mediankit.errors import InternalCheckError

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (centered_gram, convex_sets_oracle, fraction_negdef_oracle,
-                      fraction_psd_eliminate, helly_witness_oracle,
+from conftest import (centered_gram, convex_sets_oracle, eigh_gns_oracle,
+                      fraction_negdef_oracle, fraction_psd_eliminate, helly_witness_oracle,
                       hypermetric_oracle, random_shortest_path_metric,
                       zero_sum_sampling_oracle)
 from mediankit import (FiniteMetric, InputError, MedianMetric,
@@ -111,11 +111,37 @@ def test_certificate_matches_rational_elimination(seed, family):
         m = one_two_metric(rng, rng.randint(2, 12))
     else:
         m = grid_graph(rng.randint(1, 4), rng.randint(1, 4)).path_metric()
+    assert_certificate_matches_the_oracle(m)
+
+
+def assert_certificate_matches_the_oracle(m):
     cert = certify_negative_definite(m)
     assert (cert.negative_definite, cert.pivots, cert.witness) == \
         fraction_negdef_oracle(m)
     if cert.witness is not None:
+        assert sum(cert.witness) == 0
         assert cert.witness_value == distance_form(m, cert.witness) > 0
+    return cert
+
+
+def random_weighted_tree_metric(rng, n) -> FiniteMetric:
+    """Path metric of a random tree with rational edge weights."""
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(1, n):
+        parent, weight = rng.randrange(i), Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        for j in range(i):
+            dist[i][j] = dist[j][i] = dist[parent][j] + weight
+    return FiniteMetric(list(range(n)), dist)
+
+
+def test_certificate_matches_rational_elimination_at_bench_sizes():
+    rng = random.Random(12)
+    metrics = [random_l1_metric(rng, n, dim, span)
+               for n, dim, span in ((24, 3, 6), (32, 3, 7), (40, 4, 6))]
+    metrics += [random_weighted_tree_metric(rng, n) for n in (24, 30)]
+    metrics += [one_two_metric(rng, 48) for _ in range(2)]
+    verdicts = [assert_certificate_matches_the_oracle(m).negative_definite for m in metrics]
+    assert verdicts == [True] * 5 + [False] * 2
 
 
 @st.composite
@@ -136,10 +162,21 @@ def symmetric_integer_matrices(draw):
 @given(symmetric_integer_matrices())
 def test_integer_elimination_matches_rational_elimination(g):
     got = _psd_eliminate(g)
-    assert got == fraction_psd_eliminate(g)
-    if not got[0]:
-        v = got[2]
-        assert sum(v[i] * g[i][j] * v[j] for i in range(len(g)) for j in range(len(g))) < 0
+    assert got[:3] == fraction_psd_eliminate(g)
+    n = len(g)
+    if not got.psd:
+        v = got.witness
+        assert sum(v[i] * g[i][j] * v[j] for i in range(n) for j in range(n)) < 0
+    else:
+        assert ldl_product(got, n) == [[Fraction(v) for v in row] for row in g]
+
+
+def ldl_product(got, n) -> list[list[Fraction]]:
+    """L diag(pivots) L^T from the factor of an elimination, in Fractions."""
+    lower = [[Fraction(col[i], col[q]) for q, col in zip(got.order, got.columns)]
+             for i in range(n)]
+    return [[sum((a * d * b for a, d, b in zip(lower[i], got.pivots, lower[j])), Fraction(0))
+             for j in range(n)] for i in range(n)]
 
 
 @pytest.mark.parametrize("g, pivots, witness", [
@@ -156,8 +193,9 @@ def test_integer_elimination_matches_rational_elimination(g):
 ])
 def test_each_exit_of_the_integer_elimination(g, pivots, witness):
     got = _psd_eliminate(g)
-    assert got == (witness is None, pivots, witness)
-    assert got == fraction_psd_eliminate(g)
+    assert got[:3] == (witness is None, pivots, witness)
+    assert got[:3] == fraction_psd_eliminate(g)
+    assert len(got.order) == len(got.columns) == sum(p > 0 for p in pivots)
 
 
 def test_witness_survives_rescaling():
@@ -371,6 +409,47 @@ def test_gns_max_error_matches_the_pairwise_oracle_bit_for_bit():
             assert emb.max_error.hex() == pairwise_max_error(m, emb.coords).hex()
             embedded += 1
     assert embedded >= 20
+
+
+def assert_gns_matches_the_eigh_oracle(m):
+    cert = certify_negative_definite(m)
+    emb = gns_embed(m, certificate=cert)
+    n = len(m.points)
+    dim = emb.coords.shape[1]
+    rank, oracle_sq = eigh_gns_oracle(m)
+    assert dim == sum(p > 0 for p in cert.pivots) == rank
+    assert dim <= max(n - 1, 0)
+    i, j = np.triu_indices(n, 1)
+    diff = emb.coords[i] - emb.coords[j]
+    sq = (diff * diff).sum(axis=1)
+    target = np.array([m.dist_int(a, b) / m.scale for a, b in zip(i, j)])
+    assert np.abs(sq - target).max(initial=0.0) <= emb.tol
+    assert np.abs(sq - oracle_sq).max(initial=0.0) <= emb.tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(("l1", "tree", "grid")))
+def test_gns_coordinates_come_from_the_exact_factor(seed, family):
+    rng = random.Random(seed)
+    if family == "l1":
+        dim, span = rng.randint(1, 5), rng.randint(3, 9)
+        n = min(rng.randint(1, 24), span ** dim)
+        m = random_l1_metric(rng, n, dim, span, rng.choice((1, 2, 3)))
+    elif family == "tree":
+        m = random_weighted_tree_metric(rng, rng.randint(1, 24))
+    else:
+        m = grid_graph(rng.randint(1, 5), rng.randint(1, 5)).path_metric()
+    assert_gns_matches_the_eigh_oracle(m)
+
+
+def test_gns_coordinates_on_the_corpus_match_the_eigh_oracle():
+    embedded = 0
+    for inst in graph_instances():
+        m = inst.payload.path_metric()
+        if certify_negative_definite(m).negative_definite:
+            assert_gns_matches_the_eigh_oracle(m)
+            embedded += 1
+    assert embedded >= 10
 
 
 def test_gns_beyond_double_precision_is_an_input_error():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -228,6 +229,26 @@ def test_embed_l1_and_gns(files):
     r2 = run_cli("embed", "--mode", "gns", "--in", str(files["p3_metric"]))
     assert r2.returncode == 0
     assert json.loads(r2.stdout)["max_error"] <= 1e-9
+
+
+def test_embed_gns_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the grid's centered form has repeated eigenvalues, so eigenvector
+    # coordinates depended on LAPACK's thread count; the exact factor's do not
+    from mediankit.corpus import grid_graph
+    path = tmp_path / "grid20.json"
+    path.write_text(formats.dumps(formats.graph_to_json(grid_graph(20, 20))))
+    argv = [sys.executable, "-m", "mediankit", "embed", "--mode", "gns", "--in", str(path)]
+    runs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")]
+    try:
+        (one, err1), (two, err2) = [run.communicate(timeout=120) for run in runs]
+    finally:
+        for run in runs:
+            run.kill()
+    assert [run.returncode for run in runs] == [0, 0] and err1 == err2 == ""
+    assert one == two
+    assert json.loads(one)["dimension"] == 38
 
 
 def test_embed_l1_rejects_a_non_median_graph(files):
