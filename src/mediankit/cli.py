@@ -60,7 +60,7 @@ def _emit(report: dict, args) -> None:
         report["timing_ms"] = round((time.perf_counter() - args._t0) * 1000, 3)
     text = formats.dumps(report)
     if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
+        formats.write_text(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -132,16 +132,14 @@ def cmd_cubulate(args) -> int:
     _expected_block(data)
     result = cubulate(w, max_walls=args.max_walls)
     if args.graph_out:
-        Path(args.graph_out).write_text(formats.dumps(
-            formats.graph_to_json(result.graph)), encoding="utf-8")
+        formats.write_text(args.graph_out, formats.dumps(formats.graph_to_json(result.graph)))
     if args.dot:
-        Path(args.dot).write_text(formats.dot_export(result.graph, result.cert),
-                                  encoding="utf-8")
+        formats.write_text(args.dot, formats.dot_export(result.graph, result.cert))
     report = {
         "command": "cubulate",
         "input": _digest(args.infile),
         "vertices": result.vertex_count,
-        "edges": len(result.graph.edges),
+        "edges": len(result.graph.edge_indices),
         "walls": w.wall_count,
         "embedding": {str(p): v for p, v in sorted(result.embedding.items(),
                                                    key=lambda kv: str(kv[0]))},
@@ -167,8 +165,7 @@ def cmd_fill_cubes(args) -> int:
     report["counts"] = {str(k): v for k, v in cc.counts().items()}
     report["dimension"] = cc.dimension
     if args.out_complex:
-        Path(args.out_complex).write_text(
-            formats.dumps(formats.cube_complex_to_json(cc)), encoding="utf-8")
+        formats.write_text(args.out_complex, formats.dumps(formats.cube_complex_to_json(cc)))
     _emit(report, args)
     return 0
 
@@ -176,6 +173,7 @@ def cmd_fill_cubes(args) -> int:
 def cmd_certify_negdef(args) -> int:
     data = formats.load_json(args.infile)
     metric = _metric_payload(data)
+    _expected_block(data)
     cert = certify_negative_definite(metric)
     report = {
         "command": "certify-negdef",
@@ -194,6 +192,7 @@ def cmd_certify_negdef(args) -> int:
 def cmd_certify_hypermetric(args) -> int:
     data = formats.load_json(args.infile)
     metric = _metric_payload(data)
+    _expected_block(data)
     rep = certify_hypermetric(metric, bound=args.bound)
     report = {
         "command": "certify-hypermetric",
@@ -210,6 +209,7 @@ def cmd_certify_hypermetric(args) -> int:
 
 def cmd_embed(args) -> int:
     data = formats.load_json(args.infile)
+    _expected_block(data)
     report = {"command": "embed", "mode": args.mode, "input": _digest(args.infile)}
     if args.mode == "l1":
         try:
@@ -239,6 +239,7 @@ def cmd_embed(args) -> int:
 def cmd_helly(args) -> int:
     data = formats.load_json(args.infile)
     metric = _metric_payload(data)
+    _expected_block(data)
     rep = check_helly(metric, cap=args.cap)
     report = {
         "command": "helly",
@@ -259,6 +260,7 @@ def cmd_displace(args) -> int:
     generators, basepoint = formats.action_from_json(action_data)
     data = formats.load_json(args.infile)
     kind = formats.detect_payload(data)
+    _expected_block(data)
     report = {"command": "displace", "word": args.word,
               "input": _digest(args.infile), "action": _digest(args.action)}
     if kind == "walls":
@@ -285,6 +287,7 @@ def cmd_displace(args) -> int:
 def cmd_circumcenter(args) -> int:
     data = formats.load_json(args.infile)
     cloud = formats.cloud_from_json(data)
+    _expected_block(data)
     res = circumcenter(cloud, tol=args.tol, seed=args.seed)
     report = {
         "command": "circumcenter",

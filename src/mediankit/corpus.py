@@ -197,7 +197,10 @@ def generate_corpus(names=None, seed: int = 0, out_dir: str = ".") -> list:
             raise InputError(f"unknown corpus instance names: {stray}")
         roster = [inst for inst in roster if inst.name in set(names)]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create {out}: {exc}") from None
     written = []
     for inst in roster:
         if inst.kind == "graph":
@@ -209,6 +212,6 @@ def generate_corpus(names=None, seed: int = 0, out_dir: str = ".") -> list:
         else:
             raise InputError(f"cannot serialize corpus kind {inst.kind!r}")
         path = out / f"{inst.name}.json"
-        path.write_text(formats.dumps(payload), encoding="utf-8")
+        formats.write_text(path, formats.dumps(payload))
         written.append(path)
     return written

@@ -2,8 +2,11 @@
 
 Rationals travel as strings ("3", "5/2"); floats are rejected in metric
 input.  Interval keys are "x,y", so point ids there must not contain
-commas.  All emitters sort keys and end with a newline, keeping outputs
-byte-stable for golden tests.
+commas.  Every report and JSON artifact is written by ``dumps``, whose
+bytes are those of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a
+newline, so outputs are byte-stable for golden tests.  Files go through
+``write_text`` and are read by ``load_json``, which turn an unwritable
+path, an unreadable or non-UTF-8 file and bad JSON into ``InputError``.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _str
 from pathlib import Path
 
 from .algebra import IntervalStructure
@@ -21,8 +26,131 @@ from .metric import FiniteMetric
 from .walls import WallSpace
 
 
+_INF = float("inf")
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _scalars(items, kinds: set) -> list[str] | None:
+    """The encodings of ``items`` when ``kinds``, their exact types, is
+    ``{str}``, ``{int}``, or ``{float}`` with no nan or inf; else None."""
+    if len(kinds) != 1:
+        return None
+    kind = next(iter(kinds))
+    if kind is str:
+        return list(map(_str, items))
+    if kind is int:
+        return list(map(int.__repr__, items))
+    if kind is float:
+        out = list(map(float.__repr__, items))
+        if "nan" not in out and "inf" not in out and "-inf" not in out:
+            return out
+    return None
+
+
+def _encode(o, level: int) -> str:
+    if isinstance(o, str):
+        return _str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    if isinstance(o, (list, tuple)):
+        return _array(o, level)
+    if isinstance(o, dict):
+        return _object(o, level)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _rows(rows, pad: str) -> str | None:
+    """Rows of one width and one scalar type (edges, cubes, witnesses),
+    filled into one %-template; None for any other list of lists."""
+    widths = set(map(len, rows))
+    if len(widths) != 1 or widths == {0}:
+        return None
+    flat = list(chain.from_iterable(rows))
+    cells = _scalars(flat, set(map(type, flat)))
+    if cells is None:
+        return None
+    inner = pad + "  "
+    row = "[" + inner + ("," + inner).join(["%s"] * len(rows[0])) + pad + "]"
+    return ("," + pad).join([row] * len(rows)) % tuple(cells)
+
+
+def _array(items, level: int) -> str:
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    sep = "," + pad
+    kinds = set(map(type, items))
+    cells = _scalars(items, kinds)
+    if cells is not None:
+        body = sep.join(cells)
+    else:
+        body = _rows(items, pad) if kinds <= {list, tuple} else None
+        if body is None:
+            body = sep.join([_encode(x, level + 1) for x in items])
+    return "[" + pad + body + "\n" + "  " * level + "]"
+
+
+def _object(dct: dict, level: int) -> str:
+    if not dct:
+        return "{}"
+    pad = "\n" + "  " * (level + 1)
+    parts = []
+    for key, value in sorted(dct.items()):
+        if isinstance(key, str):
+            pass
+        elif isinstance(key, float):
+            key = _float(key)
+        elif key is True:
+            key = "true"
+        elif key is False:
+            key = "false"
+        elif key is None:
+            key = "null"
+        elif isinstance(key, int):
+            key = int.__repr__(key)
+        else:
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        parts.append(_str(key) + ": " + _encode(value, level + 1))
+    return "{" + pad + ("," + pad).join(parts) + "\n" + "  " * level + "}"
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    Scalars go through json's own string encoder and ``repr``; a list of
+    one exact scalar type, or of equal-width rows of one, is written with
+    one join.  Other values take json's per-item order, so a value or key
+    json cannot serialize raises json's ``TypeError``.  A container that
+    holds itself is not detected and ends in ``RecursionError``.
+    """
+    return _encode(obj, 0) + "\n"
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write an output file; a path that cannot be written is an input
+    error (exit 2), not a traceback."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def load_json(path: str | Path) -> dict:
@@ -31,6 +159,8 @@ def load_json(path: str | Path) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -139,8 +269,9 @@ def graph_from_json(data: dict) -> SimpleGraph:
 
 
 def graph_to_json(g: SimpleGraph, expected: dict | None = None) -> dict:
-    out = {"vertices": list(g.vertices),
-           "edges": [[u, v] for u, v in g.edges]}
+    vs = g.vertices
+    out = {"vertices": list(vs),
+           "edges": [[vs[i], vs[j]] for i, j in g.edge_indices]}
     if expected:
         out["expected"] = expected
     return out

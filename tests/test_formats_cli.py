@@ -369,6 +369,11 @@ def test_malformed_input_exits_two(tmp_path):
     missing = tmp_path / "none.json"
     r2 = run_cli("classify", "--in", str(missing))
     assert r2.returncode == 2
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{")
+    r3 = run_cli("classify", "--in", str(latin))
+    assert r3.returncode == 2 and r3.stdout == ""
+    assert json.loads(r3.stderr)["kind"] == "input"
 
 
 def test_reports_are_byte_stable(files):
@@ -393,6 +398,48 @@ def test_report_out_file(files):
     assert r.returncode == 0
     assert r.stdout == ""
     assert json.loads(dest.read_text())["verdict"] == "median"
+
+
+OUTPUT_ARGV = {
+    "classify --out": ["classify", "--in", "{p3_metric}", "--out"],
+    "certify-graph --out": ["certify-graph", "--in", "{q3_graph}", "--out"],
+    "cubulate --out": ["cubulate", "--in", "{c4_walls}", "--out"],
+    "cubulate --dot": ["cubulate", "--in", "{c4_walls}", "--dot"],
+    "fill-cubes --out": ["fill-cubes", "--in", "{q3_graph}", "--out"],
+    "fill-cubes --out-complex": ["fill-cubes", "--in", "{q3_graph}", "--out-complex"],
+    "certify-negdef --out": ["certify-negdef", "--in", "{p3_metric}", "--out"],
+    "certify-hypermetric --out": ["certify-hypermetric", "--in", "{p3_metric}", "--out"],
+    "embed --out": ["embed", "--mode", "l1", "--in", "{q3_graph}", "--out"],
+    "helly --out": ["helly", "--in", "{p3_metric}", "--out"],
+    "displace --out": ["displace", "--action", "{c4_action}", "--in", "{c4_graph}",
+                       "--word", "r", "--out"],
+    "circumcenter --out": ["circumcenter", "--in", "{cloud}", "--out"],
+    "corpus --out": ["corpus", "--names", "path2", "--out-dir", "{dir}/corpus", "--out"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
+@pytest.mark.parametrize("option", sorted(OUTPUT_ARGV))
+def test_unwritable_output_path_exits_two(files, capsys, option, where):
+    from mediankit import cli
+    dest = files["dir"] / "absent" / "out.txt" if where == "missing-dir" else files["dir"]
+    argv = [a.format(**{k: str(v) for k, v in files.items()}) for a in OUTPUT_ARGV[option]]
+    assert cli.main([*argv, str(dest)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)                 # one JSON object, nothing else
+    assert error["kind"] == "input" and str(dest) in error["error"]
+
+
+@pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+def test_corpus_out_dir_that_cannot_be_a_directory_exits_two(files, capsys, where):
+    from mediankit import cli
+    dest = files["p3_metric"] if where == "a-file" else files["p3_metric"] / "sub"
+    assert cli.main(["corpus", "--names", "path2", "--out-dir", str(dest)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
+    assert error["kind"] == "input" and str(dest) in error["error"]
 
 
 AB_METRIC = {"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}
@@ -426,17 +473,30 @@ def test_non_scalar_ids_exit_two(tmp_path, capsys, command, payload, action):
 P3_GRAPH = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}
 
 
+AB_CLOUD = {"norm": "euclidean", "points": [[0, 0], [2, 0]]}
+AB_SWAP = {"generators": {"s": {"a": "b", "b": "a"}}, "basepoint": "a"}
+REQUIRED_ARGV = {"embed": ["--mode", "gns"], "displace": ["--word", "s", "--action", "{action}"]}
+
+
 @pytest.mark.parametrize("command, payload", [
     (command, {**base, "expected": expected})
     for command, base in (("classify", AB_METRIC), ("certify-graph", P3_GRAPH))
     for expected in (1, "median", ["median"], {"classify": "tree"}, {"classify": 2})
+] + [
+    (command, {**base, "expected": expected})
+    for command, base in (("certify-negdef", AB_METRIC), ("certify-hypermetric", AB_METRIC),
+                          ("embed", AB_METRIC), ("helly", AB_METRIC),
+                          ("displace", AB_METRIC), ("circumcenter", AB_CLOUD))
+    for expected in (1, "median", ["median"])
 ])
 def test_malformed_expectation_exits_two_before_any_report(tmp_path, capsys,
                                                             command, payload):
     from mediankit import cli
-    infile = tmp_path / "in.json"
+    infile, action = tmp_path / "in.json", tmp_path / "action.json"
     infile.write_text(json.dumps(payload))
-    assert cli.main([command, "--in", str(infile)]) == 2
+    action.write_text(json.dumps(AB_SWAP))
+    extra = [a.format(action=action) for a in REQUIRED_ARGV.get(command, [])]
+    assert cli.main([command, "--in", str(infile), *extra]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["kind"] == "input"
