@@ -371,6 +371,12 @@ _PALETTE = ("#1b6ca8", "#c23b22", "#2e8b57", "#b8860b", "#6a3d9a", "#107896",
             "#a0522d", "#e75480", "#556b2f", "#483d8b", "#8b0000", "#008080")
 
 
+def _dot_id(v) -> str:
+    """A vertex id as a quoted DOT identifier: ``str(v)`` with each
+    backslash and double quote escaped by a backslash."""
+    return '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def dot_export(g: SimpleGraph, cert: MedianGraphCert | None = None) -> str:
     """Graphviz text (graph/node/edge statements only); with a certificate,
     edges are colored by the wall they cross."""
@@ -382,12 +388,12 @@ def dot_export(g: SimpleGraph, cert: MedianGraphCert | None = None) -> str:
                 colour[(v, u)] = _PALETTE[k % len(_PALETTE)]
     lines = ["graph G {"]
     for v in g.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_id(v)};")
     for u, v in g.edges:
         paint = colour.get((u, v))
         if paint:
-            lines.append(f'  "{u}" -- "{v}" [color="{paint}"];')
+            lines.append(f'  {_dot_id(u)} -- {_dot_id(v)} [color="{paint}"];')
         else:
-            lines.append(f'  "{u}" -- "{v}";')
+            lines.append(f"  {_dot_id(u)} -- {_dot_id(v)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ table) names a witness.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
@@ -120,12 +121,33 @@ class SimpleGraph:
         return dist
 
     def all_pairs(self) -> list[list[int]]:
+        """Path distances of every pair, from every vertex's ball grown one
+        level at a time: ball_{d+1}(i) is the union of ball_d(j) over i and
+        its neighbours j, as packed uint64 rows (``np.bitwise_or.reduceat``
+        over the closed neighbourhoods), and d(i, j) is the number of
+        levels d at which j lies outside ball_d(i).  That costs
+        O(diameter * m * n/64) word operations in O(diameter) numpy steps."""
         if self._dist is None:
-            self._dist = [self.bfs_distances(i) for i in range(len(self.vertices))]
+            n = len(self._adj)
+            sizes = np.array([len(nbrs) + 1 for nbrs in self._adj])
+            starts = np.cumsum(sizes) - sizes
+            closed = np.fromiter(itertools.chain.from_iterable(
+                [i, *nbrs] for i, nbrs in enumerate(self._adj)), dtype=np.intp)
+            ball = intervals.pack_rows([1 << i for i in range(n)], n)   # ball_0(i) = {i}
+            inside = np.zeros((n, n), dtype=np.int32)
+            levels = 0
+            while True:
+                inside += np.unpackbits(ball.view(np.uint8), axis=1, count=n, bitorder="little")
+                levels += 1
+                grown = np.bitwise_or.reduceat(ball[closed], starts, axis=0)
+                if not (grown != ball).any():
+                    break
+                ball = grown
+            self._dist = (levels - inside).tolist()
         return self._dist
 
     def path_metric(self) -> FiniteMetric:
-        """BFS distances of a connected graph are a metric by construction,
+        """Path distances of a connected graph are a metric by construction,
         so they are not validated again."""
         return FiniteMetric._trusted(self.vertices, self.all_pairs())
 
@@ -300,8 +322,9 @@ def _lemma_holds(g: SimpleGraph, coords: Sequence[int], width: int) -> bool:
     """Whether ``coords`` meet the hypotheses of the lemma at
     :class:`MedianGraphCert`: distinct, one flipped bit per edge, exactly
     the edges at Hamming distance 1 (O(n*width) set lookups), and closed
-    under the bitwise majority (their 2-clause closure count is n).  The
-    graph is connected by construction."""
+    under the bitwise majority (they are their own median closure,
+    :func:`intervals.is_median_closure`).  The graph is connected by
+    construction."""
     n = len(coords)
     present = set(coords)
     if len(present) != n:
@@ -309,7 +332,7 @@ def _lemma_holds(g: SimpleGraph, coords: Sequence[int], width: int) -> bool:
     if any((coords[i] ^ coords[j]).bit_count() != 1 for i, j in g.edge_indices):
         return False
     pairs = sum((c ^ 1 << k) in present for c in coords for k in range(width) if c >> k & 1)
-    return pairs == len(g.edge_indices) and intervals.count_closure(coords, width, n) == n
+    return pairs == len(g.edge_indices) and intervals.is_median_closure(coords, coords, width)
 
 
 def certify_median_graph(g: SimpleGraph) -> MedianGraphCert:

@@ -1,5 +1,5 @@
 """The interval kernel: convexity and halfspaces on betweenness bitmasks,
-the triple-meet count on packed tables, and the median-closure count on
+the triple-meet count on packed tables, and the median-closure test on
 wall coordinates.
 
 ``is_convex`` and ``halfspaces`` read a table ``betw`` of Python ints in
@@ -10,10 +10,24 @@ at bit t % 64 of word t // 64, and ``meet_counts`` reads that array: it
 counts the common points |[i,j] & [j,k] & [k,i]| of every triple with
 ``np.bitwise_count``, in blocks of consecutive rows i of about
 ``BLOCK`` triples, in lexicographic order, so a caller that stops at its
-first hit reads only the blocks up to it.  ``count_closure``
+first hit reads only the blocks up to it.  ``is_median_closure``
 reads points as wall-coordinate bitvectors, where the median is the
-bitwise majority; ``bit_rows`` and ``row_ints`` turn such bitvectors, of
-any width, into 0/1 matrices (bit k in column k) and back.
+bitwise majority, packed the same way by ``pack_rows``; ``bit_rows`` and
+``row_ints`` turn such bitvectors, of any width, into 0/1 matrices (bit k
+in column k) and back.
+
+The median closure of a set I of bitvectors is the solution set C of
+the 2-clauses that every element of I satisfies (Schaefer 1978).  For a
+literal L = (bit k, side s) let AND_L and OR_L be the AND and the OR of
+the elements of I that hold L; a bitvector is in C iff every literal L it
+holds occurs in I and AND_L <= it <= OR_L.  These clauses are closed
+under resolution, so a prefix (bits 0..k-1) that meets them and AND_L <=
+prefix <= OR_L below bit k extends to an element of C holding L.  Hence
+a set V inside C is all of C iff the bit trie of V misses no branch: no
+prefix p of an element of V, extended by side s of bit k, is a prefix of
+no element of V while (k, s) occurs in I and AND_L <= p <= OR_L below
+bit k.  (A solution outside V has a longest prefix inside the trie, and
+it names such a branch.)
 
 Halfspaces come from covering pairs.  In a finite median algebra, if
 [x,y] = {x,y} then every z has median m(x,y,z) in {x,y}, so
@@ -25,13 +39,15 @@ O(n), so no subset scan is needed.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
 
 Table = Sequence[Sequence[int]]
 
-BLOCK = 1 << 14     # entries per block of meet_counts and of the metric's table build
+BLOCK = 1 << 14     # entries per block of meet_counts, the metric's table build and
+                    # the median-closure test
 
 
 def members(mask: int) -> tuple[int, ...]:
@@ -50,11 +66,27 @@ def words(n: int) -> int:
     return (n + 63) // 64
 
 
+def pack_rows(values: Sequence[int], width: int) -> np.ndarray:
+    """Non-negative ints below 2^width as a (len(values), words(width))
+    uint64 array, bit k at bit k % 64 of word k // 64: one ``to_bytes``
+    row per value."""
+    data = b"".join(map(int.to_bytes, values, repeat(8 * words(width)), repeat("little")))
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), words(width))
+
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """A 0/1 array packed along its last axis of W entries into
+    words(W) uint64 words, as :func:`pack_rows` lays out bits."""
+    *lead, width = bits.shape
+    out = np.zeros((*lead, 8 * words(width)), dtype=np.uint8)
+    out[..., :(width + 7) // 8] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view("<u8")
+
+
 def pack(table: Table) -> np.ndarray:
     """The n x n mask table as a packed (n, n, words(n)) uint64 array."""
-    width = 8 * words(len(table))
-    data = b"".join(m.to_bytes(width, "little") for row in table for m in row)
-    return np.frombuffer(data, dtype="<u8").reshape(len(table), len(table), -1)
+    n = len(table)
+    return pack_rows([m for row in table for m in row], n).reshape(n, n, -1)
 
 
 def unpack(packed: np.ndarray) -> list[list[int]]:
@@ -68,11 +100,9 @@ def unpack(packed: np.ndarray) -> list[list[int]]:
 
 def bit_rows(values: Sequence[int], width: int) -> np.ndarray:
     """Non-negative ints below 2^width as a (len(values), width) uint8
-    matrix of their bits, bit k in column k: one ``to_bytes`` row per
-    value, unpacked at once."""
-    size = (width + 7) // 8
-    data = b"".join(v.to_bytes(size, "little") for v in values)
-    rows = np.frombuffer(data, dtype=np.uint8).reshape(len(values), size)
+    matrix of their bits, bit k in column k: :func:`pack_rows`, unpacked
+    at once."""
+    rows = pack_rows(values, width).view(np.uint8)
     return np.unpackbits(rows, axis=1, count=width, bitorder="little")
 
 
@@ -177,38 +207,109 @@ def halfspaces(betw: Table, within: int | None = None
                   key=lambda entry: members(entry[0]))
 
 
-def count_closure(image_bits: Sequence[int], width: int, limit: int) -> int:
-    """Number of bitvectors of ``width`` bits satisfying every 2-clause
-    (and unit clause) that all of ``image_bits`` satisfy, counted up to
-    ``limit + 1``.
+# each byte with its bits in reverse order
+_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+# level t of a block of 32 levels sits at bit 31 - t of its keys, and the
+# levels below it at the bits below
+_LEVELS = np.uint64(1) << np.arange(31, -1, -1, dtype=np.uint64)
+_BELOW = _LEVELS - np.uint64(1)
+_SIDES = np.array([[0], [1]], dtype=np.uint8)
 
-    A set of bitvectors is closed under the majority median iff it is the
-    solution set of a 2-CNF (Schaefer 1978), so this counts the median
-    closure of the image; it equals ``len(image_bits)`` for distinct
-    elements iff the image is median-closed.  The search assigns bits in
-    index order and takes value s of bit k only if some image element has
-    it and every earlier chosen literal occurs with it in some image
-    element.  The clause set is closed under resolution, so every partial
-    assignment extends: the search never dead-ends and visits at most
-    (limit + 1) * (width + 1) nodes.
-    """
-    occ = [[0, 0] for _ in range(width)]    # occ[k][s]: image elements with bit k == s
-    for e, bits in enumerate(image_bits):
-        for k in range(width):
-            occ[k][bits >> k & 1] |= 1 << e
-    # compat[k][s]: literals 2l+t (l < k) occurring together with (k, s)
-    compat = [[sum(1 << (2 * l + t) for l in range(k) for t in (0, 1)
-                   if occ[l][t] & occ[k][s]) for s in (0, 1)] for k in range(width)]
-    count = 0
-    stack = [(0, 0)]                      # (next bit, chosen literals)
-    while stack:
-        k, path = stack.pop()
-        if k == width:
-            count += 1
-            if count > limit:
-                break
-            continue
-        for s in (0, 1):
-            if occ[k][s] and not path & ~compat[k][s]:
-                stack.append((k + 1, path | 1 << (2 * k + s)))
-    return count
+
+def _clauses(columns: np.ndarray, ones: np.ndarray, m: int, lower: np.ndarray,
+             a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2-clauses of an image of m elements between the literals of
+    bits a <= k < b and the bits j < k, as word-major tables (force,
+    value) of shape (words(b), 2, b - a).  For the literal L = (k, s),
+    word x of ``force[:, s, k - a]`` marks the bits j < k that L fixes
+    (AND_L holds bit j, or OR_L lacks it) and ``value[:, s, k - a]`` the
+    value they are fixed to, the bits of AND_L.  A bitvector meets every
+    clause between L and the bits below k iff its words masked by
+    ``force`` equal ``value``.
+
+    ``columns[x, k]`` is word x of the set of elements holding bit k,
+    ``ones[k]`` its size, and ``lower[k, j]`` says j < k.  The clauses
+    come from the co-occurrence counts of each bit k with the bits j < b,
+    added up with ``np.bitwise_count`` one word of elements at a time."""
+    both = np.zeros((b - a, b), dtype=np.int32)        # [k - a, j]: elements holding k and j
+    for word in columns:
+        both += np.bitwise_count(word[a:b, None] & word[None, :b])
+    hi, lo = ones[a:b, None], ones[None, :b]
+    # [t, k - a, j]: L = (k, t % 2) fixes bit j to 1 (t < 2) or to 0 (t >= 2)
+    fixed = np.empty((4, b - a, b), dtype=bool)
+    for t, count in enumerate((hi + lo - m, hi, lo, 0)):
+        np.equal(both, count, out=fixed[t])
+    fixed &= lower[a:b, :b]
+    fixes = np.ascontiguousarray(pack_bits(fixed).transpose(2, 0, 1))     # [word, t, k - a]
+    return fixes[:, :2] | fixes[:, 2:], fixes[:, :2]
+
+
+def is_median_closure(image: Sequence[int], vertices: Sequence[int], width: int) -> bool:
+    """Whether the set of ``vertices`` is the median closure of ``image``:
+    the solution set of the 2-clauses that every element of ``image``
+    satisfies (the closure of no element is empty).  Both hold ints below
+    2^width; ``vertices`` is any set, consistent or not.
+
+    The test is the criterion of the module docstring, run over the
+    levels k of the vertices' bit trie 32 at a time.  Every vertex must
+    meet the clauses between each literal it holds and its bits below it
+    (so it lies in the closure), and no branch may be missing.  The
+    trie's nodes in a block of levels are the distinct prefixes of the
+    vertices through the block, as sorted keys (the rank of the prefix of
+    the earlier levels, then the block's bits in reverse order), so a
+    branch is present iff a key lies in the range that its prefix spans:
+    one ``searchsorted`` per block.  One vertex per distinct prefix is
+    tested against the block's clauses (:func:`_clauses`), one word at a
+    time, both sides of each level at once, in chunks of about ``BLOCK``
+    (vertex, level) pairs.
+
+    For n vertices, m image elements and W bits this costs O((m + n) *
+    W * W / 64) word operations.  There are ceil(W/32) blocks, each of
+    O(m/64) numpy steps on 32 x W counts and O(n * 32/BLOCK * W/64) steps
+    on chunks of about ``BLOCK`` pairs, so up to 64 bits, 64 image
+    elements and 512 vertices take a fixed number of numpy calls."""
+    m = len(image)
+    if not (m and len(vertices)):
+        return m == len(vertices)
+    packed = pack_rows([*image, *vertices], width)
+    bits = np.unpackbits(packed.view(np.uint8), axis=1, count=width, bitorder="little")
+    image_bits, vertex_bits = bits[:m], bits[m:]
+    columns = np.ascontiguousarray(pack_bits(image_bits.T).T)   # [word, k]: elements holding bit k
+    ones = image_bits.sum(axis=0, dtype=np.int64)
+    occurs = np.empty((2, width), dtype=bool)           # [s, k]: an element holds (k, s)
+    np.less(ones, m, out=occurs[0])
+    np.greater(ones, 0, out=occurs[1])
+    lower = np.arange(width) < np.arange(width)[:, None]   # [k, j]: j < k
+    rows = packed[m:]
+    # block h of 32 levels, bit 32h + t at bit 31 - t
+    reversed_bits = _REVERSED[rows.view(np.uint8)].view(">u4").astype(np.uint64)
+    rank = np.zeros(len(rows), dtype=np.uint64)
+    for a in range(0, width, 32):
+        b = min(width, a + 32)
+        prefixes = rank << np.uint64(32) | reversed_bits[:, a // 32]
+        keys, first = np.unique(prefixes, return_index=True)
+        rank = keys.searchsorted(prefixes).astype(np.uint64)
+        # the keys through level t with bit 31 - t flipped span [lo, lo | below];
+        # the least key from lo on (or the greatest key) lies outside iff none lies inside
+        below = _BELOW[:b - a]
+        lo = (keys[:, None] ^ _LEVELS[:b - a]) & ~below
+        missing = keys.take(keys.searchsorted(lo), mode="clip") ^ lo > below
+        own = vertex_bits[first, a:b]
+        x = np.ascontiguousarray(rows[first].T)          # [word, vertex]
+        force, value = _clauses(columns, ones, m, lower, a, b)
+        step = max(1, BLOCK // (b - a))
+        for r in range(0, len(keys), step):
+            clash = np.zeros((len(keys[r:r + step]), 2, b - a), dtype=np.uint64)
+            part = np.empty_like(clash)
+            for word, f, v in zip(x, force, value):
+                np.bitwise_and(word[r:r + step, None, None], f, out=part)
+                part ^= v
+                clash |= part
+            # [vertex, s, level]: side s meets the clauses, and is the
+            # vertex's own; the own side must, and the other side must not
+            # where its branch is missing
+            meets = (clash == 0) & occurs[:, a:b]
+            mine = own[r:r + step, None] == _SIDES
+            if ((meets ^ mine) & (mine | missing[r:r + step, None])).any():
+                return False
+    return True

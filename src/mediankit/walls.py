@@ -292,11 +292,13 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
 
     The construction is verified: every vertex is consistent (the same
     mask test, on every wall of every vertex) and the embedded image has
-    the whole vertex set as median closure (by counting the solutions of
-    the image's 2-clause theory).  The point embedding is isometric for
-    the wall metric by definition: a point's vertex is its sigma bits,
-    which differ exactly on the separating walls.  The graph is connected (one BFS), its edges are its
-    Hamming-1 pairs, and its vertex set is majority-closed, so by the
+    the whole vertex set as median closure (the solution set of the
+    image's 2-clauses, by the prefix test of
+    :func:`intervals.is_median_closure`).  The point embedding is
+    isometric for the wall metric by definition: a point's vertex is its
+    sigma bits, which differ exactly on the separating walls.  The graph
+    is connected (one BFS), its edges are its Hamming-1 pairs, and its
+    vertex set is majority-closed, so by the
     lemma at :class:`MedianGraphCert` path distance equals Hamming
     distance and the orientation bits are its walls: the certificate is
     built from them, and wall k of the input is certificate wall
@@ -358,9 +360,7 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
     # separating walls by definition
     checks["embedding_isometric"] = True
 
-    # vertices_consistent puts every vertex among the solutions, so equal
-    # counts make the vertex set the median closure of the image
-    if intervals.count_closure(image.tolist(), W, nv) != nv:
+    if not intervals.is_median_closure(image.tolist(), ordered, W):
         raise InternalCheckError(
             "vertex set is not the median closure of the embedded image")
     checks["median_closure"] = "checked"

@@ -2,6 +2,7 @@ import itertools
 import math
 from collections import deque
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mediankit.algebra import (AxiomCheck, AxiomReport, FiniteMedianAlgebra,
 from mediankit.convexity import _circumsphere
 from mediankit.corpus import graph_instances, median_graph_instances
 from mediankit.graphs import GraphWall, MedianGraphCert, SimpleGraph, _lemma_holds, _mask
-from mediankit.intervals import count_closure, is_convex, members
+from mediankit.intervals import is_convex, members
 from mediankit.metric import Classification, _to_fraction
 from mediankit.walls import CubulationResult, Orientation, _vertex_name
 
@@ -594,6 +595,43 @@ def helly_witness_oracle(m: FiniteMetric):
                 c = int(np.flatnonzero(bad)[0]) + b + 1
                 return unmask(ma), unmask(mb), unmask(masks[c])
     return None
+
+
+def count_closure(image_bits: Sequence[int], width: int, limit: int) -> int:
+    """Number of bitvectors of ``width`` bits satisfying every 2-clause
+    (and unit clause) that all of ``image_bits`` satisfy, counted up to
+    ``limit + 1``.
+
+    A set of bitvectors is closed under the majority median iff it is the
+    solution set of a 2-CNF (Schaefer 1978), so this counts the median
+    closure of the image; it equals ``len(image_bits)`` for distinct
+    elements iff the image is median-closed.  The search assigns bits in
+    index order and takes value s of bit k only if some image element has
+    it and every earlier chosen literal occurs with it in some image
+    element.  The clause set is closed under resolution, so every partial
+    assignment extends: the search never dead-ends and visits at most
+    (limit + 1) * (width + 1) nodes.
+    """
+    occ = [[0, 0] for _ in range(width)]    # occ[k][s]: image elements with bit k == s
+    for e, bits in enumerate(image_bits):
+        for k in range(width):
+            occ[k][bits >> k & 1] |= 1 << e
+    # compat[k][s]: literals 2l+t (l < k) occurring together with (k, s)
+    compat = [[sum(1 << (2 * l + t) for l in range(k) for t in (0, 1)
+                   if occ[l][t] & occ[k][s]) for s in (0, 1)] for k in range(width)]
+    count = 0
+    stack = [(0, 0)]                      # (next bit, chosen literals)
+    while stack:
+        k, path = stack.pop()
+        if k == width:
+            count += 1
+            if count > limit:
+                break
+            continue
+        for s in (0, 1):
+            if occ[k][s] and not path & ~compat[k][s]:
+                stack.append((k + 1, path | 1 << (2 * k + s)))
+    return count
 
 
 def majority_closure(image_bits) -> set[int]:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from mediankit import InputError, InternalCheckError, certify_median_graph
+from mediankit import InputError, InternalCheckError, SimpleGraph, certify_median_graph
 from mediankit import formats
 from mediankit.corpus import (cycle_graph, generate_corpus, hypercube_graph,
                               path_graph)
@@ -141,6 +141,16 @@ def test_dot_export_plain_structure():
     assert "color=" in text
     bare = formats.dot_export(cert.graph)
     assert "color=" not in bare
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    g = SimpleGraph(['a"b', "c\\", "d\\e", 7],
+                    [('a"b', "c\\"), ("c\\", "d\\e"), ("d\\e", 7)])
+    assert formats.dot_export(g).splitlines() == [
+        "graph G {",
+        '  "a\\"b";', '  "c\\\\";', '  "d\\\\e";', '  "7";',
+        '  "a\\"b" -- "c\\\\";', '  "c\\\\" -- "d\\\\e";', '  "d\\\\e" -- "7";',
+        "}"]
 
 
 # ---------------------------------------------------------------- cli

@@ -51,6 +51,44 @@ def test_bfs_distances():
     assert g.all_pairs()[0][3] == 3
 
 
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on 1-40 vertices plus random chords."""
+    n = draw(st.integers(1, 40))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    if n > 1:
+        edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    order = draw(st.permutations(range(n)))
+    return SimpleGraph(order, edges)
+
+
+def bfs_table(g):
+    return [g.bfs_distances(i) for i in range(len(g))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs())
+def test_all_pairs_matches_a_bfs_from_every_vertex(g):
+    assert g.all_pairs() == bfs_table(g)
+
+
+@pytest.mark.parametrize("g", [path_graph(1), path_graph(130), complete_bipartite_graph(3, 200)],
+                         ids=["single-vertex", "path130", "k3-200"])
+def test_all_pairs_on_one_vertex_and_multiword_balls(g):
+    dist = g.all_pairs()
+    assert dist == bfs_table(g)
+    assert g.all_pairs() is dist
+    assert all(type(d) is int for row in dist for d in row)
+
+
+def test_a_1024_vertex_tree_is_certified_with_1023_walls():
+    cert = certify_median_graph(random_tree(1024, 11))
+    assert len(cert.wall_bits) == 1023
+    assert cert.coordinate_int(cert.vertices[5]).bit_count() == \
+        cert.graph.bfs_distances(0)[5]
+
+
 def test_path_metric_passes_full_validation(corpus_graphs):
     # path_metric skips the metric checks, which BFS distances pass by construction
     for inst in corpus_graphs.values():
@@ -210,7 +248,7 @@ def test_certificate_scans_no_triples(monkeypatch):
 
 
 def test_a_wall_test_failing_on_a_median_graph_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(intervals, "count_closure", lambda *args: -1)
+    monkeypatch.setattr(intervals, "is_median_closure", lambda *args: False)
     with pytest.raises(InternalCheckError, match="no witness"):
         certify_median_graph(grid_graph(2, 3))
 

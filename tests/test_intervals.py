@@ -1,4 +1,6 @@
-"""The interval kernel against the 2^n subset oracle, for n <= 12."""
+"""The interval kernel against the 2^n subset oracle, for n <= 12, and
+the median-closure test against the majority fixpoint and the 2-clause
+solution count."""
 
 import random
 from fractions import Fraction
@@ -6,10 +8,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boolean_median_algebra, subsets_bruteforce_halfspaces
-from mediankit import FiniteMetric
+from conftest import (boolean_median_algebra, count_closure, majority_closure,
+                      subsets_bruteforce_halfspaces)
+from mediankit import FiniteMetric, WallSpace, cubulate
 from mediankit.corpus import grid_graph
-from mediankit.intervals import halfspaces, is_convex, members
+from mediankit.intervals import halfspaces, is_convex, is_median_closure, members
 
 
 def rational_tree_table(n, seed):
@@ -75,3 +78,72 @@ def test_single_point_and_empty_masks_have_no_proper_halfspace():
     assert halfspaces(betw, within=0b0100) == []
     assert halfspaces(betw, within=0) == []
     assert is_convex(betw, 0)
+
+
+# ---------------------------------------------------------------- median closure
+
+@st.composite
+def widened_images(draw):
+    """An image of up to 7 bits, its median closure by the majority
+    fixpoint, and both carried into a width of 0-7, 63, 64, 65 or 130
+    bits by a map that copies, complements or fixes bits.  Each source bit
+    is copied at least once, so the map is an injective median morphism
+    and carries the closure onto the closure."""
+    small = draw(st.integers(0, 7))
+    image = draw(st.sets(st.integers(0, (1 << small) - 1), min_size=1, max_size=12))
+    width = draw(st.sampled_from([small, small, 63, 64, 65, 130]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    sources = list(range(small))
+    sources += [rng.choice(sources + [None]) for _ in range(width - small)]
+    if width > small:
+        rng.shuffle(sources)
+    plan = [(src, rng.randrange(2) if width > small else 0) for src in sources]
+
+    def carry(x):
+        return sum(((x >> src & 1 if src is not None else 0) ^ flip) << j
+                   for j, (src, flip) in enumerate(plan))
+
+    return width, sorted(map(carry, image)), sorted(map(carry, majority_closure(image)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(widened_images(), st.data())
+def test_median_closure_test_matches_the_oracles(case, data):
+    width, image, closure = case
+    assert count_closure(image, width, len(closure)) == len(closure)
+    assert is_median_closure(image, closure, width)
+    assert is_median_closure(image, image, width) == (image == closure)
+    drop = data.draw(st.sampled_from(closure))
+    assert not is_median_closure(image, [v for v in closure if v != drop], width)
+    if len(closure) < 1 << width:
+        outsider = data.draw(st.integers(0, (1 << width) - 1).filter(
+            lambda v: v not in closure))
+        assert not is_median_closure(image, sorted(closure + [outsider]), width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda w: st.tuples(
+    st.just(w), st.sets(st.integers(0, (1 << w) - 1), min_size=1, max_size=10),
+    st.sets(st.integers(0, (1 << w) - 1), max_size=20))))
+def test_median_closure_test_holds_for_any_vertex_set(case):
+    width, image, vertices = case
+    assert is_median_closure(sorted(image), sorted(vertices), width) == \
+        (vertices == majority_closure(image))
+
+
+def test_median_closure_of_nothing_is_empty():
+    assert is_median_closure([], [], 3)
+    assert not is_median_closure([], [0], 0)
+    assert not is_median_closure([0], [], 0)
+    assert is_median_closure([0], [0], 0)
+
+
+def test_the_tripod_without_its_centre_is_no_median_closure():
+    w = WallSpace(["a", "b", "c"], [(["a"], ["b", "c"]), (["b"], ["a", "c"]),
+                                    (["c"], ["a", "b"])])
+    res = cubulate(w)
+    bits = sorted(res.vertex_bits.values())
+    image = sorted(res.vertex_bits[v] for v in res.embedding.values())
+    centre = next(b for b in bits if b not in image)
+    assert is_median_closure(image, bits, w.wall_count)
+    assert not is_median_closure(image, [b for b in bits if b != centre], w.wall_count)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (between_oracle, classify_oracle, edge_halfspace_certificate,
-                      random_shortest_path_metric, validate_axioms_oracle)
+from conftest import (between_oracle, classify_oracle, count_closure,
+                      edge_halfspace_certificate, random_shortest_path_metric,
+                      validate_axioms_oracle)
 from mediankit import (FiniteMetric, IntervalStructure, NotMedianError, SimpleGraph,
                        certify_median_graph, classify, cubulate, intervals, validate_axioms)
 from mediankit.corpus import (asymmetric_interval_fixture, complete_bipartite_graph,
@@ -194,7 +195,7 @@ def lemma_checks(g):
         "one_bit": all((coords[i] ^ coords[j]).bit_count() == 1 for i, j in g.edge_indices),
         "pairs": sum((c ^ 1 << k) in present for c in coords for k in range(width)
                      if c >> k & 1) == len(g.edge_indices),
-        "closure": intervals.count_closure(coords, width, n) == n,
+        "closure": count_closure(coords, width, n) == n,
     }
 
 

@@ -13,11 +13,10 @@ from mediankit import (InputError, Orientation, ResourceLimitError, WallSpace,
 from mediankit.corpus import (cycle_graph, grid_graph, hypercube_graph,
                               nested_wall_space, path_graph, random_tree,
                               random_wall_space, wall_instances)
-from mediankit.intervals import count_closure
 from mediankit.walls import _meets, _orientation_array, _side_tables
 
 from conftest import (bfs_distance_check, check_upward_closure,
-                      consistent_orientations_bruteforce, cubulate_oracle,
+                      consistent_orientations_bruteforce, count_closure, cubulate_oracle,
                       majority_closure, majority_closure_check,
                       random_crossing_wall_space, steps_toward_all, wall_metric_recount)
 
