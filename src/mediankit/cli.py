@@ -150,6 +150,8 @@ def cmd_cubulate(args) -> int:
 
 
 def cmd_fill_cubes(args) -> int:
+    if args.max_dim is not None and args.max_dim < 1:
+        raise InputError("max_dim must be >= 1")
     data = formats.load_json(args.infile)
     g = formats.graph_from_json(data)
     report = {"command": "fill-cubes", "input": _digest(args.infile)}
@@ -221,8 +223,7 @@ def cmd_embed(args) -> int:
             return 1
         emb = l1_embed(cert)
         report["dimension"] = emb.dimension
-        report["vectors"] = {str(v): "".join(map(str, emb.vectors[v]))
-                             for v in cert.vertices}
+        report["vectors"] = dict(zip(map(str, emb.vertices), emb.strings()))
     else:
         metric = _metric_payload(data)
         emb = gns_embed(metric, tol=args.tol)

@@ -12,10 +12,11 @@ verified against the metric.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
@@ -377,13 +378,33 @@ def gns_embed(m: FiniteMetric, tol: float = DEFAULT_GNS_TOL,
     return GnsEmbedding(list(m.points), coords, tol, worst)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class L1Embedding:
-    """Wall-side indicator vectors; Hamming distance equals path distance."""
+    """Wall-side indicator vectors; Hamming distance equals path distance.
+    ``bits`` holds them as one (vertices, dimension) 0/1 uint8 matrix, row
+    i for ``vertices[i]``; the tuples of ``vectors`` are built on first
+    use."""
 
     vertices: tuple
-    vectors: dict
-    dimension: int
+    bits: np.ndarray = field(repr=False)
+
+    @property
+    def dimension(self) -> int:
+        return self.bits.shape[1]
+
+    @functools.cached_property
+    def vectors(self) -> dict:
+        return dict(zip(self.vertices, map(tuple, self.bits.tolist())))
+
+    def strings(self) -> list[str]:
+        """Each vertex's vector as a string of 0s and 1s, coordinate k at
+        position k: the digit matrix read as one S{dimension} string per
+        row."""
+        n, width = self.bits.shape
+        if not width:
+            return [""] * n
+        digits = self.bits + ord("0")
+        return digits.view(f"S{width}").ravel().astype(str).tolist()
 
     def hamming(self, u, v) -> int:
         return sum(a != b for a, b in zip(self.vectors[u], self.vectors[v]))
@@ -392,7 +413,7 @@ class L1Embedding:
 def l1_embed(cert: MedianGraphCert) -> L1Embedding:
     """The certificate's wall coordinates as 0/1 vectors; their Hamming
     distance equals path distance, as certification has checked."""
-    return L1Embedding(tuple(cert.vertices), cert.wall_coordinates(), len(cert.wall_bits))
+    return L1Embedding(tuple(cert.vertices), cert.coordinate_bits())
 
 
 @dataclass(frozen=True)

@@ -256,14 +256,19 @@ class MedianGraphCert:
             bits ^= self._coords[self.graph.index(base)]
         return bits
 
+    def coordinate_bits(self, base: Vertex | None = None) -> np.ndarray:
+        """The wall coordinates as an (n, walls) 0/1 uint8 matrix, row i
+        for vertex index i, zeroed at the base vertex."""
+        rows = intervals.bit_rows(self._coords, len(self.wall_bits))
+        if base is not None:
+            rows ^= rows[self.graph.index(base)]
+        return rows
+
     def wall_coordinates(self, base: Vertex | None = None) -> dict[Vertex, tuple[int, ...]]:
         """Per-vertex wall-side indicators, zeroed at the base vertex.
         Hamming distance between two coordinate vectors equals path distance.
         """
-        rows = intervals.bit_rows(self._coords, len(self.wall_bits))
-        if base is not None:
-            rows ^= rows[self.graph.index(base)]
-        return dict(zip(self.vertices, map(tuple, rows.tolist())))
+        return dict(zip(self.vertices, map(tuple, self.coordinate_bits(base).tolist())))
 
 
 def _mask(indices: Sequence[int], n: int) -> int:
@@ -321,8 +326,9 @@ def _bfs_coordinates(g: SimpleGraph) -> tuple[list[int], int]:
 def _lemma_holds(g: SimpleGraph, coords: Sequence[int], width: int) -> bool:
     """Whether ``coords`` meet the hypotheses of the lemma at
     :class:`MedianGraphCert`: distinct, one flipped bit per edge, exactly
-    the edges at Hamming distance 1 (O(n*width) set lookups), and closed
-    under the bitwise majority (they are their own median closure,
+    the edges at Hamming distance 1 (one set lookup per set bit of each
+    coordinate, O(sum of popcounts)), and closed under the bitwise
+    majority (they are their own median closure,
     :func:`intervals.is_median_closure`).  The graph is connected by
     construction."""
     n = len(coords)
@@ -331,7 +337,13 @@ def _lemma_holds(g: SimpleGraph, coords: Sequence[int], width: int) -> bool:
         return False
     if any((coords[i] ^ coords[j]).bit_count() != 1 for i, j in g.edge_indices):
         return False
-    pairs = sum((c ^ 1 << k) in present for c in coords for k in range(width) if c >> k & 1)
+    pairs = 0      # Hamming-1 pairs, each counted at its upper end
+    for c in coords:
+        rest = c
+        while rest:
+            low = rest & -rest
+            pairs += (c ^ low) in present
+            rest ^= low
     return pairs == len(g.edge_indices) and intervals.is_median_closure(coords, coords, width)
 
 
@@ -360,20 +372,51 @@ def certify_median_graph(g: SimpleGraph) -> MedianGraphCert:
         "graph failed the median-graph test but classify found no witness")
 
 
-@dataclass(frozen=True)
 class CubeComplex:
     """Cubes by dimension; each k-cube is the vertex set of an induced
     k-hypercube, and the family is closed under the filling rule: a cube
-    is present as soon as all its vertices are."""
+    is present as soon as all its vertices are.
 
-    cubes: dict[int, list[frozenset]]
+    Level k of ``keys`` lists the k-cubes as pairs (i, varying): the cube
+    of the k walls in the mask ``varying`` at the vertex of index i, its
+    corner with every varying coordinate 0.  ``counts()`` and
+    ``dimension`` read the keys; the vertex sets ``cubes`` are built on
+    first use, in the order of ``sorted(map(str, cube))`` (ties in key
+    order).
+    """
+
+    def __init__(self, cert: MedianGraphCert, keys: dict[int, list[tuple[int, int]]]):
+        self.cert = cert
+        self.keys = keys
 
     def counts(self) -> dict[int, int]:
-        return {k: len(v) for k, v in sorted(self.cubes.items())}
+        return {k: len(level) for k, level in self.keys.items()}
 
     @property
     def dimension(self) -> int:
-        return max(self.cubes) if self.cubes else 0
+        return max(self.keys) if self.keys else 0
+
+    @functools.cached_property
+    def cubes(self) -> dict[int, list[frozenset]]:
+        """The vertex set of every cube, by dimension."""
+        vs = self.cert.vertices
+        coords = self.cert._coords
+        by_coord = self.cert._by_coord
+        out = {}
+        for dim, level in self.keys.items():
+            sets = []
+            for i, varying in level:
+                fix = coords[i]
+                members = []
+                sub = 0
+                while True:    # every submask of varying, by the carry trick
+                    members.append(vs[by_coord[fix | sub]])
+                    sub = (sub - varying) & varying
+                    if not sub:
+                        break
+                sets.append(frozenset(members))
+            out[dim] = sorted(sets, key=lambda s: sorted(map(str, s)))
+        return out
 
 
 def fill_cubes(cert: MedianGraphCert, max_dim: int | None = None) -> CubeComplex:
@@ -381,43 +424,35 @@ def fill_cubes(cert: MedianGraphCert, max_dim: int | None = None) -> CubeComplex
     vertices realizing all orientations of k pairwise-crossing walls with
     every other wall fixed.  Built level by level, so the (k+1)-level is
     complete whenever its k-skeletons are.
+
+    The 1-cubes are the edges, keyed at their lower end.  The cube
+    (i, varying) extends along wall w above every varying wall iff
+    (j, varying) is a cube, where vertex j is vertex i with bit w set: j
+    is then an up-neighbour of i (the lemma at :class:`MedianGraphCert`),
+    so only those are tried, in ascending bit order.  That costs
+    O(sum over levels of keys * degree) dict lookups; no vertex set is
+    built until ``cubes`` is read.
     """
     if max_dim is not None and max_dim < 1:
         raise InputError("max_dim must be >= 1")
-    nwalls = len(cert.wall_bits)
     coords = cert._coords
-    by_coord = cert._by_coord
-
-    # level k maps (fixed coordinate part, varying wall mask) -> present
-    level: dict[tuple[int, int], None] = {}
+    # per vertex index, its up-neighbours (wall mask, index), ascending
+    up: list[list[tuple[int, int]]] = [[] for _ in coords]
+    level = []
     for i, j in cert.graph.edge_indices:
         x = coords[i] ^ coords[j]
-        level[(coords[i] & ~x, x)] = None
-    out: dict[int, list[frozenset]] = {}
+        if coords[i] & x:
+            i, j = j, i
+        up[i].append((x, j))
+        level.append((i, x))
+    for nbrs in up:
+        nbrs.sort()
+    keys: dict[int, list[tuple[int, int]]] = {}
     dim = 1
     while level and (max_dim is None or dim <= max_dim):
-        sets = []
-        for fix, varying in level:
-            bits = [b for b in range(nwalls) if varying >> b & 1]
-            members = []
-            for choice in range(1 << dim):
-                c = fix
-                for pos, b in enumerate(bits):
-                    if choice >> pos & 1:
-                        c |= 1 << b
-                members.append(cert.vertices[by_coord[c]])
-            sets.append(frozenset(members))
-        out[dim] = sorted(sets, key=lambda s: sorted(map(str, s)))
-        nxt: dict[tuple[int, int], None] = {}
-        for fix, varying in level:
-            top = varying.bit_length()
-            for w in range(top, nwalls):
-                bw = 1 << w
-                if fix & bw:
-                    continue
-                if (fix | bw, varying) in level:
-                    nxt[(fix, varying | bw)] = None
-        level = nxt
+        keys[dim] = level
+        present = set(level)
+        level = [(i, varying | bw) for i, varying in level for bw, j in up[i]
+                 if bw > varying and (j, varying) in present]
         dim += 1
-    return CubeComplex(out)
-
+    return CubeComplex(cert, keys)

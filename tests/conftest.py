@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -307,6 +308,66 @@ class EagerCertificate:
         shift = 0 if base is None else self._coords[self.graph.index(base)]
         return {v: tuple((c ^ shift) >> k & 1 for k in range(len(self.walls)))
                 for v, c in zip(self.graph.vertices, self._coords)}
+
+
+@dataclass(frozen=True)
+class CubeComplexOracle:
+    """Oracle: cubes by dimension, every vertex set built at once."""
+
+    cubes: dict[int, list[frozenset]]
+
+    def counts(self) -> dict[int, int]:
+        return {k: len(v) for k, v in sorted(self.cubes.items())}
+
+    @property
+    def dimension(self) -> int:
+        return max(self.cubes) if self.cubes else 0
+
+
+def fill_cubes_oracle(cert: MedianGraphCert, max_dim: int | None = None) -> CubeComplexOracle:
+    """Oracle: cubes by Python loops over every wall.  A k-cube is a set of 2^k
+    vertices realizing all orientations of k pairwise-crossing walls with
+    every other wall fixed.  Built level by level, so the (k+1)-level is
+    complete whenever its k-skeletons are.
+    """
+    if max_dim is not None and max_dim < 1:
+        raise InputError("max_dim must be >= 1")
+    nwalls = len(cert.wall_bits)
+    coords = cert._coords
+    by_coord = cert._by_coord
+
+    # level k maps (fixed coordinate part, varying wall mask) -> present
+    level: dict[tuple[int, int], None] = {}
+    for i, j in cert.graph.edge_indices:
+        x = coords[i] ^ coords[j]
+        level[(coords[i] & ~x, x)] = None
+    out: dict[int, list[frozenset]] = {}
+    dim = 1
+    while level and (max_dim is None or dim <= max_dim):
+        sets = []
+        for fix, varying in level:
+            bits = [b for b in range(nwalls) if varying >> b & 1]
+            members = []
+            for choice in range(1 << dim):
+                c = fix
+                for pos, b in enumerate(bits):
+                    if choice >> pos & 1:
+                        c |= 1 << b
+                members.append(cert.vertices[by_coord[c]])
+            sets.append(frozenset(members))
+        out[dim] = sorted(sets, key=lambda s: sorted(map(str, s)))
+        nxt: dict[tuple[int, int], None] = {}
+        for fix, varying in level:
+            top = varying.bit_length()
+            for w in range(top, nwalls):
+                bw = 1 << w
+                if fix & bw:
+                    continue
+                if (fix | bw, varying) in level:
+                    nxt[(fix, varying | bw)] = None
+        level = nxt
+        dim += 1
+    return CubeComplexOracle(out)
 
 
 def _blocked_literals(sides) -> list[list[int]]:

@@ -488,6 +488,14 @@ def test_p4_and_cube_l1_exact():
                 assert emb.hamming(u, v) == cert.dist(u, v)
 
 
+def test_l1_strings_are_the_vectors_joined(median_certs):
+    for cert in median_certs.values():
+        emb = l1_embed(cert)
+        strings = emb.strings()
+        assert "vectors" not in vars(emb)       # no tuple is built for them
+        assert strings == ["".join(map(str, emb.vectors[v])) for v in emb.vertices]
+
+
 def test_l1_vectors_are_the_certificate_coordinates(median_certs):
     # l1_embed does not re-check Hamming against path distance; this oracle does
     for cert in median_certs.values():

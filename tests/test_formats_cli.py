@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import EagerCertificate, fill_cubes_oracle
 from mediankit import InputError, InternalCheckError, SimpleGraph, certify_median_graph
 from mediankit import formats
-from mediankit.corpus import (cycle_graph, generate_corpus, hypercube_graph,
-                              path_graph)
+from mediankit.corpus import (cycle_graph, generate_corpus, grid_graph, hypercube_graph,
+                              path_graph, random_tree)
+from mediankit.graphs import _bfs_coordinates
 from mediankit.walls import graph_wall_space
 
 
@@ -600,3 +603,67 @@ def test_warnings_follow_a_report_and_never_precede_an_error(tmp_path):
     r = run_cli("cubulate", "--in", str(bad))
     assert r.returncode == 2
     assert json.loads(r.stderr)["kind"] == "input"      # the JSON error alone
+
+
+K4_MINUS_EDGE = {"vertices": [0, 1, 2, 3], "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3]]}
+
+
+@pytest.mark.parametrize("max_dim", ["0", "-1"])
+@pytest.mark.parametrize("payload", [K4_MINUS_EDGE, P3_GRAPH], ids=["k4-minus-edge", "p3"])
+def test_fill_cubes_rejects_max_dim_below_one_before_certifying(tmp_path, capsys,
+                                                               payload, max_dim):
+    from mediankit import cli
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(payload))
+    assert cli.main(["fill-cubes", "--in", str(infile), "--max-dim", max_dim]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "max_dim must be >= 1", "kind": "input"}
+
+
+GRAPH_REPORT_CASES = {
+    "single-vertex": path_graph(1),           # 0 walls
+    "path64": path_graph(64),                 # 63 walls
+    "path65": path_graph(65),                 # 64 walls, one full word
+    "path66": path_graph(66),                 # 65 walls
+    "tree130": random_tree(130, 5),
+    "grid4x5": grid_graph(4, 5),
+    "q5": hypercube_graph(5),
+    "odd-ids": SimpleGraph([1, 2, "1", "2"], [(1, 2), (2, "1"), ("1", "2")]),
+}
+
+
+@pytest.fixture(params=sorted(GRAPH_REPORT_CASES))
+def graph_file(request, tmp_path):
+    g = GRAPH_REPORT_CASES[request.param]
+    path = tmp_path / "graph.json"
+    path.write_text(formats.dumps(formats.graph_to_json(g)))
+    return g, path
+
+
+def test_embed_l1_report_matches_the_tuple_join_oracle(graph_file, capsys):
+    from mediankit import cli
+    g, path = graph_file
+    coords = EagerCertificate(g, *_bfs_coordinates(g)).wall_coordinates()
+    want = {"command": "embed", "mode": "l1",
+            "input": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "dimension": len(next(iter(coords.values()))),
+            "vectors": {str(v): "".join(map(str, coords[v])) for v in g.vertices}}
+    assert cli.main(["embed", "--mode", "l1", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == formats.dumps(want)
+
+
+@pytest.mark.parametrize("max_dim", [None, 1, 2])
+def test_fill_cubes_outputs_match_the_oracle(graph_file, capsys, max_dim):
+    from mediankit import cli
+    g, path = graph_file
+    want = fill_cubes_oracle(certify_median_graph(g), max_dim)
+    out_complex = path.with_name("complex.json")
+    argv = ["fill-cubes", "--in", str(path), "--out-complex", str(out_complex)]
+    if max_dim is not None:
+        argv += ["--max-dim", str(max_dim)]
+    assert cli.main(argv) == 0
+    assert out_complex.read_text() == formats.dumps(formats.cube_complex_to_json(want))
+    report = json.loads(capsys.readouterr().out)
+    assert report["counts"] == {str(k): v for k, v in want.counts().items()}
+    assert report["dimension"] == want.dimension

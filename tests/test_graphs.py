@@ -1,15 +1,17 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (EagerCertificate, bfs_distance_check, majority_closure_check,
+from conftest import (EagerCertificate, bfs_distance_check, fill_cubes_oracle,
+                      majority_closure_check, random_crossing_wall_space,
                       subsets_bruteforce_halfspaces)
 from mediankit import (FiniteMetric, InputError, InternalCheckError, MedianMetric,
                        NotMedianError, SimpleGraph, certify_median_graph, classify,
-                       fill_cubes, intervals)
+                       cubulate, fill_cubes, intervals)
 from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               grid_graph, hypercube_graph, path_graph,
                               random_tree, star_graph)
@@ -477,3 +479,58 @@ def test_cubes_induce_hypercubes():
         for cube in cubes:
             sub = host.subgraph(cube)
             assert nx.is_isomorphic(sub, pattern)
+
+
+def assert_cubes_match_oracle(cert, max_dim):
+    cc = fill_cubes(cert, max_dim)
+    want = fill_cubes_oracle(cert, max_dim)
+    assert list(cc.counts().items()) == list(want.counts().items())
+    assert cc.dimension == want.dimension
+    assert "cubes" not in vars(cc)          # counting builds no vertex set
+    assert list(cc.cubes) == list(want.cubes)
+    for k, cubes in want.cubes.items():
+        assert cc.cubes[k] == cubes         # list order included
+
+
+# ids 1 and "1" print alike, so all three edges tie under sorted(map(str, cube))
+ODD_IDS_PATH = SimpleGraph([1, 2, "1", "2"], [(1, 2), (2, "1"), ("1", "2")])
+# the 2x3 grid 2-0-"2" over 3-1-"3": its two squares tie, and both extend the
+# key of edge 0-1, whose wall is wall 0
+TIED_SQUARES = SimpleGraph([0, 2, "2", 1, 3, "3"],
+                           [(0, 1), (0, 2), (0, "2"), (1, 3), (1, "3"), (2, 3), ("2", "3")])
+
+
+@pytest.mark.parametrize("max_dim", [None, 1, 2])
+@pytest.mark.parametrize("g", [
+    path_graph(1), ODD_IDS_PATH, TIED_SQUARES, grid_graph(3, 3), grid_graph(2, 5), grid_graph(4, 4),
+    random_tree(20, 1), random_tree(40, 2), star_graph(5), hypercube_graph(3),
+    hypercube_graph(4), hypercube_graph(5), hypercube_graph(6),
+], ids=["single-vertex", "odd-ids", "tied-squares", "grid3x3", "grid2x5", "grid4x4", "tree20", "tree40",
+        "star5", "q3", "q4", "q5", "q6"])
+def test_fill_cubes_matches_the_all_walls_oracle(g, max_dim):
+    assert_cubes_match_oracle(certify_median_graph(g), max_dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), max_dim=st.sampled_from([None, 1, 2]))
+def test_fill_cubes_matches_the_oracle_on_cubulations(seed, max_dim):
+    rng = random.Random(seed)
+    try:
+        w = random_crossing_wall_space(rng, rng.randint(2, 7), rng.randint(1, 9))
+    except InputError:                      # two points no wall separates
+        return
+    assert_cubes_match_oracle(cubulate(w).cert, max_dim)
+
+
+def test_tied_cubes_keep_their_key_order():
+    cc = fill_cubes(certify_median_graph(ODD_IDS_PATH))
+    assert cc.cubes == {1: [frozenset({1, 2}), frozenset({2, "1"}), frozenset({"1", "2"})]}
+    cc = fill_cubes(certify_median_graph(TIED_SQUARES))
+    assert cc.cubes[2] == [frozenset({0, 1, "2", "3"}), frozenset({0, 1, 2, 3})]
+
+
+def test_counts_and_dimension_build_no_cubes():
+    cc = fill_cubes(certify_median_graph(hypercube_graph(4)), max_dim=3)
+    assert (cc.counts(), cc.dimension) == ({1: 32, 2: 24, 3: 8}, 3)
+    assert "cubes" not in vars(cc)
+    assert cc.cubes is cc.cubes             # built once, on first use
