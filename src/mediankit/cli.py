@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import sys
 import time
 import warnings
-from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import formats
@@ -29,13 +27,6 @@ from .metric import classify
 from .walls import cubulate
 
 CLASSIFY_KINDS = ("median", "modular", "neither")
-
-
-def _digest(path: str) -> str:
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _metric_payload(data: dict):
@@ -95,7 +86,7 @@ def cmd_classify(args) -> int:
     c = classify(metric)
     report = {
         "command": "classify",
-        "input": _digest(args.infile),
+        "input": data.digest,
         "verdict": c.kind,
         "witness": _witness(c),
     }
@@ -107,7 +98,7 @@ def cmd_certify_graph(args) -> int:
     data = formats.load_json(args.infile)
     g = formats.graph_from_json(data)
     expected = _expected(data, args.expect)
-    report = {"command": "certify-graph", "input": _digest(args.infile)}
+    report = {"command": "certify-graph", "input": data.digest}
     try:
         cert = certify_median_graph(g)
     except NotMedianError as exc:
@@ -137,7 +128,7 @@ def cmd_cubulate(args) -> int:
         formats.write_text(args.dot, formats.dot_export(result.graph, result.cert))
     report = {
         "command": "cubulate",
-        "input": _digest(args.infile),
+        "input": data.digest,
         "vertices": result.vertex_count,
         "edges": len(result.graph.edge_indices),
         "walls": w.wall_count,
@@ -154,7 +145,7 @@ def cmd_fill_cubes(args) -> int:
         raise InputError("max_dim must be >= 1")
     data = formats.load_json(args.infile)
     g = formats.graph_from_json(data)
-    report = {"command": "fill-cubes", "input": _digest(args.infile)}
+    report = {"command": "fill-cubes", "input": data.digest}
     try:
         cert = certify_median_graph(g)
     except NotMedianError as exc:
@@ -179,7 +170,7 @@ def cmd_certify_negdef(args) -> int:
     cert = certify_negative_definite(metric)
     report = {
         "command": "certify-negdef",
-        "input": _digest(args.infile),
+        "input": data.digest,
         "verdict": "negative-definite" if cert.negative_definite else "indefinite",
         "pivots": [formats.rational_str(p) for p in cert.pivots],
         "witness": None if cert.witness is None else {
@@ -198,7 +189,7 @@ def cmd_certify_hypermetric(args) -> int:
     rep = certify_hypermetric(metric, bound=args.bound)
     report = {
         "command": "certify-hypermetric",
-        "input": _digest(args.infile),
+        "input": data.digest,
         "bound": rep.bound,
         "verdict": "hypermetric" if rep.holds else "violated",
         "max_value": formats.rational_str(rep.max_value),
@@ -212,7 +203,7 @@ def cmd_certify_hypermetric(args) -> int:
 def cmd_embed(args) -> int:
     data = formats.load_json(args.infile)
     _expected_block(data)
-    report = {"command": "embed", "mode": args.mode, "input": _digest(args.infile)}
+    report = {"command": "embed", "mode": args.mode, "input": data.digest}
     if args.mode == "l1":
         try:
             cert = certify_median_graph(formats.graph_from_json(data))
@@ -230,8 +221,8 @@ def cmd_embed(args) -> int:
         report["dimension"] = int(emb.coords.shape[1])
         report["max_error"] = float(emb.max_error)
         report["coordinates"] = {
-            str(p): [float(f"{x:.12g}") for x in emb.coords[i]]
-            for i, p in enumerate(emb.points)
+            str(p): [float(f"{x:.12g}") for x in row]
+            for p, row in zip(emb.points, emb.coords.tolist())
         }
     _emit(report, args)
     return 0
@@ -244,7 +235,7 @@ def cmd_helly(args) -> int:
     rep = check_helly(metric, cap=args.cap)
     report = {
         "command": "helly",
-        "input": _digest(args.infile),
+        "input": data.digest,
         "verdict": "holds" if rep.holds else "fails",
         "classification": rep.classification.kind,
         "agrees_with_modularity": rep.agrees,
@@ -263,7 +254,7 @@ def cmd_displace(args) -> int:
     kind = formats.detect_payload(data)
     _expected_block(data)
     report = {"command": "displace", "word": args.word,
-              "input": _digest(args.infile), "action": _digest(args.action)}
+              "input": data.digest, "action": action_data.digest}
     if kind == "walls":
         action = WallAction(formats.walls_from_json(data), generators, basepoint)
         rep = displacement_walls(action, args.word)
@@ -292,7 +283,7 @@ def cmd_circumcenter(args) -> int:
     res = circumcenter(cloud, tol=args.tol, seed=args.seed)
     report = {
         "command": "circumcenter",
-        "input": _digest(args.infile),
+        "input": data.digest,
         "center": [float(f"{x:.12g}") for x in res.center],
         "radius": float(f"{res.radius:.12g}"),
         "iterations": res.iterations,

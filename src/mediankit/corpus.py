@@ -175,13 +175,6 @@ def default_roster(seed: int = 0) -> list[CorpusInstance]:
     return graph_instances() + wall_instances(seed) + interval_instances()
 
 
-def instance_by_name(name: str, seed: int = 0) -> CorpusInstance:
-    for inst in default_roster(seed):
-        if inst.name == name:
-            return inst
-    raise InputError(f"unknown corpus instance {name!r}")
-
-
 def generate_corpus(names=None, seed: int = 0, out_dir: str = ".") -> list:
     """Write the named instances (default: the full roster) as JSON files
     with their expected verdicts embedded; deterministic per seed."""

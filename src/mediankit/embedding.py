@@ -6,8 +6,10 @@ B = -1/2 J D J is positive semidefinite.  The decision here is exact:
 B is scaled to an integer matrix and reduced by fraction-free (Bareiss)
 integer elimination with greedy diagonal pivoting, which yields the
 rational pivots, the exact LDL^T factor of B and, on failure, a witness
-vector.  GNS coordinates are read off that factor in floats and then
-verified against the metric.
+vector.  The elimination runs on int64 words while its entries stay
+below 2^31 in size and goes on in Python ints from there; both phases
+compute the same integers.  GNS coordinates are read off that factor in
+floats and then verified against the metric.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def distance_form(m: FiniteMetric, coeffs: Sequence[Fraction | int]) -> Fraction
     return Fraction(total, den * den * m.scale)
 
 
-def _integer_gram(m: FiniteMetric) -> tuple[list[list[int]], int]:
+def _integer_gram(m: FiniteMetric) -> tuple[np.ndarray, int]:
     """(G, c) with G = c * B an integer matrix, B = -1/2 J D J the
     doubly-centered form (J the mean-centering projector) and
     c = 2 n^2 scale.  B is PSD iff the distance form is <= 0 on zero-sum
@@ -65,15 +67,17 @@ def _integer_gram(m: FiniteMetric) -> tuple[list[list[int]], int]:
     submatrix of A is an integer column plus the shared column v plus a
     multiple of the all-ones column, and expanding the determinant by
     columns, each of those two can be chosen at most once (denominators n
-    and n^2)."""
+    and n^2).
+
+    G is built in one array expression, int64 when 4 n^2 max D' < 2^62
+    bounds every term, an object array of Python ints otherwise."""
     n = len(m.points)
-    r = [sum(row) for row in m._di]
-    g = sum(r)
-    nr = [n * v for v in r]
-    nn = n * n
-    gram = [[nr[i] + nr[j] - g - nn * dij for j, dij in enumerate(row)]
-            for i, row in enumerate(m._di)]
-    return gram, 2 * nn * m.scale
+    peak = max(map(max, m._di))
+    d = np.array(m._di, dtype=np.int64 if 4 * n * n * peak < 1 << 62 else object)
+    r = d.sum(axis=1)
+    nr = n * r
+    gram = nr[:, None] + nr[None, :] - r.sum() - n * n * d
+    return gram, 2 * n * n * m.scale
 
 
 class Elimination(NamedTuple):
@@ -86,6 +90,19 @@ class Elimination(NamedTuple):
     witness: list[Fraction] | None
     order: list[int]            # indices of the positive pivots, in turn
     columns: list[list[int]]    # L[i][k] = columns[k][i] / columns[k][order[k]]
+
+
+_WORD = 1 << 31     # entries below 2^31 in size: p*x - a*y stays inside int64
+
+
+def _word_block(g) -> np.ndarray | None:
+    """A nonempty g as an int64 array when every entry is below 2^31 in
+    size, else None."""
+    if isinstance(g, np.ndarray):
+        lo, hi = g.min(), g.max()
+    else:
+        lo, hi = min(map(min, g)), max(map(max, g))
+    return np.array(g, dtype=np.int64) if -_WORD < lo and hi < _WORD else None
 
 
 def _psd_eliminate(g: Sequence[Sequence[int]], h: int = 1) -> Elimination:
@@ -106,19 +123,58 @@ def _psd_eliminate(g: Sequence[Sequence[int]], h: int = 1) -> Elimination:
     positive, so the greedy choice and its ties are those of rational
     elimination, and every division is exact.  It also cancels in the
     ratio of a pivot's column to the pivot, which is the entry of L; the
-    column is kept over all indices, 0 at the earlier pivots.  Only the
-    upper triangle of the remaining block is stored: row s holds its
-    entries from the diagonal on.
+    column is kept over all indices, 0 at the earlier pivots.
+
+    The steps run in two phases that compute the same integers.  While
+    every entry is below 2^31 in size, the work matrix is one n x n int64
+    array and a step is one array update, in which p*x - a*y cannot
+    overflow: a pivot's row and column become 0 there, so the first
+    maximum of the whole diagonal is the first maximum among the remaining
+    indices.  From the first step whose entries outgrow that bound, and at
+    the end, the remaining block is handed to Python ints, where only its
+    upper triangle is stored: row s holds its entries from the diagonal on.
     """
     n = len(g)
-    remaining = list(range(n))
-    upper = [list(row[i:]) for i, row in enumerate(g)]
     order: list[int] = []
     columns: list[list[int]] = []
     prev = 1       # last pivot
     div = h        # the work matrix's divisor
     unit = 1       # a pivot of g is unit * p / prev
     pivots: list[Fraction] = []
+
+    def pivot(q: int, p: int, full: list[int]) -> int:
+        """Record the positive pivot p at index q, with its column; returns
+        the divisor of its update step."""
+        nonlocal prev, div, unit
+        pivots.append(Fraction(unit * p, prev))
+        order.append(q)
+        columns.append(full)
+        step = div
+        div, unit = (h * p, h) if len(order) == 1 else (p, h * h)
+        prev = p
+        return step
+
+    work = _word_block(g) if n else None
+    if work is not None:
+        while len(order) < n:
+            t = int(work.diagonal().argmax())
+            p = int(work[t, t])
+            if p <= 0:
+                break
+            col = work[t].copy()
+            step = pivot(t, p, col.tolist())
+            work *= p
+            work -= np.multiply.outer(col, col)
+            work //= step
+            if work.min() <= -_WORD or work.max() >= _WORD:
+                break
+        taken = set(order)
+        remaining = [i for i in range(n) if i not in taken]
+        block = work[np.ix_(remaining, remaining)].tolist()
+    else:
+        remaining = list(range(n))
+        block = g.tolist() if isinstance(g, np.ndarray) else g
+    upper = [list(row[i:]) for i, row in enumerate(block)]
 
     def witness(*rows: tuple[int, int]) -> list[Fraction]:
         """sum of sign * (row s of L^-1), the remaining rows taken as unit
@@ -137,7 +193,6 @@ def _psd_eliminate(g: Sequence[Sequence[int]], h: int = 1) -> Elimination:
         t = max(range(len(remaining)), key=lambda s: upper[s][0])
         p = upper[t][0]
         if p > 0:
-            pivots.append(Fraction(unit * p, prev))
             col = [upper[s][t - s] for s in range(t)] + upper.pop(t)
             del col[t]                     # col[s] = entry (s, pivot)
             q = remaining.pop(t)
@@ -145,16 +200,13 @@ def _psd_eliminate(g: Sequence[Sequence[int]], h: int = 1) -> Elimination:
             full[q] = p
             for r, a in zip(remaining, col):
                 full[r] = a
-            order.append(q)
-            columns.append(full)
+            step = pivot(q, p, full)
             for s, row in enumerate(upper):
                 a = col[s]
                 if s < t:
                     del row[t - s]
                 # rows with a == 0 are rescaled too: every entry carries the minor
-                upper[s] = [(p * x - a * y) // div for x, y in zip(row, col[s:])]
-            div, unit = (h * p, h) if len(order) == 1 else (p, h * h)
-            prev = p
+                upper[s] = [(p * x - a * y) // step for x, y in zip(row, col[s:])]
             continue
         for s, row in enumerate(upper):
             if row[0] < 0:
@@ -205,7 +257,7 @@ def certify_negative_definite(m: FiniteMetric) -> NegDefCertificate:
         witness = tuple(alpha)
     return NegDefCertificate(
         metric=m,
-        gram=tuple(map(tuple, g)),
+        gram=tuple(map(tuple, g.tolist())),
         gram_scale=scale,
         negative_definite=ok,
         pivots=tuple(p / scale for p in pivots),

@@ -6,11 +6,14 @@ commas.  Every report and JSON artifact is written by ``dumps``, whose
 bytes are those of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a
 newline, so outputs are byte-stable for golden tests.  Files go through
 ``write_text`` and are read by ``load_json``, which turn an unwritable
-path, an unreadable or non-UTF-8 file and bad JSON into ``InputError``.
+path, an unreadable or non-UTF-8 file and bad JSON into ``InputError``;
+``load_json`` reads each file once and keeps the digest of its bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import sys
 from fractions import Fraction
@@ -153,10 +156,19 @@ def write_text(path: str | Path, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
-def load_json(path: str | Path) -> dict:
+class Document(dict):
+    """A JSON object read by :func:`load_json`, with ``digest``, the SHA-256
+    hex digest of the bytes it was parsed from."""
+
+    __slots__ = ("digest",)
+
+
+def load_json(path: str | Path) -> Document:
+    """The JSON object in a file, read once: the bytes are hashed and then
+    decoded as text mode decodes them (UTF-8, universal newlines)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        raw = Path(path).read_bytes()
+        data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -165,7 +177,9 @@ def load_json(path: str | Path) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object at top level")
-    return data
+    doc = Document(data)
+    doc.digest = hashlib.sha256(raw).hexdigest()
+    return doc
 
 
 def rational_str(value: Fraction) -> str:
@@ -196,6 +210,22 @@ def _ids(value, what: str) -> list:
         if not isinstance(p, _SCALARS):
             raise InputError(f"{what}: id {p!r} is not a JSON scalar")
     return value
+
+
+def _point_ids(value, what: str) -> list:
+    """The ids of a metric, graph or wall space.  Reports key points by
+    ``str``, so two distinct ids with one string form (1 and "1") are an
+    input error; ids that repeat exactly are left to the constructor's
+    duplicate check."""
+    ids = _ids(value, what)
+    if len(set(ids)) == len(ids):
+        names: dict[str, object] = {}
+        for p in ids:
+            q = names.setdefault(str(p), p)
+            if q is not p:
+                raise InputError(f"{what}: ids {q!r} and {p!r} have the same "
+                                 f"string form {str(p)!r}")
+    return ids
 
 
 # -- interval structures ----------------------------------------------
@@ -236,7 +266,7 @@ def metric_from_json(data: dict) -> FiniteMetric:
         points, rows = data["points"], data["dist"]
     except KeyError as exc:
         raise InputError(f"metric JSON missing key {exc}") from None
-    _ids(points, "metric points")
+    _point_ids(points, "metric points")
     for row in _list(rows, "metric 'dist'"):
         _list(row, "a 'dist' row")
     if len(rows) == len(points) and all(len(r) == len(points) for r in rows):
@@ -261,7 +291,7 @@ def graph_from_json(data: dict) -> SimpleGraph:
         vertices, edges = data["vertices"], data["edges"]
     except KeyError as exc:
         raise InputError(f"graph JSON missing key {exc}") from None
-    _ids(vertices, "graph vertices")
+    _point_ids(vertices, "graph vertices")
     for e in _list(edges, "graph edges"):
         if len(_ids(e, "an edge")) != 2:
             raise InputError(f"edge {e!r} must have exactly two endpoints")
@@ -284,7 +314,7 @@ def walls_from_json(data: dict) -> WallSpace:
         points, walls = data["points"], data["walls"]
     except KeyError as exc:
         raise InputError(f"wall-space JSON missing key {exc}") from None
-    _ids(points, "wall-space points")
+    _point_ids(points, "wall-space points")
     pairs = []
     for w in _list(walls, "wall-space 'walls'"):
         if len(_list(w, "a wall")) != 2:

@@ -47,7 +47,7 @@ import numpy as np
 Table = Sequence[Sequence[int]]
 
 BLOCK = 1 << 14     # entries per block of meet_counts, the metric's table build and
-                    # the median-closure test
+                    # triangle check, and the median-closure test
 
 
 def members(mask: int) -> tuple[int, ...]:

@@ -4,12 +4,16 @@ Distances are rationals; internally everything is rescaled to integers so
 interval membership and the lemma scans are plain integer equalities.
 Geodesic intervals are [x,y] = {t : d(x,t)+d(t,y) = d(x,y)}.
 
-An input matrix is read once: ints as they are, each distinct string
-through ``Fraction`` once, floats rejected.  The scaled matrix is checked
-as a whole by exact numpy kernels (int64 while every sum of two entries
-fits, Python ints beyond), the triangle inequality as one broadcast
-comparison per middle point.  Only a rejected matrix is scanned in
-Python, for the first failed axiom that the error reports.
+An input matrix is read through one table: each distinct entry (an int,
+a string or a Fraction) is parsed once, and every row is mapped through
+the table of scaled ints; floats and booleans are rejected, and only an
+input with a rejected entry is parsed entry by entry, for the first bad
+entry in row-major order.  The scaled matrix is checked as a whole by
+exact numpy kernels (int64 while every sum of two entries fits, Python
+ints beyond), the triangle inequality in broadcast blocks of about
+``intervals.BLOCK`` entries, each covering a run of middle points.  Only a rejected
+matrix is scanned in Python, for the first failed axiom that the error
+reports.
 
 The betweenness table is built the same way: one broadcast comparison
 d(i,t) + d(j,t) == d(i,j) per block of rows i, packed into uint64 words
@@ -26,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -56,37 +60,30 @@ def _to_fraction(value) -> Fraction:
     raise InputError(f"cannot interpret {value!r} as a rational")
 
 
+_TABLE_TYPES = {int, str, Fraction}
+
+
 def _scaled_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """Every entry as an integer multiple of 1/scale, scale the least
-    common denominator.  A plain int is taken as it is, a string is parsed
-    by :func:`_to_fraction` once per distinct string, and any other value
-    goes through it one by one, so the grammar and the first bad entry
-    (row-major) are those of :func:`_to_fraction`."""
-    memo: dict[str, Fraction] = {}
-    parsed = []
-    dens = {1}
-    for row in matrix:
-        out = []
-        for v in row:
-            if type(v) is not int:
-                if type(v) is str:
-                    f = memo.get(v)
-                    if f is None:
-                        f = memo[v] = _to_fraction(v)
-                else:
-                    f = _to_fraction(v)
-                if f.denominator == 1:
-                    v = f.numerator
-                else:
-                    v = f
-                    dens.add(f.denominator)
-            out.append(v)
-        parsed.append(out)
-    scale = math.lcm(*dens)
-    if scale == 1:
-        return parsed, 1
-    return [[v * scale if type(v) is int else v.numerator * (scale // v.denominator)
-             for v in row] for row in parsed], scale
+    common denominator.  When every entry is an int, str or Fraction, each
+    distinct entry is parsed by :func:`_to_fraction` once, and each row is
+    mapped through one table of scaled ints.  Otherwise, or when some entry
+    is rejected, the entries are parsed one by one in row-major order, so
+    the grammar and the first bad entry are those of :func:`_to_fraction`."""
+    entries = itertools.chain.from_iterable
+    if set(map(type, entries(matrix))) <= _TABLE_TYPES:
+        try:
+            table = {v: _to_fraction(v) for v in set(entries(matrix))}
+        except InputError:
+            pass                # the scan below reports the first bad entry
+        else:
+            scale = math.lcm(*{f.denominator for f in table.values()})
+            for v, f in table.items():
+                table[v] = f.numerator * (scale // f.denominator)
+            return [list(map(table.__getitem__, row)) for row in matrix], scale
+    parsed = [[_to_fraction(v) for v in row] for row in matrix]
+    scale = math.lcm(*{f.denominator for f in entries(parsed)})
+    return [[f.numerator * (scale // f.denominator) for f in row] for row in parsed], scale
 
 
 _INT64_HALF = 1 << 61       # entries below 2^61 in size: a + b never overflows
@@ -109,7 +106,14 @@ def _is_metric(di: list[list[int]]) -> bool:
     np.fill_diagonal(positive, True)
     if d.diagonal().any() or not positive.all() or (d != d.T).any():
         return False
-    return not any((d[:, k, None] + d[None, k, :] < d).any() for k in range(n))
+    # d(i,k) + d(k,j) >= d(i,j) for a block of middle points k at a time: by
+    # symmetry the rows of the block are its columns
+    step = max(1, intervals.BLOCK // (n * n))
+    for lo in range(0, n, step):
+        rows = d[lo:lo + step]
+        if (rows[:, :, None] + rows[:, None, :] < d).any():
+            return False
+    return True
 
 
 def _raise_first_violation(pts: list, di: list[list[int]]) -> None:
@@ -258,12 +262,6 @@ class FiniteMetric:
     def to_algebra(self) -> FiniteMedianAlgebra:
         """Promote the geodesic intervals; fails unless the metric is median."""
         return FiniteMedianAlgebra.promote(self.interval_structure())
-
-    def submetric(self, subset: Iterable[Point]) -> "FiniteMetric":
-        keep = [p for p in self.points if p in set(subset)]
-        idx = [self.index(p) for p in keep]
-        rows = [[Fraction(self._di[i][j], self._scale) for j in idx] for i in idx]
-        return FiniteMetric(keep, rows)
 
 
 @dataclass(frozen=True)

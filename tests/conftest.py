@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,9 +15,10 @@ from mediankit.algebra import (AxiomCheck, AxiomReport, FiniteMedianAlgebra,
                                IntervalStructure)
 from mediankit.convexity import _circumsphere
 from mediankit.corpus import graph_instances, median_graph_instances
+from mediankit.embedding import Elimination
 from mediankit.graphs import GraphWall, MedianGraphCert, SimpleGraph, _lemma_holds, _mask
 from mediankit.intervals import is_convex, members
-from mediankit.metric import Classification, _to_fraction
+from mediankit.metric import Classification, _exact_array, _to_fraction
 from mediankit.walls import CubulationResult, Orientation, _vertex_name
 
 ACCEPTANCE_LINES: list[str] = []
@@ -229,6 +231,108 @@ def upper_triangle_oracle(points, rows):
             j = i + 1 + off
             full[i][j] = full[j][i] = _to_fraction(v)
     return fraction_metric_oracle(pts, full)
+
+
+def scaled_rows_oracle(matrix):
+    """Oracle: the entry-by-entry reader of metric input.  A plain int is
+    taken as it is, a string is parsed by ``_to_fraction`` once per
+    distinct string and any other value one by one, row-major, so the
+    first bad entry raises; then every entry is scaled by the lcm of the
+    denominators."""
+    memo: dict[str, Fraction] = {}
+    parsed = []
+    dens = {1}
+    for row in matrix:
+        out = []
+        for v in row:
+            if type(v) is not int:
+                if type(v) is str:
+                    f = memo.get(v)
+                    if f is None:
+                        f = memo[v] = _to_fraction(v)
+                else:
+                    f = _to_fraction(v)
+                if f.denominator == 1:
+                    v = f.numerator
+                else:
+                    v = f
+                    dens.add(f.denominator)
+            out.append(v)
+        parsed.append(out)
+    scale = math.lcm(*dens)
+    if scale == 1:
+        return parsed, 1
+    return [[v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+             for v in row] for row in parsed], scale
+
+
+def is_metric_oracle(di) -> bool:
+    """Oracle: the metric axioms on a scaled integer matrix, the triangle
+    inequality as one n x n broadcast comparison per middle point."""
+    n = len(di)
+    d = _exact_array(di)
+    positive = d > 0
+    np.fill_diagonal(positive, True)
+    if d.diagonal().any() or not positive.all() or (d != d.T).any():
+        return False
+    return not any((d[:, k, None] + d[None, k, :] < d).any() for k in range(n))
+
+
+def bareiss_rows_oracle(g, h: int = 1) -> Elimination:
+    """Oracle: symmetric fraction-free elimination with greedy diagonal
+    pivoting, every step on the upper triangle of the remaining block in
+    Python ints; the same contract as ``embedding._psd_eliminate``."""
+    n = len(g)
+    remaining = list(range(n))
+    upper = [list(row[i:]) for i, row in enumerate(g)]
+    order: list[int] = []
+    columns: list[list[int]] = []
+    prev = 1
+    div = h
+    unit = 1
+    pivots: list[Fraction] = []
+
+    def witness(*rows):
+        vec = [0] * n
+        for sign, s in rows:
+            vec[remaining[s]] = sign * prev
+        for q, col in zip(reversed(order), reversed(columns)):
+            vec[q] = -sum(map(operator.mul, vec, col)) // col[q]
+        return [Fraction(v, prev) for v in vec]
+
+    while remaining:
+        t = max(range(len(remaining)), key=lambda s: upper[s][0])
+        p = upper[t][0]
+        if p > 0:
+            pivots.append(Fraction(unit * p, prev))
+            col = [upper[s][t - s] for s in range(t)] + upper.pop(t)
+            del col[t]
+            q = remaining.pop(t)
+            full = [0] * n
+            full[q] = p
+            for r, a in zip(remaining, col):
+                full[r] = a
+            order.append(q)
+            columns.append(full)
+            for s, row in enumerate(upper):
+                a = col[s]
+                if s < t:
+                    del row[t - s]
+                upper[s] = [(p * x - a * y) // div for x, y in zip(row, col[s:])]
+            div, unit = (h * p, h) if len(order) == 1 else (p, h * h)
+            prev = p
+            continue
+        for s, row in enumerate(upper):
+            if row[0] < 0:
+                return Elimination(False, pivots, witness((1, s)), order, columns)
+        for s, row in enumerate(upper):
+            for u in range(1, len(row)):
+                if row[u] != 0:
+                    v = witness((1, s), (-1 if row[u] > 0 else 1, s + u))
+                    return Elimination(False, pivots, v, order, columns)
+        pivots.extend(Fraction(0) for _ in remaining)
+        remaining = []
+    return Elimination(True, pivots, None, order, columns)
 
 
 def random_crossing_wall_space(rng, n_points, n_walls):

@@ -1,13 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (centered_gram, convex_sets_oracle, eigh_gns_oracle,
+from conftest import (bareiss_rows_oracle, centered_gram, convex_sets_oracle, eigh_gns_oracle,
                       fraction_negdef_oracle, fraction_psd_eliminate, helly_witness_oracle,
                       hypermetric_oracle, random_shortest_path_metric,
                       zero_sum_sampling_oracle)
@@ -20,7 +21,7 @@ from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               graph_instances, grid_graph, hypercube_graph,
                               path_graph, random_tree)
 from mediankit import embedding
-from mediankit.embedding import _psd_eliminate, convex_sets, distance_form
+from mediankit.embedding import _integer_gram, _psd_eliminate, convex_sets, distance_form
 
 
 def random_zero_sum(rng, n, span=6):
@@ -196,6 +197,122 @@ def test_each_exit_of_the_integer_elimination(g, pivots, witness):
     assert got[:3] == (witness is None, pivots, witness)
     assert got[:3] == fraction_psd_eliminate(g)
     assert len(got.order) == len(got.columns) == sum(p > 0 for p in pivots)
+
+
+WORD = 1 << 31
+
+
+def word_steps(g, h: int = 1) -> int:
+    """How many pivots full-matrix Bareiss with greedy diagonal pivoting
+    takes before an entry reaches 2^31 in size or no positive pivot is
+    left: the steps that may run on int64 words."""
+    n = len(g)
+    w = [[int(v) for v in row] for row in g]
+    div, steps = h, 0
+    while steps < n and all(-WORD < v < WORD for row in w for v in row):
+        t = max(range(n), key=lambda i: w[i][i])
+        p = w[t][t]
+        if p <= 0:
+            break
+        c = w[t][:]
+        w = [[(p * w[i][j] - c[i] * c[j]) // div for j in range(n)] for i in range(n)]
+        div = h * p if steps == 0 else p
+        steps += 1
+    return steps
+
+
+def gram_crossing_at(step: int, n: int = 7, rank: int = 5) -> list[list[int]]:
+    """A seeded Gram matrix X X^T, X an integer n x rank matrix, whose
+    elimination outgrows 2^31 after exactly ``step`` pivots."""
+    for seed in range(100):
+        for bits in range(1, 40):
+            rng = random.Random(seed * 100 + bits)
+            x = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(rank)] for _ in range(n)]
+            g = [[sum(a * b for a, b in zip(u, v)) for v in x] for u in x]
+            got = word_steps(g)
+            if got == step:
+                return g
+            if got < step:
+                break
+    raise AssertionError(f"no Gram matrix crosses 2^31 after {step} steps")
+
+
+@pytest.mark.parametrize("step", range(5))
+def test_word_steps_hand_over_to_python_ints_at_each_step(step):
+    g = gram_crossing_at(step)
+    assert word_steps(g) == step
+    got = _psd_eliminate(g)
+    assert got == bareiss_rows_oracle(g)
+    assert got[:3] == fraction_psd_eliminate(g)
+    assert got.psd and len(got.order) == 5          # rank 5 of 7
+    assert _psd_eliminate(np.array(g, dtype=object)) == got
+
+
+@pytest.mark.parametrize("step", range(4))
+@pytest.mark.parametrize("exit_case", [
+    [[1, 2], [2, 1]],                               # a negative diagonal
+    [[0, 1], [1, 0]],                               # zero diagonal, nonzero off-diagonal
+    [[1, 1, 1], [1, 1, 2], [1, 2, 1]],              # the same after a pivot
+    [[4, 2, 0], [2, 1, 0], [0, 0, 0]],              # PSD, zeros left
+], ids=["negative", "hollow", "hollow-after-pivot", "psd"])
+def test_each_exit_after_the_hand_over(step, exit_case):
+    # a block of large pivots first: the small block's exit comes in Python ints
+    big = gram_crossing_at(step)
+    k, e = len(big), len(exit_case)
+    g = [row + [0] * e for row in big] + [[0] * k + row for row in exit_case]
+    got = _psd_eliminate(g)
+    assert got == bareiss_rows_oracle(g)
+    assert got[:3] == fraction_psd_eliminate(g)
+    assert got.psd == _psd_eliminate(exit_case).psd == (exit_case[0][0] == 4)
+
+
+def l1_grid_metric(rng, n: int, dim: int, unit: int) -> FiniteMetric:
+    pts: set = set()
+    while len(pts) < n:
+        pts.add(tuple(rng.randint(0, 4) for _ in range(dim)))
+    di = [[unit * sum(abs(a - b) for a, b in zip(p, q)) for q in pts] for p in pts]
+    return FiniteMetric._trusted(range(n), di)
+
+
+@pytest.mark.parametrize("unit", [1, 1 << 8, 1 << 20, 1 << 40, 1 << 50, 1 << 54, 1 << 60])
+def test_centered_gram_and_the_h_divisor_on_both_phases(unit):
+    rng = random.Random(unit)
+    for n, dim in ((6, 2), (12, 3), (20, 3)):
+        m = l1_grid_metric(rng, n, dim, unit)
+        g, scale = _integer_gram(m)
+        peak = max(map(max, m._di))
+        assert g.dtype == (np.int64 if 4 * n * n * peak < 1 << 62 else object)
+        assert [[Fraction(v, scale) for v in row] for row in g.tolist()] == centered_gram(m)
+        got = _psd_eliminate(g, n)
+        assert got == bareiss_rows_oracle(g.tolist(), n)
+        assert got.psd and len(got.order) <= dim * 4
+
+
+@st.composite
+def wide_symmetric_matrices(draw):
+    """Symmetric integer matrices with a PSD part, entries up to 2^44: the
+    elimination starts in int64 words or in Python ints."""
+    n = draw(st.integers(1, 7))
+    size = draw(st.sampled_from([2, 1 << 10, 1 << 20]))
+    entry = st.integers(-size, size)
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + draw(st.booleans()), n):
+            a[i][j] = a[j][i] = draw(entry)
+    xs = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n))
+    return [[a[i][j] + sum(x[i] * x[j] for x in xs) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_symmetric_matrices(), st.sampled_from([1, 2, 7]), st.integers(0, 31))
+def test_elimination_matches_the_row_oracle_at_every_word_bound(g, h, bits):
+    # scaled by h^2, each k x k minor carries h^(2k), more than the
+    # h^(2k-3) the divisor h needs
+    g = [[v * h * h for v in row] for row in g]
+    want = bareiss_rows_oracle(g, h)
+    assert _psd_eliminate(g, h) == want
+    with mock.patch.object(embedding, "_WORD", 1 << bits):   # hand over at any step
+        assert _psd_eliminate(g, h) == want
 
 
 def test_witness_survives_rescaling():

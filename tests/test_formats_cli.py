@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -483,6 +484,73 @@ def test_non_scalar_ids_exit_two(tmp_path, capsys, command, payload, action):
     assert json.loads(err)["kind"] == "input"
 
 
+@pytest.mark.parametrize("argv, payload, what", [
+    (["embed", "--mode", "gns"],
+     {"points": [1, "b", "1"], "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}, "metric points"),
+    (["embed", "--mode", "l1"],
+     {"vertices": [1, 2, "1", "2"], "edges": [[1, 2], [2, "1"], ["1", "2"]]}, "graph vertices"),
+    (["cubulate"], {"points": [1, "b", "1"],
+                    "walls": [[[], [1, "b", "1"]], [[1], ["b", "1"]], [[1, "b"], ["1"]]]},
+     "wall-space points"),
+], ids=["metric", "graph", "walls"])
+def test_ids_that_collide_under_str_exit_two(tmp_path, capsys, argv, payload, what):
+    # reports key points by str(id), so 1 and "1" would share one entry
+    from mediankit import cli
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(payload))
+    assert cli.main(argv + ["--in", str(infile)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "error": f"{what}: ids 1 and '1' have the same string form '1'", "kind": "input"}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("classify", {"points": [1, "1", 1], "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]},
+     "duplicate point identifiers"),
+    ("certify-graph", {"vertices": [1, "1", 1], "edges": [[1, "1"]]},
+     "duplicate vertex identifiers"),
+    ("cubulate", {"points": [1, "1", 1], "walls": [[[1], ["1"]]]},
+     "duplicate point identifiers"),
+])
+def test_exact_duplicate_ids_keep_their_error(tmp_path, capsys, command, payload, message):
+    from mediankit import cli
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(payload))
+    assert cli.main([command, "--in", str(infile)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": message, "kind": "input"}
+
+
+def test_certify_negdef_does_not_depend_on_the_hash_seed(tmp_path):
+    # the metric reader parses distinct entries in set order, which the
+    # hash seed changes; reports and the first reported bad entry must not
+    rng = random.Random(3)
+    n = 12
+    pts = [f"p{i}" for i in range(n)]
+    x = rng.sample([(a, b, c) for a in range(4) for b in range(4) for c in range(4)], n)
+    # half the l1 distance, in several spellings of each value
+    dist = [[rng.choice([f"{d}/2", f"{3 * d}/6", str(Fraction(d, 2))])
+             for d in (sum(abs(a - b) for a, b in zip(u, v)) for v in x)] for u in x]
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"points": pts, "dist": dist}))
+    dist[2][7] = dist[7][2] = "zz"
+    dist[0][9] = dist[9][0] = "1/0"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"points": pts, "dist": dist}))
+    runs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        runs.append([subprocess.run([sys.executable, "-m", "mediankit", "certify-negdef",
+                                     "--in", str(path)], capture_output=True, text=True,
+                                    env=env)
+                     for path in (good, bad)])
+    (good_run, bad_run), other = runs
+    assert [(d.returncode, d.stdout, d.stderr) for d in other] == \
+        [(d.returncode, d.stdout, d.stderr) for d in (good_run, bad_run)]
+    assert (good_run.returncode, bad_run.returncode) == (0, 2)
+    assert "bad rational '1/0'" in bad_run.stderr
+
+
 P3_GRAPH = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}
 
 
@@ -629,7 +697,7 @@ GRAPH_REPORT_CASES = {
     "tree130": random_tree(130, 5),
     "grid4x5": grid_graph(4, 5),
     "q5": hypercube_graph(5),
-    "odd-ids": SimpleGraph([1, 2, "1", "2"], [(1, 2), (2, "1"), ("1", "2")]),
+    "mixed-ids": SimpleGraph([1, 2, "x", "y"], [(1, 2), (2, "x"), ("x", "y")]),
 }
 
 

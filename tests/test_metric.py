@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               grid_graph, hypercube_graph, path_graph,
                               random_tree)
 
-from conftest import fraction_metric_oracle, upper_triangle_oracle
+from conftest import (fraction_metric_oracle, is_metric_oracle, scaled_rows_oracle,
+                      upper_triangle_oracle)
+from mediankit.metric import _is_metric, _scaled_rows
 
 
 def triple_intersections_oracle(metric):
@@ -175,6 +178,81 @@ def test_ingestion_edge_cases_match_the_oracle():
         assert outcome(FiniteMetric, pts, m) == outcome(fraction_metric_oracle, pts, m)
     m = FiniteMetric(["a", "b"], [[0, "1e400"], ["1e400", 0]])
     assert m.dist_int(0, 1) == 10 ** 400 and m.scale == 1
+
+
+# ------------------------------------------------------------ ingest kernels
+
+GOOD_ENTRIES = [0, 1, 3, 1 << 70, "2", "1/2", "2/4", " 7 ", "1e3", "0.25", "-3",
+                Fraction(1, 3), Fraction(4, 2)]
+BAD_ENTRIES = ["abc", "1/0", "", "x/y", True, False, 1.5, float("nan"), None, [1]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.sampled_from(GOOD_ENTRIES),
+                                   st.sampled_from(GOOD_ENTRIES),
+                                   st.sampled_from(GOOD_ENTRIES),
+                                   st.sampled_from(BAD_ENTRIES)), max_size=6), max_size=6))
+def test_table_ingest_matches_the_row_scan(rows):
+    got = outcome(_scaled_rows, rows)
+    assert got == outcome(scaled_rows_oracle, rows)
+    if not isinstance(got[0], type):
+        assert all(type(v) is int for row in got[0] for v in row)
+
+
+@pytest.mark.parametrize("late", ["x/y", True, 1.5, "1/0"])
+def test_ingest_reports_the_first_bad_entry_in_row_major_order(late):
+    # the table parses distinct entries in set order; the report must not
+    for rows in ([[0, "1", late], ["bad", 0, "1/2"], [Fraction(1, 3), 2, 0]],
+                 [[0, "1", "bad"], [late, 0, "1/2"], [Fraction(1, 3), 2, late]]):
+        got = outcome(_scaled_rows, rows)
+        assert got[0] is InputError
+        assert got == outcome(scaled_rows_oracle, rows)
+    assert outcome(_scaled_rows, [[0, "bad"], [late, 0]])[1].startswith("bad rational 'bad'")
+
+
+def test_ingest_maps_equal_entries_of_different_types_to_one_value():
+    rows = [[0, 1, "1", Fraction(1)], ["2/2", Fraction(1, 2), "1/2", "0.5"]]
+    assert _scaled_rows(rows) == ([[0, 2, 2, 2], [2, 1, 1, 1]], 2) == scaled_rows_oracle(rows)
+
+
+def _one_short_cut(n: int, k: int, unit: int) -> list[list[int]]:
+    """Distances 4 * unit, except unit from k to two other points i < j, so
+    the only failed triangle is d(i,k) + d(k,j) < d(i,j), through k."""
+    d = [[0 if a == b else 4 * unit for b in range(n)] for a in range(n)]
+    i, j = [t for t in range(n) if t != k][:2]
+    d[i][k] = d[k][i] = d[j][k] = d[k][j] = unit
+    return d
+
+
+@pytest.mark.parametrize("n, unit", [(3, 1), (28, 1), (49, 1), (60, 1), (100, 1),
+                                     (3, BIG), (49, BIG)])
+def test_blocked_triangle_check_finds_a_short_cut_through_every_middle_point(n, unit):
+    step = max(1, intervals.BLOCK // (n * n))      # middle points per block
+    middles = range(n) if unit == 1 else sorted({0, step - 1, step, n - 1} & set(range(n)))
+    for k in middles:
+        d = _one_short_cut(n, k, unit)
+        assert _is_metric(d) is False
+        assert is_metric_oracle(d) is False
+        i, j = [t for t in range(n) if t != k][:2]
+        d[i][j] = d[j][i] = 2 * unit               # the triangle now holds
+        assert _is_metric(d) is True
+        assert is_metric_oracle(d) is True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 70), st.integers(0, 10 ** 6), st.sampled_from([1, BIG]))
+def test_metric_check_matches_the_per_point_oracle(n, seed, unit):
+    rng = random.Random(seed)
+    dim = rng.randint(1, 3)                        # l1 metrics: many tight triangles
+    pts: set = set()
+    while len(pts) < n:
+        pts.add(tuple(rng.randint(0, 200 // dim ** 2) for _ in range(dim)))
+    d = [[unit * sum(abs(a - b) for a, b in zip(p, q)) for q in pts] for p in pts]
+    assert _is_metric(d) is True
+    for _ in range(rng.randint(1, 3)):             # symmetric changes of one entry
+        i, j = rng.sample(range(n), 2)
+        d[i][j] = d[j][i] = rng.randint(0, 3 * max(d[i])) * rng.choice([1, 1, -1])
+    assert _is_metric(d) == is_metric_oracle(d)
 
 
 # ---------------------------------------------------------------- intervals
