@@ -256,14 +256,18 @@ def cmd_displace(args) -> int:
     report = {"command": "displace", "word": args.word,
               "input": data.digest, "action": action_data.digest}
     if kind == "walls":
-        action = WallAction(formats.walls_from_json(data), generators, basepoint)
+        space = formats.walls_from_json(data)
+        action = WallAction(space, formats.generators_on(generators, space.points),
+                            basepoint)
         rep = displacement_walls(action, args.word)
         report["mode"] = "walls"
         report["wall_distance"] = rep.wall_distance
         report["sigma_symdiff"] = rep.sigma_symdiff
         report["identity"] = "sigma_symdiff == 2 * wall_distance"
     elif kind in ("metric", "graph"):
-        action = MetricAction(_metric_payload(data), generators, basepoint)
+        metric = _metric_payload(data)
+        action = MetricAction(metric, formats.generators_on(generators, metric.points),
+                              basepoint)
         rep = displacement_metric(action, args.word, tol=args.tol)
         report["mode"] = "metric"
         report["distance"] = formats.rational_str(rep.distance)

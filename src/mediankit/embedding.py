@@ -69,11 +69,11 @@ def _integer_gram(m: FiniteMetric) -> tuple[np.ndarray, int]:
     columns, each of those two can be chosen at most once (denominators n
     and n^2).
 
-    G is built in one array expression, int64 when 4 n^2 max D' < 2^62
-    bounds every term, an object array of Python ints otherwise."""
+    G is built in one array expression from the metric's exact array,
+    widened to int64 when 4 n^2 max D' < 2^62 bounds every term, to an
+    object array of Python ints otherwise."""
     n = len(m.points)
-    peak = max(map(max, m._di))
-    d = np.array(m._di, dtype=np.int64 if 4 * n * n * peak < 1 << 62 else object)
+    d = m._d.astype(np.int64 if 4 * n * n * int(m._d.max()) < 1 << 62 else object)
     r = d.sum(axis=1)
     nr = n * r
     gram = nr[:, None] + nr[None, :] - r.sum() - n * n * d
@@ -318,9 +318,8 @@ def certify_hypermetric(m: FiniteMetric, bound: int = DEFAULT_HYPERMETRIC_BOUND,
         raise ResourceLimitError(
             f"hypermetric enumeration of ({2 * bound + 1})^{n} vectors exceeds "
             f"budget {budget} at bound {bound}", cap=budget)
-    peak = max(map(max, m._di))
-    exact = np.int64 if (n * bound) ** 2 * peak < 2 ** 62 else object
-    d = np.array(m._di, dtype=exact)
+    exact = np.int64 if (n * bound) ** 2 * int(m._d.max()) < 2 ** 62 else object
+    d = m._d.astype(exact)
     half = n // 2
     pre, suf = _lex_vectors(half, bound), _lex_vectors(n - half, bound)
     pre_x, suf_x = pre.astype(exact, copy=False), suf.astype(exact, copy=False)

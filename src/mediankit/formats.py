@@ -292,10 +292,21 @@ def graph_from_json(data: dict) -> SimpleGraph:
     except KeyError as exc:
         raise InputError(f"graph JSON missing key {exc}") from None
     _point_ids(vertices, "graph vertices")
-    for e in _list(edges, "graph edges"):
+    # The edge lists go to the constructor as they are: a JSON value that
+    # is not a scalar is unhashable, so it fails the constructor's one pass
+    # like an unknown vertex.  Only then are the edges scanned in input
+    # order, and an edge that is not a list of two JSON scalars is reported
+    # before any error of the graph itself.
+    error = None
+    if set(map(type, _list(edges, "graph edges"))) <= {list}:
+        try:
+            return SimpleGraph(vertices, edges)
+        except InputError as exc:
+            error = exc
+    for e in edges:
         if len(_ids(e, "an edge")) != 2:
             raise InputError(f"edge {e!r} must have exactly two endpoints")
-    return SimpleGraph(vertices, [tuple(e) for e in edges])
+    raise error
 
 
 def graph_to_json(g: SimpleGraph, expected: dict | None = None) -> dict:
@@ -377,6 +388,16 @@ def action_from_json(data: dict) -> tuple[dict, object]:
         _ids(list(mapping.values()), f"generator {name!r}")
     _ids([basepoint], "action basepoint")
     return generators, basepoint
+
+
+def generators_on(generators: dict, points: list) -> dict:
+    """The generators of :func:`action_from_json` keyed by points: JSON
+    object keys are strings, so each key is read as the point with that
+    string form (unique by :func:`_point_ids`); a key naming no point is
+    kept as it is."""
+    named = {str(p): p for p in points}
+    return {name: {named.get(k, k): v for k, v in mapping.items()}
+            for name, mapping in generators.items()}
 
 
 # -- payload dispatch -----------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
@@ -24,37 +25,75 @@ import numpy as np
 
 from . import intervals
 from .errors import InputError, InternalCheckError
-from .metric import FiniteMetric, MedianMetric
+from .metric import FiniteMetric, MedianMetric, _exact_dtype
 
 Vertex = Hashable
 
 
+def _checked_ends(index: dict, edges: list) -> list[int]:
+    """The endpoint indices of ``edges``, flattened, scanned one edge at a
+    time in input order: the first edge that is not a pair, references an
+    unknown (or unhashable) vertex, or is a loop raises InputError."""
+    ends = []
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise InputError(f"edge {e!r} must have exactly two endpoints") from None
+        try:
+            i, j = index.get(u), index.get(v)
+        except TypeError:
+            i = j = None
+        if i is None or j is None:
+            raise InputError(f"edge ({u!r},{v!r}) references an unknown vertex")
+        if i == j:
+            raise InputError(f"loop at {u!r}")
+        ends += (i, j)
+    return ends
+
+
 class SimpleGraph:
-    """Connected graph, no loops, no multi-edges."""
+    """Connected graph, no loops, no multi-edges.
+
+    Edges are pairs of vertex ids; an edge listed twice, in either
+    orientation, is one edge.  The endpoints are mapped to indices in one
+    pass, and the distinct index pairs are sorted once, so each vertex's
+    neighbours are appended in ascending order.  Only when that pass fails
+    are the edges rescanned in input order (:func:`_checked_ends`), and
+    the first bad one is reported.
+    """
 
     def __init__(self, vertices: Sequence[Vertex],
-                 edges: Iterable[tuple[Vertex, Vertex]]):
+                 edges: Iterable[Sequence[Vertex]]):
         vs = list(vertices)
         if not vs:
             raise InputError("a graph needs at least one vertex")
-        if len(set(vs)) != len(vs):
+        index = dict(zip(vs, range(len(vs))))
+        if len(index) != len(vs):
             raise InputError("duplicate vertex identifiers")
-        index = {v: i for i, v in enumerate(vs)}
-        adj: list[set[int]] = [set() for _ in vs]
-        canon = set()
-        for u, v in edges:
-            if u not in index or v not in index:
-                raise InputError(f"edge ({u!r},{v!r}) references an unknown vertex")
-            i, j = index[u], index[v]
-            if i == j:
-                raise InputError(f"loop at {u!r}")
-            key = (min(i, j), max(i, j))
-            if key in canon:
-                continue
-            canon.add(key)
-            adj[i].add(j)
-            adj[j].add(i)
-        self._adopt(vs, index, sorted(canon), [sorted(a) for a in adj])
+        edges = list(edges)
+        try:
+            if set(map(len, edges)) - {2}:
+                raise ValueError
+            ends = list(map(index.__getitem__, itertools.chain.from_iterable(edges)))
+        except (KeyError, TypeError, ValueError):
+            ends = _checked_ends(index, edges)
+        src, dst = ends[::2], ends[1::2]
+        if any(map(operator.eq, src, dst)):
+            _checked_ends(index, edges)       # raises at the first loop
+        up = list(map(operator.lt, src, dst))
+        down = list(map(operator.not_, up))
+        pairs = set(zip(itertools.compress(src, up), itertools.compress(dst, up)))
+        pairs.update(zip(itertools.compress(dst, down), itertools.compress(src, down)))
+        pairs = sorted(pairs)
+        adj: list[list[int]] = [[] for _ in vs]
+        if pairs:
+            # in sorted pairs a vertex meets its lower neighbours before its
+            # upper ones, each ascending: appending gives sorted lists
+            lo, hi = zip(*pairs)
+            deque(map(list.append, map(adj.__getitem__, hi), lo), 0)
+            deque(map(list.append, map(adj.__getitem__, lo), hi), 0)
+        self._adopt(vs, index, pairs, adj)
 
     @classmethod
     def _trusted(cls, vertices: list[Vertex], src: np.ndarray,
@@ -83,6 +122,7 @@ class SimpleGraph:
         self.edge_indices = edge_indices
         self._adj = adj
         self._dist: list[list[int]] | None = None
+        self._dist_array: np.ndarray | None = None
         if -1 in self.bfs_distances(0):
             raise InputError("graph is not connected")
 
@@ -126,7 +166,10 @@ class SimpleGraph:
         its neighbours j, as packed uint64 rows (``np.bitwise_or.reduceat``
         over the closed neighbourhoods), and d(i, j) is the number of
         levels d at which j lies outside ball_d(i).  That costs
-        O(diameter * m * n/64) word operations in O(diameter) numpy steps."""
+        O(diameter * m * n/64) word operations in O(diameter) numpy steps.
+        The counts are kept in the narrowest dtype that holds distances
+        below n (:func:`metric._exact_dtype`), and that array is kept for
+        :meth:`path_metric`."""
         if self._dist is None:
             n = len(self._adj)
             sizes = np.array([len(nbrs) + 1 for nbrs in self._adj])
@@ -134,7 +177,7 @@ class SimpleGraph:
             closed = np.fromiter(itertools.chain.from_iterable(
                 [i, *nbrs] for i, nbrs in enumerate(self._adj)), dtype=np.intp)
             ball = intervals.pack_rows([1 << i for i in range(n)], n)   # ball_0(i) = {i}
-            inside = np.zeros((n, n), dtype=np.int32)
+            inside = np.zeros((n, n), dtype=_exact_dtype(0, n))
             levels = 0
             while True:
                 inside += np.unpackbits(ball.view(np.uint8), axis=1, count=n, bitorder="little")
@@ -143,13 +186,16 @@ class SimpleGraph:
                 if not (grown != ball).any():
                     break
                 ball = grown
-            self._dist = (levels - inside).tolist()
+            self._dist_array = levels - inside
+            self._dist = self._dist_array.tolist()
         return self._dist
 
     def path_metric(self) -> FiniteMetric:
         """Path distances of a connected graph are a metric by construction,
-        so they are not validated again."""
-        return FiniteMetric._trusted(self.vertices, self.all_pairs())
+        so they are not validated again; the metric takes the distance
+        array of :meth:`all_pairs` as its exact array."""
+        di = self.all_pairs()
+        return FiniteMetric._trusted(self.vertices, di, d=self._dist_array)
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,23 @@ a string or a Fraction) is parsed once, and every row is mapped through
 the table of scaled ints; floats and booleans are rejected, and only an
 input with a rejected entry is parsed entry by entry, for the first bad
 entry in row-major order.  The scaled matrix is checked as a whole by
-exact numpy kernels (int64 while every sum of two entries fits, Python
-ints beyond), the triangle inequality in broadcast blocks of about
-``intervals.BLOCK`` entries, each covering a run of middle points.  Only a rejected
-matrix is scanned in Python, for the first failed axiom that the error
-reports.
+exact numpy kernels on one array, of the narrowest of int16, int32 and
+int64 in which every sum of two entries fits, Python ints beyond
+(:func:`_exact_dtype`).  The triangle inequality runs in broadcast
+blocks of about ``intervals.BLOCK`` int64 entries' worth of bytes, each
+covering a run of middle points, so a narrower dtype takes more of them
+per block.  Only a rejected matrix is scanned in Python, for the first
+failed axiom that the error reports.  The metric keeps the checked
+array; a graph's path metric is handed the array its distances were
+counted in.
 
-The betweenness table is built the same way: one broadcast comparison
-d(i,t) + d(j,t) == d(i,j) per block of rows i, packed into uint64 words
-(``intervals.pack`` layout).  ``classify`` counts the common points of
-each triple's intervals on that packed table with the blocked meet
-kernel of :mod:`intervals`; ``_between`` decodes it once into Python int
-masks for the callers that walk single intervals.
+The betweenness table is built the same way, on that array: one
+broadcast comparison d(i,t) + d(j,t) == d(i,j) per block of rows i,
+packed into uint64 words (``intervals.pack`` layout).  ``classify``
+counts the common points of each triple's intervals on that packed
+table with the blocked meet kernel of :mod:`intervals`; ``_between``
+decodes it once into Python int masks for the callers that walk single
+intervals.
 """
 
 from __future__ import annotations
@@ -86,29 +91,43 @@ def _scaled_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     return [[f.numerator * (scale // f.denominator) for f in row] for row in parsed], scale
 
 
-_INT64_HALF = 1 << 61       # entries below 2^61 in size: a + b never overflows
+# entries below 2^14, 2^30 or 2^61 in size: a + b never overflows the dtype
+_EXACT_DTYPES = ((1 << 14, np.int16), (1 << 30, np.int32), (1 << 61, np.int64))
+
+
+def _exact_dtype(lo: int, hi: int):
+    """The narrowest of int16, int32 and int64 in which a sum of two
+    integers in [lo, hi] cannot overflow; ``object`` (Python ints) beyond."""
+    for bound, dtype in _EXACT_DTYPES:
+        if -bound < lo and hi < bound:
+            return dtype
+    return object
 
 
 def _exact_array(di: list[list[int]]) -> np.ndarray:
-    """The matrix as an exact numpy array: int64 when every sum of two
-    entries fits, Python ints (an object array) otherwise."""
-    lo, hi = min(map(min, di)), max(map(max, di))
-    dtype = np.int64 if -_INT64_HALF < lo and hi < _INT64_HALF else object
-    return np.array(di, dtype=dtype)
+    """The matrix as an exact numpy array, of :func:`_exact_dtype`."""
+    return np.array(di, dtype=_exact_dtype(min(map(min, di)), max(map(max, di))))
 
 
-def _is_metric(di: list[list[int]]) -> bool:
+def _block_rows(d: np.ndarray) -> int:
+    """Rows of the n x n array d per broadcast block, each row adding an
+    n x n temporary of d's dtype: about ``intervals.BLOCK`` int64 entries'
+    worth of bytes per block, so a narrower dtype takes more rows."""
+    n = len(d)
+    return max(1, 8 * intervals.BLOCK // (n * n * d.itemsize))
+
+
+def _is_metric(d: np.ndarray) -> bool:
     """Zero diagonal, symmetric, positive off the diagonal and the triangle
-    inequality, checked exactly on :func:`_exact_array`."""
-    n = len(di)
-    d = _exact_array(di)
+    inequality, checked exactly on the :func:`_exact_array` of a matrix."""
+    n = len(d)
     positive = d > 0
     np.fill_diagonal(positive, True)
     if d.diagonal().any() or not positive.all() or (d != d.T).any():
         return False
     # d(i,k) + d(k,j) >= d(i,j) for a block of middle points k at a time: by
     # symmetry the rows of the block are its columns
-    step = max(1, intervals.BLOCK // (n * n))
+    step = _block_rows(d)
     for lo in range(0, n, step):
         rows = d[lo:lo + step]
         if (rows[:, :, None] + rows[:, None, :] < d).any():
@@ -152,26 +171,30 @@ class FiniteMetric:
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise InputError(f"distance matrix must be {n}x{n}")
         di, scale = _scaled_rows(matrix)
-        if not _is_metric(di):
+        d = _exact_array(di)
+        if not _is_metric(d):
             _raise_first_violation(pts, di)
-        self._adopt(pts, di, scale)
+        self._adopt(pts, di, scale, d)
 
-    def _adopt(self, points: list, di: list[list[int]], scale: int) -> None:
+    def _adopt(self, points: list, di: list[list[int]], scale: int,
+               d: np.ndarray) -> None:
         self.points = points
         self._index = {p: i for i, p in enumerate(points)}
         self._scale = scale
         self._di = di
+        self._d = d             # di as an exact array, of _exact_dtype
         self._betw: list[list[int]] | None = None
         self._packed_betw: np.ndarray | None = None
 
     @classmethod
     def _trusted(cls, points: Sequence[Point], di: list[list[int]],
-                 scale: int = 1) -> "FiniteMetric":
+                 scale: int = 1, d: np.ndarray | None = None) -> "FiniteMetric":
         """Wrap a scaled integer matrix that is a metric by construction
         (BFS distances, or another metric's validated matrix); nothing is
-        re-checked."""
+        re-checked.  ``d`` is the same matrix as an exact array of
+        :func:`_exact_dtype`, built from ``di`` when not given."""
         out = cls.__new__(cls)
-        out._adopt(list(points), di, scale)
+        out._adopt(list(points), di, scale, _exact_array(di) if d is None else d)
         return out
 
     @classmethod
@@ -227,13 +250,13 @@ class FiniteMetric:
 
     def _packed(self) -> np.ndarray:
         """The betweenness table packed as in ``intervals.pack``: one
-        broadcast comparison d(i,t) + d(j,t) == d(i,j) per block of rows i,
-        of about ``intervals.BLOCK`` entries."""
+        broadcast comparison d(i,t) + d(j,t) == d(i,j) per block of rows i
+        (:func:`_block_rows`), on the metric's exact array."""
         if self._packed_betw is None:
             n = len(self.points)
-            d = _exact_array(self._di)
+            d = self._d
             out = np.zeros((n, n, 8 * intervals.words(n)), dtype=np.uint8)
-            step = max(1, intervals.BLOCK // (n * n))
+            step = _block_rows(d)
             for s in range(0, n, step):
                 rows = d[s:s + step]
                 out[s:s + step, :, :(n + 7) // 8] = np.packbits(
@@ -325,8 +348,8 @@ class MedianMetric(FiniteMetric):
 
     @classmethod
     def certify(cls, metric: FiniteMetric) -> "MedianMetric":
-        """Certify a metric as median, sharing its integer matrix (not
-        validated again) and its betweenness tables."""
+        """Certify a metric as median, sharing its integer matrix and exact
+        array (not validated again) and its betweenness tables."""
         out = cls._proven(metric)
         out._certify()
         return out
@@ -336,7 +359,7 @@ class MedianMetric(FiniteMetric):
         """Wrap a metric already proven median by other means (a median
         graph's wall coordinates); no triple is scanned, and the median
         table fills lazily."""
-        out = cls._trusted(metric.points, metric._di, metric._scale)
+        out = cls._trusted(metric.points, metric._di, metric._scale, metric._d)
         out._betw = metric._betw
         out._packed_betw = metric._packed_betw
         out._med = {}

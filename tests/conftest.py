@@ -18,7 +18,7 @@ from mediankit.corpus import graph_instances, median_graph_instances
 from mediankit.embedding import Elimination
 from mediankit.graphs import GraphWall, MedianGraphCert, SimpleGraph, _lemma_holds, _mask
 from mediankit.intervals import is_convex, members
-from mediankit.metric import Classification, _exact_array, _to_fraction
+from mediankit.metric import Classification, _to_fraction
 from mediankit.walls import CubulationResult, Orientation, _vertex_name
 
 ACCEPTANCE_LINES: list[str] = []
@@ -122,6 +122,34 @@ def validate_axioms_oracle(s: IntervalStructure) -> AxiomReport:
             break
     checks.append(AxiomCheck("unique_median", witness is None, witness, detail))
     return AxiomReport(tuple(checks))
+
+
+def simple_graph_oracle(vertices, edges) -> SimpleGraph:
+    """Oracle: the graph constructor as one loop over the edges, in input
+    order, with a set of canonical index pairs and one sort per vertex."""
+    vs = list(vertices)
+    if not vs:
+        raise InputError("a graph needs at least one vertex")
+    if len(set(vs)) != len(vs):
+        raise InputError("duplicate vertex identifiers")
+    index = {v: i for i, v in enumerate(vs)}
+    adj: list[set[int]] = [set() for _ in vs]
+    canon = set()
+    for u, v in edges:
+        if u not in index or v not in index:
+            raise InputError(f"edge ({u!r},{v!r}) references an unknown vertex")
+        i, j = index[u], index[v]
+        if i == j:
+            raise InputError(f"loop at {u!r}")
+        key = (min(i, j), max(i, j))
+        if key in canon:
+            continue
+        canon.add(key)
+        adj[i].add(j)
+        adj[j].add(i)
+    out = SimpleGraph.__new__(SimpleGraph)
+    out._adopt(vs, index, sorted(canon), [sorted(a) for a in adj])
+    return out
 
 
 def edge_halfspaces(dist: list[list[int]], edges) -> list[int]:
@@ -267,10 +295,11 @@ def scaled_rows_oracle(matrix):
 
 
 def is_metric_oracle(di) -> bool:
-    """Oracle: the metric axioms on a scaled integer matrix, the triangle
-    inequality as one n x n broadcast comparison per middle point."""
+    """Oracle: the metric axioms on a scaled integer matrix, in Python ints,
+    the triangle inequality as one n x n broadcast comparison per middle
+    point."""
     n = len(di)
-    d = _exact_array(di)
+    d = np.array(di, dtype=object)
     positive = d > 0
     np.fill_diagonal(positive, True)
     if d.diagonal().any() or not positive.all() or (d != d.T).any():

@@ -95,6 +95,23 @@ def test_graph_round_trip():
     assert set(map(frozenset, again.edges)) == set(map(frozenset, g.edges))
 
 
+@pytest.mark.parametrize("vertices, edges, message", [
+    (["a", "b"], [["z", "a"], ["a", {}]], "an edge: id {} is not a JSON scalar"),
+    (["a", "b"], [["a", "a"], [None, []]], "an edge: id [] is not a JSON scalar"),
+    (["a", "b", "c"], [["a", "b"], ["a", "b", "c"]],
+     "edge ['a', 'b', 'c'] must have exactly two endpoints"),
+    ([], [["a", []]], "an edge: id [] is not a JSON scalar"),
+    (["a", "b"], [["a", "b"], "ab"], "an edge must be a list, got 'ab'"),
+    (["a", "b", "c"], [["a", "b"], ["b", "a"]], "graph is not connected"),
+    (["a", "b"], [["b", "z"], ["a", "a"]], "edge ('b','z') references an unknown vertex"),
+], ids=["unknown-then-non-scalar", "loop-then-non-scalar", "disconnected-then-three",
+        "no-vertices-then-non-scalar", "not-a-list", "disconnected", "unknown-then-loop"])
+def test_a_bad_edge_shape_is_reported_before_the_graphs_error(vertices, edges, message):
+    with pytest.raises(InputError) as exc:
+        formats.graph_from_json({"vertices": vertices, "edges": edges})
+    assert str(exc.value) == message
+
+
 def test_walls_round_trip_and_trivial_warning():
     w = graph_wall_space(certify_median_graph(path_graph(3)))
     data = formats.walls_to_json(w)
@@ -310,6 +327,27 @@ def test_displace_metric_and_walls(files):
     assert r2.returncode == 0
     report2 = json.loads(r2.stdout)
     assert (report2["wall_distance"], report2["sigma_symdiff"]) == (1, 2)
+
+
+@pytest.mark.parametrize("payload", [
+    {"points": [1, 2], "dist": [[0, 1], [1, 0]]},
+    {"vertices": [1, 2], "edges": [[1, 2]]},
+    {"points": [1, 2], "walls": [[[], [1, 2]], [[1], [2]]]},
+], ids=["metric", "graph", "walls"])
+def test_displace_reads_generator_keys_as_non_string_ids(tmp_path, capsys, payload):
+    # JSON object keys are strings: "1" names the point 1
+    from mediankit import cli
+    infile, act = tmp_path / "in.json", tmp_path / "action.json"
+    infile.write_text(json.dumps(payload))
+    act.write_text(json.dumps({"generators": {"s": {"1": 2, "2": 1}}, "basepoint": 1}))
+    assert cli.main(["displace", "--action", str(act), "--in", str(infile),
+                     "--word", "s"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["image"] == "2"
+    if "walls" in payload:
+        assert (report["wall_distance"], report["sigma_symdiff"]) == (1, 2)
+    else:
+        assert report["distance"] == "1"
 
 
 def test_circumcenter_cli(files):

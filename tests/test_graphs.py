@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (EagerCertificate, bfs_distance_check, fill_cubes_oracle,
                       majority_closure_check, random_crossing_wall_space,
-                      subsets_bruteforce_halfspaces)
+                      simple_graph_oracle, subsets_bruteforce_halfspaces)
 from mediankit import (FiniteMetric, InputError, InternalCheckError, MedianMetric,
                        NotMedianError, SimpleGraph, certify_median_graph, classify,
                        cubulate, fill_cubes, intervals)
@@ -45,6 +45,63 @@ def test_graph_validation():
         SimpleGraph(["a", "b"], [("a", "z")])
     g = SimpleGraph(["a", "b"], [("a", "b"), ("b", "a")])   # dedupe
     assert len(g.edges) == 1
+
+
+def outcome(build, vertices, edges):
+    """What a graph constructor gives: its vertices, edge indices and
+    adjacency lists, or its InputError message."""
+    try:
+        g = build(vertices, edges)
+    except InputError as exc:
+        return str(exc)
+    return g.vertices, g.edge_indices, g._adj
+
+
+@st.composite
+def edge_lists(draw):
+    """Vertex ids, ints and strings, and an edge list over them: a spanning
+    path in random order and orientation, with duplicates, reversed pairs,
+    and sometimes a loop or an unknown id, in mixed order."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.permutations([*range(n // 2), *map(str, range(n // 2, n))]))
+    edges = [(ids[i], ids[i + 1]) for i in range(n - 1)]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=6)) if edges else []
+    edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), max_size=6))
+              ] if edges else []
+    edges += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                           max_size=3))
+    edges += draw(st.lists(st.sampled_from([("x", ids[0]), (ids[-1], 99), ("x", "x")]),
+                           max_size=1))
+    return ids, draw(st.permutations(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_constructor_matches_the_set_loop_oracle(graph):
+    vertices, edges = graph
+    assert outcome(SimpleGraph, vertices, edges) == \
+        outcome(simple_graph_oracle, vertices, edges)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([("a", "b"), ("a",), ("a", "a")], "edge ('a',) must have exactly two endpoints"),
+    ([("a", "b", "a"), ("a", "z")], "edge ('a', 'b', 'a') must have exactly two endpoints"),
+    ([("a", "a"), ("a",)], "loop at 'a'"),
+    ([("a", "z"), 5], "edge ('a','z') references an unknown vertex"),
+    ([5, ("a", "z")], "edge 5 must have exactly two endpoints"),
+    ([("a", ["b"]), ("a", "a")], "edge ('a',['b']) references an unknown vertex"),
+    ([("a", "b"), ({}, "a")], "edge ({},'a') references an unknown vertex"),
+], ids=["short", "long", "loop-first", "unknown-first", "not-iterable", "unhashable",
+        "unhashable-first-end"])
+def test_constructor_reports_the_first_bad_edge_as_an_input_error(edges, message):
+    with pytest.raises(InputError) as exc:
+        SimpleGraph(["a", "b"], edges)
+    assert str(exc.value) == message
+
+
+def test_constructor_takes_any_pair_iterables():
+    g = SimpleGraph(["a", "b", "c"], (e for e in [iter(("c", "b")), ["a", "b"], "ab"]))
+    assert g.edge_indices == [(0, 1), (1, 2)] and g._adj == [[1], [0, 2], [1]]
 
 
 def test_bfs_distances():

@@ -15,7 +15,7 @@ from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
 
 from conftest import (fraction_metric_oracle, is_metric_oracle, scaled_rows_oracle,
                       upper_triangle_oracle)
-from mediankit.metric import _is_metric, _scaled_rows
+from mediankit.metric import _exact_array, _is_metric, _scaled_rows
 
 
 def triple_intersections_oracle(metric):
@@ -227,15 +227,15 @@ def _one_short_cut(n: int, k: int, unit: int) -> list[list[int]]:
 @pytest.mark.parametrize("n, unit", [(3, 1), (28, 1), (49, 1), (60, 1), (100, 1),
                                      (3, BIG), (49, BIG)])
 def test_blocked_triangle_check_finds_a_short_cut_through_every_middle_point(n, unit):
-    step = max(1, intervals.BLOCK // (n * n))      # middle points per block
+    step = max(1, intervals.BLOCK // (n * n))      # middle points per block of BIG entries
     middles = range(n) if unit == 1 else sorted({0, step - 1, step, n - 1} & set(range(n)))
     for k in middles:
         d = _one_short_cut(n, k, unit)
-        assert _is_metric(d) is False
+        assert _is_metric(_exact_array(d)) is False
         assert is_metric_oracle(d) is False
         i, j = [t for t in range(n) if t != k][:2]
         d[i][j] = d[j][i] = 2 * unit               # the triangle now holds
-        assert _is_metric(d) is True
+        assert _is_metric(_exact_array(d)) is True
         assert is_metric_oracle(d) is True
 
 
@@ -248,11 +248,11 @@ def test_metric_check_matches_the_per_point_oracle(n, seed, unit):
     while len(pts) < n:
         pts.add(tuple(rng.randint(0, 200 // dim ** 2) for _ in range(dim)))
     d = [[unit * sum(abs(a - b) for a, b in zip(p, q)) for q in pts] for p in pts]
-    assert _is_metric(d) is True
+    assert _is_metric(_exact_array(d)) is True
     for _ in range(rng.randint(1, 3)):             # symmetric changes of one entry
         i, j = rng.sample(range(n), 2)
         d[i][j] = d[j][i] = rng.randint(0, 3 * max(d[i])) * rng.choice([1, 1, -1])
-    assert _is_metric(d) == is_metric_oracle(d)
+    assert _is_metric(_exact_array(d)) == is_metric_oracle(d)
 
 
 # ---------------------------------------------------------------- intervals

@@ -4,6 +4,7 @@ checks and one-BFS wall coordinates, each against its Python oracle."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from conftest import (between_oracle, classify_oracle, count_closure,
                       edge_halfspace_certificate, random_shortest_path_metric,
                       validate_axioms_oracle)
-from mediankit import (FiniteMetric, IntervalStructure, NotMedianError, SimpleGraph,
-                       certify_median_graph, classify, cubulate, intervals, validate_axioms)
+from mediankit import (FiniteMetric, IntervalStructure, MedianMetric, NotMedianError,
+                       SimpleGraph, certify_median_graph, classify, cubulate, intervals,
+                       metric, validate_axioms)
 from mediankit.corpus import (asymmetric_interval_fixture, complete_bipartite_graph,
                               cycle_graph, grid_graph, hypercube_graph, path_graph,
                               random_tree, random_wall_space, star_graph)
@@ -53,10 +55,36 @@ def scaled(m, factor):
                                grid_graph(3, 3), cycle_graph(65)],
                          ids=["c6", "k34", "grid3x3", "c65"])
 def test_metrics_past_two_to_the_61_take_the_object_path(g):
-    m = scaled(g.path_metric(), 2 ** 62)
-    assert _exact_array(m._di).dtype == object
-    check_tables(m)
-    assert classify(m) == classify(g.path_metric())
+    # the largest entry on each side of 2^14, 2^30 and 2^61: int16, int32,
+    # int64, then Python ints
+    base = g.path_metric()
+    diameter = max(map(max, base._di))
+    dtypes = [(1 << 14, np.int16), (1 << 30, np.int32), (1 << 61, np.int64)]
+    factors = [2 ** 62]
+    for bound, _ in dtypes:
+        factors += [(bound - 1) // diameter, -(-bound // diameter)]
+    for factor in factors:
+        m = scaled(base, factor)
+        peak = diameter * factor
+        assert m._d.dtype == next((dt for b, dt in dtypes if peak < b), object)
+        assert _exact_array(m._di).dtype == m._d.dtype
+        check_tables(m)
+        assert classify(m) == classify(base)
+
+
+def test_path_metrics_hand_their_array_to_certify(monkeypatch):
+    def rebuilt(di):
+        raise AssertionError("the exact array was rebuilt from the lists")
+
+    monkeypatch.setattr(metric, "_exact_array", rebuilt)
+    g = grid_graph(3, 4)
+    pm = g.path_metric()
+    assert pm._d.dtype == np.int16 and pm._d.tolist() == g.all_pairs()
+    mm = MedianMetric.certify(pm)
+    assert mm._d is pm._d
+    assert certify_median_graph(g).metric._d.dtype == np.int16
+    with pytest.raises(NotMedianError):
+        certify_median_graph(cycle_graph(60))
 
 
 @settings(max_examples=60, deadline=None)
