@@ -15,10 +15,11 @@ from mediankit.algebra import (AxiomCheck, AxiomReport, FiniteMedianAlgebra,
                                IntervalStructure)
 from mediankit.convexity import _circumsphere
 from mediankit.corpus import graph_instances, median_graph_instances
-from mediankit.embedding import Elimination
+from mediankit import intervals
+from mediankit.embedding import DecompositionTrace, Elimination, RetractionStep
 from mediankit.graphs import GraphWall, MedianGraphCert, SimpleGraph, _lemma_holds, _mask
 from mediankit.intervals import is_convex, members
-from mediankit.metric import Classification, _to_fraction
+from mediankit.metric import Classification, MedianMetric, _to_fraction
 from mediankit.walls import CubulationResult, Orientation, _vertex_name
 
 ACCEPTANCE_LINES: list[str] = []
@@ -579,15 +580,106 @@ def cubulate_oracle(w: WallSpace, *, max_walls: int = 24,
 def wall_metric_recount(w: WallSpace, res) -> bool:
     """Oracle: for every pair of points, the separating walls, half the
     symmetric difference of the sigma halfspaces, and the Hamming distance
-    of the cubulation's vertex bits at the two points all agree."""
+    of the cubulation's vertex bits at the two points all agree, and
+    ``wall_metric`` reads that count."""
     bits = {x: res.vertex_bits[res.embedding[x]] for x in w.points}
     for x, y in itertools.combinations(w.points, 2):
         count = len(w.separating_walls(x, y))
+        if w.wall_metric(x, y) != count:
+            return False
         if len(w.sigma_halfspaces(x) ^ w.sigma_halfspaces(y)) != 2 * count:
             return False
         if (bits[x] ^ bits[y]).bit_count() != count:
             return False
     return True
+
+
+def morphism_by_halfspaces(f, a: FiniteMedianAlgebra, b: FiniteMedianAlgebra) -> bool:
+    """Oracle: f (total) is a median morphism iff the preimage of every
+    halfspace of ``b`` and its complement are convex in ``a``."""
+    for h in b.halfspaces():
+        pre = frozenset(p for p in a.points if f[p] in h.side)
+        co = frozenset(a.points) - pre
+        if not (a.is_convex(pre) and a.is_convex(co)):
+            return False
+    return True
+
+
+def retraction_oracle(mm: MedianMetric) -> DecompositionTrace:
+    """Oracle: the halfspace peeling of a median metric, re-running
+    ``intervals.halfspaces`` on the current convex set at every step, and
+    checking every clause the negative-definiteness argument rests on:
+    unique nearest points lying on geodesics, the rectangle property off
+    the halfspace, a constant gap delta, the four-case distance law, and
+    that only the chosen wall separates a point from its retraction.
+    """
+    n = len(mm.points)
+    d = [[mm.dist_int(i, j) for j in range(n)] for i in range(n)]
+    betw = mm._between()
+    steps: list[RetractionStep] = []
+    current = (1 << n) - 1
+    while current & (current - 1):
+        # current is convex, so its halfspaces restrict the parent's
+        sides = []
+        for side, _ in intervals.halfspaces(betw, within=current):
+            sides += [side, current & ~side]
+        if not sides:
+            raise InternalCheckError("no proper halfspace in a 2+ point space")
+        maximal = [s for s in sides if not any(t != s and not s & ~t for t in sides)]
+        chosen = min(maximal, key=intervals.members)
+        peeled = current & ~chosen
+        inside, outside = intervals.members(chosen), intervals.members(peeled)
+
+        retraction = {}
+        delta = None
+        for x in outside:
+            dmin = min(d[x][p] for p in inside)
+            nearest = [p for p in inside if d[x][p] == dmin]
+            if len(nearest) != 1:
+                raise InternalCheckError(
+                    f"nearest point in halfspace not unique for {mm.points[x]!r}")
+            px = nearest[0]
+            for p in inside:
+                if d[x][px] + d[px][p] != d[x][p]:
+                    raise InternalCheckError(
+                        "nearest point not on the geodesic to the halfspace")
+            for s in sides:
+                if (s >> x ^ s >> px) & 1 and s not in (chosen, peeled):
+                    raise InternalCheckError(
+                        "a wall other than the peeled one separates x from its "
+                        "retraction")
+            retraction[x] = px
+            if delta is None:
+                delta = dmin
+            elif delta != dmin:
+                raise InternalCheckError("gap to the halfspace is not constant")
+
+        for x in outside:
+            for y in outside:
+                px, py = retraction[x], retraction[y]
+                if not (betw[x][py] >> y & 1 and betw[x][py] >> px & 1
+                        and betw[y][px] >> x & 1 and betw[y][px] >> py & 1):
+                    raise InternalCheckError("rectangle property fails off the "
+                                             "halfspace")
+                if d[x][y] != d[px][py] or d[y][py] != d[px][x]:
+                    raise InternalCheckError("rectangle has unequal opposite sides")
+
+        for x in inside + outside:
+            for y in inside + outside:
+                px = retraction.get(x, x)
+                py = retraction.get(y, y)
+                gap = (x in retraction) != (y in retraction)
+                if d[x][y] != d[px][py] + (delta if gap else 0):
+                    raise InternalCheckError("four-case distance law fails")
+
+        steps.append(RetractionStep(
+            halfspace=tuple(mm.points[g] for g in inside),
+            complement=tuple(mm.points[g] for g in outside),
+            delta=Fraction(delta, mm.scale),
+            retraction={mm.points[x]: mm.points[p] for x, p in retraction.items()},
+        ))
+        current = chosen
+    return DecompositionTrace(mm, tuple(steps))
 
 
 def median_table(a: FiniteMedianAlgebra) -> dict:

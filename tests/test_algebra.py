@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import median_table, subsets_bruteforce_halfspaces
+from conftest import median_table, morphism_by_halfspaces, subsets_bruteforce_halfspaces
 from mediankit import (FiniteMedianAlgebra, Halfspace, InputError,
                        IntervalStructure,
                        is_median_morphism, validate_axioms)
@@ -289,11 +289,11 @@ def test_path_collapse_example_both_criteria_agree():
     v0, v1, v2 = a.points
     w0, w1 = b.points
     folding = {v0: w0, v1: w1, v2: w0}     # not a morphism
-    assert is_median_morphism(folding, a, b, method="interval") is False
-    assert is_median_morphism(folding, a, b, method="halfspace") is False
     assert is_median_morphism(folding, a, b) is False
+    assert morphism_by_halfspaces(folding, a, b) is False
     nearest = {v0: w0, v1: w1, v2: w1}     # retraction onto the edge
     assert is_median_morphism(nearest, a, b) is True
+    assert morphism_by_halfspaces(nearest, a, b) is True
 
 
 def test_morphism_criteria_agree_exhaustively_small():
@@ -301,13 +301,11 @@ def test_morphism_criteria_agree_exhaustively_small():
     b = path_algebra(2)
     for images in itertools.product(b.points, repeat=len(a.points)):
         f = dict(zip(a.points, images))
-        assert (is_median_morphism(f, a, b, method="interval")
-                == is_median_morphism(f, a, b, method="halfspace"))
+        assert is_median_morphism(f, a, b) == morphism_by_halfspaces(f, a, b)
     c4 = cycle_graph(4).path_metric().to_algebra()
     for images in itertools.product(a.points, repeat=len(c4.points)):
         f = dict(zip(c4.points, images))
-        assert (is_median_morphism(f, c4, a, method="interval")
-                == is_median_morphism(f, c4, a, method="halfspace"))
+        assert is_median_morphism(f, c4, a) == morphism_by_halfspaces(f, c4, a)
 
 
 @settings(max_examples=30, deadline=None)
@@ -318,8 +316,7 @@ def test_morphism_criteria_agree_on_random_maps_into_boolean(seed):
     a = path_algebra(4)
     b = cycle_graph(4).path_metric().to_algebra()
     f = {p: rng.choice(b.points) for p in a.points}
-    assert (is_median_morphism(f, a, b, method="interval")
-            == is_median_morphism(f, a, b, method="halfspace"))
+    assert is_median_morphism(f, a, b) == morphism_by_halfspaces(f, a, b)
 
 
 def test_partial_map_is_an_input_error():

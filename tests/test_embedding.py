@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 from conftest import (bareiss_rows_oracle, centered_gram, convex_sets_oracle, eigh_gns_oracle,
                       fraction_negdef_oracle, fraction_psd_eliminate, helly_witness_oracle,
                       hypermetric_oracle, random_shortest_path_metric,
-                      zero_sum_sampling_oracle)
+                      retraction_oracle, zero_sum_sampling_oracle)
 from mediankit import (FiniteMetric, InputError, MedianMetric,
                        ResourceLimitError, certify_hypermetric,
                        certify_median_graph, certify_negative_definite,
                        check_helly, gns_embed, l1_embed,
-                       retraction_decomposition)
+                       product, retraction_decomposition)
 from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               graph_instances, grid_graph, hypercube_graph,
                               path_graph, random_tree)
-from mediankit import embedding
+from mediankit import embedding, intervals
 from mediankit.embedding import _integer_gram, _psd_eliminate, convex_sets, distance_form
 
 
@@ -781,6 +781,31 @@ def test_retraction_above_sixteen_points():
     alpha = random_zero_sum(random.Random(5), 18)
     assert trace.form_value_via_trace(dict(zip(m.points, alpha))) == \
         distance_form(m, alpha)
+
+
+def assert_trace_matches_the_oracle(mm: MedianMetric) -> None:
+    """The trace read off the walls equals the oracle's step for step, and
+    comes from one ``intervals.halfspaces`` call."""
+    want = retraction_oracle(mm).steps
+    with mock.patch.object(intervals, "halfspaces", wraps=intervals.halfspaces) as spy:
+        got = retraction_decomposition(mm).steps
+    assert spy.call_count == 1
+    assert got == want
+
+
+def test_retraction_matches_the_oracle(median_metrics):
+    rng = random.Random(7)
+    left, right = (MedianMetric.certify(random_weighted_tree_metric(rng, n)) for n in (5, 4))
+    grids = [MedianMetric.certify(grid_graph(r, c).path_metric()) for r, c in ((3, 4), (4, 4))]
+    for m in [*median_metrics.values(), *grids, product(left, right)]:
+        assert_trace_matches_the_oracle(m)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 15))
+def test_retraction_matches_the_oracle_on_weighted_trees(seed, n):
+    m = random_weighted_tree_metric(random.Random(seed), n)
+    assert_trace_matches_the_oracle(MedianMetric.certify(m))
 
 
 # ---------------------------------------------------------------- oracle

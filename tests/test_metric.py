@@ -435,11 +435,23 @@ def test_edge_times_edge_is_the_unit_square():
             assert square.dist(p, q) == c4.dist(ident[p], ident[q])
 
 
-def test_product_median_is_componentwise_on_p3_grid():
-    p3 = MedianMetric.certify(path_graph(3).path_metric())
-    prod = product(p3, p3)          # the constructor asserts componentwise medians
+def assert_product_median_is_componentwise(m1, m2):
+    prod = product(m1, m2)
     assert classify(prod).kind == "median"
-    assert len(prod.points) == 9
+    assert len(prod.points) == len(m1.points) * len(m2.points)
+    for a, b, c in itertools.combinations(prod.points, 3):
+        want = (m1.median_point(a[0], b[0], c[0]), m2.median_point(a[1], b[1], c[1]))
+        assert prod.median_point(a, b, c) == want
+
+
+def test_product_median_is_componentwise_on_p3_grid():
+    # product() runs no triple scan, so the medians are checked here
+    p3 = MedianMetric.certify(path_graph(3).path_metric())
+    assert_product_median_is_componentwise(p3, p3)
+    weighted = MedianMetric.certify(FiniteMetric(
+        ["a", "b", "c", "d"],
+        [[0, "1/2", "7/2", "5/2"], ["1/2", 0, 3, 2], ["7/2", 3, 0, 5], ["5/2", 2, 5, 0]]))
+    assert_product_median_is_componentwise(weighted, p3)
 
 
 # ---------------------------------------------------------------- lemmas
