@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
+import numpy as np
+
 from .embedding import GnsEmbedding, gns_embed
 from .errors import InputError, InternalCheckError
 from .metric import FiniteMetric
@@ -61,15 +63,18 @@ class MetricAction:
     def __post_init__(self):
         pts = self.metric.points
         self.metric.index(self.basepoint)
+        d = self.metric._d
         checked = {}
         for name, g in self.generators.items():
             perm = _check_permutation(name, g, pts)
-            for x in pts:
-                for y in pts:
-                    if self.metric.dist(perm[x], perm[y]) != self.metric.dist(x, y):
-                        raise InputError(
-                            f"generator {name!r} is not an isometry: distance of "
-                            f"({x!r},{y!r}) changes")
+            image = [self.metric.index(perm[x]) for x in pts]
+            moved = np.argwhere(d[np.ix_(image, image)] != d)
+            if len(moved):
+                # argwhere runs in row-major order: the first changed pair (x, y)
+                x, y = (pts[i] for i in moved[0])
+                raise InputError(
+                    f"generator {name!r} is not an isometry: distance of "
+                    f"({x!r},{y!r}) changes")
             checked[name] = perm
         self.generators = checked
 

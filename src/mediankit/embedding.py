@@ -3,13 +3,14 @@
 A metric is negative definite when sum a_i a_j d(x_i,x_j) <= 0 for every
 real weight vector with zero sum; equivalently the doubly-centered matrix
 B = -1/2 J D J is positive semidefinite.  The decision here is exact:
-B is scaled to an integer matrix and reduced by fraction-free (Bareiss)
-integer elimination with greedy diagonal pivoting, which yields the
-rational pivots, the exact LDL^T factor of B and, on failure, a witness
-vector.  The elimination runs on int64 words while its entries stay
-below 2^31 in size and goes on in Python ints from there; both phases
-compute the same integers.  GNS coordinates are read off that factor in
-floats and then verified against the metric.
+B is scaled to an integer matrix and reduced by fraction-free integer
+elimination with greedy diagonal pivoting, each step divided by the
+content of what remains, which yields the rational pivots, the exact
+LDL^T factor of B and, on failure, a witness vector.  The elimination
+runs on int64 words while its entries stay below 2^31 in size and goes
+on in Python ints from there; both phases compute the same integers.
+GNS coordinates are read off that factor in floats and then verified
+against the metric.
 """
 
 from __future__ import annotations
@@ -60,14 +61,9 @@ def _integer_gram(m: FiniteMetric) -> tuple[np.ndarray, int]:
     doubly-centered form (J the mean-centering projector) and
     c = 2 n^2 scale.  B is PSD iff the distance form is <= 0 on zero-sum
     vectors; in the scaled integer distances D', with row sums r and total
-    g, G_ij = -(n^2 D'_ij - n r_i - n r_j + g).
-
-    Every k x k minor of G is divisible by n^(2k-3): G = n^2 A with
-    A_ij = -D'_ij + v_i + v_j - g/n^2 and v = r/n, so each column of a
-    submatrix of A is an integer column plus the shared column v plus a
-    multiple of the all-ones column, and expanding the determinant by
-    columns, each of those two can be chosen at most once (denominators n
-    and n^2).
+    g, G_ij = -(n^2 D'_ij - n r_i - n r_j + g).  The common factors of G
+    and of its Schur complements are divided out by the elimination as it
+    goes, so none is predicted here.
 
     G is built in one array expression from the metric's exact array,
     widened to int64 when 4 n^2 max D' < 2^62 bounds every term, to an
@@ -83,7 +79,8 @@ def _integer_gram(m: FiniteMetric) -> tuple[np.ndarray, int]:
 class Elimination(NamedTuple):
     """The outcome of :func:`_psd_eliminate`: the verdict, the pivots, a
     witness on failure, and the unit lower-triangular factor L of the
-    positive pivots, held as integer Bareiss columns."""
+    positive pivots, held as integer columns of the scaled Schur
+    complements."""
 
     psd: bool
     pivots: list[Fraction]
@@ -95,66 +92,77 @@ class Elimination(NamedTuple):
 _WORD = 1 << 31     # entries below 2^31 in size: p*x - a*y stays inside int64
 
 
-def _word_block(g) -> np.ndarray | None:
-    """A nonempty g as an int64 array when every entry is below 2^31 in
-    size, else None."""
-    if isinstance(g, np.ndarray):
-        lo, hi = g.min(), g.max()
-    else:
-        lo, hi = min(map(min, g)), max(map(max, g))
-    return np.array(g, dtype=np.int64) if -_WORD < lo and hi < _WORD else None
+def _word_block(g: np.ndarray) -> np.ndarray | None:
+    """A copy of a nonempty g as an int64 array when every entry is below
+    2^31 in size, else None."""
+    return g.astype(np.int64) if -_WORD < g.min() and g.max() < _WORD else None
 
 
-def _psd_eliminate(g: Sequence[Sequence[int]], h: int = 1) -> Elimination:
+def _psd_eliminate(g: Sequence[Sequence[int]]) -> Elimination:
     """Exact PSD test and LDL^T factor of a symmetric integer matrix by
-    symmetric fraction-free (Bareiss) elimination with greedy diagonal
-    pivoting.
+    symmetric fraction-free elimination with greedy diagonal pivoting,
+    each step divided by the content (the gcd of the entries) of what
+    remains.
 
     The pivots are the successive Schur complement diagonals, and the
     witness is a vector v with v^T g v < 0 when the test fails.  When g is
     PSD, g[i][j] = sum_k L[i][k] * pivots[k] * L[j][k] over the positive
-    pivots.  The caller promises that every k x k minor of g with k >= 2
-    is divisible by h^(2k-3) (h = 1 promises nothing).
+    pivots.
 
-    Bareiss keeps, after pivots P, each remaining entry as the Schur
-    complement entry times the positive minor det g[P,P]; here it is also
-    divided by the known factor h^(2|P|-1), which the update does by
-    dividing the first two steps by h and h*p_1.  The common factor is
+    The work matrix E is mu * S, S the rational Schur complement of the
+    remaining indices and mu > 0 a rational held as an integer pair.  g
+    is divided by its content first, and a step with pivot p and pivot
+    column a replaces E by (p * E - a a^T) / c, c the content of that
+    numerator (no division when c is 1, or 0 for a zero block).  The
+    numerator is mu * p times the next Schur complement, so the step
+    multiplies mu by p / c, and the pivot of g is p / mu.  E is thus the
+    primitive part of S: the one integer matrix of content 1 that is a
+    positive multiple of S (or 0).  Bareiss's work matrix is another
+    integer positive multiple of S, hence an integer multiple of E, so
+    these entries are never larger than his, and on metric Gram matrices,
+    whose minors share large factors, they are far smaller.  mu is
     positive, so the greedy choice and its ties are those of rational
-    elimination, and every division is exact.  It also cancels in the
-    ratio of a pivot's column to the pivot, which is the entry of L; the
-    column is kept over all indices, 0 at the earlier pivots.
+    elimination, and it cancels in the ratio of a pivot's column to the
+    pivot, which is the entry of L; the column is kept over all indices,
+    0 at the earlier pivots.
 
     The steps run in two phases that compute the same integers.  While
     every entry is below 2^31 in size, the work matrix is one n x n int64
     array and a step is one array update, in which p*x - a*y cannot
     overflow: a pivot's row and column become 0 there, so the first
     maximum of the whole diagonal is the first maximum among the remaining
-    indices.  From the first step whose entries outgrow that bound, and at
-    the end, the remaining block is handed to Python ints, where only its
-    upper triangle is stored: row s holds its entries from the diagonal on.
+    indices, and the zeros leave the content alone.  From the first step
+    whose entries outgrow that bound, and at the end, the remaining block
+    is handed to Python ints, where only its upper triangle is stored:
+    row s holds its entries from the diagonal on.
     """
     n = len(g)
     order: list[int] = []
     columns: list[list[int]] = []
-    prev = 1       # last pivot
-    div = h        # the work matrix's divisor
-    unit = 1       # a pivot of g is unit * p / prev
     pivots: list[Fraction] = []
+    num, den = 1, 1     # mu = num / den
 
-    def pivot(q: int, p: int, full: list[int]) -> int:
-        """Record the positive pivot p at index q, with its column; returns
-        the divisor of its update step."""
-        nonlocal prev, div, unit
-        pivots.append(Fraction(unit * p, prev))
+    def pivot(q: int, p: int, full: list[int]) -> None:
+        """Record the positive pivot p at index q, with its column."""
+        pivots.append(Fraction(p * den, num))
         order.append(q)
         columns.append(full)
-        step = div
-        div, unit = (h * p, h) if len(order) == 1 else (p, h * h)
-        prev = p
-        return step
 
-    work = _word_block(g) if n else None
+    def rescale(p: int, c: int) -> None:
+        """mu *= p / c after a step with pivot p and content c."""
+        nonlocal num, den
+        num, den = num * p, den * (c or 1)
+        r = math.gcd(num, den)
+        num, den = num // r, den // r
+
+    if not n:
+        return Elimination(True, pivots, None, order, columns)
+    g = g if isinstance(g, np.ndarray) else np.array(g, dtype=object)
+    c = int(np.gcd.reduce(g, axis=None))
+    if c > 1:
+        g = g // c
+    rescale(1, c)
+    work = _word_block(g)
     if work is not None:
         while len(order) < n:
             t = int(work.diagonal().argmax())
@@ -162,10 +170,13 @@ def _psd_eliminate(g: Sequence[Sequence[int]], h: int = 1) -> Elimination:
             if p <= 0:
                 break
             col = work[t].copy()
-            step = pivot(t, p, col.tolist())
+            pivot(t, p, col.tolist())
             work *= p
             work -= np.multiply.outer(col, col)
-            work //= step
+            c = int(np.gcd.reduce(work, axis=None))
+            if c > 1:
+                work //= c
+            rescale(p, c)
             if work.min() <= -_WORD or work.max() >= _WORD:
                 break
         taken = set(order)
@@ -173,21 +184,27 @@ def _psd_eliminate(g: Sequence[Sequence[int]], h: int = 1) -> Elimination:
         block = work[np.ix_(remaining, remaining)].tolist()
     else:
         remaining = list(range(n))
-        block = g.tolist() if isinstance(g, np.ndarray) else g
+        block = g.tolist()
     upper = [list(row[i:]) for i, row in enumerate(block)]
 
     def witness(*rows: tuple[int, int]) -> list[Fraction]:
         """sum of sign * (row s of L^-1), the remaining rows taken as unit
-        columns of L, by back-substitution through L.  By Cramer's rule,
-        prev times such a row holds minors of g over the factor the
-        elimination divides out, as the entries do, so every division is
-        exact."""
+        columns of L, by fraction-free back-substitution through L: the
+        vector is held as integers over one common denominator, which
+        grows by the part of each pivot that the new entry needs."""
         vec = [0] * n
+        common = 1
         for sign, s in rows:
-            vec[remaining[s]] = sign * prev
+            vec[remaining[s]] = sign
         for q, col in zip(reversed(order), reversed(columns)):
-            vec[q] = -sum(map(operator.mul, vec, col)) // col[q]
-        return [Fraction(v, prev) for v in vec]
+            x = -sum(map(operator.mul, vec, col))
+            r = math.gcd(x, col[q])
+            if r != col[q]:
+                f = col[q] // r
+                vec = [v * f for v in vec]
+                common *= f
+            vec[q] = x // r
+        return [Fraction(v, common) for v in vec]
 
     while remaining:
         t = max(range(len(remaining)), key=lambda s: upper[s][0])
@@ -200,13 +217,16 @@ def _psd_eliminate(g: Sequence[Sequence[int]], h: int = 1) -> Elimination:
             full[q] = p
             for r, a in zip(remaining, col):
                 full[r] = a
-            step = pivot(q, p, full)
+            pivot(q, p, full)
             for s, row in enumerate(upper):
                 a = col[s]
                 if s < t:
                     del row[t - s]
-                # rows with a == 0 are rescaled too: every entry carries the minor
-                upper[s] = [(p * x - a * y) // step for x, y in zip(row, col[s:])]
+                upper[s] = [p * x - a * y for x, y in zip(row, col[s:])]
+            c = math.gcd(*itertools.chain.from_iterable(upper))
+            if c > 1:
+                upper = [[x // c for x in row] for row in upper]
+            rescale(p, c)
             continue
         for s, row in enumerate(upper):
             if row[0] < 0:
@@ -232,7 +252,10 @@ class NegDefCertificate:
     witness: tuple[Fraction, ...] | None   # zero-sum vector with positive form
     witness_value: Fraction | None         # its distance form, as re-evaluated
     pivot_order: tuple[int, ...]           # indices of the positive pivots, in turn
-    columns: tuple[tuple[int, ...], ...]   # L[i][k] = columns[k][i] / columns[k][pivot_order[k]]
+    # per positive pivot, its column of the scaled Schur complement that the
+    # elimination holds (0 at earlier pivots), so that
+    # L[i][k] = columns[k][i] / columns[k][pivot_order[k]]
+    columns: tuple[tuple[int, ...], ...]
 
     def form_value(self, coeffs) -> Fraction:
         return distance_form(self.metric, coeffs)
@@ -244,7 +267,7 @@ def certify_negative_definite(m: FiniteMetric) -> NegDefCertificate:
     zero-sum rational vector whose distance form is positive
     (re-evaluated to confirm)."""
     g, scale = _integer_gram(m)
-    ok, pivots, raw, order, columns = _psd_eliminate(g, len(m.points))
+    ok, pivots, raw, order, columns = _psd_eliminate(g)
     witness = value = None
     if not ok:
         mean = sum(raw) / len(raw)

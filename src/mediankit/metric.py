@@ -390,19 +390,24 @@ def product(m1: MedianMetric, m2: MedianMetric) -> MedianMetric:
     so the product of two median metrics is median, with the
     componentwise median; no triple is scanned.  The tests check both
     (``test_product_median_is_componentwise_on_p3_grid``).
+
+    Each factor's scale is the least common denominator of its distances,
+    and the product holds every distance of each factor, so its scale is
+    lcm(s1, s2).  The integer rows are one broadcast sum of the factors'
+    exact arrays at that scale, in int64 while the largest sum, peak,
+    fits, in Python ints beyond, and kept in :func:`_exact_dtype` of
+    [0, peak], as the constructor would.
     """
     pts = [(p, q) for p in m1.points for q in m2.points]
-    n2 = len(m2.points)
-    n = len(pts)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        i1, i2 = divmod(a, n2)
-        for b in range(a + 1, n):
-            j1, j2 = divmod(b, n2)
-            v = (Fraction(m1._di[i1][j1], m1._scale)
-                 + Fraction(m2._di[i2][j2], m2._scale))
-            rows[a][b] = rows[b][a] = v
-    return MedianMetric._proven(FiniteMetric(pts, rows))
+    scale = math.lcm(m1._scale, m2._scale)
+    f1, f2 = scale // m1._scale, scale // m2._scale
+    peak = int(m1._d.max()) * f1 + int(m2._d.max()) * f2
+    wide = np.int64 if peak < 1 << 62 else object
+    d1 = m1._d.astype(wide) * f1
+    d2 = m2._d.astype(wide) * f2
+    rows = (d1[:, None, :, None] + d2[None, :, None, :]).reshape(len(pts), len(pts))
+    d = rows.astype(_exact_dtype(0, peak))
+    return MedianMetric._proven(FiniteMetric._trusted(pts, d.tolist(), scale, d))
 
 
 @dataclass(frozen=True)

@@ -295,6 +295,14 @@ def scaled_rows_oracle(matrix):
              for v in row] for row in parsed], scale
 
 
+def product_oracle(m1: FiniteMetric, m2: FiniteMetric) -> FiniteMetric:
+    """Oracle: the l1 product metric on pairs, in row-major order, with
+    Fraction entries read by the validating constructor."""
+    pts = [(p, q) for p in m1.points for q in m2.points]
+    rows = [[m1.dist(a[0], b[0]) + m2.dist(a[1], b[1]) for b in pts] for a in pts]
+    return FiniteMetric(pts, rows)
+
+
 def is_metric_oracle(di) -> bool:
     """Oracle: the metric axioms on a scaled integer matrix, in Python ints,
     the triangle inequality as one n x n broadcast comparison per middle

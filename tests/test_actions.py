@@ -1,6 +1,9 @@
+import random
+import re
+
 import pytest
 
-from mediankit import InputError, certify_median_graph, gns_embed, graph_wall_space
+from mediankit import FiniteMetric, InputError, certify_median_graph, gns_embed, graph_wall_space
 from mediankit.actions import (MetricAction, WallAction, apply_word,
                                displacement_metric, displacement_walls,
                                parse_word)
@@ -46,6 +49,35 @@ def test_metric_action_rejects_non_isometries():
     swap_ends = {v[0]: v[2], v[1]: v[0], v[2]: v[1]}   # a 3-cycle, not isometric
     with pytest.raises(InputError, match="isometry"):
         MetricAction(m, {"g": swap_ends}, v[0])
+
+
+def first_changed_pair(m, perm):
+    """Oracle: the first pair (x, y), in row-major point order, whose
+    distance the map changes."""
+    return next(((x, y) for x in m.points for y in m.points
+                 if m.dist(perm[x], perm[y]) != m.dist(x, y)), None)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_metric_action_reports_the_first_changed_pair(seed):
+    rng = random.Random(seed)
+    unit = rng.choice([1, 3, 1 << 62])           # the last holds Python ints
+    metrics = [cube_metric(), path_graph(5).path_metric(),
+               FiniteMetric(["a", "b", "c", "d"],
+                            [[0, unit, unit, 2 * unit], [unit, 0, 2 * unit, unit],
+                             [unit, 2 * unit, 0, unit], [2 * unit, unit, unit, 0]])]
+    for m in metrics:
+        pts = m.points
+        for _ in range(10):
+            image = rng.sample(pts, len(pts))
+            perm = dict(zip(pts, image))
+            pair = first_changed_pair(m, perm)
+            if pair is None:
+                assert MetricAction(m, {"g": perm}, pts[0]).generators == {"g": perm}
+                continue
+            with pytest.raises(InputError, match=re.escape(
+                    f"'g' is not an isometry: distance of ({pair[0]!r},{pair[1]!r}) changes")):
+                MetricAction(m, {"g": perm}, pts[0])
 
 
 def test_metric_action_rejects_non_bijections():

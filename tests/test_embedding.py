@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -20,7 +21,7 @@ from mediankit import (FiniteMetric, InputError, MedianMetric,
 from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               graph_instances, grid_graph, hypercube_graph,
                               path_graph, random_tree)
-from mediankit import embedding, intervals
+from mediankit import cli, embedding, formats, intervals
 from mediankit.embedding import _integer_gram, _psd_eliminate, convex_sets, distance_form
 
 
@@ -164,6 +165,7 @@ def symmetric_integer_matrices(draw):
 def test_integer_elimination_matches_rational_elimination(g):
     got = _psd_eliminate(g)
     assert got[:3] == fraction_psd_eliminate(g)
+    assert_bareiss_multiples(got, g)
     n = len(g)
     if not got.psd:
         v = got.witness
@@ -199,26 +201,55 @@ def test_each_exit_of_the_integer_elimination(g, pivots, witness):
     assert len(got.order) == len(got.columns) == sum(p > 0 for p in pivots)
 
 
+def assert_same_factor(got, want) -> list[Fraction]:
+    """got and want agree exactly on the verdict, the pivots, the witness
+    and the pivot order, and on the factor L: each of want's columns is a
+    positive multiple of got's.  Returns those multiples, in pivot order."""
+    assert got[:4] == want[:4]
+    ratios = []
+    for q, a, b in zip(got.order, got.columns, want.columns):
+        r = Fraction(b[q], a[q])
+        assert r > 0 and [r * v for v in a] == b
+        ratios.append(r)
+    return ratios
+
+
+def assert_bareiss_multiples(got, g) -> None:
+    """got factors g as Bareiss elimination (the row oracle) does, and
+    every Bareiss column is an integer multiple of got's."""
+    ratios = assert_same_factor(got, bareiss_rows_oracle(g))
+    assert all(r.denominator == 1 for r in ratios)
+
+
 WORD = 1 << 31
 
 
-def word_steps(g, h: int = 1) -> int:
-    """How many pivots full-matrix Bareiss with greedy diagonal pivoting
-    takes before an entry reaches 2^31 in size or no positive pivot is
-    left: the steps that may run on int64 words."""
+def word_steps(g, reduced: bool = True) -> tuple[int, list[list[int]]]:
+    """Full-matrix elimination with greedy diagonal pivoting in Python
+    ints.  Returns how many pivots it takes while every entry is below
+    2^31 in size (the steps that may run on int64 words), and the columns
+    of all its positive pivots.  ``reduced`` divides g and each step by
+    the gcd of the entries; otherwise each step is divided by the last
+    pivot, as Bareiss does."""
     n = len(g)
     w = [[int(v) for v in row] for row in g]
-    div, steps = h, 0
-    while steps < n and all(-WORD < v < WORD for row in w for v in row):
+    content = math.gcd(*itertools.chain.from_iterable(w)) if reduced else 1
+    w = [[v // (content or 1) for v in row] for row in w]
+    last, steps, columns = 1, None, []
+    while len(columns) < n:
+        if steps is None and not all(-WORD < v < WORD for row in w for v in row):
+            steps = len(columns)
         t = max(range(n), key=lambda i: w[i][i])
         p = w[t][t]
         if p <= 0:
             break
         c = w[t][:]
-        w = [[(p * w[i][j] - c[i] * c[j]) // div for j in range(n)] for i in range(n)]
-        div = h * p if steps == 0 else p
-        steps += 1
-    return steps
+        columns.append(c)
+        w = [[p * w[i][j] - c[i] * c[j] for j in range(n)] for i in range(n)]
+        div = (math.gcd(*itertools.chain.from_iterable(w)) or 1) if reduced else last
+        w = [[v // div for v in row] for row in w]
+        last = p
+    return len(columns) if steps is None else steps, columns
 
 
 def gram_crossing_at(step: int, n: int = 7, rank: int = 5) -> list[list[int]]:
@@ -229,7 +260,7 @@ def gram_crossing_at(step: int, n: int = 7, rank: int = 5) -> list[list[int]]:
             rng = random.Random(seed * 100 + bits)
             x = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(rank)] for _ in range(n)]
             g = [[sum(a * b for a, b in zip(u, v)) for v in x] for u in x]
-            got = word_steps(g)
+            got = word_steps(g)[0]
             if got == step:
                 return g
             if got < step:
@@ -240,9 +271,12 @@ def gram_crossing_at(step: int, n: int = 7, rank: int = 5) -> list[list[int]]:
 @pytest.mark.parametrize("step", range(5))
 def test_word_steps_hand_over_to_python_ints_at_each_step(step):
     g = gram_crossing_at(step)
-    assert word_steps(g) == step
+    steps, columns = word_steps(g)
+    assert steps == step
+    assert step >= word_steps(g, reduced=False)[0]
     got = _psd_eliminate(g)
-    assert got == bareiss_rows_oracle(g)
+    assert got.columns == columns
+    assert_bareiss_multiples(got, g)
     assert got[:3] == fraction_psd_eliminate(g)
     assert got.psd and len(got.order) == 5          # rank 5 of 7
     assert _psd_eliminate(np.array(g, dtype=object)) == got
@@ -261,7 +295,7 @@ def test_each_exit_after_the_hand_over(step, exit_case):
     k, e = len(big), len(exit_case)
     g = [row + [0] * e for row in big] + [[0] * k + row for row in exit_case]
     got = _psd_eliminate(g)
-    assert got == bareiss_rows_oracle(g)
+    assert_bareiss_multiples(got, g)
     assert got[:3] == fraction_psd_eliminate(g)
     assert got.psd == _psd_eliminate(exit_case).psd == (exit_case[0][0] == 4)
 
@@ -283,9 +317,13 @@ def test_centered_gram_and_the_h_divisor_on_both_phases(unit):
         peak = max(map(max, m._di))
         assert g.dtype == (np.int64 if 4 * n * n * peak < 1 << 62 else object)
         assert [[Fraction(v, scale) for v in row] for row in g.tolist()] == centered_gram(m)
-        got = _psd_eliminate(g, n)
-        assert got == bareiss_rows_oracle(g.tolist(), n)
+        got = _psd_eliminate(g)
+        # Bareiss divided by the known factor n^(2k-3) of the k x k minors
+        assert_same_factor(got, bareiss_rows_oracle(g.tolist(), n))
         assert got.psd and len(got.order) <= dim * 4
+        steps, columns = word_steps(g.tolist())
+        assert columns == got.columns
+        assert steps >= word_steps(g.tolist(), reduced=False)[0]
 
 
 @st.composite
@@ -307,12 +345,53 @@ def wide_symmetric_matrices(draw):
 @given(wide_symmetric_matrices(), st.sampled_from([1, 2, 7]), st.integers(0, 31))
 def test_elimination_matches_the_row_oracle_at_every_word_bound(g, h, bits):
     # scaled by h^2, each k x k minor carries h^(2k), more than the
-    # h^(2k-3) the divisor h needs
+    # h^(2k-3) the oracle's divisor h needs
     g = [[v * h * h for v in row] for row in g]
-    want = bareiss_rows_oracle(g, h)
-    assert _psd_eliminate(g, h) == want
+    got = _psd_eliminate(g)
+    assert_same_factor(got, bareiss_rows_oracle(g, h))
     with mock.patch.object(embedding, "_WORD", 1 << bits):   # hand over at any step
-        assert _psd_eliminate(g, h) == want
+        assert _psd_eliminate(g) == got
+    assert word_steps(g)[0] >= word_steps(g, reduced=False)[0]
+
+
+@st.composite
+def exit_matrices(draw):
+    """P (X X^T + B) P^T with a PSD part X X^T of low rank, whose rows of
+    X repeat (ties on the diagonal, zero blocks left over), and an exit
+    block B: a negative diagonal entry, a zero diagonal with a nonzero
+    off-diagonal entry, or zeros, each placed at random indices by the
+    permutation P."""
+    rank = draw(st.integers(0, 3))
+    pool = draw(st.lists(st.lists(st.integers(-40, 40), min_size=rank, max_size=rank),
+                         min_size=1, max_size=4))
+    x = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    exit_block = draw(st.sampled_from([[[-1]], [[-3, 1], [1, 2]], [[0, 2], [2, 0]],
+                                       [[0, 0, -1], [0, 0, 0], [-1, 0, 0]], [[0]], []]))
+    k, e = len(x), len(exit_block)
+    g = [[sum(a * b for a, b in zip(u, v)) for v in x] + [0] * e for u in x]
+    g += [[0] * k + row for row in exit_block]
+    perm = draw(st.permutations(range(k + e)))
+    return [[g[i][j] for j in perm] for i in perm]
+
+
+@settings(max_examples=200, deadline=None)
+@given(exit_matrices(), st.sampled_from([1 << 5, 1 << 40, 3 ** 7, 3 ** 30, 10 ** 12]),
+       st.integers(0, 31))
+def test_content_reduction_is_blind_to_scale_and_hand_over(g, scale, bits):
+    got = _psd_eliminate(g)
+    assert got[:3] == fraction_psd_eliminate(g)
+    assert_bareiss_multiples(got, g)
+    # g and scale * g have one primitive part: the same columns and witness
+    big = [[v * scale for v in row] for row in g]
+    scaled = _psd_eliminate(big)
+    assert (scaled.witness, scaled.order, scaled.columns) == \
+        (got.witness, got.order, got.columns)
+    assert scaled.pivots == [p * scale for p in got.pivots]
+    assert word_steps(big)[0] >= word_steps(big, reduced=False)[0]
+    with mock.patch.object(embedding, "_WORD", 1 << bits):
+        for matrix, want in ((g, got), (big, scaled)):
+            assert _psd_eliminate(matrix) == want
+            assert _psd_eliminate(np.array(matrix, dtype=object)) == want
 
 
 def test_witness_survives_rescaling():
@@ -586,6 +665,33 @@ def test_gns_rejects_indefinite_with_witness():
     with pytest.raises(InputError) as err:
         gns_embed(m)
     assert err.value.witness is not None
+
+
+def negative_type_reports(paths, capsys) -> list[tuple[int, str]]:
+    """(exit code, stdout) of ``certify-negdef`` and ``embed --mode gns``
+    on each metric file, in order."""
+    out = []
+    for path in paths:
+        for argv in (["certify-negdef"], ["embed", "--mode", "gns"]):
+            rc = cli.main([*argv, "--in", str(path)])
+            out.append((rc, capsys.readouterr().out))
+    return out
+
+
+def test_reports_are_those_of_bareiss_elimination(tmp_path, capsys):
+    rng = random.Random(19)
+    metrics = [grid_graph(k, k).path_metric() for k in (3, 6, 12)]
+    for _ in range(3):
+        metrics += [random_l1_metric(rng, 24, 3, 6), random_l1_metric(rng, 12, 2, 5, 3),
+                    random_weighted_tree_metric(rng, 16), one_two_metric(rng, 14)]
+    paths = [tmp_path / f"m{k}.json" for k in range(len(metrics))]
+    for path, m in zip(paths, metrics):
+        path.write_text(formats.dumps(formats.metric_to_json(m)))
+    got = negative_type_reports(paths, capsys)
+    with mock.patch.object(embedding, "_psd_eliminate",
+                           lambda g: bareiss_rows_oracle(g.tolist())):
+        assert negative_type_reports(paths, capsys) == got
+    assert {rc for rc, _ in got} == {0, 1, 2}      # indefinite metrics fail both ways
 
 
 # ---------------------------------------------------------------- l1

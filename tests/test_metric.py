@@ -13,8 +13,8 @@ from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               grid_graph, hypercube_graph, path_graph,
                               random_tree)
 
-from conftest import (fraction_metric_oracle, is_metric_oracle, scaled_rows_oracle,
-                      upper_triangle_oracle)
+from conftest import (fraction_metric_oracle, is_metric_oracle, product_oracle,
+                      scaled_rows_oracle, upper_triangle_oracle)
 from mediankit.metric import _exact_array, _is_metric, _scaled_rows
 
 
@@ -452,6 +452,34 @@ def test_product_median_is_componentwise_on_p3_grid():
         ["a", "b", "c", "d"],
         [[0, "1/2", "7/2", "5/2"], ["1/2", 0, 3, 2], ["7/2", 3, 0, 5], ["5/2", 2, 5, 0]]))
     assert_product_median_is_componentwise(weighted, p3)
+
+
+def weighted_tree(rng, n: int, den: int, unit: int = 1) -> MedianMetric:
+    """A random tree's path metric with edge weights unit * k / den."""
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(1, n):
+        parent, weight = rng.randrange(i), Fraction(unit * rng.randint(1, 9), den)
+        for j in range(i):
+            dist[i][j] = dist[j][i] = dist[parent][j] + weight
+    return MedianMetric.certify(FiniteMetric([f"t{i}" for i in range(n)], dist))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_product_rows_are_those_of_the_fraction_construction(seed):
+    rng = random.Random(seed)
+    single = MedianMetric.certify(FiniteMetric(["o"], [[0]]))
+    cube = MedianMetric.certify(hypercube_graph(3).path_metric())
+    pairs = [(single, cube), (cube, single),
+             (weighted_tree(rng, 6, 2), weighted_tree(rng, 5, 3)),
+             (weighted_tree(rng, 4, 6), cube),
+             (weighted_tree(rng, 5, 4), weighted_tree(rng, 6, 10)),
+             # beyond int64: the sums are Python ints
+             (weighted_tree(rng, 4, 3, 1 << 62), weighted_tree(rng, 3, 2))]
+    for m1, m2 in pairs:
+        got, want = product(m1, m2), product_oracle(m1, m2)
+        assert (got.points, got._di, got.scale) == (want.points, want._di, want.scale)
+        assert got._d.dtype == want._d.dtype and (got._d == want._d).all()
+    assert got._d.dtype == object
 
 
 # ---------------------------------------------------------------- lemmas
