@@ -404,11 +404,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     args._t0 = time.perf_counter()
     try:
-        # warnings are shown after a report, never before a JSON error
+        # warnings follow a report as JSON lines, never precede a JSON error
         with warnings.catch_warnings(record=True) as caught:
             rc = args.handler(args)
         for w in caught:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno, line=w.line)
+            sys.stderr.write(formats.dumps({"warning": str(w.message), "kind": "warning"}))
         return rc
     except InputError as exc:
         sys.stderr.write(formats.dumps({"error": str(exc), "kind": "input"}))

@@ -41,19 +41,20 @@ _MASK_POINTS = 62         # int64 subset masks hold at most this many points
 
 
 def distance_form(m: FiniteMetric, coeffs: Sequence[Fraction | int]) -> Fraction:
-    """sum_{i,j} a_i a_j d(x_i, x_j), exactly: summed in integers after
-    clearing the denominators of the a_i, divided once at the end."""
+    """sum_{i,j} a_i a_j d(x_i, x_j), exactly: the product a D a on the
+    metric's exact array after clearing the denominators of the a_i,
+    divided once at the end.  The product runs in int64 when n^2 max|a|^2
+    max D < 2^62 bounds every partial sum, on Python ints otherwise."""
     n = len(m.points)
     if len(coeffs) != n:
         raise InputError(f"expected {n} coefficients, got {len(coeffs)}")
     frac = [Fraction(a) for a in coeffs]
     den = math.lcm(*(a.denominator for a in frac))
     a = [v.numerator * (den // v.denominator) for v in frac]
-    total = 0
-    for ai, row in zip(a, m._di):
-        if ai:
-            total += ai * sum(aj * d for aj, d in zip(a, row) if aj)
-    return Fraction(total, den * den * m.scale)
+    top = max(map(abs, a))
+    dtype = np.int64 if n * n * top * top * max(int(m._d.max()), 1) < 1 << 62 else object
+    v = np.array(a, dtype=dtype)
+    return Fraction(int(v @ m._d.astype(dtype) @ v), den * den * m.scale)
 
 
 def _integer_gram(m: FiniteMetric) -> tuple[np.ndarray, int]:

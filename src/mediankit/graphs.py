@@ -94,14 +94,18 @@ class SimpleGraph:
             deque(map(list.append, map(adj.__getitem__, hi), lo), 0)
             deque(map(list.append, map(adj.__getitem__, lo), hi), 0)
         self._adopt(vs, index, pairs, adj)
+        if -1 in self.bfs_distances(0):
+            raise InputError("graph is not connected")
 
     @classmethod
     def _trusted(cls, vertices: list[Vertex], src: np.ndarray,
                  dst: np.ndarray) -> "SimpleGraph":
         """The graph on distinct ``vertices`` whose edges are the index
-        pairs (src[e], dst[e]), distinct, with src < dst and sorted, as a
-        construction guarantees (the cubulation's Hamming-1 pairs); only
-        connectivity is checked."""
+        pairs (src[e], dst[e]), distinct, with src < dst and sorted, and
+        which is connected, as a construction guarantees and checks: the
+        cubulation's Hamming-1 pairs, whose connectivity ``cubulate``
+        proves by :func:`walls._reaches_vertex_0`.  Nothing is checked
+        here."""
         n = len(vertices)
         ends = np.concatenate((dst, src))
         order = np.argsort(ends, kind="stable")
@@ -123,8 +127,6 @@ class SimpleGraph:
         self._adj = adj
         self._dist: list[list[int]] | None = None
         self._dist_array: np.ndarray | None = None
-        if -1 in self.bfs_distances(0):
-            raise InputError("graph is not connected")
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -225,11 +227,12 @@ class MedianGraphCert:
     Hamming distance, and one bit per edge bounds it below.
 
     The constructor takes the hypotheses as proven by the caller and reads
-    the certificate off ``coords`` (one ``width``-bit vector per vertex
-    index, every bit non-constant) as one 0/1 matrix
-    (:func:`intervals.bit_rows`): coordinates are re-based to vertex 0,
-    so every wall's side holds vertex 0, and walls are sorted on their
-    sides' vertex indices.  Wall k is input bit ``wall_bits[k]``.  The
+    the certificate off ``bits``, the coordinates as a 0/1 matrix (row i
+    for vertex index i, every column non-constant, :func:`intervals.bit_rows`):
+    coordinates are re-based to vertex 0, so every wall's side holds
+    vertex 0, and walls are sorted on their sides' vertex indices
+    (:func:`intervals.side_order`).  Wall k is input column
+    ``wall_bits[k]``.  The
     :class:`GraphWall` objects, with each wall's crossing edges (the
     edges flipping it, in ``edge_indices`` order), are built on first
     use of ``walls``.
@@ -239,19 +242,14 @@ class MedianGraphCert:
     # 2^n halfspace scan runs; kept for readers
     halfspaces_exhaustively_checked = False
 
-    def __init__(self, graph: SimpleGraph, coords: Sequence[int], width: int):
+    def __init__(self, graph: SimpleGraph, bits: np.ndarray):
         self.graph = graph
-        n = len(coords)
-        bits = intervals.bit_rows(coords, width)
-        bits ^= bits[0]
-        # per bit, the vertex indices with it clear (the side of vertex 0)
-        clear = bits.T == 0
-        members = (np.flatnonzero(clear) % n).tolist()
-        stops = np.cumsum(clear.sum(axis=1)).tolist()
-        sides = [members[a:b] for a, b in zip([0] + stops, stops)]
-        self.wall_bits = tuple(sorted(range(width), key=sides.__getitem__))
-        self._coords = intervals.row_ints(bits[:, list(self.wall_bits)])  # per vertex index
-        self._by_coord = dict(zip(self._coords, range(n)))
+        bits = bits ^ bits[0]
+        # per bit, the side of vertex 0: the vertex indices with it clear
+        order = intervals.side_order(bits.T ^ 1)
+        self.wall_bits = tuple(order.tolist())
+        self._coords = intervals.row_ints(bits[:, order])    # per vertex index
+        self._by_coord = dict(zip(self._coords, range(len(bits))))
 
     @functools.cached_property
     def walls(self) -> list[GraphWall]:
@@ -369,20 +367,20 @@ def _bfs_coordinates(g: SimpleGraph) -> tuple[list[int], int]:
     return coords, width
 
 
-def _lemma_holds(g: SimpleGraph, coords: Sequence[int], width: int) -> bool:
-    """Whether ``coords`` meet the hypotheses of the lemma at
-    :class:`MedianGraphCert`: distinct, one flipped bit per edge, exactly
-    the edges at Hamming distance 1 (one set lookup per set bit of each
-    coordinate, O(sum of popcounts)), and closed under the bitwise
-    majority (they are their own median closure,
-    :func:`intervals.is_median_closure`).  The graph is connected by
-    construction."""
+def _lemma_holds(g: SimpleGraph, coords: Sequence[int], width: int) -> np.ndarray | None:
+    """The bit matrix of ``coords`` (:func:`intervals.bit_rows`) if they
+    meet the hypotheses of the lemma at :class:`MedianGraphCert`, else
+    None: distinct, one flipped bit per edge, exactly the edges at Hamming
+    distance 1 (one set lookup per set bit of each coordinate, O(sum of
+    popcounts)), and closed under the bitwise majority (they are their own
+    median closure, :func:`intervals.is_median_closure`).  The graph is
+    connected by construction."""
     n = len(coords)
     present = set(coords)
     if len(present) != n:
-        return False
+        return None
     if any((coords[i] ^ coords[j]).bit_count() != 1 for i, j in g.edge_indices):
-        return False
+        return None
     pairs = 0      # Hamming-1 pairs, each counted at its upper end
     for c in coords:
         rest = c
@@ -390,7 +388,10 @@ def _lemma_holds(g: SimpleGraph, coords: Sequence[int], width: int) -> bool:
             low = rest & -rest
             pairs += (c ^ low) in present
             rest ^= low
-    return pairs == len(g.edge_indices) and intervals.is_median_closure(coords, coords, width)
+    if pairs != len(g.edge_indices):
+        return None
+    bits = intervals.bit_rows(coords, width)
+    return bits if intervals.is_median_closure(bits, bits) else None
 
 
 def certify_median_graph(g: SimpleGraph) -> MedianGraphCert:
@@ -402,8 +403,8 @@ def certify_median_graph(g: SimpleGraph) -> MedianGraphCert:
     its wall coordinates, since each vertex with a single down-neighbour
     is the gate of a new wall's far side.  The graph is median iff they
     satisfy :func:`_lemma_holds`; the certificate's medians are then read
-    off the coordinates, and neither a distance table nor a triple scan
-    is built.
+    off the coordinates' bit matrix, and neither a distance table nor a
+    triple scan is built.
 
     Only when the test fails are the path metric and its packed
     betweenness table built, and ``MedianMetric.certify`` scans the
@@ -411,8 +412,9 @@ def certify_median_graph(g: SimpleGraph) -> MedianGraphCert:
     witness; if it finds none, InternalCheckError is raised.
     """
     coords, width = _bfs_coordinates(g)
-    if _lemma_holds(g, coords, width):
-        return MedianGraphCert(g, coords, width)
+    bits = _lemma_holds(g, coords, width)
+    if bits is not None:
+        return MedianGraphCert(g, bits)
     MedianMetric.certify(g.path_metric())   # raises NotMedianError
     raise InternalCheckError(
         "graph failed the median-graph test but classify found no witness")

@@ -12,9 +12,10 @@ counts the common points |[i,j] & [j,k] & [k,i]| of every triple with
 ``BLOCK`` triples, in lexicographic order, so a caller that stops at its
 first hit reads only the blocks up to it.  ``is_median_closure``
 reads points as wall-coordinate bitvectors, where the median is the
-bitwise majority, packed the same way by ``pack_rows``; ``bit_rows`` and
-``row_ints`` turn such bitvectors, of any width, into 0/1 matrices (bit k
-in column k) and back.
+bitwise majority, given as 0/1 matrices (bit k in column k) and packed
+the same way by ``pack_bits``; ``bit_rows`` and ``row_ints`` turn
+bitvectors of any width into such matrices and back, and ``side_order``
+sorts sets given as the rows of such a matrix in the canonical order.
 
 The median closure of a set I of bitvectors is the solution set C of
 the 2-clauses that every element of I satisfies (Schaefer 1978).  For a
@@ -108,13 +109,31 @@ def bit_rows(values: Sequence[int], width: int) -> np.ndarray:
 
 def row_ints(bits: np.ndarray) -> list[int]:
     """The rows of a 0/1 uint8 matrix as ints, column k as bit k: the
-    inverse of :func:`bit_rows`."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    step = packed.shape[1]
-    if not step:
+    inverse of :func:`bit_rows`, read off the packed words of
+    :func:`pack_bits` with one ``tolist`` per word."""
+    packed = pack_bits(bits)
+    if not packed.shape[1]:
         return [0] * len(bits)
-    data = packed.tobytes()
-    return [int.from_bytes(data[k:k + step], "little") for k in range(0, len(data), step)]
+    out = packed[:, -1].tolist()
+    for x in range(packed.shape[1] - 2, -1, -1):
+        out = [high << 64 | low for high, low in zip(out, packed[:, x].tolist())]
+    return out
+
+
+def side_order(sides: np.ndarray) -> np.ndarray:
+    """The stable order of the rows of a 0/1 uint8 matrix, one set per row
+    (member t in column t), that sorts them as Python sorts their
+    ascending member-index lists: the canonical lexicographic order.
+
+    Two such lists are decided at the first column where the sets differ:
+    the set holding it comes first unless the other has no member after
+    it, and a set that ends where the other goes on comes first.  So each
+    row gets one key byte per column, 1 at a member, 2 at a non-member
+    before its last member and 0 after it, and the keys are sorted as byte
+    strings: one stable ``argsort``."""
+    later = np.maximum.accumulate(sides[:, ::-1], axis=1)[:, ::-1]   # a member at t or after
+    keys = np.ascontiguousarray(2 * later - sides)
+    return np.argsort(keys.view(np.dtype((np.void, sides.shape[1]))).ravel(), kind="stable")
 
 
 def meet(packed: np.ndarray, i: int, j: int, k: int) -> int:
@@ -244,11 +263,13 @@ def _clauses(columns: np.ndarray, ones: np.ndarray, m: int, lower: np.ndarray,
     return fixes[:, :2] | fixes[:, 2:], fixes[:, :2]
 
 
-def is_median_closure(image: Sequence[int], vertices: Sequence[int], width: int) -> bool:
-    """Whether the set of ``vertices`` is the median closure of ``image``:
-    the solution set of the 2-clauses that every element of ``image``
-    satisfies (the closure of no element is empty).  Both hold ints below
-    2^width; ``vertices`` is any set, consistent or not.
+def is_median_closure(image: np.ndarray, vertices: np.ndarray) -> bool:
+    """Whether the set of rows of ``vertices`` is the median closure of
+    the rows of ``image``: the solution set of the 2-clauses that every
+    element of ``image`` satisfies (the closure of no element is empty).
+    Both are 0/1 uint8 matrices of one width, a bitvector per row with
+    bit k in column k (:func:`bit_rows`); ``vertices`` is any set,
+    consistent or not.
 
     The test is the criterion of the module docstring, run over the
     levels k of the vertices' bit trie 32 at a time.  Every vertex must
@@ -271,16 +292,14 @@ def is_median_closure(image: Sequence[int], vertices: Sequence[int], width: int)
     m = len(image)
     if not (m and len(vertices)):
         return m == len(vertices)
-    packed = pack_rows([*image, *vertices], width)
-    bits = np.unpackbits(packed.view(np.uint8), axis=1, count=width, bitorder="little")
-    image_bits, vertex_bits = bits[:m], bits[m:]
-    columns = np.ascontiguousarray(pack_bits(image_bits.T).T)   # [word, k]: elements holding bit k
-    ones = image_bits.sum(axis=0, dtype=np.int64)
+    width = image.shape[1]
+    columns = np.ascontiguousarray(pack_bits(image.T).T)   # [word, k]: elements holding bit k
+    ones = image.sum(axis=0, dtype=np.int64)
     occurs = np.empty((2, width), dtype=bool)           # [s, k]: an element holds (k, s)
     np.less(ones, m, out=occurs[0])
     np.greater(ones, 0, out=occurs[1])
     lower = np.arange(width) < np.arange(width)[:, None]   # [k, j]: j < k
-    rows = packed[m:]
+    rows = pack_bits(vertices)
     # block h of 32 levels, bit 32h + t at bit 31 - t
     reversed_bits = _REVERSED[rows.view(np.uint8)].view(">u4").astype(np.uint64)
     rank = np.zeros(len(rows), dtype=np.uint64)
@@ -294,7 +313,7 @@ def is_median_closure(image: Sequence[int], vertices: Sequence[int], width: int)
         below = _BELOW[:b - a]
         lo = (keys[:, None] ^ _LEVELS[:b - a]) & ~below
         missing = keys.take(keys.searchsorted(lo), mode="clip") ^ lo > below
-        own = vertex_bits[first, a:b]
+        own = vertices[first, a:b]
         x = np.ascontiguousarray(rows[first].T)          # [word, vertex]
         force, value = _clauses(columns, ones, m, lower, a, b)
         step = max(1, BLOCK // (b - a))

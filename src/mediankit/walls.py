@@ -2,10 +2,12 @@
 graph.
 
 A wall is a two-part partition of the point set; the trivial wall
-{empty, X} is always present.  The cubulation's vertices are consistent
-orientations (a chosen side per wall, any two chosen sides meeting),
-reached from the principal orientations sigma_x by single-wall flips;
-edges join orientations differing on exactly one wall.
+{empty, X} is always present.  The cubulation's vertices are the
+consistent orientations (a chosen side per wall, any two chosen sides
+meeting), enumerated one wall at a time as the solutions of the sides'
+2-clauses; edges join orientations differing on exactly one wall.  Every
+vertex is reached from the principal orientations sigma_x by single-wall
+flips, which ``cubulate`` proves on the edges it builds.
 """
 
 from __future__ import annotations
@@ -67,14 +69,12 @@ class WallSpace:
         if not trivial_given and warn_missing_trivial:
             warnings.warn("trivial wall absent from input; added automatically",
                           stacklevel=2)
-        order.sort(key=lambda m: tuple(t for t in range(n) if m >> t & 1))
-        self._sides = [(m, full & ~m) for m in order]
+        # one row per canonical side, point t in column t
+        sides = intervals.bit_rows(order, n)
+        ranked = intervals.side_order(sides)
+        self._sides = [(order[k], full & ~order[k]) for k in ranked.tolist()]
         self._full = full
-        sigma = [0] * n
-        for k, m in enumerate(order):
-            for i, c in enumerate(reversed(format(m, f"0{n}b"))):
-                if c == "0":
-                    sigma[i] |= 1 << k
+        sigma = intervals.row_ints(sides[ranked].T ^ 1)
         self._sigma = sigma
         # two points are separated iff their sigma bits differ
         if len(set(sigma)) != n:
@@ -271,32 +271,71 @@ def _meets(bits: np.ndarray, side: np.ndarray, force: np.ndarray,
         == np.where(side, value[1], value[0])
 
 
+def _bit_matrix(values: np.ndarray, width: int) -> np.ndarray:
+    """An orientation array as a 0/1 uint8 matrix, bit k in column k
+    (:func:`intervals.bit_rows`); uint64 words are unpacked directly."""
+    if values.dtype == object:
+        return intervals.bit_rows(values.tolist(), width)
+    rows = values.astype("<u8", copy=False).view(np.uint8).reshape(len(values), 8)
+    return np.unpackbits(rows, axis=1, count=width, bitorder="little")
+
+
+def _reaches_vertex_0(bits: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                      k: np.ndarray) -> bool:
+    """Whether every row of the 0/1 matrix ``bits`` but row 0 has a
+    neighbour one bit nearer row 0, where edge e joins rows src[e] and
+    dst[e], which differ in column k[e] alone.  Then every row is joined
+    to row 0 by a path, by induction on its Hamming distance to row 0.
+    Edge e brings nearer whichever end differs from row 0 in column
+    k[e]; one pass over the edges marks those ends."""
+    far = np.where(bits[0, k] == 1, src, dst)
+    seen = np.zeros(len(bits), dtype=bool)
+    seen[far] = True
+    return bool(seen[1:].all())
+
+
 def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
              max_vertices: int = DEFAULT_VERTEX_CAP) -> CubulationResult:
     """Build the canonical median graph of a wall space.
 
-    Vertices are the consistent orientations reachable from the principal
-    orientations by consistency-preserving single-wall flips; edges join
-    orientations differing on one wall.  Orientations are held as one
-    array (:func:`_orientation_array`).  A flip of orientation b to side s
-    of wall k is legal iff that side meets every other chosen side, one
-    mask test (:func:`_side_tables`).  So the flip search runs one BFS
-    level at a time over every wall at once, and the edges are found by
-    one sorted search for every vertex with one more bit set.
+    Vertices are the consistent orientations (any two chosen sides
+    meet); edges join orientations differing on one wall.  Orientations
+    are held as one array (:func:`_orientation_array`).  Side s of wall k
+    meets every side that an orientation b chooses on another wall iff
+    ``b & force[s, k] == value[s, k]``, one mask test
+    (:func:`_side_tables`).  The vertex set is built one wall at a time,
+    with no search: after wall k the array holds, ascending, the
+    orientations of walls 0..k whose chosen sides meet pairwise, each an
+    orientation of walls 0..k-1 extended by a side of wall k that passes
+    the mask test with the tables masked to the walls below k.  Side 0
+    comes first, so the array stays ascending, and each step is four
+    numpy calls.  The sides' clauses are closed under resolution (a side
+    inside a side inside the complement of a third lies in that
+    complement), so every partial orientation extends to a vertex, no
+    step holds more than |V| orientations, and the vertex cap is checked
+    at each step.  The edges are found by one sorted search for every
+    vertex with one more bit set.  One 0/1 matrix of the vertices
+    (:func:`_bit_matrix`) gives their names and feeds the checks below
+    and the certificate.
 
     The construction is verified: every vertex is consistent (the same
-    mask test, on every wall of every vertex) and the embedded image has
-    the whole vertex set as median closure (the solution set of the
-    image's 2-clauses, by the prefix test of
-    :func:`intervals.is_median_closure`).  The point embedding is
-    isometric for the wall metric by definition: a point's vertex is its
-    sigma bits, which differ exactly on the separating walls.  The graph
-    is connected (one BFS), its edges are its Hamming-1 pairs, and its
-    vertex set is majority-closed, so by the
-    lemma at :class:`MedianGraphCert` path distance equals Hamming
-    distance and the orientation bits are its walls: the certificate is
-    built from them, and wall k of the input is certificate wall
-    ``wall_correspondence[k]``.  Every check runs at every size.
+    mask test, on every wall of every vertex, with the unmasked tables),
+    and the embedded image lies in the vertex set and has it as median
+    closure (the solution set of the image's 2-clauses, derived
+    independently by the prefix test of :func:`intervals.is_median_closure`).
+    Every vertex but vertex 0 has a neighbour one bit nearer it
+    (:func:`_reaches_vertex_0`, one pass over the edges), so the graph is
+    connected: every vertex is reached from the principal orientations by
+    consistency-preserving single-wall flips, and the vertex set is the
+    flip-reachable one.  The point embedding is isometric for the wall
+    metric by definition: a point's vertex is its sigma bits, which
+    differ exactly on the separating walls.  The graph is connected, its
+    edges are its Hamming-1 pairs, and its vertex set is majority-closed,
+    so by the lemma at :class:`MedianGraphCert` path distance equals
+    Hamming distance and the orientation bits are its walls: the
+    certificate is built from them, and wall k of the input is
+    certificate wall ``wall_correspondence[k]``.  Every check runs at
+    every size.
     """
     W = w.wall_count
     if max_walls < 0 or max_vertices < 0:
@@ -306,45 +345,45 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
         raise ResourceLimitError(
             f"cubulation capped at {max_walls} nontrivial walls, got {W}",
             cap=max_walls)
-    walls = _orientation_array([1 << k for k in range(W)], W)
+    ends = _orientation_array([[0] * W, [1 << k for k in range(W)]], W)   # [s, k]: wall k's bit on side s
+    walls = ends[1]
     sigma = _orientation_array(w._sigma, W)
     force, value = _side_tables(sigma, walls, (1 << W) - 1)
+    image = _distinct(sigma)
 
-    image = vertices = frontier = _distinct(sigma)
-    while True:
-        # a flip is legal iff its new side meets every other chosen side
-        legal = _meets(frontier, (frontier[:, None] & walls) == 0, force, value)
-        reached = (frontier[:, None] ^ walls)[legal]
-        fresh = ~_lookup(vertices, reached)[1]
-        if not fresh.any():
-            break
-        frontier = _distinct(reached[fresh])
-        vertices = np.sort(np.concatenate((vertices, frontier)))
-        if len(vertices) > max_vertices:
+    # the consistent orientations of walls 0..k-1, ascending, extended by
+    # each side of wall k that meets their chosen sides, side 0 first; the
+    # image alone never trips the cap
+    limit = max(max_vertices, len(image))
+    below = walls - 1
+    vertices = _orientation_array([0], W)
+    for f, v, s in zip(*(t.T[:, :, None] for t in (force & below, value & below, ends))):
+        vertices = (vertices | s)[(vertices & f) == v]
+        if len(vertices) > limit:
             raise ResourceLimitError(
                 f"cubulation exceeded {max_vertices} vertices", cap=max_vertices)
 
-    nv = len(vertices)
     ordered = vertices.tolist()
-    # vertex names: the binary numerals, read off one bit matrix
+    # vertex names: the binary numerals, read off the bit matrix
     width = max(W, 1)
-    numerals = intervals.bit_rows(ordered, width)[:, ::-1] + ord("0")
-    names = np.ascontiguousarray(numerals).view(f"S{width}").ravel().astype(str).tolist()
+    bits = _bit_matrix(vertices, width)
+    names = np.ascontiguousarray(bits[:, ::-1] + ord("0")).view(f"S{width}").ravel().astype(str).tolist()
+    bits = bits[:, :W]
     # edges (i, j), i < j: vertex j is vertex i with one more bit set
     up = vertices[:, None] | walls
-    at, hit = _lookup(vertices, up)
-    src, k = np.nonzero(hit & (up != vertices[:, None]))
-    try:
-        graph = SimpleGraph._trusted(names, src, at[src, k])   # checks connectivity
-    except InputError as exc:
-        raise InternalCheckError(f"cubulation graph invalid: {exc}") from exc
+    pos, found = _lookup(vertices, up)
+    src, k = np.nonzero(found & ~bits.view(bool))
+    dst = pos[src, k]
+    if not _reaches_vertex_0(bits, src, dst, k):
+        raise InternalCheckError("cubulation graph invalid: graph is not connected")
+    graph = SimpleGraph._trusted(names, src, dst)
 
     checks: dict[str, bool | str] = {}
     if len(image) != len(w.points):
         raise InternalCheckError("point embedding is not injective")
     checks["embedding_injective"] = True
 
-    bad = ~_meets(vertices, (vertices[:, None] & walls) != 0, force, value).all(axis=1)
+    bad = ~_meets(vertices, bits.view(bool), force, value).all(axis=1)
     if bad.any():
         raise InternalCheckError(
             f"inconsistent vertex {ordered[int(np.argmax(bad))]:b} generated")
@@ -354,19 +393,19 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
     # separating walls by definition
     checks["embedding_isometric"] = True
 
-    if not intervals.is_median_closure(image.tolist(), ordered, W):
+    at, hit = _lookup(vertices, sigma)
+    if not (hit.all() and intervals.is_median_closure(bits[vertices.searchsorted(image)], bits)):
         raise InternalCheckError(
             "vertex set is not the median closure of the embedded image")
     checks["median_closure"] = "checked"
     # the lemma: connected, edges = Hamming-1 pairs, majority-closed
     checks["distance_vs_hamming"] = "exhaustive"
 
-    cert = MedianGraphCert(graph, ordered, W)
+    cert = MedianGraphCert(graph, bits)
     corr = dict(sorted((k, widx) for widx, k in enumerate(cert.wall_bits)))
     checks["wall_bijection"] = "certified"
 
-    embedding = dict(zip(w.points, map(names.__getitem__,
-                                       np.searchsorted(vertices, sigma).tolist())))
+    embedding = dict(zip(w.points, map(names.__getitem__, at.tolist())))
     vertex_bits = dict(zip(names, ordered))
     return CubulationResult(graph, embedding, vertex_bits, corr, cert, checks)
 

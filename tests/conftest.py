@@ -127,7 +127,8 @@ def validate_axioms_oracle(s: IntervalStructure) -> AxiomReport:
 
 def simple_graph_oracle(vertices, edges) -> SimpleGraph:
     """Oracle: the graph constructor as one loop over the edges, in input
-    order, with a set of canonical index pairs and one sort per vertex."""
+    order, with a set of canonical index pairs and one sort per vertex,
+    and a depth-first search for connectivity."""
     vs = list(vertices)
     if not vs:
         raise InputError("a graph needs at least one vertex")
@@ -148,6 +149,13 @@ def simple_graph_oracle(vertices, edges) -> SimpleGraph:
         canon.add(key)
         adj[i].add(j)
         adj[j].add(i)
+    seen, stack = {0}, [0]
+    while stack:
+        for j in adj[stack.pop()] - seen:
+            seen.add(j)
+            stack.append(j)
+    if len(seen) != len(vs):
+        raise InputError("graph is not connected")
     out = SimpleGraph.__new__(SimpleGraph)
     out._adopt(vs, index, sorted(canon), [sorted(a) for a in adj])
     return out
@@ -189,9 +197,8 @@ def edge_halfspace_certificate(g) -> MedianGraphCert | None:
     for k, side in enumerate(sides):
         for t in members(full & ~side):
             coords[t] |= 1 << k
-    if not _lemma_holds(g, coords, len(sides)):
-        return None
-    return MedianGraphCert(g, coords, len(sides))
+    bits = _lemma_holds(g, coords, len(sides))
+    return None if bits is None else MedianGraphCert(g, bits)
 
 
 def random_shortest_path_metric(rng, n):
@@ -413,6 +420,47 @@ def check_upward_closure(o: Orientation) -> bool:
                 if not s & ~t and chosen[l] != t:
                     return False
     return True
+
+
+def row_ints_oracle(bits: np.ndarray) -> list[int]:
+    """Oracle: the rows of a 0/1 matrix as ints, column k as bit k, one
+    ``int.from_bytes`` per packed row."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    step = packed.shape[1]
+    if not step:
+        return [0] * len(bits)
+    data = packed.tobytes()
+    return [int.from_bytes(data[k:k + step], "little") for k in range(0, len(data), step)]
+
+
+def certificate_order_oracle(bits: np.ndarray) -> tuple[tuple[int, ...], list[int]]:
+    """Oracle: the wall order and coordinates of ``MedianGraphCert`` from
+    a 0/1 coordinate matrix: re-based to row 0, columns sorted on the
+    ascending vertex-index lists of their sides holding vertex 0, the
+    coordinates read back by :func:`row_ints_oracle`."""
+    n = len(bits)
+    bits = bits ^ bits[0]
+    clear = bits.T == 0
+    members_ = (np.flatnonzero(clear) % n).tolist()
+    stops = np.cumsum(clear.sum(axis=1)).tolist()
+    sides = [members_[a:b] for a, b in zip([0] + stops, stops)]
+    wall_bits = tuple(sorted(range(bits.shape[1]), key=sides.__getitem__))
+    return wall_bits, row_ints_oracle(bits[:, list(wall_bits)])
+
+
+def wall_space_order_oracle(n: int, order: list[int]) -> tuple[list, list[int]]:
+    """Oracle: the ``_sides`` and ``_sigma`` of a wall space on n points
+    whose distinct canonical sides (masks holding point 0) are ``order``:
+    sides sorted on their member tuples, and sigma bit k of point i set
+    iff i lies off side k, one numeral character at a time."""
+    full = (1 << n) - 1
+    order = sorted(order, key=lambda m: tuple(t for t in range(n) if m >> t & 1))
+    sigma = [0] * n
+    for k, m in enumerate(order):
+        for i, c in enumerate(reversed(format(m, f"0{n}b"))):
+            if c == "0":
+                sigma[i] |= 1 << k
+    return [(m, full & ~m) for m in order], sigma
 
 
 class EagerCertificate:
@@ -717,6 +765,20 @@ def enclosing_ball_oracle(points) -> tuple[np.ndarray, float]:
     if best is None:
         raise InternalCheckError("oracle found no enclosing ball")
     return best
+
+
+def distance_form_oracle(m: FiniteMetric, coeffs) -> Fraction:
+    """Oracle: sum_{i,j} a_i a_j d(x_i, x_j) as one Python generator per
+    row over the metric's integer table, summed after clearing the
+    denominators of the a_i and divided once at the end."""
+    frac = [Fraction(a) for a in coeffs]
+    den = math.lcm(*(a.denominator for a in frac))
+    a = [v.numerator * (den // v.denominator) for v in frac]
+    total = 0
+    for ai, row in zip(a, m._di):
+        if ai:
+            total += ai * sum(aj * d for aj, d in zip(a, row) if aj)
+    return Fraction(total, den * den * m.scale)
 
 
 def centered_gram(m: FiniteMetric) -> list[list[Fraction]]:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bareiss_rows_oracle, centered_gram, convex_sets_oracle, eigh_gns_oracle,
+from conftest import (bareiss_rows_oracle, centered_gram, convex_sets_oracle, distance_form_oracle,
+                      eigh_gns_oracle,
                       fraction_negdef_oracle, fraction_psd_eliminate, helly_witness_oracle,
                       hypermetric_oracle, random_shortest_path_metric,
                       retraction_oracle, zero_sum_sampling_oracle)
@@ -93,6 +94,40 @@ def test_centered_form_matches_distance_form_on_zero_sums(seed):
     assert distance_form(m, alpha) == sum(
         alpha[i] * alpha[j] * m.dist(x, y)
         for i, x in enumerate(m.points) for j, y in enumerate(m.points))
+
+
+@st.composite
+def form_cases(draw):
+    """A metric with entries in [B, 2B] (so every triangle holds): integer,
+    or rational with denominators D * k; and coefficients that are
+    Fractions with large denominators, or integers whose largest puts
+    n^2 max|a|^2 max D within a few units of the 2^62 switch to Python ints."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = draw(st.integers(1, 12))
+    big = draw(st.sampled_from([1, 2 ** 10, 2 ** 20, 2 ** 30, 2 ** 40]))
+    den = draw(st.sampled_from([1, 1, 3, 2 ** 16, 10 ** 12]))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            k = rng.choice((1, 2, 3, 5, 7)) if den > 1 else 1
+            rows[i][j] = rows[j][i] = big * (1 + Fraction(rng.randint(0, den), den * k))
+    m = FiniteMetric(list(range(n)), rows)
+    if draw(st.booleans()):
+        coeffs = [Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 15))
+                  for _ in range(n)]
+    else:
+        top = max(1, math.isqrt((1 << 62) // (n * n * max(int(m._d.max()), 1)))
+                  + draw(st.integers(-2, 2)))
+        coeffs = [rng.randint(-top, top) for _ in range(n)]
+        coeffs[rng.randrange(n)] = rng.choice((-top, top))
+    return m, coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_cases())
+def test_distance_form_matches_the_generator_oracle(case):
+    m, coeffs = case
+    assert distance_form(m, coeffs) == distance_form_oracle(m, coeffs)
 
 
 def one_two_metric(rng, n):

@@ -703,7 +703,9 @@ def test_warnings_follow_a_report_and_never_precede_an_error(tmp_path):
     ok.write_text(json.dumps({"points": ["a", "b"], "walls": [[["a"], ["b"]]]}))
     r = run_cli("cubulate", "--in", str(ok))
     assert r.returncode == 0
-    assert "trivial wall absent" in r.stderr
+    # one JSON object, no source path or line
+    assert json.loads(r.stderr) == {"warning": "trivial wall absent from input; added automatically",
+                                    "kind": "warning"}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"points": ["a", "b", "c"], "walls": [[["a"], ["b", "c"]]]}))
     r = run_cli("cubulate", "--in", str(bad))

@@ -8,11 +8,21 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (boolean_median_algebra, count_closure, majority_closure,
-                      subsets_bruteforce_halfspaces)
-from mediankit import FiniteMetric, WallSpace, cubulate
-from mediankit.corpus import grid_graph
-from mediankit.intervals import halfspaces, is_convex, is_median_closure, members
+import numpy as np
+import pytest
+
+from conftest import (boolean_median_algebra, certificate_order_oracle, count_closure,
+                      majority_closure, row_ints_oracle, subsets_bruteforce_halfspaces,
+                      wall_space_order_oracle)
+from mediankit import FiniteMetric, InputError, MedianGraphCert, WallSpace, cubulate
+from mediankit.corpus import grid_graph, path_graph
+from mediankit.intervals import (bit_rows, halfspaces, is_convex, is_median_closure, members,
+                                 row_ints)
+
+
+def closure_of_ints(image, vertices, width):
+    """``is_median_closure`` on int bitvectors, through their bit matrices."""
+    return is_median_closure(bit_rows(image, width), bit_rows(vertices, width))
 
 
 def rational_tree_table(n, seed):
@@ -111,14 +121,14 @@ def widened_images(draw):
 def test_median_closure_test_matches_the_oracles(case, data):
     width, image, closure = case
     assert count_closure(image, width, len(closure)) == len(closure)
-    assert is_median_closure(image, closure, width)
-    assert is_median_closure(image, image, width) == (image == closure)
+    assert closure_of_ints(image, closure, width)
+    assert closure_of_ints(image, image, width) == (image == closure)
     drop = data.draw(st.sampled_from(closure))
-    assert not is_median_closure(image, [v for v in closure if v != drop], width)
+    assert not closure_of_ints(image, [v for v in closure if v != drop], width)
     if len(closure) < 1 << width:
         outsider = data.draw(st.integers(0, (1 << width) - 1).filter(
             lambda v: v not in closure))
-        assert not is_median_closure(image, sorted(closure + [outsider]), width)
+        assert not closure_of_ints(image, sorted(closure + [outsider]), width)
 
 
 @settings(max_examples=200, deadline=None)
@@ -127,15 +137,15 @@ def test_median_closure_test_matches_the_oracles(case, data):
     st.sets(st.integers(0, (1 << w) - 1), max_size=20))))
 def test_median_closure_test_holds_for_any_vertex_set(case):
     width, image, vertices = case
-    assert is_median_closure(sorted(image), sorted(vertices), width) == \
+    assert closure_of_ints(sorted(image), sorted(vertices), width) == \
         (vertices == majority_closure(image))
 
 
 def test_median_closure_of_nothing_is_empty():
-    assert is_median_closure([], [], 3)
-    assert not is_median_closure([], [0], 0)
-    assert not is_median_closure([0], [], 0)
-    assert is_median_closure([0], [0], 0)
+    assert closure_of_ints([], [], 3)
+    assert not closure_of_ints([], [0], 0)
+    assert not closure_of_ints([0], [], 0)
+    assert closure_of_ints([0], [0], 0)
 
 
 def test_the_tripod_without_its_centre_is_no_median_closure():
@@ -145,5 +155,58 @@ def test_the_tripod_without_its_centre_is_no_median_closure():
     bits = sorted(res.vertex_bits.values())
     image = sorted(res.vertex_bits[v] for v in res.embedding.values())
     centre = next(b for b in bits if b not in image)
-    assert is_median_closure(image, bits, w.wall_count)
-    assert not is_median_closure(image, [b for b in bits if b != centre], w.wall_count)
+    assert closure_of_ints(image, bits, w.wall_count)
+    assert not closure_of_ints(image, [b for b in bits if b != centre], w.wall_count)
+
+
+# ---------------------------------------------------------------- side order
+
+@st.composite
+def bit_matrices(draw):
+    """A 0/1 matrix of n rows (1 to 130) and 0 to 130 columns, 63, 64 and
+    65 among them, of a drawn density; some columns are copies of another
+    cut off after a row and 1 from there on, so that the rows with a 0
+    in one column are a prefix of those in another."""
+    n = draw(st.one_of(st.sampled_from([1, 7, 9, 63, 65, 127, 129]), st.integers(1, 130)))
+    width = draw(st.one_of(st.sampled_from([0, 1, 63, 64, 65]), st.integers(0, 130)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    bits = (rng.random((n, width)) < draw(st.sampled_from([0.05, 0.5, 0.95]))).astype(np.uint8)
+    if width > 1 and draw(st.booleans()):
+        for col in rng.integers(0, width, size=width // 2):
+            src = rng.integers(0, width)
+            cut = rng.integers(0, n + 1)
+            bits[:cut, col] = bits[:cut, src]
+            bits[cut:, col] = bits[0, src] ^ 1
+    return bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices())
+def test_certificate_order_matches_the_sorted_index_lists(bits):
+    cert = MedianGraphCert(path_graph(len(bits)), bits)
+    assert (cert.wall_bits, cert._coords) == certificate_order_oracle(bits)
+    assert row_ints(bits) == row_ints_oracle(bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices(), st.integers(0, 2 ** 32))
+def test_wall_space_order_matches_the_sorted_member_tuples(bits, seed):
+    rng = np.random.default_rng(seed)
+    n = len(bits)
+    points = list(range(n))
+    columns = (bits ^ bits[0]).T                   # [wall, point], point 0 at 0
+    walls = []
+    for col in columns:
+        side = [p for p in points if not col[p]]
+        rest = [p for p in points if col[p]]
+        walls.append((side, rest) if rng.random() < 0.5 else (rest, side))
+    canonical = list(dict.fromkeys(row_ints_oracle(columns ^ 1)))
+    full = (1 << n) - 1
+    sides, sigma = wall_space_order_oracle(n, [m for m in canonical if m != full])
+    if len(set(sigma)) != n:
+        with pytest.raises(InputError, match="separated by no wall"):
+            WallSpace(points, walls)
+        return
+    w = WallSpace(points, walls)
+    assert w._sides == sides
+    assert w._sigma == sigma

@@ -1,7 +1,9 @@
 import itertools
 import random
+from collections import deque
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,10 @@ from mediankit import (InputError, Orientation, ResourceLimitError, WallSpace,
 from mediankit.corpus import (cycle_graph, grid_graph, hypercube_graph,
                               nested_wall_space, path_graph, random_tree,
                               random_wall_space, wall_instances)
-from mediankit.walls import _meets, _orientation_array, _side_tables
+from mediankit import walls
+from mediankit.errors import InternalCheckError
+from mediankit.intervals import bit_rows
+from mediankit.walls import _meets, _orientation_array, _reaches_vertex_0, _side_tables
 
 from conftest import (bfs_distance_check, check_upward_closure,
                       consistent_orientations_bruteforce, count_closure, cubulate_oracle,
@@ -350,6 +355,104 @@ def box_wall_space(*dims, spread=None):
               [p for p in pts if coords[p][axis] >= cut])
              for axis, d in enumerate(dims) for cut in range(1, d)]
     return WallSpace(pts, walls)
+
+
+def bench_box_space(dims, seed):
+    """The box wall spaces of the benchmark's cubulate ladder: the corners,
+    the points on each axis and one seeded interior point, in seeded
+    order, with every axis-parallel cut.  It cubulates to the full grid."""
+    rng = random.Random(seed)
+    pts = set(itertools.product(*[(0, m - 1) for m in dims]))
+    for k, m in enumerate(dims):
+        pts.update(tuple(i if t == k else 0 for t in range(len(dims))) for i in range(m))
+    pts.add(tuple(rng.randrange(m) for m in dims))
+    order = sorted(pts)
+    rng.shuffle(order)
+    names = ["_".join(map(str, p)) for p in order]
+    cuts = [([q for q, p in zip(names, order) if p[k] < cut],
+             [q for q, p in zip(names, order) if p[k] >= cut])
+            for k, m in enumerate(dims) for cut in range(1, m)]
+    return WallSpace(names, cuts)
+
+
+BENCH_BOXES = [(2, 3, 4), (3, 4, 5), (4, 4, 4), (2, 5, 6), (3, 3, 7), (2, 4, 8), (4, 4, 4, 5),
+               (5, 5, 5, 5), (7, 9, 10), (4, 4, 5, 8), (3, 6, 6, 6)]
+BEYOND_64 = {"nested66": lambda: nested_wall_space(66),
+             "tree70": lambda: graph_wall_space(certify_median_graph(random_tree(70, 3))),
+             "star70": lambda: star_space(70)}
+RUNG_SPACES = {**{f"tree{n}": (lambda n=n: graph_wall_space(certify_median_graph(random_tree(n, n))))
+                  for n in (8, 12, 20, 24)},
+               **{"box" + "x".join(map(str, d)): (lambda d=d: bench_box_space(d, len(d)))
+                  for d in BENCH_BOXES},
+               **BEYOND_64}
+
+
+@pytest.mark.parametrize("name", list(RUNG_SPACES))
+def test_cubulate_matches_the_oracle_on_every_bench_rung_shape(name):
+    w = RUNG_SPACES[name]()
+    res = cubulate(w, max_walls=80)
+    assert_same_cubulation(res, cubulate_oracle(w, max_walls=80))
+    # the vertex cap: the image alone never trips it
+    image = len(set(res.embedding.values()))
+    for cap in sorted({image - 1, image, res.vertex_count - 1, res.vertex_count}):
+        if cap >= 0:
+            assert_same_outcome(w, max_walls=80, max_vertices=cap)
+    if res.vertex_count > image:
+        with pytest.raises(ResourceLimitError, match=f"exceeded {res.vertex_count - 1} vertices"):
+            cubulate(w, max_walls=80, max_vertices=res.vertex_count - 1)
+
+
+def test_dropping_a_clause_is_caught_by_the_closure_test(monkeypatch):
+    # a - b - c cut twice: {a} and {c} are the sides of walls 0 and 1 that
+    # miss each other; dropped from both tables, the consistency re-check
+    # reads the same tables and passes, and the independent closure test fails
+    w = nested_wall_space(3)
+    assert [w.side_masks(k) for k in range(2)] == [(0b001, 0b110), (0b011, 0b100)]
+    tables = walls._side_tables
+
+    def dropped(*args):
+        force, value = tables(*args)
+        force, value = force.copy(), value.copy()
+        for s, k, l in ((0, 0, 1), (1, 1, 0)):
+            force[s, k] &= ~np.uint64(1 << l)
+            value[s, k] &= ~np.uint64(1 << l)
+        return force, value
+
+    monkeypatch.setattr(walls, "_side_tables", dropped)
+    with pytest.raises(InternalCheckError, match="median closure"):
+        cubulate(w)
+
+
+def test_connectivity_proof_rejects_two_antipodal_vertices():
+    bits = bit_rows([0b000, 0b111], 3)
+    none = np.zeros(0, dtype=np.intp)
+    assert not _reaches_vertex_0(bits, none, none, none)
+    path = bit_rows([0b000, 0b001, 0b011, 0b111], 3)
+    assert _reaches_vertex_0(path, np.array([0, 1, 2]), np.array([1, 2, 3]), np.array([0, 1, 2]))
+    # every vertex is one step from vertex 0, except vertex 3, which has no edge down
+    assert not _reaches_vertex_0(path, np.array([0, 1]), np.array([1, 2]), np.array([0, 1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda w: st.tuples(
+    st.just(w), st.sets(st.integers(0, (1 << w) - 1), min_size=1))))
+def test_connectivity_proof_matches_the_one_step_oracle(case):
+    width, chosen = case
+    ordered = sorted(chosen)
+    index = {b: i for i, b in enumerate(ordered)}
+    edges = np.array([(index[b], index[b | 1 << t], t) for b in ordered for t in range(width)
+                      if not b >> t & 1 and b | 1 << t in index], dtype=np.intp).reshape(-1, 3)
+    got = _reaches_vertex_0(bit_rows(ordered, width), *edges.T)
+    # the proof holds iff BFS distance from vertex 0 is Hamming distance to it
+    adj = cube_adjacency(ordered)
+    dist, queue = {0: 0}, deque([0])
+    while queue:
+        u = queue.popleft()
+        for j in adj[u]:
+            if j not in dist:
+                dist[j] = dist[u] + 1
+                queue.append(j)
+    assert got == all(dist.get(i) == (b ^ ordered[0]).bit_count() for i, b in enumerate(ordered))
 
 
 def test_checks_run_exhaustively_beyond_the_old_sampling_size():
