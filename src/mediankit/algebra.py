@@ -11,10 +11,10 @@ ground set.  Four axioms make it a median algebra:
 
 Raw data arrives as an :class:`IntervalStructure` and is promoted to a
 :class:`FiniteMedianAlgebra` only after passing :func:`validate_axioms`.
-The structure keeps its intervals as a table of bitmasks over the point
-indices, built once; the axioms, medians and halfspaces read that table,
-and ``unique_median`` counts the meets of all ordered triples with the
-packed kernel of :mod:`intervals`.
+The structure keeps its intervals as a packed betweenness table over
+the point indices (the layout of :mod:`intervals`), built once; the
+axioms, medians, convexity and halfspaces read that table with the
+kernels of :mod:`intervals`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from . import intervals
+from .intervals import pack     # IntervalStructure's parameter shadows the module
 from .errors import InputError, InternalCheckError
 
 Point = Hashable
@@ -36,8 +39,9 @@ class IntervalStructure:
 
     Every ordered pair must have an interval and every member must be a
     known point; beyond that nothing is assumed (in particular symmetry
-    is checked later, not presumed).  ``masks[i][j]`` is the interval of
-    points i and j as a bitmask over the point indices.
+    is checked later, not presumed).  ``packed[i, j]`` is the interval of
+    points i and j as a mask over the point indices, packed into uint64
+    words as in :mod:`intervals`.
     """
 
     def __init__(self, points: Sequence[Point],
@@ -68,8 +72,8 @@ class IntervalStructure:
                         f"interval ({x!r},{y!r}) missing; every ordered pair must be given")
         self._table = table
         index = self._index
-        self.masks = [[sum(1 << index[p] for p in table[(x, y)]) for y in pts]
-                      for x in pts]
+        self.packed = pack([[sum(1 << index[p] for p in table[(x, y)]) for y in pts]
+                            for x in pts])
 
     def index(self, p: Point) -> int:
         try:
@@ -120,29 +124,42 @@ def validate_axioms(s: IntervalStructure) -> AxiomReport:
 
     The scan order follows the point ordering, so witnesses are minimal
     in that order and the report is deterministic.  Every check reads the
-    interval masks: nesting tests [x,z] against [x,y] for each member z
-    of [x,y], and unique_median counts the meets of the ordered triples
-    in product order with ``intervals.meet_counts``.
+    packed table with numpy: idempotence compares its diagonal with the
+    singletons, symmetry compares it with its transpose, nesting tests
+    [x,z] against [x,y] for every member z of [x,y] in blocks of rows x of
+    about ``intervals.BLOCK`` pairs (y, z), and unique_median counts the
+    meets of the ordered triples in product order with
+    ``intervals.meet_counts``.
     """
     pts = s.points
     n = len(pts)
-    masks = s.masks
+    packed = s.packed
     checks = []
 
-    witness = next(((pts[i],) for i in range(n) if masks[i][i] != 1 << i), None)
+    singletons = intervals.pack_rows([1 << i for i in range(n)], n)
+    bad = np.flatnonzero((packed.diagonal().T != singletons).any(axis=1))
+    witness = (pts[bad[0]],) if bad.size else None
     checks.append(AxiomCheck("idempotence", witness is None, witness))
 
-    witness = next(((pts[i], pts[j]) for i, j in itertools.combinations(range(n), 2)
-                    if masks[i][j] != masks[j][i]), None)
+    # the entries that differ from their transpose are symmetric, so the
+    # first one in row-major order lies above the diagonal
+    bad = np.argwhere((packed != packed.swapaxes(0, 1)).any(axis=2))
+    witness = tuple(pts[t] for t in bad[0]) if len(bad) else None
     checks.append(AxiomCheck("symmetry", witness is None, witness))
 
-    witness = next(((pts[x], pts[y], pts[z]) for x, row in enumerate(masks)
-                    for y, ivl in enumerate(row) for z in intervals.members(ivl)
-                    if row[z] & ~ivl), None)
+    witness = None
+    step = max(1, intervals.BLOCK // (n * n))
+    for a in range(0, n, step):
+        rows = packed[a:a + step]                               # [x - a, y]: [x,y]
+        # [x - a, y, z]: [x,z] has a point outside [x,y]
+        leaks = (rows[:, None] & ~rows[:, :, None]).any(axis=3)
+        hit = intervals.first_hit(a, 0, leaks & intervals.unpack_bits(rows, n))
+        if hit is not None:
+            witness = tuple(pts[t] for t in hit)
+            break
     checks.append(AxiomCheck("nesting", witness is None, witness))
 
     witness = detail = None
-    packed = intervals.pack(masks)
     for a, lo, counts in intervals.meet_counts(packed, ordered=True):
         hit = intervals.first_hit(a, lo, counts != 1)
         if hit is not None:
@@ -199,8 +216,7 @@ class FiniteMedianAlgebra:
         cached = self._median_cache.get(key)
         if cached is not None:
             return cached
-        masks = self._s.masks
-        common = masks[i][j] & masks[j][k] & masks[k][i]
+        common = intervals.meet(self._s.packed, i, j, k)
         if common.bit_count() != 1:
             raise InternalCheckError(
                 f"median of ({x!r},{y!r},{z!r}) not unique on a validated algebra")
@@ -209,7 +225,7 @@ class FiniteMedianAlgebra:
         return m
 
     def is_convex(self, subset: Iterable[Point]) -> bool:
-        return intervals.is_convex(self._s.masks, self._mask(subset))
+        return intervals.is_convex(self._s.packed, self._mask(subset))
 
     # -- halfspaces ---------------------------------------------------
 
@@ -228,7 +244,7 @@ class FiniteMedianAlgebra:
         wall.
         """
         full = (1 << len(self.points)) - 1
-        sides = [side for side, _ in intervals.halfspaces(self._s.masks)] + [full]
+        sides = [side for side, _ in intervals.halfspaces(self._s.packed)] + [full]
         sides.sort(key=intervals.members)
         return [Halfspace(self._unmask(side), self._unmask(full & ~side))
                 for side in sides]

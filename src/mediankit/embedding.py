@@ -509,14 +509,15 @@ def convex_sets(m: FiniteMetric) -> list[int]:
     pairs whose interval has a third point can reject.  Each pair's test
     drops the masks it rejects, so the survivors shrink as the scan goes:
     O(2^n * n^2) integer operations at worst, in O(_BLOCK) memory.  Masks
-    of more than ``_MASK_POINTS`` points do not fit int64.
+    of more than ``_MASK_POINTS`` points do not fit int64, so each
+    interval is word 0 of the packed betweenness table.
     """
     n = len(m.points)
     if n > _MASK_POINTS:
         raise ResourceLimitError(
             f"convex-set scan holds at most {_MASK_POINTS} points in int64 masks, "
             f"got {n}", cap=_MASK_POINTS)
-    betw = m._between()
+    betw = m._between()[..., 0].tolist()
     tests = [(betw[a][b], 1 << a | 1 << b) for a, b in itertools.combinations(range(n), 2)
              if betw[a][b] != 1 << a | 1 << b]
     out: list[int] = []

@@ -1,21 +1,22 @@
-"""The interval kernel: convexity and halfspaces on betweenness bitmasks,
-the triple-meet count on packed tables, and the median-closure test on
-wall coordinates.
+"""The interval kernel: betweenness tables packed into uint64 words, and
+the triple-meet count, convexity, halfspaces and the median-closure test
+on them.
 
-``is_convex`` and ``halfspaces`` read a table ``betw`` of Python ints in
-which bit t of ``betw[i][j]`` is set iff t lies in the interval [i,j], as
-built by ``FiniteMetric._between`` and ``IntervalStructure.masks``.
-``pack`` stores such a table as an (n, n, ceil(n/64)) uint64 array, bit t
-at bit t % 64 of word t // 64, and ``meet_counts`` reads that array: it
-counts the common points |[i,j] & [j,k] & [k,i]| of every triple with
-``np.bitwise_count``, in blocks of consecutive rows i of about
-``BLOCK`` triples, in lexicographic order, so a caller that stops at its
-first hit reads only the blocks up to it.  ``is_median_closure``
-reads points as wall-coordinate bitvectors, where the median is the
-bitwise majority, given as 0/1 matrices (bit k in column k) and packed
-the same way by ``pack_bits``; ``bit_rows`` and ``row_ints`` turn
-bitvectors of any width into such matrices and back, and ``side_order``
-sorts sets given as the rows of such a matrix in the canonical order.
+A betweenness table over n points is an (n, n, words(n)) uint64 array in
+which bit t of ``packed[i, j]`` (bit t % 64 of word t // 64) is set iff t
+lies in the interval [i,j], as built by ``FiniteMetric._between`` and
+kept by ``IntervalStructure.packed``; it is the only form of the table.
+``pack`` lays out a table of int masks so, and ``as_int`` reads one mask
+back.  ``meet_counts`` counts the common points |[i,j] & [j,k] & [k,i]|
+of every triple with ``np.bitwise_count``, in blocks of consecutive rows
+i of about ``BLOCK`` triples, in lexicographic order, so a caller that
+stops at its first hit reads only the blocks up to it.
+``is_median_closure`` reads points as wall-coordinate bitvectors, where
+the median is the bitwise majority, given as 0/1 matrices (bit k in
+column k) and packed the same way by ``pack_bits``; ``bit_rows`` and
+``row_ints`` turn bitvectors of any width into such matrices and back,
+and ``side_order`` sorts sets given as the rows of such a matrix in the
+canonical order.
 
 The median closure of a set I of bitvectors is the solution set C of
 the 2-clauses that every element of I satisfies (Schaefer 1978).  For a
@@ -34,8 +35,9 @@ Halfspaces come from covering pairs.  In a finite median algebra, if
 [x,y] = {x,y} then every z has median m(x,y,z) in {x,y}, so
 H(x,y) = {z : x in [z,y]} and its complement H(y,x) are convex; and every
 proper halfspace arises this way (the sides of the Theta-classes of the
-algebra's median graph).  Finding the pairs costs O(n^2) and each side
-O(n), so no subset scan is needed.
+algebra's median graph).  On a packed table the pairs are the entries of
+popcount 2, O(n^2 * n/64) popcounts, and each side is one bit of a
+column, O(pairs * n) bits, so no subset scan is needed.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
-
-Table = Sequence[Sequence[int]]
 
 BLOCK = 1 << 14     # entries per block of meet_counts, the metric's table build and
                     # triangle check, and the median-closure test
@@ -84,27 +84,29 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
-def pack(table: Table) -> np.ndarray:
-    """The n x n mask table as a packed (n, n, words(n)) uint64 array."""
+def pack(table: Sequence[Sequence[int]]) -> np.ndarray:
+    """An n x n table of int masks as a packed (n, n, words(n)) uint64 array."""
     n = len(table)
     return pack_rows([m for row in table for m in row], n).reshape(n, n, -1)
 
 
-def unpack(packed: np.ndarray) -> list[list[int]]:
-    """The packed table as rows of Python int masks, in one pass over its bytes."""
-    n, _, w = packed.shape
-    data = packed.astype("<u8", copy=False).tobytes()
-    step = 8 * w
-    flat = [int.from_bytes(data[k:k + step], "little") for k in range(0, len(data), step)]
-    return [flat[i * n:(i + 1) * n] for i in range(n)]
+def as_int(mask: np.ndarray) -> int:
+    """The uint64 words of one packed mask as an int."""
+    return int.from_bytes(mask.astype("<u8", copy=False).tobytes(), "little")
+
+
+def unpack_bits(packed: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` bits of each mask along the last axis of a
+    packed array, as a 0/1 uint8 array: the inverse of :func:`pack_bits`."""
+    data = packed.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(data, axis=-1, count=width, bitorder="little")
 
 
 def bit_rows(values: Sequence[int], width: int) -> np.ndarray:
     """Non-negative ints below 2^width as a (len(values), width) uint8
     matrix of their bits, bit k in column k: :func:`pack_rows`, unpacked
     at once."""
-    rows = pack_rows(values, width).view(np.uint8)
-    return np.unpackbits(rows, axis=1, count=width, bitorder="little")
+    return unpack_bits(pack_rows(values, width), width)
 
 
 def row_ints(bits: np.ndarray) -> list[int]:
@@ -138,8 +140,7 @@ def side_order(sides: np.ndarray) -> np.ndarray:
 
 def meet(packed: np.ndarray, i: int, j: int, k: int) -> int:
     """The mask [i,j] & [j,k] & [k,i] of a packed table."""
-    both = packed[i, j] & packed[j, k] & packed[k, i]
-    return int.from_bytes(both.astype("<u8", copy=False).tobytes(), "little")
+    return as_int(packed[i, j] & packed[j, k] & packed[k, i])
 
 
 def meet_counts(packed: np.ndarray, ordered: bool
@@ -183,47 +184,35 @@ def first_hit(a: int, lo: int, hits: np.ndarray) -> tuple[int, int, int] | None:
     return a + int(i), lo + int(j), lo + int(k)
 
 
-def is_convex(betw: Table, mask: int) -> bool:
-    """Whether every interval between two members of ``mask`` lies inside it."""
-    outside = ~mask
+def is_convex(packed: np.ndarray, mask: int) -> bool:
+    """Whether every interval between two members of ``mask`` lies inside
+    it: the members' sub-table has no bit outside the mask."""
     idx = members(mask)
-    for k, a in enumerate(idx):
-        row = betw[a]
-        for b in idx[k + 1:]:
-            if row[b] & outside:
-                return False
-    return True
+    outside = ~pack_rows([mask], len(packed))[0]
+    return not (packed[np.ix_(idx, idx)] & outside).any()
 
 
-def halfspaces(betw: Table, within: int | None = None
-               ) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    """Proper halfspaces of the median algebra on ``within``.
+def halfspaces(packed: np.ndarray) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """Proper halfspaces of the median algebra of a packed table.
 
-    ``within`` is a convex mask (default: every point), so its intervals
-    are those of the table.  Each wall appears once, by its side holding
-    the lowest index of ``within``, paired with the covering pairs
-    (x, y), x < y, whose H(x,y) is that side or its complement.  Entries
-    are sorted lexicographically on the side.
+    The covering pairs (x, y), x < y, are the entries [x,y] above the
+    diagonal of popcount 2 (an interval holds its ends), and side H(x,y) = {z : x in [z,y]} is bit x
+    of column y, complemented unless it holds point 0.  Each wall appears
+    once, by its side holding point 0, paired with the covering pairs
+    whose H(x,y) is that side or its complement, in row-major order.
+    Entries are sorted lexicographically on the side (:func:`side_order`).
     """
-    if within is None:
-        within = (1 << len(betw)) - 1
-    first = within & -within
-    idx = members(within)
-    by_side: dict[int, list[tuple[int, int]]] = {}
-    for k, x in enumerate(idx):
-        row = betw[x]
-        for y in idx[k + 1:]:
-            if row[y] != (1 << x) | (1 << y):
-                continue
-            side = 0
-            for z in idx:
-                if betw[z][y] >> x & 1:
-                    side |= 1 << z
-            if not side & first:
-                side = within & ~side
-            by_side.setdefault(side, []).append((x, y))
-    return sorted(((side, tuple(pairs)) for side, pairs in by_side.items()),
-                  key=lambda entry: members(entry[0]))
+    counts = np.bitwise_count(packed).sum(axis=-1)
+    xs, ys = np.nonzero(np.triu(counts == 2, 1))
+    sides = (packed[:, ys, xs >> 6] >> (xs & 63).astype(np.uint64) & 1).T.astype(np.uint8)
+    sides ^= sides[:, :1] ^ 1
+    by_side: dict[int, list[int]] = {}
+    for k, side in enumerate(row_ints(sides)):
+        by_side.setdefault(side, []).append(k)
+    keys, groups = list(by_side), list(by_side.values())
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    order = side_order(sides[[group[0] for group in groups]])
+    return [(keys[t], tuple(pairs[k] for k in groups[t])) for t in order.tolist()]
 
 
 # each byte with its bits in reverse order

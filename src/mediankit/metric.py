@@ -21,11 +21,11 @@ counted in.
 
 The betweenness table is built the same way, on that array: one
 broadcast comparison d(i,t) + d(j,t) == d(i,j) per block of rows i,
-packed into uint64 words (``intervals.pack`` layout).  ``classify``
-counts the common points of each triple's intervals on that packed
-table with the blocked meet kernel of :mod:`intervals`; ``_between``
-decodes it once into Python int masks for the callers that walk single
-intervals.
+packed into uint64 words (the layout of :mod:`intervals`), once per
+metric by ``_between``.  It is the metric's only betweenness table:
+``classify`` counts the common points of each triple's intervals on it
+with the blocked meet kernel of :mod:`intervals`, medians are single
+meets, and the readers of single intervals take one entry as an int.
 """
 
 from __future__ import annotations
@@ -183,8 +183,7 @@ class FiniteMetric:
         self._scale = scale
         self._di = di
         self._d = d             # di as an exact array, of _exact_dtype
-        self._betw: list[list[int]] | None = None
-        self._packed_betw: np.ndarray | None = None
+        self._betw: np.ndarray | None = None
 
     @classmethod
     def _trusted(cls, points: Sequence[Point], di: list[list[int]],
@@ -248,11 +247,12 @@ class FiniteMetric:
 
     # -- geodesic intervals -------------------------------------------
 
-    def _packed(self) -> np.ndarray:
-        """The betweenness table packed as in ``intervals.pack``: one
-        broadcast comparison d(i,t) + d(j,t) == d(i,j) per block of rows i
-        (:func:`_block_rows`), on the metric's exact array."""
-        if self._packed_betw is None:
+    def _between(self) -> np.ndarray:
+        """The packed betweenness table: bit t of ``[i, j]`` set iff t lies
+        between i and j.  One broadcast comparison d(i,t) + d(j,t) ==
+        d(i,j) per block of rows i (:func:`_block_rows`), on the metric's
+        exact array, built once."""
+        if self._betw is None:
             n = len(self.points)
             d = self._d
             out = np.zeros((n, n, 8 * intervals.words(n)), dtype=np.uint8)
@@ -261,17 +261,11 @@ class FiniteMetric:
                 rows = d[s:s + step]
                 out[s:s + step, :, :(n + 7) // 8] = np.packbits(
                     rows[:, None, :] + d == rows[:, :, None], axis=-1, bitorder="little")
-            self._packed_betw = out.view("<u8")
-        return self._packed_betw
-
-    def _between(self) -> list[list[int]]:
-        """Bitmask table: bit t of [i][j] set iff t lies between i and j."""
-        if self._betw is None:
-            self._betw = intervals.unpack(self._packed())
+            self._betw = out.view("<u8")
         return self._betw
 
     def between_mask(self, i: int, j: int) -> int:
-        return self._between()[i][j]
+        return intervals.as_int(self._between()[i, j])
 
     def geodesic_interval(self, x: Point, y: Point) -> frozenset:
         m = self.between_mask(self.index(x), self.index(y))
@@ -308,7 +302,7 @@ def classify(m: FiniteMetric) -> Classification:
     ``intervals.meet_counts``, O(n^3 * n/64) word operations in blocks
     that stop with the first block holding an empty triple.
     """
-    packed = m._packed()
+    packed = m._between()
     empty = multi = None
     for a, lo, counts in intervals.meet_counts(packed, ordered=False):
         empty = intervals.first_hit(a, lo, counts == 0)
@@ -349,7 +343,7 @@ class MedianMetric(FiniteMetric):
     @classmethod
     def certify(cls, metric: FiniteMetric) -> "MedianMetric":
         """Certify a metric as median, sharing its integer matrix and exact
-        array (not validated again) and its betweenness tables."""
+        array (not validated again) and its betweenness table."""
         out = cls._proven(metric)
         out._certify()
         return out
@@ -361,7 +355,6 @@ class MedianMetric(FiniteMetric):
         table fills lazily."""
         out = cls._trusted(metric.points, metric._di, metric._scale, metric._d)
         out._betw = metric._betw
-        out._packed_betw = metric._packed_betw
         out._med = {}
         return out
 
@@ -370,8 +363,7 @@ class MedianMetric(FiniteMetric):
         got = self._med.get(key)
         if got is not None:
             return got
-        betw = self._between()
-        inter = betw[i][j] & betw[j][k] & betw[k][i]
+        inter = intervals.meet(self._between(), i, j, k)
         if inter.bit_count() != 1:
             raise InternalCheckError(f"median not unique at {key}")
         mi = inter.bit_length() - 1
@@ -431,7 +423,6 @@ def check_colinear_lemma(m: MedianMetric, exhaustive_cap: int = 50,
     """
     n = len(m.points)
     d = m._di
-    betw = m._between()
     checked = 0
 
     def holds(x: int, y: int, z: int, v: int) -> bool:
@@ -439,27 +430,23 @@ def check_colinear_lemma(m: MedianMetric, exhaustive_cap: int = 50,
         return d[x][mi] + d[mi][v] == d[x][v]
 
     if n <= exhaustive_cap:
+        between = [[intervals.members(m.between_mask(y, z)) for z in range(n)]
+                   for y in range(n)]
         for x in range(n):
             for y in range(n):
                 for z in range(y, n):
-                    mask = betw[y][z]
-                    v = 0
-                    while mask:
-                        if mask & 1:
-                            checked += 1
-                            if not holds(x, y, z, v):
-                                pts = tuple(m.points[t] for t in (x, y, z, v))
-                                return PropertyReport("colinear-median", False,
-                                                      checked, "exhaustive", pts)
-                        mask >>= 1
-                        v += 1
+                    for v in between[y][z]:
+                        checked += 1
+                        if not holds(x, y, z, v):
+                            pts = tuple(m.points[t] for t in (x, y, z, v))
+                            return PropertyReport("colinear-median", False,
+                                                  checked, "exhaustive", pts)
         return PropertyReport("colinear-median", True, checked, "exhaustive")
 
     rng = random.Random(seed)
     for _ in range(samples):
         x, y, z = (rng.randrange(n) for _ in range(3))
-        members = [t for t in range(n) if betw[y][z] >> t & 1]
-        v = rng.choice(members)
+        v = rng.choice(intervals.members(m.between_mask(y, z)))
         checked += 1
         if not holds(x, y, z, v):
             pts = tuple(m.points[t] for t in (x, y, z, v))
@@ -570,15 +557,13 @@ def find_rectangles(m: MedianMetric) -> list[tuple]:
     (``test_rectangle_opposite_sides_equal``).
     """
     n = len(m.points)
-    betw = m._between()
+    inside = intervals.unpack_bits(m._between(), n)     # [x, z, t]: t in [x,z]
+    by_mid = inside.transpose(2, 0, 1)                  # [z, y, t]: z in [y,t]
     out = []
     for x in range(n):
-        for z in range(n):
-            mask = betw[x][z]
-            members = [t for t in range(n) if mask >> t & 1]
-            for y in members:
-                for t in members:
-                    byt = betw[y][t]
-                    if byt >> x & 1 and byt >> z & 1:
-                        out.append(tuple(m.points[q] for q in (x, y, z, t)))
+        from_x = inside[x]                              # [z, y]: y in [x,z]
+        # [z, y, t]: y and t lie between x and z, and x and z between y and t
+        hit = from_x[:, :, None] & from_x[:, None, :] & inside[:, :, x] & by_mid
+        for z, y, t in np.argwhere(hit).tolist():
+            out.append(tuple(m.points[q] for q in (x, y, z, t)))
     return out

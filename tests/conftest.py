@@ -18,7 +18,7 @@ from mediankit.corpus import graph_instances, median_graph_instances
 from mediankit import intervals
 from mediankit.embedding import DecompositionTrace, Elimination, RetractionStep
 from mediankit.graphs import GraphWall, MedianGraphCert, SimpleGraph, _lemma_holds, _mask
-from mediankit.intervals import is_convex, members
+from mediankit.intervals import members
 from mediankit.metric import Classification, MedianMetric, _to_fraction
 from mediankit.walls import CubulationResult, Orientation, _vertex_name
 
@@ -59,6 +59,75 @@ def subsets_bruteforce_halfspaces(betw, within=None):
             side = sum(1 << t for t in combo)
             if convex(side) and convex(within & ~side):
                 out.add(frozenset((side, within & ~side)))
+    return out
+
+
+def is_convex_oracle(betw, mask: int) -> bool:
+    """Oracle: whether every interval between two members of ``mask`` lies
+    inside it, on a table of int masks."""
+    outside = ~mask
+    idx = members(mask)
+    for k, a in enumerate(idx):
+        row = betw[a]
+        for b in idx[k + 1:]:
+            if row[b] & outside:
+                return False
+    return True
+
+
+def halfspaces_oracle(betw, within: int | None = None
+                      ) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """Oracle: the proper halfspaces of the median algebra on ``within``,
+    from the covering pairs of a table of int masks, in the form of
+    ``intervals.halfspaces``.
+
+    ``within`` is a convex mask (default: every point), so its intervals
+    are those of the table.  Each wall appears once, by its side holding
+    the lowest index of ``within``, paired with the covering pairs
+    (x, y), x < y, whose H(x,y) = {z : x in [z,y]} is that side or its
+    complement.  Entries are sorted lexicographically on the side.
+    """
+    if within is None:
+        within = (1 << len(betw)) - 1
+    first = within & -within
+    idx = members(within)
+    by_side: dict[int, list[tuple[int, int]]] = {}
+    for k, x in enumerate(idx):
+        row = betw[x]
+        for y in idx[k + 1:]:
+            if row[y] != (1 << x) | (1 << y):
+                continue
+            side = 0
+            for z in idx:
+                if betw[z][y] >> x & 1:
+                    side |= 1 << z
+            if not side & first:
+                side = within & ~side
+            by_side.setdefault(side, []).append((x, y))
+    return sorted(((side, tuple(pairs)) for side, pairs in by_side.items()),
+                  key=lambda entry: members(entry[0]))
+
+
+def interval_masks(s) -> list[list[int]]:
+    """Oracle: the intervals of an interval structure or algebra as a
+    table of int masks over the point indices, read off ``interval``."""
+    return [[sum(1 << s.index(p) for p in s.interval(x, y)) for y in s.points]
+            for x in s.points]
+
+
+def rectangles_oracle(m: MedianMetric) -> list[tuple]:
+    """Oracle: ``find_rectangles`` as a loop over x, z and the members
+    y, t of [x,z] of a :func:`between_oracle` table, in that order."""
+    n = len(m.points)
+    betw = between_oracle(m)
+    out = []
+    for x in range(n):
+        for z in range(n):
+            inside = members(betw[x][z])
+            for y in inside:
+                for t in inside:
+                    if betw[y][t] >> x & 1 and betw[y][t] >> z & 1:
+                        out.append(tuple(m.points[q] for q in (x, y, z, t)))
     return out
 
 
@@ -663,7 +732,7 @@ def morphism_by_halfspaces(f, a: FiniteMedianAlgebra, b: FiniteMedianAlgebra) ->
 
 def retraction_oracle(mm: MedianMetric) -> DecompositionTrace:
     """Oracle: the halfspace peeling of a median metric, re-running
-    ``intervals.halfspaces`` on the current convex set at every step, and
+    :func:`halfspaces_oracle` on the current convex set at every step, and
     checking every clause the negative-definiteness argument rests on:
     unique nearest points lying on geodesics, the rectangle property off
     the halfspace, a constant gap delta, the four-case distance law, and
@@ -671,13 +740,13 @@ def retraction_oracle(mm: MedianMetric) -> DecompositionTrace:
     """
     n = len(mm.points)
     d = [[mm.dist_int(i, j) for j in range(n)] for i in range(n)]
-    betw = mm._between()
+    betw = between_oracle(mm)
     steps: list[RetractionStep] = []
     current = (1 << n) - 1
     while current & (current - 1):
         # current is convex, so its halfspaces restrict the parent's
         sides = []
-        for side, _ in intervals.halfspaces(betw, within=current):
+        for side, _ in halfspaces_oracle(betw, within=current):
             sides += [side, current & ~side]
         if not sides:
             raise InternalCheckError("no proper halfspace in a 2+ point space")
@@ -921,9 +990,9 @@ def hypermetric_oracle(m: FiniteMetric, bound: int):
 
 def convex_sets_oracle(m: FiniteMetric) -> list[int]:
     """Oracle: every convex subset as a bitmask, ascending, by testing each
-    of the 2^n masks with ``intervals.is_convex``."""
-    betw = m._between()
-    return [mask for mask in range(1 << len(m.points)) if is_convex(betw, mask)]
+    of the 2^n masks with :func:`is_convex_oracle`."""
+    betw = between_oracle(m)
+    return [mask for mask in range(1 << len(m.points)) if is_convex_oracle(betw, mask)]
 
 
 def helly_witness_oracle(m: FiniteMetric):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import median_table, morphism_by_halfspaces, subsets_bruteforce_halfspaces
+from conftest import (interval_masks, median_table, morphism_by_halfspaces,
+                      subsets_bruteforce_halfspaces)
 from mediankit import (FiniteMedianAlgebra, Halfspace, InputError,
                        IntervalStructure,
                        is_median_morphism, validate_axioms)
@@ -148,7 +149,7 @@ def test_path3_walls_match_bruteforce():
     a = path3_algebra()
     v0, v1, v2 = a.points
     hs = a.halfspaces()
-    assert mask_walls(a, hs) == subsets_bruteforce_halfspaces(a._s.masks)
+    assert mask_walls(a, hs) == subsets_bruteforce_halfspaces(interval_masks(a))
     sides = [h.side for h in hs]
     # canonical order: lexicographic on the side containing the first point
     assert sides == [frozenset({v0}), frozenset({v0, v1}),
@@ -160,7 +161,7 @@ def test_cycle4_has_two_nontrivial_walls():
     hs = a.halfspaces()
     nontrivial = [h for h in hs if h.side and h.complement]
     assert len(nontrivial) == 2
-    assert mask_walls(a, hs) == subsets_bruteforce_halfspaces(a._s.masks)
+    assert mask_walls(a, hs) == subsets_bruteforce_halfspaces(interval_masks(a))
 
 
 def test_halfspaces_and_separation_above_sixteen_points():

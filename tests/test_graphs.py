@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (EagerCertificate, bfs_distance_check, fill_cubes_oracle,
-                      majority_closure_check, random_crossing_wall_space,
+from conftest import (EagerCertificate, between_oracle, bfs_distance_check,
+                      fill_cubes_oracle, majority_closure_check, random_crossing_wall_space,
                       simple_graph_oracle, subsets_bruteforce_halfspaces)
 from mediankit import (FiniteMetric, InputError, InternalCheckError, MedianMetric,
                        NotMedianError, SimpleGraph, certify_median_graph, classify,
@@ -298,6 +298,20 @@ def test_each_rejection_path_gives_the_classify_witness(g):
     check_against_classify(g)
 
 
+def test_the_three_wall_paths_agree_on_the_corpus_median_graphs(median_certs):
+    for cert in median_certs.values():
+        g = cert.graph
+        index = g.index
+        got = [(w.side_mask, tuple((index(u), index(v)) for u, v in w.crossing_edges))
+               for w in cert.walls]
+        m = g.path_metric()
+        assert got == intervals.halfspaces(m._between())
+        alg = m.to_algebra()
+        assert intervals.halfspaces(alg._s.packed) == got
+        walls = [(h.side, h.complement) for h in alg.halfspaces() if h.complement]
+        assert walls == [(w.side, w.complement) for w in cert.walls]
+
+
 def test_certificate_scans_no_triples(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("classify ran on a median graph")
@@ -442,7 +456,7 @@ def test_every_proper_halfspace_comes_from_an_edge_small():
         cert = certify_median_graph(g)
         full = (1 << len(cert.vertices)) - 1
         walls = {frozenset((w.side_mask, full & ~w.side_mask)) for w in cert.walls}
-        oracle = subsets_bruteforce_halfspaces(cert.metric._between())
+        oracle = subsets_bruteforce_halfspaces(between_oracle(cert.metric))
         assert walls | {frozenset((full, 0))} == oracle
         crossing = [e for w in cert.walls for e in w.crossing_edges]
         assert sorted(crossing) == sorted(cert.graph.edges)

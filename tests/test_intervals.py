@@ -1,6 +1,7 @@
-"""The interval kernel against the 2^n subset oracle, for n <= 12, and
-the median-closure test against the majority fixpoint and the 2-clause
-solution count."""
+"""The packed interval kernel against the Python kernels and the 2^n
+subset oracle, for n <= 12, and against the Python kernels across the
+64-bit word boundary; the median-closure test against the majority
+fixpoint and the 2-clause solution count."""
 
 import random
 from fractions import Fraction
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from conftest import (boolean_median_algebra, certificate_order_oracle, count_closure,
+from conftest import (between_oracle, boolean_median_algebra, certificate_order_oracle,
+                      count_closure, halfspaces_oracle, interval_masks, is_convex_oracle,
                       majority_closure, row_ints_oracle, subsets_bruteforce_halfspaces,
                       wall_space_order_oracle)
-from mediankit import FiniteMetric, InputError, MedianGraphCert, WallSpace, cubulate
+from mediankit import (FiniteMetric, InputError, MedianGraphCert, MedianMetric, WallSpace,
+                       cubulate, product)
 from mediankit.corpus import grid_graph, path_graph
 from mediankit.intervals import (bit_rows, halfspaces, is_convex, is_median_closure, members,
                                  row_ints)
@@ -25,9 +28,9 @@ def closure_of_ints(image, vertices, width):
     return is_median_closure(bit_rows(image, width), bit_rows(vertices, width))
 
 
-def rational_tree_table(n, seed):
-    """Betweenness table of a random tree with rational edge weights;
-    vertex i > 0 hangs below a parent with a smaller index."""
+def rational_tree_metric(n, seed):
+    """A random tree with rational edge weights; vertex i > 0 hangs below
+    a parent with a smaller index."""
     rng = random.Random(seed)
     dist = [[Fraction(0)] * n for _ in range(n)]
     for i in range(1, n):
@@ -35,20 +38,31 @@ def rational_tree_table(n, seed):
         weight = Fraction(rng.randint(1, 9), rng.randint(1, 4))
         for j in range(i):
             dist[i][j] = dist[j][i] = dist[parent][j] + weight
-    return FiniteMetric(list(range(n)), dist)._between()
+    return FiniteMetric(list(range(n)), dist)
+
+
+def metric_tables(m):
+    """A metric's packed table and its betweenness table by the Python loop."""
+    return m._between(), between_oracle(m)
+
+
+def algebra_tables(a):
+    """An algebra's packed table and its intervals as int masks."""
+    return a._s.packed, interval_masks(a)
 
 
 GRIDS = [(r, c) for r in range(1, 4) for c in range(r, 7) if r * c <= 12]
 
 tables = st.one_of(
-    st.builds(rational_tree_table, st.integers(1, 12), st.integers(0, 10 ** 6)),
-    st.sampled_from(GRIDS).map(lambda rc: grid_graph(*rc).path_metric()._between()),
-    st.integers(1, 3).map(lambda k: boolean_median_algebra(k)._s.masks),
+    st.builds(rational_tree_metric, st.integers(1, 12), st.integers(0, 10 ** 6)).map(
+        metric_tables),
+    st.sampled_from(GRIDS).map(lambda rc: metric_tables(grid_graph(*rc).path_metric())),
+    st.integers(1, 3).map(lambda k: algebra_tables(boolean_median_algebra(k))),
 )
 
 
 def check_against_oracle(betw, within):
-    got = halfspaces(betw, within)
+    got = halfspaces_oracle(betw, within)
     sides = [side for side, _ in got]
     assert sides == sorted(set(sides), key=members)
     first = within & -within
@@ -65,29 +79,69 @@ def check_against_oracle(betw, within):
 
 @settings(max_examples=40, deadline=None)
 @given(tables)
-def test_halfspaces_match_the_subset_oracle_within_every_halfspace(betw):
+def test_halfspaces_match_the_subset_oracle_within_every_halfspace(case):
+    packed, betw = case
+    got = halfspaces(packed)
+    assert got == halfspaces_oracle(betw)
     full = (1 << len(betw)) - 1
     check_against_oracle(betw, full)
-    for side, _ in halfspaces(betw):
+    for side, _ in got:
         check_against_oracle(betw, side)
         check_against_oracle(betw, full & ~side)
 
 
 @settings(max_examples=60, deadline=None)
 @given(tables, st.data())
-def test_is_convex_matches_the_ordered_pair_scan(betw, data):
+def test_is_convex_matches_the_ordered_pair_scan(case, data):
+    packed, betw = case
     n = len(betw)
     mask = data.draw(st.integers(0, (1 << n) - 1))
     inside = [t for t in range(n) if mask >> t & 1]
-    assert is_convex(betw, mask) == all(not betw[a][b] & ~mask
-                                        for a in inside for b in inside)
+    assert is_convex(packed, mask) == is_convex_oracle(betw, mask) == \
+        all(not betw[a][b] & ~mask for a in inside for b in inside)
 
 
 def test_single_point_and_empty_masks_have_no_proper_halfspace():
-    betw = grid_graph(2, 2).path_metric()._between()
-    assert halfspaces(betw, within=0b0100) == []
-    assert halfspaces(betw, within=0) == []
-    assert is_convex(betw, 0)
+    packed, betw = metric_tables(grid_graph(2, 2).path_metric())
+    assert halfspaces_oracle(betw, within=0b0100) == []
+    assert halfspaces_oracle(betw, within=0) == []
+    assert is_convex(packed, 0) and is_convex_oracle(betw, 0)
+
+
+def certified_tree(n, seed):
+    return MedianMetric.certify(rational_tree_metric(n, seed))
+
+
+WIDE = {
+    **{f"path{n}": path_graph(n).path_metric() for n in (1, 2, 63, 64, 65, 130)},
+    **{f"tree{n}": rational_tree_metric(n, n) for n in (2, 63, 64, 65, 130)},
+    "grid9x8": grid_graph(9, 8).path_metric(),
+    "tree13xtree10": product(certified_tree(13, 1), certified_tree(10, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(WIDE))
+def test_packed_kernels_match_the_python_kernels_across_word_boundaries(name):
+    m = WIDE[name]
+    n = len(m.points)
+    packed, betw = metric_tables(m)
+    assert [[m.between_mask(i, j) for j in range(n)] for i in range(n)] == betw
+    walls = halfspaces(packed)
+    assert walls == halfspaces_oracle(betw)
+    # convex sets (intervals, sides) and near misses of each, then random sets
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    masks = [0, full] + [rng.getrandbits(n) for _ in range(20)]
+    for _ in range(20):
+        i, j = rng.randrange(n), rng.randrange(n)
+        masks += [betw[i][j], betw[i][j] | 1 << rng.randrange(n),
+                  betw[i][j] & ~(1 << rng.choice(members(betw[i][j])))]
+    for side, _ in walls:
+        masks += [side, full & ~side, side ^ 1 << rng.randrange(n)]
+    for mask in masks:
+        assert is_convex(packed, mask) == is_convex_oracle(betw, mask)
+    assert any(is_convex(packed, mask) for mask in masks[22:])
+    assert n < 3 or not all(is_convex(packed, mask) for mask in masks)
 
 
 # ---------------------------------------------------------------- median closure

@@ -11,10 +11,11 @@ from mediankit import (FiniteMetric, InputError, MedianMetric, NotMedianError,
                        find_rectangles, intervals, product)
 from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               grid_graph, hypercube_graph, path_graph,
-                              random_tree)
+                              random_tree, star_graph)
 
-from conftest import (fraction_metric_oracle, is_metric_oracle, product_oracle,
-                      scaled_rows_oracle, upper_triangle_oracle)
+from conftest import (between_oracle, fraction_metric_oracle, is_metric_oracle,
+                      product_oracle, rectangles_oracle, scaled_rows_oracle,
+                      upper_triangle_oracle)
 from mediankit.metric import _exact_array, _is_metric, _scaled_rows
 
 
@@ -320,7 +321,7 @@ def test_classify_matches_oracle_on_mixed_instances():
 
 def test_classify_stops_at_the_first_empty_triple(monkeypatch):
     m = cycle_graph(60).path_metric()
-    betw = m._between()
+    betw = between_oracle(m)
     triples = list(itertools.combinations(range(60), 3))
     scanned = 1 + next(k for k, (i, j, l) in enumerate(triples)
                        if not betw[i][j] & betw[j][l] & betw[l][i])
@@ -541,6 +542,14 @@ def test_trees_have_only_flat_rectangles():
     m = MedianMetric.certify(path_graph(4).path_metric())
     for x, y, z, t in find_rectangles(m):
         assert len({x, y, z, t}) <= 2
+
+
+@pytest.mark.parametrize("g", [path_graph(1), cycle_graph(4), grid_graph(3, 4),
+                               hypercube_graph(3), random_tree(14, 5), star_graph(65)],
+                         ids=["path1", "c4", "grid3x4", "q3", "tree14", "star65"])
+def test_find_rectangles_matches_the_loop_oracle(g):
+    m = MedianMetric.certify(g.path_metric())
+    assert find_rectangles(m) == rectangles_oracle(m)
 
 
 def test_rectangle_opposite_sides_equal():

@@ -33,10 +33,10 @@ def graphs_on(n):
 
 def check_tables(m):
     n = len(m.points)
-    assert m._packed().shape == (n, n, intervals.words(n))
-    betw = m._between()
-    assert betw == between_oracle(m)
-    assert intervals.unpack(intervals.pack(betw)) == betw
+    assert m._between().shape == (n, n, intervals.words(n))
+    betw = between_oracle(m)
+    assert [[m.between_mask(i, j) for j in range(n)] for i in range(n)] == betw
+    assert intervals.pack(betw).tobytes() == m._between().tobytes()
     assert classify(m) == classify_oracle(m)
 
 
@@ -112,7 +112,7 @@ def test_a_multi_median_block_before_an_empty_block_gives_the_empty_witness(monk
     expected = classify_oracle(m)
     assert expected.kind == "neither" and expected.witness[0] > 0
     monkeypatch.setattr(intervals, "BLOCK", 1)          # one row i per block
-    blocks = [a for a, _, _ in intervals.meet_counts(m._packed(), ordered=False)]
+    blocks = [a for a, _, _ in intervals.meet_counts(m._between(), ordered=False)]
     assert blocks == list(range(8))
     assert classify(m) == expected
 
@@ -155,11 +155,23 @@ def test_validate_axioms_matches_the_frozenset_scan(s):
     assert validate_axioms(s) == validate_axioms_oracle(s)
 
 
+def past_the_first_word():
+    """The 66-point path's interval structure with a failure of every
+    axiom at a point past index 63: [65,65] holds 64, and [1,3] holds 65,
+    so [1,65] is not inside it and [1,3] != [3,1]."""
+    s = path_graph(66).path_metric().interval_structure()
+    pts = s.points
+    table = {(x, y): set(s.interval(x, y)) for x in pts for y in pts}
+    table[pts[65], pts[65]].add(pts[64])
+    table[pts[1], pts[3]].add(pts[65])
+    return IntervalStructure(pts, table)
+
+
 def test_validate_axioms_matches_the_frozenset_scan_on_fixtures():
-    structures = [asymmetric_interval_fixture()]
+    structures = [asymmetric_interval_fixture(), past_the_first_word()]
     structures += [g.path_metric().interval_structure()
                    for g in (grid_graph(4, 4), cycle_graph(6), hypercube_graph(3),
-                             complete_bipartite_graph(3, 3), path_graph(1))]
+                             complete_bipartite_graph(3, 3), path_graph(1), path_graph(66))]
     for s in structures:
         assert validate_axioms(s) == validate_axioms_oracle(s)
         assert validate_axioms(s).as_dict() == validate_axioms_oracle(s).as_dict()
