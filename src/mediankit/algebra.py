@@ -11,10 +11,11 @@ ground set.  Four axioms make it a median algebra:
 
 Raw data arrives as an :class:`IntervalStructure` and is promoted to a
 :class:`FiniteMedianAlgebra` only after passing :func:`validate_axioms`.
-The structure keeps its intervals as a packed betweenness table over
-the point indices (the layout of :mod:`intervals`), built once; the
-axioms, medians, convexity and halfspaces read that table with the
-kernels of :mod:`intervals`.
+A structure holds its intervals only as a packed betweenness table over
+the point indices (the layout of :mod:`intervals`), and a metric's
+structure holds the metric's own table.  The axioms, medians, convexity,
+halfspaces and morphisms read that table with the kernels of
+:mod:`intervals`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import intervals
-from .intervals import pack     # IntervalStructure's parameter shadows the module
+from .intervals import pack_rows    # IntervalStructure's parameter shadows the module
 from .errors import InputError, InternalCheckError
 
 Point = Hashable
@@ -41,7 +42,8 @@ class IntervalStructure:
     known point; beyond that nothing is assumed (in particular symmetry
     is checked later, not presumed).  ``packed[i, j]`` is the interval of
     points i and j as a mask over the point indices, packed into uint64
-    words as in :mod:`intervals`.
+    words as in :mod:`intervals`; the constructor builds each mask
+    straight from the members' indices.
     """
 
     def __init__(self, points: Sequence[Point],
@@ -51,29 +53,50 @@ class IntervalStructure:
             raise InputError("an interval structure needs at least one point")
         if len(set(pts)) != len(pts):
             raise InputError("duplicate point identifiers")
-        self.points = pts
-        self._index = {p: i for i, p in enumerate(pts)}
-        known = set(pts)
-        table: dict[tuple[Point, Point], frozenset] = {}
+        n = len(pts)
+        index = {p: i for i, p in enumerate(pts)}
+        bit = {p: 1 << i for p, i in index.items()}.get
+        masks: list[int | None] = [None] * (n * n)    # [x,y] at n * x + y
+        stray: set = set()
         for key, members in intervals.items():
-            x, y = key
-            if x not in known or y not in known:
+            try:
+                x, y = key
+            except (TypeError, ValueError):
+                raise InputError(f"interval key {key!r} is not a pair of points") from None
+            i, j = index.get(x), index.get(y)
+            if i is None or j is None:
                 raise InputError(f"interval {key!r} references an unknown point")
-            fs = frozenset(members)
-            stray = fs - known
+            mask = 0
+            try:
+                for p in members:
+                    b = bit(p)
+                    if b is None:
+                        stray.add(p)
+                    else:
+                        mask |= b
+            except TypeError:
+                raise InputError(f"interval {key!r} members are not point ids") from None
             if stray:
                 raise InputError(
                     f"interval {key!r} contains unknown members {sorted(map(repr, stray))}")
-            table[(x, y)] = fs
-        for x in pts:
-            for y in pts:
-                if (x, y) not in table:
-                    raise InputError(
-                        f"interval ({x!r},{y!r}) missing; every ordered pair must be given")
-        self._table = table
-        index = self._index
-        self.packed = pack([[sum(1 << index[p] for p in table[(x, y)]) for y in pts]
-                            for x in pts])
+            masks[n * i + j] = mask
+        if None in masks:
+            x, y = divmod(masks.index(None), n)
+            raise InputError(
+                f"interval ({pts[x]!r},{pts[y]!r}) missing; every ordered pair must be given")
+        self.points = pts
+        self._index = index
+        self.packed = pack_rows(masks, n).reshape(n, n, -1)
+
+    @classmethod
+    def _trusted(cls, points: Sequence[Point], packed: np.ndarray) -> "IntervalStructure":
+        """Wrap a packed table that is valid by construction (a metric's
+        betweenness table); nothing is re-read or re-packed."""
+        out = cls.__new__(cls)
+        out.points = list(points)
+        out._index = {p: i for i, p in enumerate(out.points)}
+        out.packed = packed
+        return out
 
     def index(self, p: Point) -> int:
         try:
@@ -82,8 +105,8 @@ class IntervalStructure:
             raise InputError(f"unknown point {p!r}") from None
 
     def interval(self, x: Point, y: Point) -> frozenset:
-        self.index(x), self.index(y)
-        return self._table[(x, y)]
+        mask = intervals.as_int(self.packed[self.index(x), self.index(y)])
+        return intervals.unmask(self.points, mask)
 
 
 @dataclass(frozen=True)
@@ -164,7 +187,7 @@ def validate_axioms(s: IntervalStructure) -> AxiomReport:
         hit = intervals.first_hit(a, lo, counts != 1)
         if hit is not None:
             witness = tuple(pts[t] for t in hit)
-            detail = frozenset(pts[t] for t in intervals.members(intervals.meet(packed, *hit)))
+            detail = intervals.unmask(pts, intervals.meet(packed, *hit))
             break
     checks.append(AxiomCheck("unique_median", witness is None, witness, detail))
 
@@ -191,7 +214,7 @@ class FiniteMedianAlgebra:
         self._s = structure
         self.report = report
         self.points = structure.points
-        self._median_cache: dict[tuple[int, int, int], Point] = {}
+        self._med: dict[tuple[int, int, int], int] = {}
 
     @staticmethod
     def promote(structure: IntervalStructure) -> "FiniteMedianAlgebra":
@@ -211,32 +234,13 @@ class FiniteMedianAlgebra:
         return self._s.interval(x, y)
 
     def median(self, x: Point, y: Point, z: Point) -> Point:
-        i, j, k = self.index(x), self.index(y), self.index(z)
-        key = tuple(sorted((i, j, k)))
-        cached = self._median_cache.get(key)
-        if cached is not None:
-            return cached
-        common = intervals.meet(self._s.packed, i, j, k)
-        if common.bit_count() != 1:
-            raise InternalCheckError(
-                f"median of ({x!r},{y!r},{z!r}) not unique on a validated algebra")
-        m = self.points[common.bit_length() - 1]
-        self._median_cache[key] = m
-        return m
+        return self.points[intervals.median(self._s.packed, self._med, self.index(x),
+                                            self.index(y), self.index(z))]
 
     def is_convex(self, subset: Iterable[Point]) -> bool:
-        return intervals.is_convex(self._s.packed, self._mask(subset))
+        return intervals.is_convex(self._s.packed, sum({1 << self.index(p) for p in subset}))
 
     # -- halfspaces ---------------------------------------------------
-
-    def _mask(self, subset: Iterable[Point]) -> int:
-        mask = 0
-        for p in subset:
-            mask |= 1 << self.index(p)
-        return mask
-
-    def _unmask(self, mask: int) -> frozenset:
-        return frozenset(self.points[i] for i in intervals.members(mask))
 
     def halfspaces(self) -> list[Halfspace]:
         """All walls, one canonical side each (the side holding the first
@@ -246,7 +250,8 @@ class FiniteMedianAlgebra:
         full = (1 << len(self.points)) - 1
         sides = [side for side, _ in intervals.halfspaces(self._s.packed)] + [full]
         sides.sort(key=intervals.members)
-        return [Halfspace(self._unmask(side), self._unmask(full & ~side))
+        return [Halfspace(intervals.unmask(self.points, side),
+                          intervals.unmask(self.points, full & ~side))
                 for side in sides]
 
     def separate(self, c1: Iterable[Point], c2: Iterable[Point]) -> Halfspace:
@@ -294,15 +299,21 @@ def is_median_morphism(f: Mapping[Point, Point], a: FiniteMedianAlgebra,
 
     This interval criterion is the definition.  It is equivalent to every
     halfspace of `b` pulling back to a halfspace of `a`; the tests check
-    the two agree (``morphism_by_halfspaces``).
+    the two agree (``morphism_by_halfspaces``).  Both packed tables are
+    read in blocks of rows x, as the nesting check of :func:`validate_axioms`
+    reads one.
     """
+    image = []
     for p in a.points:
         if p not in f:
             raise InputError(f"map is not total: {p!r} has no image")
-        b.index(f[p])
-    for x in a.points:
-        for y in a.points:
-            target = b.interval(f[x], f[y])
-            if any(f[t] not in target for t in a.interval(x, y)):
-                return False
+        image.append(b.index(f[p]))
+    n, fi = len(a.points), np.array(image)
+    step = max(1, intervals.BLOCK // (n * n))
+    for lo in range(0, n, step):
+        inside = intervals.unpack_bits(a._s.packed[lo:lo + step], n)   # [x - lo, y, t]: t in [x,y]
+        # [x - lo, y, t]: f(t) in [f(x),f(y)]
+        target = intervals.unpack_bits(b._s.packed[fi[lo:lo + step, None], fi], len(b))[..., fi]
+        if (inside > target).any():
+            return False
     return True

@@ -601,8 +601,7 @@ def check_helly(m: FiniteMetric, cap: int = DEFAULT_HELLY_CAP) -> HellyReport:
         found = _first_bad_triple(arr)
         if found is None:
             raise InternalCheckError("pair hulls fail Helly but no triple of convex sets does")
-        witness = tuple(frozenset(m.points[t] for t in range(n) if masks[i] >> t & 1)
-                        for i in found)
+        witness = tuple(intervals.unmask(m.points, masks[i]) for i in found)
     agrees = holds == (cls.kind in ("median", "modular"))
     return HellyReport(holds, cls, agrees, len(masks) + 1, witness)
 

@@ -232,19 +232,20 @@ def _point_ids(value, what: str) -> list:
 
 def interval_structure_from_json(data: dict) -> IntervalStructure:
     try:
-        points = list(data["points"])
-        raw = data["intervals"]
+        points, raw = data["points"], data["intervals"]
     except KeyError as exc:
         raise InputError(f"interval structure JSON missing key {exc}") from None
-    for p in points:
+    for p in _list(points, "interval structure 'points'"):
         if not isinstance(p, str) or "," in p:
             raise InputError(f"point ids must be comma-free strings, got {p!r}")
+    if not isinstance(raw, dict):
+        raise InputError(f"interval structure 'intervals' must be an object, got {raw!r}")
     table = {}
     for key, members in raw.items():
         parts = key.split(",")
         if len(parts) != 2:
             raise InputError(f"interval key {key!r} is not of the form 'x,y'")
-        table[(parts[0], parts[1])] = members
+        table[(parts[0], parts[1])] = _list(members, f"interval {key!r}")
     return IntervalStructure(points, table)
 
 

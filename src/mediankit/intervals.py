@@ -5,9 +5,9 @@ on them.
 A betweenness table over n points is an (n, n, words(n)) uint64 array in
 which bit t of ``packed[i, j]`` (bit t % 64 of word t // 64) is set iff t
 lies in the interval [i,j], as built by ``FiniteMetric._between`` and
-kept by ``IntervalStructure.packed``; it is the only form of the table.
-``pack`` lays out a table of int masks so, and ``as_int`` reads one mask
-back.  ``meet_counts`` counts the common points |[i,j] & [j,k] & [k,i]|
+held by ``IntervalStructure.packed``; it is the only form of the table.
+``as_int`` reads one mask back, and ``unmask`` as a set of points.
+``meet_counts`` counts the common points |[i,j] & [j,k] & [k,i]|
 of every triple with ``np.bitwise_count``, in blocks of consecutive rows
 i of about ``BLOCK`` triples, in lexicographic order, so a caller that
 stops at its first hit reads only the blocks up to it.
@@ -47,6 +47,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .errors import InternalCheckError
+
 BLOCK = 1 << 14     # entries per block of meet_counts, the metric's table build and
                     # triangle check, and the median-closure test
 
@@ -60,6 +62,11 @@ def members(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def unmask(points: Sequence, mask: int) -> frozenset:
+    """The points at the set bits of a mask over point indices."""
+    return frozenset(map(points.__getitem__, members(mask)))
 
 
 def words(n: int) -> int:
@@ -82,12 +89,6 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     out = np.zeros((*lead, 8 * words(width)), dtype=np.uint8)
     out[..., :(width + 7) // 8] = np.packbits(bits, axis=-1, bitorder="little")
     return out.view("<u8")
-
-
-def pack(table: Sequence[Sequence[int]]) -> np.ndarray:
-    """An n x n table of int masks as a packed (n, n, words(n)) uint64 array."""
-    n = len(table)
-    return pack_rows([m for row in table for m in row], n).reshape(n, n, -1)
 
 
 def as_int(mask: np.ndarray) -> int:
@@ -141,6 +142,19 @@ def side_order(sides: np.ndarray) -> np.ndarray:
 def meet(packed: np.ndarray, i: int, j: int, k: int) -> int:
     """The mask [i,j] & [j,k] & [k,i] of a packed table."""
     return as_int(packed[i, j] & packed[j, k] & packed[k, i])
+
+
+def median(packed: np.ndarray, memo: dict, i: int, j: int, k: int) -> int:
+    """The one point of :func:`meet` on a median algebra's packed table,
+    memoized in ``memo`` by the sorted triple."""
+    key = tuple(sorted((i, j, k)))
+    got = memo.get(key)
+    if got is None:
+        common = meet(packed, i, j, k)
+        if common.bit_count() != 1:
+            raise InternalCheckError(f"median not unique at {key}")
+        got = memo[key] = common.bit_length() - 1
+    return got
 
 
 def meet_counts(packed: np.ndarray, ordered: bool

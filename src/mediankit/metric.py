@@ -25,7 +25,8 @@ packed into uint64 words (the layout of :mod:`intervals`), once per
 metric by ``_between``.  It is the metric's only betweenness table:
 ``classify`` counts the common points of each triple's intervals on it
 with the blocked meet kernel of :mod:`intervals`, medians are single
-meets, and the readers of single intervals take one entry as an int.
+meets (``intervals.median``), the readers of single intervals take one
+entry as an int, and ``to_algebra`` wraps the table itself.
 """
 
 from __future__ import annotations
@@ -268,13 +269,10 @@ class FiniteMetric:
         return intervals.as_int(self._between()[i, j])
 
     def geodesic_interval(self, x: Point, y: Point) -> frozenset:
-        m = self.between_mask(self.index(x), self.index(y))
-        return frozenset(p for t, p in enumerate(self.points) if m >> t & 1)
+        return intervals.unmask(self.points, self.between_mask(self.index(x), self.index(y)))
 
     def interval_structure(self) -> IntervalStructure:
-        table = {(x, y): self.geodesic_interval(x, y)
-                 for x in self.points for y in self.points}
-        return IntervalStructure(self.points, table)
+        return IntervalStructure._trusted(self.points, self._between())
 
     def to_algebra(self) -> FiniteMedianAlgebra:
         """Promote the geodesic intervals; fails unless the metric is median."""
@@ -313,10 +311,9 @@ def classify(m: FiniteMetric) -> Classification:
     hit = empty or multi
     if hit is None:
         return Classification("median")
-    inter = intervals.meet(packed, *hit)
     return Classification("neither" if empty else "modular",
                           tuple(m.points[t] for t in hit),
-                          frozenset(m.points[t] for t in intervals.members(inter)))
+                          intervals.unmask(m.points, intervals.meet(packed, *hit)))
 
 
 class MedianMetric(FiniteMetric):
@@ -359,16 +356,7 @@ class MedianMetric(FiniteMetric):
         return out
 
     def median_index(self, i: int, j: int, k: int) -> int:
-        key = tuple(sorted((i, j, k)))
-        got = self._med.get(key)
-        if got is not None:
-            return got
-        inter = intervals.meet(self._between(), i, j, k)
-        if inter.bit_count() != 1:
-            raise InternalCheckError(f"median not unique at {key}")
-        mi = inter.bit_length() - 1
-        self._med[key] = mi
-        return mi
+        return intervals.median(self._between(), self._med, i, j, k)
 
     def median_point(self, x: Point, y: Point, z: Point) -> Point:
         return self.points[self.median_index(self.index(x), self.index(y),

@@ -114,7 +114,7 @@ class WallSpace:
 
     def wall_sides(self, k: int) -> tuple[frozenset, frozenset]:
         a, b = self._sides[k]
-        return (self._unmask(a), self._unmask(b))
+        return (intervals.unmask(self.points, a), intervals.unmask(self.points, b))
 
     def halfspace_masks(self) -> set[int]:
         """All sides of all walls, including the trivial pair."""
@@ -123,10 +123,6 @@ class WallSpace:
             out.add(a)
             out.add(b)
         return out
-
-    def _unmask(self, mask: int) -> frozenset:
-        return frozenset(self.points[t] for t in range(len(self.points))
-                         if mask >> t & 1)
 
     def sigma_bits(self, x: Point) -> int:
         """Orientation bitvector of sigma_x: bit k set iff x lies on the
@@ -166,7 +162,7 @@ class Orientation:
         return b if self.bits >> k & 1 else a
 
     def chosen_sides(self) -> list[frozenset]:
-        return [self.space._unmask(self.side_mask(k))
+        return [intervals.unmask(self.space.points, self.side_mask(k))
                 for k in range(self.space.wall_count)]
 
     def is_consistent(self) -> bool:
@@ -263,14 +259,6 @@ def _side_tables(sigma: np.ndarray, walls: np.ndarray, full: int
     return force, value
 
 
-def _meets(bits: np.ndarray, side: np.ndarray, force: np.ndarray,
-           value: np.ndarray) -> np.ndarray:
-    """Entry (i, k): whether side ``side[i, k]`` of wall k meets every side
-    that orientation ``bits[i]`` chooses on another wall."""
-    return (bits[:, None] & np.where(side, force[1], force[0])) \
-        == np.where(side, value[1], value[0])
-
-
 def _bit_matrix(values: np.ndarray, width: int) -> np.ndarray:
     """An orientation array as a 0/1 uint8 matrix, bit k in column k
     (:func:`intervals.bit_rows`); uint64 words are unpacked directly."""
@@ -318,11 +306,12 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
     (:func:`_bit_matrix`) gives their names and feeds the checks below
     and the certificate.
 
-    The construction is verified: every vertex is consistent (the same
-    mask test, on every wall of every vertex, with the unmasked tables),
-    and the embedded image lies in the vertex set and has it as median
-    closure (the solution set of the image's 2-clauses, derived
-    independently by the prefix test of :func:`intervals.is_median_closure`).
+    The construction is verified: the embedded image lies in the vertex
+    set and has it as median closure (the solution set of the image's
+    2-clauses, derived independently by the prefix test of
+    :func:`intervals.is_median_closure`).  That closure test proves every
+    vertex consistent: every wall has two nonempty sides, so the solutions
+    of the image's 2-clauses are exactly the consistent orientations.
     Every vertex but vertex 0 has a neighbour one bit nearer it
     (:func:`_reaches_vertex_0`, one pass over the edges), so the graph is
     connected: every vertex is reached from the principal orientations by
@@ -382,11 +371,6 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
     if len(image) != len(w.points):
         raise InternalCheckError("point embedding is not injective")
     checks["embedding_injective"] = True
-
-    bad = ~_meets(vertices, bits.view(bool), force, value).all(axis=1)
-    if bad.any():
-        raise InternalCheckError(
-            f"inconsistent vertex {ordered[int(np.argmax(bad))]:b} generated")
     checks["vertices_consistent"] = True
 
     # principal bits are sigma bits: their Hamming distance counts the

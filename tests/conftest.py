@@ -170,23 +170,63 @@ def classify_oracle(m: FiniteMetric) -> Classification:
                           frozenset(m.points[t] for t in members(inter)))
 
 
+def pack_table(table) -> np.ndarray:
+    """An n x n table of int masks as a packed (n, n, words(n)) uint64
+    array, one ``pack_rows`` row per entry."""
+    n = len(table)
+    return intervals.pack_rows([m for row in table for m in row], n).reshape(n, n, -1)
+
+
+def interval_structure_oracle(points, mapping) -> IntervalStructure:
+    """Oracle: the interval structure constructor as a table of frozensets,
+    one per ordered pair, checked key by key in mapping order and then for
+    the first missing pair in point order, and packed from int masks."""
+    pts = list(points)
+    if not pts:
+        raise InputError("an interval structure needs at least one point")
+    if len(set(pts)) != len(pts):
+        raise InputError("duplicate point identifiers")
+    known = set(pts)
+    table: dict[tuple, frozenset] = {}
+    for key, members in mapping.items():
+        x, y = key
+        if x not in known or y not in known:
+            raise InputError(f"interval {key!r} references an unknown point")
+        fs = frozenset(members)
+        stray = fs - known
+        if stray:
+            raise InputError(
+                f"interval {key!r} contains unknown members {sorted(map(repr, stray))}")
+        table[(x, y)] = fs
+    for x in pts:
+        for y in pts:
+            if (x, y) not in table:
+                raise InputError(
+                    f"interval ({x!r},{y!r}) missing; every ordered pair must be given")
+    index = {p: i for i, p in enumerate(pts)}
+    return IntervalStructure._trusted(pts, pack_table([[sum(1 << index[p] for p in table[(x, y)])
+                                                        for y in pts] for x in pts]))
+
+
 def validate_axioms_oracle(s: IntervalStructure) -> AxiomReport:
-    """Oracle: the four axioms by a scan of frozenset intervals, each in
-    point order, reporting the first violating tuple of each."""
+    """Oracle: the four axioms by a scan of frozenset intervals, each read
+    once and scanned in point order, reporting the first violating tuple
+    of each."""
     pts = s.points
+    iv = {(x, y): s.interval(x, y) for x in pts for y in pts}
     checks = []
-    witness = next(((x,) for x in pts if s.interval(x, x) != frozenset((x,))), None)
+    witness = next(((x,) for x in pts if iv[x, x] != frozenset((x,))), None)
     checks.append(AxiomCheck("idempotence", witness is None, witness))
     witness = next(((x, y) for x, y in itertools.combinations(pts, 2)
-                    if s.interval(x, y) != s.interval(y, x)), None)
+                    if iv[x, y] != iv[y, x]), None)
     checks.append(AxiomCheck("symmetry", witness is None, witness))
     witness = next(((x, y, z) for x in pts for y in pts
-                    for z in sorted(s.interval(x, y), key=s.index)
-                    if not s.interval(x, z) <= s.interval(x, y)), None)
+                    for z in sorted(iv[x, y], key=s.index)
+                    if not iv[x, z] <= iv[x, y]), None)
     checks.append(AxiomCheck("nesting", witness is None, witness))
     witness = detail = None
     for x, y, z in itertools.product(pts, repeat=3):
-        common = s.interval(x, y) & s.interval(y, z) & s.interval(z, x)
+        common = iv[x, y] & iv[y, z] & iv[z, x]
         if len(common) != 1:
             witness, detail = (x, y, z), frozenset(common)
             break

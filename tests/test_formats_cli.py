@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import EagerCertificate, fill_cubes_oracle
-from mediankit import InputError, InternalCheckError, SimpleGraph, certify_median_graph
+from mediankit import (InputError, InternalCheckError, IntervalStructure, SimpleGraph,
+                       certify_median_graph)
 from mediankit import formats
 from mediankit.corpus import (cycle_graph, generate_corpus, grid_graph, hypercube_graph,
                               path_graph, random_tree)
@@ -133,6 +134,28 @@ def test_interval_round_trip_and_key_errors():
     with pytest.raises(InputError, match="x,y"):
         formats.interval_structure_from_json(
             {"points": ["a"], "intervals": {"a": ["a"]}})
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"points": 5, "intervals": {}}, "'points' must be a list"),
+    ({"points": ["a"], "intervals": []}, "'intervals' must be an object"),
+    ({"points": ["a"], "intervals": {"a,a": 7}}, "interval 'a,a' must be a list"),
+    ({"points": ["a"], "intervals": {"a,a": [["a"]]}}, "members are not point ids"),
+])
+def test_malformed_interval_payloads_are_input_errors(data, message):
+    with pytest.raises(InputError, match=message):
+        formats.interval_structure_from_json(data)
+
+
+@pytest.mark.parametrize("table, message", [
+    ({("a", "a", 1): {"a"}}, "not a pair of points"),
+    ({5: {"a"}}, "not a pair of points"),
+    ({("a", "a"): 7}, "members are not point ids"),
+    ({("a", "a"): [["a"]]}, "members are not point ids"),
+])
+def test_malformed_interval_keys_and_members_are_input_errors(table, message):
+    with pytest.raises(InputError, match=message):
+        IntervalStructure(["a"], table)
 
 
 def test_interval_json_missing_symmetric_entry_is_an_error():

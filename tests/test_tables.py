@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (between_oracle, classify_oracle, count_closure,
-                      edge_halfspace_certificate, random_shortest_path_metric,
-                      validate_axioms_oracle)
-from mediankit import (FiniteMetric, IntervalStructure, MedianMetric, NotMedianError,
-                       SimpleGraph, certify_median_graph, classify, cubulate, intervals,
-                       metric, validate_axioms)
+                      edge_halfspace_certificate, interval_structure_oracle, pack_table,
+                      random_shortest_path_metric, validate_axioms_oracle)
+from mediankit import (FiniteMedianAlgebra, FiniteMetric, InputError, IntervalStructure,
+                       MedianMetric, NotMedianError, SimpleGraph, certify_median_graph,
+                       classify, cubulate, intervals, metric, validate_axioms)
 from mediankit.corpus import (asymmetric_interval_fixture, complete_bipartite_graph,
-                              cycle_graph, grid_graph, hypercube_graph, path_graph,
-                              random_tree, random_wall_space, star_graph)
+                              cycle_graph, graph_instances, grid_graph, hypercube_graph,
+                              path_graph, random_tree, random_wall_space, star_graph)
 from mediankit.graphs import _bfs_coordinates, _lemma_holds
 from mediankit.metric import _exact_array
 
@@ -36,7 +36,7 @@ def check_tables(m):
     assert m._between().shape == (n, n, intervals.words(n))
     betw = between_oracle(m)
     assert [[m.between_mask(i, j) for j in range(n)] for i in range(n)] == betw
-    assert intervals.pack(betw).tobytes() == m._between().tobytes()
+    assert pack_table(betw).tobytes() == m._between().tobytes()
     assert classify(m) == classify_oracle(m)
 
 
@@ -122,7 +122,7 @@ def test_ordered_meet_counts_match_a_direct_count_on_an_asymmetric_table():
     for n in (1, 2, 5, 65):
         table = [[rng.getrandbits(n) for _ in range(n)] for _ in range(n)]
         got = {}
-        for a, lo, counts in intervals.meet_counts(intervals.pack(table), ordered=True):
+        for a, lo, counts in intervals.meet_counts(pack_table(table), ordered=True):
             for (i, j, k), c in zip(itertools.product(range(a, a + len(counts)),
                                                       range(lo, n), range(lo, n)),
                                     counts.ravel()):
@@ -175,6 +175,94 @@ def test_validate_axioms_matches_the_frozenset_scan_on_fixtures():
     for s in structures:
         assert validate_axioms(s) == validate_axioms_oracle(s)
         assert validate_axioms(s).as_dict() == validate_axioms_oracle(s).as_dict()
+
+
+# ---------------------------------------------------------------- interval structures
+
+@st.composite
+def raw_interval_maps(draw):
+    """Points (ints and strings) and a raw interval map over them, keys
+    in a seeded order, members as lists, sets or tuples, some repeated,
+    with a few unknown endpoints, stray members or missing pairs
+    inserted; n runs past 64, so masks span two words."""
+    n = draw(st.integers(1, 70) | st.sampled_from([63, 64, 65, 70]))
+    rng = random.Random(draw(st.integers(0, 10 ** 9)))
+    pts = [i if i % 3 else f"p{i}" for i in range(n)]
+    items = []
+    for x in pts:
+        for y in pts:
+            members = rng.sample(pts, rng.randint(0, min(n, 6))) + [x, y][:rng.randint(0, 2)]
+            if members and rng.random() < 0.2:
+                members.append(members[0])
+            items.append(((x, y), members))
+    rng.shuffle(items)
+    for _ in range(min(draw(st.integers(0, 2)), len(items) - 1)):
+        del items[rng.randrange(len(items))]
+    for _ in range(draw(st.integers(0, 1))):
+        key = [rng.choice(pts), rng.choice(["q", -1])]
+        rng.shuffle(key)
+        items.insert(rng.randrange(len(items) + 1), (tuple(key), [pts[0]]))
+    for _ in range(draw(st.integers(0, 1))):
+        key, members = items[rng.randrange(len(items))]
+        members += rng.sample(["s", "t", 100, 101], rng.randint(1, 3))
+    kinds = draw(st.sampled_from([(list,), (set,), (tuple,), (list, set, tuple)]))
+    return pts, {key: rng.choice(kinds)(members) for key, members in items}
+
+
+def outcome(build, pts, mapping):
+    try:
+        return build(pts, mapping)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_interval_maps())
+def test_interval_structure_matches_the_frozenset_constructor(raw):
+    pts, mapping = raw
+    got, want = outcome(IntervalStructure, *raw), outcome(interval_structure_oracle, *raw)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.packed.shape == want.packed.shape and got.packed.dtype == want.packed.dtype
+    assert got.packed.tobytes() == want.packed.tobytes()
+    assert all(got.interval(x, y) == frozenset(mapping[(x, y)]) for x in pts for y in pts)
+
+
+def test_interval_structure_wraps_the_metric_table(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("an interval was read off the table")
+    m = grid_graph(4, 4).path_metric()
+    monkeypatch.setattr(FiniteMetric, "between_mask", forbidden)
+    monkeypatch.setattr(FiniteMetric, "geodesic_interval", forbidden)
+    assert m.interval_structure().packed is m._between()
+    assert m.to_algebra()._s.packed is m._between()
+
+
+def oracle_structure(m):
+    """The interval structure of a metric built by the frozenset
+    constructor from the Python betweenness oracle."""
+    betw, pts = between_oracle(m), m.points
+    return interval_structure_oracle(pts, {(x, pts[j]): [pts[t] for t in intervals.members(mask)]
+                                           for x, row in zip(pts, betw)
+                                           for j, mask in enumerate(row)})
+
+
+@pytest.mark.parametrize("g", [inst.payload for inst in graph_instances()] + [path_graph(66)],
+                         ids=[inst.name for inst in graph_instances()] + ["path66"])
+def test_metric_algebras_match_the_oracle_built_structures(g):
+    m = g.path_metric()
+    s, want = m.interval_structure(), oracle_structure(m)
+    assert s.packed.tobytes() == want.packed.tobytes()
+    report = validate_axioms(want)
+    assert validate_axioms(s) == report
+    if not report.passed:
+        with pytest.raises(InputError, match="axioms failing"):
+            m.to_algebra()
+        return
+    a = m.to_algebra()
+    assert a.report == report
+    assert a.halfspaces() == FiniteMedianAlgebra.promote(want).halfspaces()
 
 
 # ---------------------------------------------------------------- one-BFS coordinates

@@ -18,7 +18,7 @@ from mediankit.corpus import (cycle_graph, grid_graph, hypercube_graph,
 from mediankit import walls
 from mediankit.errors import InternalCheckError
 from mediankit.intervals import bit_rows
-from mediankit.walls import _meets, _orientation_array, _reaches_vertex_0, _side_tables
+from mediankit.walls import _orientation_array, _reaches_vertex_0, _side_tables
 
 from conftest import (bfs_distance_check, check_upward_closure,
                       consistent_orientations_bruteforce, count_closure, cubulate_oracle,
@@ -242,9 +242,16 @@ def test_median_graph_round_trip_is_isomorphic():
         assert res.checks["wall_bijection"] == "certified"
 
 
+def _meets(bits, side, force, value):
+    """Entry (i, k): whether side ``side[i, k]`` of wall k meets every side
+    that orientation ``bits[i]`` chooses on another wall."""
+    return (bits[:, None] & np.where(side, force[1], force[0])) \
+        == np.where(side, value[1], value[0])
+
+
 def mask_consistent(w, orientations) -> list[bool]:
-    """cubulate's mask test: per orientation, whether no chosen side
-    misses another."""
+    """cubulate's mask test on the tables of ``_side_tables``, on every
+    wall: per orientation, whether no chosen side misses another."""
     W = w.wall_count
     walls = _orientation_array([1 << k for k in range(W)], W)
     force, value = _side_tables(_orientation_array(w._sigma, W), walls, (1 << W) - 1)
@@ -404,8 +411,9 @@ def test_cubulate_matches_the_oracle_on_every_bench_rung_shape(name):
 
 def test_dropping_a_clause_is_caught_by_the_closure_test(monkeypatch):
     # a - b - c cut twice: {a} and {c} are the sides of walls 0 and 1 that
-    # miss each other; dropped from both tables, the consistency re-check
-    # reads the same tables and passes, and the independent closure test fails
+    # miss each other; dropped from both tables, the expansion admits the
+    # inconsistent orientation that takes both, and the independent closure
+    # test, which no table feeds, fails
     w = nested_wall_space(3)
     assert [w.side_masks(k) for k in range(2)] == [(0b001, 0b110), (0b011, 0b100)]
     tables = walls._side_tables
