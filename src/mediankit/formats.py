@@ -198,6 +198,18 @@ def rational_str(value: Fraction) -> str:
 _SCALARS = (str, int, float, bool, type(None))
 
 
+def _keys(data, what: str, *keys: str) -> list:
+    """The values of the required ``keys`` of a payload, in order; a
+    payload that is not a JSON object, or lacks a key, is an input
+    error."""
+    if not isinstance(data, dict):
+        raise InputError(f"{what} JSON must be an object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise InputError(f"{what} JSON missing key {key!r}")
+    return [data[key] for key in keys]
+
+
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise InputError(f"{what} must be a list, got {value!r}")
@@ -231,10 +243,7 @@ def _point_ids(value, what: str) -> list:
 # -- interval structures ----------------------------------------------
 
 def interval_structure_from_json(data: dict) -> IntervalStructure:
-    try:
-        points, raw = data["points"], data["intervals"]
-    except KeyError as exc:
-        raise InputError(f"interval structure JSON missing key {exc}") from None
+    points, raw = _keys(data, "interval structure", "points", "intervals")
     for p in _list(points, "interval structure 'points'"):
         if not isinstance(p, str) or "," in p:
             raise InputError(f"point ids must be comma-free strings, got {p!r}")
@@ -263,10 +272,7 @@ def interval_structure_to_json(s: IntervalStructure, expected: dict | None = Non
 # -- metrics -----------------------------------------------------------
 
 def metric_from_json(data: dict) -> FiniteMetric:
-    try:
-        points, rows = data["points"], data["dist"]
-    except KeyError as exc:
-        raise InputError(f"metric JSON missing key {exc}") from None
+    points, rows = _keys(data, "metric", "points", "dist")
     _point_ids(points, "metric points")
     for row in _list(rows, "metric 'dist'"):
         _list(row, "a 'dist' row")
@@ -288,10 +294,7 @@ def metric_to_json(m: FiniteMetric, expected: dict | None = None) -> dict:
 # -- graphs ------------------------------------------------------------
 
 def graph_from_json(data: dict) -> SimpleGraph:
-    try:
-        vertices, edges = data["vertices"], data["edges"]
-    except KeyError as exc:
-        raise InputError(f"graph JSON missing key {exc}") from None
+    vertices, edges = _keys(data, "graph", "vertices", "edges")
     _point_ids(vertices, "graph vertices")
     # The edge lists go to the constructor as they are: a JSON value that
     # is not a scalar is unhashable, so it fails the constructor's one pass
@@ -322,10 +325,7 @@ def graph_to_json(g: SimpleGraph, expected: dict | None = None) -> dict:
 # -- wall spaces ---------------------------------------------------------
 
 def walls_from_json(data: dict) -> WallSpace:
-    try:
-        points, walls = data["points"], data["walls"]
-    except KeyError as exc:
-        raise InputError(f"wall-space JSON missing key {exc}") from None
+    points, walls = _keys(data, "wall-space", "points", "walls")
     _point_ids(points, "wall-space points")
     pairs = []
     for w in _list(walls, "wall-space 'walls'"):
@@ -349,11 +349,8 @@ def walls_to_json(w: WallSpace, expected: dict | None = None) -> dict:
 # -- point clouds ---------------------------------------------------------
 
 def cloud_from_json(data: dict) -> PointCloud:
-    try:
-        points = data["points"]
-        norm = data.get("norm", "euclidean")
-    except KeyError as exc:
-        raise InputError(f"point-cloud JSON missing key {exc}") from None
+    points, = _keys(data, "point-cloud", "points")
+    norm = data.get("norm", "euclidean")
     if not isinstance(points, list) or not points:
         raise InputError("point-cloud 'points' must be a nonempty list of coordinate lists")
     for p in points:
@@ -376,11 +373,7 @@ def cube_complex_to_json(cc: CubeComplex) -> dict:
 # -- actions ------------------------------------------------------------
 
 def action_from_json(data: dict) -> tuple[dict, object]:
-    try:
-        generators = data["generators"]
-        basepoint = data["basepoint"]
-    except KeyError as exc:
-        raise InputError(f"action JSON missing key {exc}") from None
+    generators, basepoint = _keys(data, "action", "generators", "basepoint")
     if not isinstance(generators, dict) or not generators:
         raise InputError("action JSON needs a nonempty 'generators' object")
     for name, mapping in generators.items():

@@ -465,52 +465,55 @@ def check_median_lipschitz(m: MedianMetric, point_cap: int = 50,
     ii) d(m,m') <= d(x,x')+d(y,y')+d(z,z')
 
     Since the median is symmetric in its arguments, scanning unordered
-    triples and all pairings covers every ordered tuple.
+    triples and all pairings covers every ordered tuple.  The medians of
+    all multiset triples are tabulated only for an exhaustive scan; a
+    sampled one computes those of its samples alone.
     """
     n = len(m.points)
     d = m._di
 
-    triples = list(_multiset_triples(n))
-    meds = [m.median_index(*t) for t in triples]
-    legsum = [d[t[0]][mi] + d[t[1]][mi] + d[t[2]][mi]
-              for t, mi in zip(triples, meds)]
-
-    checked = 0
-    witness = None
-    if n <= point_cap:
-        mode1 = "exhaustive"
-        for (t, mi, ls) in zip(triples, meds, legsum):
-            x, y, z = t
-            for v in range(n):
-                checked += 1
-                if d[v][mi] > d[v][x] + d[v][y] + d[v][z] - ls:
-                    witness = tuple(m.points[q] for q in (x, y, z, v))
-                    break
-            if witness:
-                break
-    else:
-        mode1 = "sampled"
-        rng = random.Random(seed)
-        for _ in range(samples):
-            x, y, z = (rng.randrange(n) for _ in range(3))
-            v = rng.randrange(n)
-            mi = m.median_index(x, y, z)
-            ls = d[x][mi] + d[y][mi] + d[z][mi]
-            checked += 1
-            if d[v][mi] > d[v][x] + d[v][y] + d[v][z] - ls:
-                witness = tuple(m.points[q] for q in (x, y, z, v))
-                break
-    rep1 = PropertyReport("near-median-bound", witness is None, checked, mode1,
-                          witness, seed if mode1 == "sampled" else None)
-
-    checked = 0
-    witness = None
+    def first_violation(t, mi, vs) -> int | None:
+        """The first v of ``vs`` that breaks inequality i at triple t."""
+        x, y, z = t
+        ls = d[x][mi] + d[y][mi] + d[z][mi]
+        return next((v for v in vs if d[v][mi] > d[v][x] + d[v][y] + d[v][z] - ls), None)
 
     def pairing_ok(t1, m1_, t2, m2_) -> bool:
         dm = d[m1_][m2_]
         return all(dm <= d[t1[0]][t2[p[0]]] + d[t1[1]][t2[p[1]]] + d[t1[2]][t2[p[2]]]
                    for p in _PERMS3)
 
+    # the multiset triples and their medians, for the exhaustive branches only
+    if n <= max(point_cap, pair_cap):
+        triples = list(_multiset_triples(n))
+        meds = [m.median_index(*t) for t in triples]
+
+    checked = 0
+    witness = None
+    if n <= point_cap:
+        mode1 = "exhaustive"
+        for t, mi in zip(triples, meds):
+            v = first_violation(t, mi, range(n))
+            if v is not None:
+                checked += v + 1
+                witness = tuple(m.points[q] for q in (*t, v))
+                break
+            checked += n
+    else:
+        mode1 = "sampled"
+        rng = random.Random(seed)
+        for _ in range(samples):
+            t = tuple(rng.randrange(n) for _ in range(3))
+            v = rng.randrange(n)
+            checked += 1
+            if first_violation(t, m.median_index(*t), (v,)) is not None:
+                witness = tuple(m.points[q] for q in (*t, v))
+                break
+    rep1 = PropertyReport("near-median-bound", witness is None, checked, mode1,
+                          witness, seed if mode1 == "sampled" else None)
+
+    checked = 0
+    witness = None
     if n <= pair_cap:
         mode2 = "exhaustive"
         for a in range(len(triples)):

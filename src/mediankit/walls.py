@@ -8,6 +8,12 @@ meeting), enumerated one wall at a time as the solutions of the sides'
 2-clauses; edges join orientations differing on exactly one wall.  Every
 vertex is reached from the principal orientations sigma_x by single-wall
 flips, which ``cubulate`` proves on the edges it builds.
+
+A point map between wall spaces matters only through the walls it pulls
+back.  One pullback (:func:`_pullback`) reads, for every wall of the
+target, which wall of the source its preimage is a side of, if any: wall
+morphisms, their extension to the cubulations, and the generator check
+of a wall action (in ``actions``) all use it.
 """
 
 from __future__ import annotations
@@ -86,6 +92,24 @@ class WallSpace:
             raise InputError(
                 f"points {pts[i]!r} and {pts[j]!r} are separated by no wall")
 
+    @classmethod
+    def _trusted(cls, points: Sequence[Point], sigma: list[int],
+                 width: int) -> "WallSpace":
+        """Wrap orientation bitvectors of ``width`` walls that are valid by
+        construction (a median graph certificate's coordinates): distinct,
+        zero at point 0, every bit set at some point and clear at another,
+        and the walls in canonical order.  They are the space's sigma, and
+        wall k's canonical side is the points with bit k clear; nothing is
+        re-checked."""
+        out = cls.__new__(cls)
+        out.points = list(points)
+        out._index = {p: i for i, p in enumerate(out.points)}
+        out._full = full = (1 << len(out.points)) - 1
+        canon = intervals.row_ints(intervals.bit_rows(sigma, width).T ^ 1)
+        out._sides = [(a, full & ~a) for a in canon]
+        out._sigma = list(sigma)
+        return out
+
     def _mask(self, members: Iterable[Point]) -> int:
         m = 0
         for p in members:
@@ -115,14 +139,6 @@ class WallSpace:
     def wall_sides(self, k: int) -> tuple[frozenset, frozenset]:
         a, b = self._sides[k]
         return (intervals.unmask(self.points, a), intervals.unmask(self.points, b))
-
-    def halfspace_masks(self) -> set[int]:
-        """All sides of all walls, including the trivial pair."""
-        out = {0, self._full}
-        for a, b in self._sides:
-            out.add(a)
-            out.add(b)
-        return out
 
     def sigma_bits(self, x: Point) -> int:
         """Orientation bitvector of sigma_x: bit k set iff x lies on the
@@ -177,26 +193,42 @@ def principal_orientation(w: WallSpace, x: Point) -> Orientation:
     return Orientation(w, w.sigma_bits(x))
 
 
-def is_wall_morphism(f: Mapping[Point, Point], w1: WallSpace, w2: WallSpace) -> bool:
-    """True iff the preimage of every halfspace of w2 is a halfspace of w1.
+def _pullback(w1: WallSpace, w2: WallSpace, image: Sequence[int]
+              ) -> list[tuple[int | None, int] | None]:
+    """The walls of w2 pulled back along the point map sending point i of
+    w1 to point ``image[i]`` of w2.  Entry k2 is (k1, flip) when the
+    preimage of wall k2's non-canonical side is a side of wall k1 of w1,
+    (None, flip) when it is empty or all of w1, and None when it is not a
+    halfspace.  The flip bit is the preimage's bit at point 0, so it is 1
+    exactly when the preimage is wall k1's canonical side (which holds
+    point 0) or all of w1.  The preimages are the columns of w2's side
+    matrix picked by the map, read back in one pass."""
+    sides = intervals.bit_rows([b for _, b in w2._sides], len(w2.points))
+    pres = intervals.row_ints(sides[:, list(image)])
+    wall: dict[int, int | None] = {0: None, w1._full: None}
+    for k1, (a, b) in enumerate(w1._sides):
+        wall[a] = wall[b] = k1
+    return [(wall[pre], pre & 1) if pre in wall else None for pre in pres]
 
-    The trivial wall's sides make constant maps morphisms.
-    """
-    images = {}
+
+def _image(f: Mapping[Point, Point], w1: WallSpace, w2: WallSpace) -> list[int]:
+    """The w2-index of the image of each point of w1; the map must be
+    total and land in w2."""
+    image = []
     for p in w1.points:
         if p not in f:
             raise InputError(f"map is not total: {p!r} has no image")
-        images[p] = w2.index(f[p])
-    legal = w1.halfspace_masks()
-    for k in range(w2.wall_count):
-        for side in w2.side_masks(k):
-            pre = 0
-            for p in w1.points:
-                if side >> images[p] & 1:
-                    pre |= 1 << w1.index(p)
-            if pre not in legal:
-                return False
-    return True
+        image.append(w2.index(f[p]))
+    return image
+
+
+def is_wall_morphism(f: Mapping[Point, Point], w1: WallSpace, w2: WallSpace) -> bool:
+    """True iff the preimage of every halfspace of w2 is a halfspace of w1
+    (:func:`_pullback`).
+
+    The trivial wall's sides make constant maps morphisms.
+    """
+    return None not in _pullback(w1, w2, _image(f, w1, w2))
 
 
 @dataclass
@@ -221,14 +253,6 @@ def _orientation_array(values, width: int) -> np.ndarray:
     """Orientation bitvectors of ``width`` bits as one array: uint64 up
     to 64 walls, Python ints (an object array) beyond."""
     return np.array(values, dtype=np.uint64 if width <= 64 else object)
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, ascending."""
-    out = np.sort(values)
-    keep = np.ones(len(out), dtype=bool)
-    keep[1:] = out[1:] != out[:-1]
-    return out[keep]
 
 
 def _lookup(ordered: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,12 +362,11 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
     walls = ends[1]
     sigma = _orientation_array(w._sigma, W)
     force, value = _side_tables(sigma, walls, (1 << W) - 1)
-    image = _distinct(sigma)
 
     # the consistent orientations of walls 0..k-1, ascending, extended by
     # each side of wall k that meets their chosen sides, side 0 first; the
-    # image alone never trips the cap
-    limit = max(max_vertices, len(image))
+    # image alone (distinct sigmas, one per point) never trips the cap
+    limit = max(max_vertices, len(sigma))
     below = walls - 1
     vertices = _orientation_array([0], W)
     for f, v, s in zip(*(t.T[:, :, None] for t in (force & below, value & below, ends))):
@@ -367,9 +390,8 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
         raise InternalCheckError("cubulation graph invalid: graph is not connected")
     graph = SimpleGraph._trusted(names, src, dst)
 
+    # both constructors give distinct sigmas, so the embedding is injective
     checks: dict[str, bool | str] = {}
-    if len(image) != len(w.points):
-        raise InternalCheckError("point embedding is not injective")
     checks["embedding_injective"] = True
     checks["vertices_consistent"] = True
 
@@ -378,7 +400,7 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
     checks["embedding_isometric"] = True
 
     at, hit = _lookup(vertices, sigma)
-    if not (hit.all() and intervals.is_median_closure(bits[vertices.searchsorted(image)], bits)):
+    if not (hit.all() and intervals.is_median_closure(bits[at], bits)):
         raise InternalCheckError(
             "vertex set is not the median closure of the embedded image")
     checks["median_closure"] = "checked"
@@ -395,9 +417,10 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
 
 
 def graph_wall_space(cert: MedianGraphCert) -> WallSpace:
-    """A median graph as a space with walls (its edge halfspaces)."""
-    return WallSpace(cert.vertices,
-                     [(wall.side, wall.complement) for wall in cert.walls])
+    """A median graph as a space with walls (its edge halfspaces): the
+    certificate's coordinates are zero at vertex 0 and in canonical wall
+    order, so they are the space's sigma (:meth:`WallSpace._trusted`)."""
+    return WallSpace._trusted(cert.vertices, cert._coords, len(cert.wall_bits))
 
 
 def extend_morphism(f: Mapping[Point, Point], w1: WallSpace, w2: WallSpace,
@@ -405,50 +428,27 @@ def extend_morphism(f: Mapping[Point, Point], w1: WallSpace, w2: WallSpace,
                     cub2: CubulationResult | None = None) -> dict:
     """Extend a wall morphism to the unique median morphism between the
     cubulations, as a vertex map (need not be a graph morphism).
+
+    Wall k2 of w2 is read off the pullback (:func:`_pullback`): bit k2 of
+    a vertex's image is bit k1 of the vertex XOR the flip bit, or the flip
+    bit alone when the pullback is constant.  At the vertex of a point p
+    that is the sigma of f(p), so the extension agrees with the point map.
     """
-    if not is_wall_morphism(f, w1, w2):
+    rules = _pullback(w1, w2, _image(f, w1, w2))
+    if None in rules:
         raise InputError("map is not a wall morphism")
     cub1 = cub1 or cubulate(w1)
     cub2 = cub2 or cubulate(w2)
-    full1 = (1 << len(w1.points)) - 1
-
-    # per wall of w2: how its orientation is read off an orientation of w1
-    rules: list[tuple[str, int, bool]] = []
-    side_index: dict[int, tuple[int, bool]] = {}
-    for k in range(w1.wall_count):
-        a, b = w1.side_masks(k)
-        side_index[a] = (k, False)
-        side_index[b] = (k, True)
-    for k2 in range(w2.wall_count):
-        a2, _ = w2.side_masks(k2)
-        pre = 0
-        for p in w1.points:
-            if a2 >> w2.index(f[p]) & 1:
-                pre |= 1 << w1.index(p)
-        if pre == full1:
-            rules.append(("const", 0, False))
-        elif pre == 0:
-            rules.append(("const", 1, False))
-        else:
-            k1, flipped = side_index[pre]
-            rules.append(("wall", k1, flipped))
+    flips = sum(flip << k2 for k2, (_, flip) in enumerate(rules))
+    moved = [(k1, k2) for k2, (k1, _) in enumerate(rules) if k1 is not None]
 
     out = {}
     w2_vertices = set(cub2.graph.vertices)
     for name, bits in cub1.vertex_bits.items():
-        img = 0
-        for k2, (kind, val, flipped) in enumerate(rules):
-            if kind == "const":
-                bit = val
-            else:
-                bit = (bits >> val & 1) ^ flipped
-            img |= bit << k2
+        img = flips ^ sum((bits >> k1 & 1) << k2 for k1, k2 in moved)
         img_name = _vertex_name(img, w2.wall_count)
         if img_name not in w2_vertices:
             raise InternalCheckError(
                 "extension left the target cubulation's vertex set")
         out[name] = img_name
-    for p in w1.points:
-        if out[cub1.embedding[p]] != cub2.embedding[f[p]]:
-            raise InternalCheckError("extension disagrees with the point map")
     return out

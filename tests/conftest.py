@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,13 +15,14 @@ from mediankit import (FiniteMetric, InputError, InternalCheckError, ResourceLim
 from mediankit.algebra import (AxiomCheck, AxiomReport, FiniteMedianAlgebra,
                                IntervalStructure)
 from mediankit.convexity import _circumsphere
-from mediankit.corpus import graph_instances, median_graph_instances
+from mediankit.corpus import (graph_instances, hypercube_graph, median_graph_instances,
+                              random_tree, random_wall_space)
 from mediankit import intervals
 from mediankit.embedding import DecompositionTrace, Elimination, RetractionStep
 from mediankit.graphs import GraphWall, MedianGraphCert, SimpleGraph, _lemma_holds, _mask
 from mediankit.intervals import members
 from mediankit.metric import Classification, MedianMetric, _to_fraction
-from mediankit.walls import CubulationResult, Orientation, _vertex_name
+from mediankit.walls import CubulationResult, Orientation, _vertex_name, graph_wall_space
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -757,6 +759,126 @@ def wall_metric_recount(w: WallSpace, res) -> bool:
         if (bits[x] ^ bits[y]).bit_count() != count:
             return False
     return True
+
+
+def cycle_wall_space(m: int) -> WallSpace:
+    """2m points around a cycle, cut by the m walls through opposite edges."""
+    pts = [f"c{i}" for i in range(2 * m)]
+    return WallSpace(pts, [(pts[i:i + m], pts[:i] + pts[i + m:]) for i in range(1, m + 1)])
+
+
+def pullback_case(kind: str, seed: int) -> tuple[WallSpace, list[dict]]:
+    """A seeded wall space of one kind, with some of its automorphisms
+    (the identity first): "random" (``corpus.random_wall_space``), "cube"
+    (the walls of Q1-Q4, each automorphism a coordinate permutation and
+    a flip), "cycle" (4-12 points; rotations and reflections) or "tree"
+    (the walls of a random tree of 65-100 vertices; identity only)."""
+    rng = random.Random(seed)
+    if kind == "random":
+        w = random_wall_space(seed)
+        return w, [{p: p for p in w.points}]
+    if kind == "cube":
+        k = rng.randint(1, 4)
+        w = graph_wall_space(certify_median_graph(hypercube_graph(k)))
+        autos = [{p: p for p in w.points}]
+        for _ in range(3):
+            order = rng.sample(range(k), k)
+            flip = rng.randrange(1 << k)
+            autos.append({p: format(int("".join(p[t] for t in order), 2) ^ flip, f"0{k}b")
+                          for p in w.points})
+        return w, autos
+    if kind == "cycle":
+        m = rng.randint(2, 6)
+        w = cycle_wall_space(m)
+        n = 2 * m
+        autos = [{f"c{i}": f"c{(s * i + r) % n}" for i in range(n)}
+                 for s in (1, -1) for r in range(n)]
+        return w, autos
+    w = graph_wall_space(certify_median_graph(random_tree(rng.randint(65, 100), seed)))
+    return w, [{p: p for p in w.points}]
+
+
+def wall_morphism_oracle(f, w1: WallSpace, w2: WallSpace) -> bool:
+    """Oracle: a total map is a wall morphism iff the preimage of every
+    side of every wall of w2, built point by point, is a side of a wall of
+    w1 or the empty or full set."""
+    images = {}
+    for p in w1.points:
+        if p not in f:
+            raise InputError(f"map is not total: {p!r} has no image")
+        images[p] = w2.index(f[p])
+    legal = {0, (1 << len(w1.points)) - 1}
+    for k in range(w1.wall_count):
+        legal.update(w1.side_masks(k))
+    for k in range(w2.wall_count):
+        for side in w2.side_masks(k):
+            pre = 0
+            for p in w1.points:
+                if side >> images[p] & 1:
+                    pre |= 1 << w1.index(p)
+            if pre not in legal:
+                return False
+    return True
+
+
+def extend_morphism_oracle(f, w1: WallSpace, w2: WallSpace, cub1, cub2) -> dict:
+    """Oracle: the extension of a wall morphism to the cubulations, each
+    wall of w2 read off the side of w1 that its canonical side pulls back
+    to, built point by point; the image must be a vertex of ``cub2`` and
+    the extension must agree with the point map."""
+    if not wall_morphism_oracle(f, w1, w2):
+        raise InputError("map is not a wall morphism")
+    full1 = (1 << len(w1.points)) - 1
+    side_index = {}
+    for k in range(w1.wall_count):
+        a, b = w1.side_masks(k)
+        side_index[a] = (k, False)
+        side_index[b] = (k, True)
+    rules = []
+    for k2 in range(w2.wall_count):
+        a2, _ = w2.side_masks(k2)
+        pre = 0
+        for p in w1.points:
+            if a2 >> w2.index(f[p]) & 1:
+                pre |= 1 << w1.index(p)
+        if pre == full1:
+            rules.append(("const", 0, False))
+        elif pre == 0:
+            rules.append(("const", 1, False))
+        else:
+            rules.append(("wall", *side_index[pre]))
+    out = {}
+    w2_vertices = set(cub2.graph.vertices)
+    for name, bits in cub1.vertex_bits.items():
+        img = 0
+        for k2, (kind, val, flipped) in enumerate(rules):
+            bit = val if kind == "const" else (bits >> val & 1) ^ flipped
+            img |= bit << k2
+        img_name = _vertex_name(img, w2.wall_count)
+        if img_name not in w2_vertices:
+            raise InternalCheckError("extension left the target cubulation's vertex set")
+        out[name] = img_name
+    for p in w1.points:
+        if out[cub1.embedding[p]] != cub2.embedding[f[p]]:
+            raise InternalCheckError("extension disagrees with the point map")
+    return out
+
+
+def wall_action_oracle(space: WallSpace, generators: dict) -> None:
+    """Oracle: raise the InputError of ``WallAction`` for the first
+    generator, and the first wall in order, whose image (as a frozenset of
+    two frozensets) is not a wall of the space.  The generators must be
+    bijections of the points."""
+    wall_keys = {frozenset(space.wall_sides(k)) for k in range(space.wall_count)}
+    for name, perm in generators.items():
+        for k in range(space.wall_count):
+            a, b = space.wall_sides(k)
+            img = frozenset((frozenset(perm[p] for p in a),
+                             frozenset(perm[p] for p in b)))
+            if img not in wall_keys:
+                raise InputError(
+                    f"generator {name!r} does not preserve the wall "
+                    f"({sorted(map(repr, a))} | {sorted(map(repr, b))})")
 
 
 def morphism_by_halfspaces(f, a: FiniteMedianAlgebra, b: FiniteMedianAlgebra) -> bool:

@@ -2,12 +2,16 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mediankit import FiniteMetric, InputError, certify_median_graph, gns_embed, graph_wall_space
 from mediankit.actions import (MetricAction, WallAction, apply_word,
                                displacement_metric, displacement_walls,
                                parse_word)
 from mediankit.corpus import cycle_graph, hypercube_graph, path_graph
+
+from conftest import pullback_case, wall_action_oracle
 
 
 def cube_metric():
@@ -95,6 +99,39 @@ def test_wall_action_rejects_wall_breakers():
     breaker = {v[0]: v[1], v[1]: v[0], v[2]: v[2]}
     with pytest.raises(InputError, match="wall"):
         WallAction(w, {"g": breaker}, v[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["random", "cube", "cycle", "tree"]), st.integers(0, 10**6),
+       st.integers(1, 3))
+def test_wall_action_matches_the_frozenset_oracle(kind, seed, count):
+    """Generators drawn from automorphisms and random permutations: the
+    pullback along each inverse accepts or rejects exactly as the image
+    walls do as frozensets, naming the same generator and wall."""
+    rng = random.Random(seed)
+    w, autos = pullback_case(kind, seed)
+    pts = w.points
+    gens = {f"g{i}": rng.choice(autos) if rng.random() < 0.5
+            else dict(zip(pts, rng.sample(pts, len(pts)))) for i in range(count)}
+    try:
+        wall_action_oracle(w, gens)
+        want = None
+    except InputError as exc:
+        want = str(exc)
+    try:
+        WallAction(w, gens, pts[0])
+        got = None
+    except InputError as exc:
+        got = str(exc)
+    assert got == want
+    if all(g in autos for g in gens.values()):
+        assert got is None
+    if got is None:
+        # the symmetric difference recounted from the halfspace tags
+        action = WallAction(w, gens, pts[0])
+        rep = displacement_walls(action, sorted(gens) * 2)
+        sym = w.sigma_halfspaces(pts[0]) ^ w.sigma_halfspaces(rep.image)
+        assert rep.sigma_symdiff == len(sym) == 2 * len(w.separating_walls(pts[0], rep.image))
 
 
 # ---------------------------------------------------------------- metric case

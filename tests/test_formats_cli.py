@@ -165,6 +165,40 @@ def test_interval_json_missing_symmetric_entry_is_an_error():
         formats.interval_structure_from_json(data)
 
 
+READERS = {"interval structure": formats.interval_structure_from_json,
+           "metric": formats.metric_from_json,
+           "graph": formats.graph_from_json,
+           "wall-space": formats.walls_from_json,
+           "point-cloud": formats.cloud_from_json,
+           "action": formats.action_from_json}
+
+
+@pytest.mark.parametrize("payload", [[1, 2], "x", 5])
+@pytest.mark.parametrize("what", list(READERS))
+def test_readers_reject_payloads_that_are_not_objects(what, payload):
+    with pytest.raises(InputError, match=f"^{what} JSON must be an object, got "):
+        READERS[what](payload)
+
+
+@pytest.mark.parametrize("what, data, key", [
+    ("interval structure", {"intervals": {}}, "points"),
+    ("interval structure", {"points": []}, "intervals"),
+    ("metric", {"dist": []}, "points"),
+    ("metric", {"points": []}, "dist"),
+    ("graph", {"edges": []}, "vertices"),
+    ("graph", {"vertices": []}, "edges"),
+    ("wall-space", {"walls": []}, "points"),
+    ("wall-space", {"points": []}, "walls"),
+    ("point-cloud", {"norm": "l1"}, "points"),
+    ("action", {"basepoint": "a"}, "generators"),
+    ("action", {"generators": {}}, "basepoint"),
+])
+def test_readers_name_the_first_missing_key(what, data, key):
+    with pytest.raises(InputError) as info:
+        READERS[what](data)
+    assert str(info.value) == f"{what} JSON missing key '{key}'"
+
+
 def test_detect_payload():
     assert formats.detect_payload({"points": [], "dist": []}) == "metric"
     assert formats.detect_payload({"points": [], "walls": []}) == "walls"

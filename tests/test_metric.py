@@ -509,6 +509,28 @@ def test_lipschitz_sampling_mode_above_cap():
     assert rep.median_map.seed is not None
 
 
+def test_lipschitz_sampled_modes_compute_only_sampled_medians(monkeypatch):
+    """Above both caps no multiset-triple table is built: every median
+    computed belongs to a sample (one for part i, two for part ii), and
+    the reports are those of the exhaustive predicates on the samples."""
+    m = MedianMetric.certify(random_tree(40, 3).path_metric())
+    calls = []
+    real = intervals.median
+
+    def spy(packed, memo, i, j, k):
+        calls.append((i, j, k))
+        return real(packed, memo, i, j, k)
+
+    monkeypatch.setattr(intervals, "median", spy)
+    rep = check_median_lipschitz(m, point_cap=20, pair_cap=12, samples=300, seed=9)
+    assert len(calls) == 3 * 300
+    assert rep.passed
+    assert (rep.near_median.mode, rep.near_median.checked, rep.near_median.seed) == \
+        ("sampled", 300, 9)
+    assert (rep.median_map.mode, rep.median_map.checked, rep.median_map.seed) == \
+        ("sampled", 300, 10)
+
+
 def test_lipschitz_part_two_oracle_small():
     """Direct ordered-sextuple scan must agree with the multiset reduction."""
     m = MedianMetric.certify(path_graph(3).path_metric())

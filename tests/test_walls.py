@@ -17,13 +17,15 @@ from mediankit.corpus import (cycle_graph, grid_graph, hypercube_graph,
                               random_wall_space, wall_instances)
 from mediankit import walls
 from mediankit.errors import InternalCheckError
+from mediankit.graphs import MedianGraphCert
 from mediankit.intervals import bit_rows
 from mediankit.walls import _orientation_array, _reaches_vertex_0, _side_tables
 
 from conftest import (bfs_distance_check, check_upward_closure,
                       consistent_orientations_bruteforce, count_closure, cubulate_oracle,
                       majority_closure, majority_closure_check,
-                      random_crossing_wall_space, steps_toward_all, wall_metric_recount)
+                      extend_morphism_oracle, pullback_case, random_crossing_wall_space,
+                      steps_toward_all, wall_metric_recount, wall_morphism_oracle)
 
 
 def two_point_space():
@@ -240,6 +242,37 @@ def test_median_graph_round_trip_is_isomorphic():
         assert nx.is_isomorphic(to_networkx(res.graph), to_networkx(g))
         assert res.checks["median_closure"] == "checked"
         assert res.checks["wall_bijection"] == "certified"
+
+
+def assert_wraps_constructor(cert):
+    """``graph_wall_space`` gives what the constructor gives on the
+    certificate's walls."""
+    got = graph_wall_space(cert)
+    want = WallSpace(cert.vertices, [(w.side, w.complement) for w in cert.walls])
+    assert got.points == want.points
+    assert got._sides == want._sides
+    assert got._sigma == want._sigma
+    assert got.wall_count == want.wall_count
+
+
+def test_graph_wall_space_wraps_the_certificate(median_certs):
+    for cert in median_certs.values():
+        assert_wraps_constructor(cert)
+    assert_wraps_constructor(certify_median_graph(path_graph(1)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(60, 140), st.integers(0, 10**6))
+def test_graph_wall_space_wraps_random_trees(n, seed):
+    assert_wraps_constructor(certify_median_graph(random_tree(n, seed)))
+
+
+def test_graph_wall_space_never_reads_the_wall_objects(monkeypatch):
+    cert = certify_median_graph(grid_graph(3, 4))
+    monkeypatch.setattr(MedianGraphCert, "walls", property(
+        lambda self: pytest.fail("graph_wall_space read cert.walls")))
+    w = graph_wall_space(cert)
+    assert w.wall_count == 5
 
 
 def _meets(bits, side, force, value):
@@ -635,6 +668,83 @@ def test_extend_rejects_non_morphisms():
         extend_morphism({"p0": "a", "p1": "b", "p2": "a"}, w1, w2)
 
 
+# ---------------------------------------------------------------- the pullback
+
+def outcome(call):
+    """The value of ``call()``, or the type and message of its error."""
+    try:
+        return "ok", call()
+    except (InputError, InternalCheckError) as exc:
+        return type(exc), str(exc)
+
+
+PULLBACK_KINDS = st.sampled_from(["random", "cube", "cycle", "tree"])
+
+
+def cubulation(w):
+    return cubulate(w, max_walls=max(24, w.wall_count))
+
+
+@settings(max_examples=150, deadline=None)
+@given(PULLBACK_KINDS, PULLBACK_KINDS, st.integers(0, 10**6), st.integers(0, 10**6),
+       st.sampled_from(["random", "constant", "quotient", "automorphism",
+                        "permutation", "partial", "unknown"]))
+def test_pullback_matches_point_by_point_oracles(kind1, kind2, seed1, seed2, how):
+    """``is_wall_morphism`` and ``extend_morphism`` agree with their
+    point-by-point forms, whose extension re-checks the point map, on
+    random maps, constant maps, quotients onto one wall, automorphisms
+    and permutations; a map that is not total or leaves w2 raises the same
+    error."""
+    rng = random.Random(seed1 ^ seed2)
+    w1, autos = pullback_case(kind1, seed1)
+    w2 = pullback_case(kind2, seed2)[0]
+    pts = w1.points
+    if how == "constant":
+        f = dict.fromkeys(pts, rng.choice(w2.points))
+    elif how == "quotient" and w1.wall_count:
+        w2 = two_point_space()
+        a, _ = w1.wall_sides(rng.randrange(w1.wall_count))
+        f = {p: "a" if p in a else "b" for p in pts}
+    elif how == "automorphism":
+        w2, f = w1, rng.choice(autos)
+    elif how == "permutation":
+        w2, f = w1, dict(zip(pts, rng.sample(pts, len(pts))))
+    else:
+        f = {p: rng.choice(w2.points) for p in pts}
+        if how == "partial":
+            del f[rng.choice(pts)]
+        elif how == "unknown":
+            f[rng.choice(pts)] = "nowhere"
+    got = outcome(lambda: is_wall_morphism(f, w1, w2))
+    assert got == outcome(lambda: wall_morphism_oracle(f, w1, w2))
+    if how in ("constant", "quotient", "automorphism"):
+        assert got == ("ok", True)
+    if got == ("ok", True):
+        res1, res2 = cubulation(w1), cubulation(w2)
+        # both constructors give distinct sigmas: the embedding is injective
+        assert len(set(res1.embedding.values())) == len(w1)
+        ext = outcome(lambda: extend_morphism(f, w1, w2, res1, res2))
+        assert ext[0] == "ok"
+        assert ext == outcome(lambda: extend_morphism_oracle(f, w1, w2, res1, res2))
+    elif got == ("ok", False):
+        assert outcome(lambda: extend_morphism(f, w1, w2)) == (
+            InputError, "map is not a wall morphism")
+
+
+def test_pullback_reads_walls_flips_and_constants():
+    w1 = nested_wall_space(3)            # p0 | p1 p2  and  p0 p1 | p2
+    w2 = two_point_space()
+    image = [w2.index(q) for q in ("a", "b", "b")]
+    # the side {b} pulls back to {p1, p2}: wall 0's other side, no flip
+    assert walls._pullback(w1, w2, image) == [(0, 0)]
+    image = [w2.index(q) for q in ("b", "a", "a")]
+    assert walls._pullback(w1, w2, image) == [(0, 1)]
+    assert walls._pullback(w1, w2, [0, 0, 0]) == [(None, 0)]
+    assert walls._pullback(w1, w2, [1, 1, 1]) == [(None, 1)]
+    assert walls._pullback(w1, w2, [0, 1, 0]) == [None]
+
+
+# ---------------------------------------------------------------- verification kernels
 # ---------------------------------------------------------------- verification kernels
 
 def cube_adjacency(bits):
