@@ -92,24 +92,6 @@ class WallSpace:
             raise InputError(
                 f"points {pts[i]!r} and {pts[j]!r} are separated by no wall")
 
-    @classmethod
-    def _trusted(cls, points: Sequence[Point], sigma: list[int],
-                 width: int) -> "WallSpace":
-        """Wrap orientation bitvectors of ``width`` walls that are valid by
-        construction (a median graph certificate's coordinates): distinct,
-        zero at point 0, every bit set at some point and clear at another,
-        and the walls in canonical order.  They are the space's sigma, and
-        wall k's canonical side is the points with bit k clear; nothing is
-        re-checked."""
-        out = cls.__new__(cls)
-        out.points = list(points)
-        out._index = {p: i for i, p in enumerate(out.points)}
-        out._full = full = (1 << len(out.points)) - 1
-        canon = intervals.row_ints(intervals.bit_rows(sigma, width).T ^ 1)
-        out._sides = [(a, full & ~a) for a in canon]
-        out._sigma = list(sigma)
-        return out
-
     def _mask(self, members: Iterable[Point]) -> int:
         m = 0
         for p in members:
@@ -390,7 +372,8 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
         raise InternalCheckError("cubulation graph invalid: graph is not connected")
     graph = SimpleGraph._trusted(names, src, dst)
 
-    # both constructors give distinct sigmas, so the embedding is injective
+    # the constructor rejects points separated by no wall, so the sigmas
+    # are distinct and the embedding is injective
     checks: dict[str, bool | str] = {}
     checks["embedding_injective"] = True
     checks["vertices_consistent"] = True
@@ -417,10 +400,9 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
 
 
 def graph_wall_space(cert: MedianGraphCert) -> WallSpace:
-    """A median graph as a space with walls (its edge halfspaces): the
-    certificate's coordinates are zero at vertex 0 and in canonical wall
-    order, so they are the space's sigma (:meth:`WallSpace._trusted`)."""
-    return WallSpace._trusted(cert.vertices, cert._coords, len(cert.wall_bits))
+    """A median graph as a space with walls (its edge halfspaces)."""
+    return WallSpace(cert.vertices,
+                     [(wall.side, wall.complement) for wall in cert.walls])
 
 
 def extend_morphism(f: Mapping[Point, Point], w1: WallSpace, w2: WallSpace,

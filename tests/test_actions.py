@@ -101,6 +101,11 @@ def test_wall_action_rejects_wall_breakers():
         WallAction(w, {"g": breaker}, v[0])
 
 
+def symdiff_recount(w, v, gv):
+    """|sigma_v symdiff sigma_gv| recounted from the halfspace tags."""
+    return len(w.sigma_halfspaces(v) ^ w.sigma_halfspaces(gv))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["random", "cube", "cycle", "tree"]), st.integers(0, 10**6),
        st.integers(1, 3))
@@ -130,8 +135,8 @@ def test_wall_action_matches_the_frozenset_oracle(kind, seed, count):
         # the symmetric difference recounted from the halfspace tags
         action = WallAction(w, gens, pts[0])
         rep = displacement_walls(action, sorted(gens) * 2)
-        sym = w.sigma_halfspaces(pts[0]) ^ w.sigma_halfspaces(rep.image)
-        assert rep.sigma_symdiff == len(sym) == 2 * len(w.separating_walls(pts[0], rep.image))
+        assert rep.sigma_symdiff == symdiff_recount(w, pts[0], rep.image) \
+            == 2 * len(w.separating_walls(pts[0], rep.image))
 
 
 # ---------------------------------------------------------------- metric case
@@ -193,6 +198,7 @@ def test_c4_rotation_gives_one_and_two():
     rep = displacement_walls(action, "r")
     assert (rep.wall_distance, rep.sigma_symdiff) == (1, 2)
     assert rep.identity_holds
+    assert rep.sigma_symdiff == symdiff_recount(w, w.points[0], rep.image)
 
 
 def test_cube_antipodal_walls_three_and_six():
@@ -200,3 +206,4 @@ def test_cube_antipodal_walls_three_and_six():
     action = WallAction(w, cube_antipodal(), "000")
     rep = displacement_walls(action, "s")
     assert (rep.wall_distance, rep.sigma_symdiff) == (3, 6)
+    assert rep.sigma_symdiff == symdiff_recount(w, "000", rep.image)

@@ -17,7 +17,6 @@ from mediankit.corpus import (cycle_graph, grid_graph, hypercube_graph,
                               random_wall_space, wall_instances)
 from mediankit import walls
 from mediankit.errors import InternalCheckError
-from mediankit.graphs import MedianGraphCert
 from mediankit.intervals import bit_rows
 from mediankit.walls import _orientation_array, _reaches_vertex_0, _side_tables
 
@@ -242,37 +241,6 @@ def test_median_graph_round_trip_is_isomorphic():
         assert nx.is_isomorphic(to_networkx(res.graph), to_networkx(g))
         assert res.checks["median_closure"] == "checked"
         assert res.checks["wall_bijection"] == "certified"
-
-
-def assert_wraps_constructor(cert):
-    """``graph_wall_space`` gives what the constructor gives on the
-    certificate's walls."""
-    got = graph_wall_space(cert)
-    want = WallSpace(cert.vertices, [(w.side, w.complement) for w in cert.walls])
-    assert got.points == want.points
-    assert got._sides == want._sides
-    assert got._sigma == want._sigma
-    assert got.wall_count == want.wall_count
-
-
-def test_graph_wall_space_wraps_the_certificate(median_certs):
-    for cert in median_certs.values():
-        assert_wraps_constructor(cert)
-    assert_wraps_constructor(certify_median_graph(path_graph(1)))
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(60, 140), st.integers(0, 10**6))
-def test_graph_wall_space_wraps_random_trees(n, seed):
-    assert_wraps_constructor(certify_median_graph(random_tree(n, seed)))
-
-
-def test_graph_wall_space_never_reads_the_wall_objects(monkeypatch):
-    cert = certify_median_graph(grid_graph(3, 4))
-    monkeypatch.setattr(MedianGraphCert, "walls", property(
-        lambda self: pytest.fail("graph_wall_space read cert.walls")))
-    w = graph_wall_space(cert)
-    assert w.wall_count == 5
 
 
 def _meets(bits, side, force, value):
@@ -744,7 +712,6 @@ def test_pullback_reads_walls_flips_and_constants():
     assert walls._pullback(w1, w2, [0, 1, 0]) == [None]
 
 
-# ---------------------------------------------------------------- verification kernels
 # ---------------------------------------------------------------- verification kernels
 
 def cube_adjacency(bits):
