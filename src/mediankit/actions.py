@@ -31,7 +31,11 @@ def _check_permutation(name: str, mapping: Mapping, points: list) -> dict:
         if p not in mapping:
             raise InputError(f"generator {name!r} is not total: {p!r} unmapped")
         out[p] = mapping[p]
-    if set(out.values()) != set(points):
+    try:
+        bijective = set(out.values()) == set(points)
+    except TypeError:       # an unhashable image is no point
+        bijective = False
+    if not bijective:
         raise InputError(f"generator {name!r} is not a bijection of the points")
     return out
 

@@ -101,7 +101,7 @@ class IntervalStructure:
     def index(self, p: Point) -> int:
         try:
             return self._index[p]
-        except KeyError:
+        except (KeyError, TypeError):   # an unhashable id is unknown too
             raise InputError(f"unknown point {p!r}") from None
 
     def interval(self, x: Point, y: Point) -> frozenset:

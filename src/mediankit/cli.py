@@ -1,10 +1,14 @@
 """Command-line front-end.
 
 Exit codes: 0 when the verdict is positive or matches a supplied
-expectation, 1 on negative verdicts, 2 on input errors (including usage),
-3 when a resource cap is hit, 4 when a theorem-backed internal check
-fails (a bug, never an answer).  Reports are JSON, byte-stable for fixed
-inputs and seeds; timings appear only under --timings.
+expectation, 1 on negative verdicts, 2 on input errors, 3 when a resource
+cap is hit, 4 when a theorem-backed internal check fails (a bug, never an
+answer).  A usage error (a missing or unknown subcommand or option, an
+option value argparse rejects) is an input error: one JSON error on
+stderr and exit 2; ``-h`` prints help and exits 0.  A known subcommand's
+arguments are parsed by that subcommand's parser alone.  Reports are
+JSON, byte-stable for fixed inputs and seeds; timings appear only under
+--timings.
 """
 
 from __future__ import annotations
@@ -310,8 +314,20 @@ def cmd_corpus(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ``InputError``, so they
+    end like any other bad input; ``-h`` still prints help and exits 0."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: {message} (see '{self.prog} -h')")
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and its subcommands' parsers by name, built
+    once per process: parsing never mutates them, and their handlers and
+    defaults are static."""
+    parser = _Parser(
         prog="mediankit",
         description="Median algebras, median graphs, wall spaces, and "
                     "embedding certificates.")
@@ -390,20 +406,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_corpus)
 
-    return parser
+    return parser, sub.choices
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """One parser per process: parsing never mutates it, and its handlers
-    and defaults are static."""
-    return build_parser()
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace the top-level parser yields for ``argv``.  A known
+    subcommand's arguments go straight to its own parser, which is what
+    the top-level parser does with them after one more scan; the
+    top-level parser runs only for a missing or unknown command or -h."""
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    args._t0 = time.perf_counter()
     try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        args._t0 = time.perf_counter()
         # warnings follow a report as JSON lines, never precede a JSON error
         with warnings.catch_warnings(record=True) as caught:
             rc = args.handler(args)

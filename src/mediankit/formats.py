@@ -7,13 +7,14 @@ bytes are those of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a
 newline, so outputs are byte-stable for golden tests.  Files go through
 ``write_text`` and are read by ``load_json``, which turn an unwritable
 path, an unreadable or non-UTF-8 file and bad JSON into ``InputError``;
-``load_json`` reads each file once and keeps the digest of its bytes.
+``load_json`` reads each file once, keeps the digest of its bytes, and
+decodes them once into the text that text mode yields (UTF-8, universal
+newlines).
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import sys
 from fractions import Fraction
@@ -164,11 +165,17 @@ class Document(dict):
 
 
 def load_json(path: str | Path) -> Document:
-    """The JSON object in a file, read once: the bytes are hashed and then
-    decoded as text mode decodes them (UTF-8, universal newlines)."""
+    r"""The JSON object in a file, read once.  The bytes are hashed and
+    decoded once as UTF-8, and ``\r\n`` and ``\r`` become ``\n`` when
+    the text holds a ``\r``: that is the text that text mode yields, so a
+    BOM is kept, and json rejects it."""
     try:
-        raw = Path(path).read_bytes()
-        data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        with open(path, "rb") as f:
+            raw = f.read()
+        text = raw.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        data = json.loads(text)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -134,7 +134,7 @@ class SimpleGraph:
     def index(self, v: Vertex) -> int:
         try:
             return self._index[v]
-        except KeyError:
+        except (KeyError, TypeError):   # an unhashable id is unknown too
             raise InputError(f"unknown vertex {v!r}") from None
 
     def neighbors(self, v: Vertex) -> list[Vertex]:

@@ -231,7 +231,7 @@ class FiniteMetric:
     def index(self, p: Point) -> int:
         try:
             return self._index[p]
-        except KeyError:
+        except (KeyError, TypeError):   # an unhashable id is unknown too
             raise InputError(f"unknown point {p!r}") from None
 
     def dist(self, x: Point, y: Point) -> Fraction:

@@ -95,9 +95,10 @@ class WallSpace:
     def _mask(self, members: Iterable[Point]) -> int:
         m = 0
         for p in members:
-            if p not in self._index:
-                raise InputError(f"wall references unknown point {p!r}")
-            m |= 1 << self._index[p]
+            try:
+                m |= 1 << self._index[p]
+            except (KeyError, TypeError):
+                raise InputError(f"wall references unknown point {p!r}") from None
         return m
 
     def __len__(self) -> int:
@@ -111,7 +112,7 @@ class WallSpace:
     def index(self, p: Point) -> int:
         try:
             return self._index[p]
-        except KeyError:
+        except (KeyError, TypeError):   # an unhashable id is unknown too
             raise InputError(f"unknown point {p!r}") from None
 
     def side_masks(self, k: int) -> tuple[int, int]:

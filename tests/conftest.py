@@ -1,10 +1,14 @@
+import hashlib
+import io
 import itertools
+import json
 import math
 import operator
 import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -17,7 +21,7 @@ from mediankit.algebra import (AxiomCheck, AxiomReport, FiniteMedianAlgebra,
 from mediankit.convexity import _circumsphere
 from mediankit.corpus import (graph_instances, hypercube_graph, median_graph_instances,
                               random_tree, random_wall_space)
-from mediankit import intervals
+from mediankit import formats, intervals
 from mediankit.embedding import DecompositionTrace, Elimination, RetractionStep
 from mediankit.graphs import GraphWall, MedianGraphCert, SimpleGraph, _lemma_holds, _mask
 from mediankit.intervals import members
@@ -1344,3 +1348,23 @@ def median_metrics(median_certs):
 @pytest.fixture(scope="session")
 def small_median_metrics(median_metrics):
     return {name: m for name, m in median_metrics.items() if len(m.points) <= 12}
+
+
+def load_json_oracle(path) -> "formats.Document":
+    """Oracle: ``formats.load_json`` as it read files through a text-mode
+    wrapper of the bytes (UTF-8, universal newlines), with the same
+    errors and the digest of the bytes."""
+    try:
+        raw = Path(path).read_bytes()
+        data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object at top level")
+    doc = formats.Document(data)
+    doc.digest = hashlib.sha256(raw).hexdigest()
+    return doc

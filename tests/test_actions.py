@@ -207,3 +207,18 @@ def test_cube_antipodal_walls_three_and_six():
     rep = displacement_walls(action, "s")
     assert (rep.wall_distance, rep.sigma_symdiff) == (3, 6)
     assert rep.sigma_symdiff == symdiff_recount(w, "000", rep.image)
+
+
+@pytest.mark.parametrize("walls", [False, True], ids=["metric", "walls"])
+@pytest.mark.parametrize("generator, basepoint, message", [
+    ({"v0": ["v1"], "v1": "v0"}, "v0", "generator 'g' is not a bijection of the points"),
+    ({"v0": "v0", "v1": "v1"}, ["v0"], r"unknown point \['v0'\]"),
+], ids=["image", "basepoint"])
+def test_unhashable_images_and_basepoints_are_input_errors(walls, generator, basepoint,
+                                                           message):
+    with pytest.raises(InputError, match=message):
+        if walls:
+            WallAction(graph_wall_space(certify_median_graph(path_graph(2))),
+                       {"g": generator}, basepoint)
+        else:
+            MetricAction(path_graph(2).path_metric(), {"g": generator}, basepoint)

@@ -7,8 +7,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import EagerCertificate, fill_cubes_oracle
+from conftest import EagerCertificate, fill_cubes_oracle, load_json_oracle
 from mediankit import (InputError, InternalCheckError, IntervalStructure, SimpleGraph,
                        certify_median_graph)
 from mediankit import formats
@@ -832,3 +833,182 @@ def test_fill_cubes_outputs_match_the_oracle(graph_file, capsys, max_dim):
     report = json.loads(capsys.readouterr().out)
     assert report["counts"] == {str(k): v for k, v in want.counts().items()}
     assert report["dimension"] == want.dimension
+
+
+# ------------------------------------------------- reader and dispatch
+
+def reader_outcome(read, path):
+    """(document, digest) of a reader, or (error type, message)."""
+    try:
+        doc = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(doc), dict(doc), doc.digest
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=5), kids,
+                                                               max_size=4),
+    max_leaves=10)
+INVALID_UTF8 = [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"]
+
+
+@st.composite
+def json_files(draw):
+    """JSON text with LF, CRLF or lone-CR line ends, a BOM, a raw CR inside
+    a string, padding past 8 KiB, and invalid UTF-8 anywhere."""
+    top = draw(st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=5) | JSON_VALUES)
+    text = json.dumps(top, indent=draw(st.sampled_from([None, 1, 2])),
+                      ensure_ascii=draw(st.booleans()))
+    if draw(st.booleans()) and '"' in text:
+        at = text.index('"') + 1
+        text = text[:at] + draw(st.sampled_from(["\r", "\r\n", "\n"])) + text[at:]
+    text = (" " * 63 + "\n") * draw(st.sampled_from([0, 2, 140])) + text
+    text = text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        data = "\ufeff".encode("utf-8") + data
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(INVALID_UTF8)) + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=json_files())
+def test_load_json_matches_the_text_mode_reader(tmp_path, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    assert reader_outcome(formats.load_json, path) == reader_outcome(load_json_oracle, path)
+
+
+@pytest.mark.parametrize("data", [
+    b"",
+    b"\r",
+    b'{"a": 1}\r',
+    b'{"a":\r\n1,\r"b": "x\ry"}',
+    b'{"a": "\r\n"}',
+    "\ufeff{}".encode("utf-8"),
+    b"[1, 2]\r\n",
+    b'"text"',
+    b" " * 8191 + b"\xff{}",
+    b" " * 8192 + b"\xff{}",
+    b" " * 9000 + b"{}\xe2\x82",
+    b" " * 8191 + "{\"\u00e9\u20ac\": 1}".encode("utf-8"),
+    b"\r\n" * 5000 + b'{"a": [1,\r2]}',
+], ids=["empty", "lone-cr", "cr-after", "mixed-ends", "cr-in-string", "bom", "list", "string",
+        "bad-byte-before-8k", "bad-byte-at-8k", "truncated-past-8k", "multibyte-across-8k",
+        "crlf-past-8k"])
+def test_load_json_matches_the_text_mode_reader_on_fixed_files(tmp_path, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    assert reader_outcome(formats.load_json, path) == reader_outcome(load_json_oracle, path)
+
+
+@pytest.mark.parametrize("name", ["none.json", "."])
+def test_load_json_matches_the_text_mode_reader_on_unreadable_paths(tmp_path, name):
+    path = tmp_path / name
+    for given in (path, str(path)):
+        assert reader_outcome(formats.load_json, given) == reader_outcome(load_json_oracle, given)
+
+
+DISPATCH_ARGV = [
+    ["classify", "--in", "x.json"],
+    ["classify", "--in=x.json", "--out", "r.json", "--timings", "--expect", "modular"],
+    ["classify", "--timings", "--i", "x.json", "--in", "y.json"],
+    ["certify-graph", "--in", "x.json", "--expect=median"],
+    ["cubulate", "--in", "x.json"],
+    ["cubulate", "--in", "x.json", "--out", "g.json", "--dot", "g.dot", "--max-walls", "30"],
+    ["fill-cubes", "--in", "x.json"],
+    ["fill-cubes", "--in", "x.json", "--max-dim", "2", "--out-complex", "c.json"],
+    ["certify-negdef", "--in", "x.json", "--timings"],
+    ["certify-hypermetric", "--in", "x.json", "--bound", "3"],
+    ["embed", "--mode", "gns", "--in", "x.json", "--tol", "1e-6"],
+    ["embed", "--mode=l1", "--in", "-"],
+    ["helly", "--in", "x.json", "--cap", "5"],
+    ["displace", "--in", "x.json", "--action", "a.json", "--word", "g h", "--tol", "0"],
+    ["circumcenter", "--in", "x.json", "--seed", "-3", "--tol", "1e-3"],
+    ["corpus", "--out-dir", "d"],
+    ["corpus", "--out-dir", "d", "--names", "path2,cube3", "--seed", "5", "--out", "r.json"],
+]
+
+
+def test_known_subcommands_parse_without_the_top_level_parser(files, monkeypatch, capsys):
+    from mediankit import cli
+    top, commands = cli._parsers()
+    assert {argv[0] for argv in DISPATCH_ARGV} == set(commands)
+    expected = [vars(top.parse_args(argv)) for argv in DISPATCH_ARGV]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(top, "parse_known_args", fail)
+    for argv, want in zip(DISPATCH_ARGV, expected):
+        assert vars(cli._parse(argv)) == want
+    assert cli.main(["classify", "--in", str(files["p3_metric"])]) == 0
+    assert cli.main(["classify"]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "input"
+    with pytest.raises(AssertionError):
+        cli.main(["frobnicate"])
+
+
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["--timings"], "the following arguments are required: command"),
+    (["classify"], "mediankit classify: the following arguments are required: --in"),
+    (["classify", "--in", "{p3_metric}", "--bogus"], "unrecognized arguments: --bogus"),
+    (["classify", "--in"], "argument --in: expected one argument"),
+    (["embed", "--in", "{p3_metric}", "--mode", "bad"], "argument --mode: invalid choice"),
+    (["embed", "--in", "{p3_metric}"], "the following arguments are required: --mode"),
+    (["embed", "--in", "{p3_metric}", "--mode", "gns", "--tol", "abc"],
+     "argument --tol: invalid float value: 'abc'"),
+    (["displace", "--in", "{p3_metric}", "--word", "g", "--action", "{p3_metric}",
+      "--tol", "x"], "argument --tol: invalid float value: 'x'"),
+    (["cubulate", "--in", "{c4_walls}", "--max-walls", "many"],
+     "argument --max-walls: invalid int value: 'many'"),
+]
+
+
+def usage_argv(argv, files):
+    return [a.format(**{k: str(v) for k, v in files.items()}) for a in argv]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_errors_are_one_json_input_error(files, capsys, argv, message):
+    from mediankit import cli
+    assert cli.main(usage_argv(argv, files)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
+    assert set(error) == {"error", "kind"} and error["kind"] == "input"
+    assert message in error["error"]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS[::2])
+def test_usage_errors_exit_two_through_python_dash_m(files, argv, message):
+    done = subprocess.run([sys.executable, "-m", "mediankit", *usage_argv(argv, files)],
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    error = json.loads(done.stderr)
+    assert error["kind"] == "input" and message in error["error"]
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["-h"], "usage: mediankit [-h]"),
+    (["classify", "-h"], "usage: mediankit classify [-h]"),
+    (["embed", "--in", "x.json", "--help"], "usage: mediankit embed [-h]"),
+])
+def test_help_prints_usage_and_exits_zero(capsys, argv, usage):
+    from mediankit import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(usage) and err == ""
+    done = subprocess.run([sys.executable, "-m", "mediankit", *argv],
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "") and done.stdout.startswith(usage)

@@ -775,3 +775,19 @@ def test_checks_fire_on_tampered_vertex_sets():
     adj = cube_adjacency(bits)
     assert count_closure(image, w.wall_count, len(bits)) == len(bits)
     assert steps_toward_all(bits, adj)
+
+
+@pytest.mark.parametrize("call", [
+    lambda w: w.index([1]),
+    lambda w: path_graph(2).path_metric().index({}),
+    lambda w: path_graph(2).index(["a"]),
+    lambda w: path_graph(2).path_metric().interval_structure().index([0]),
+    lambda w: path_graph(2).path_metric().to_algebra().index([0]),
+    lambda w: is_wall_morphism({"a": ["x"], "b": "b"}, w, w),
+    lambda w: extend_morphism({"a": "a", "b": ["b"]}, w, w),
+    lambda w: WallSpace(["a", "b"], [(["a"], [["b"]])]),
+], ids=["WallSpace", "FiniteMetric", "SimpleGraph", "IntervalStructure",
+        "FiniteMedianAlgebra", "is_wall_morphism", "extend_morphism", "WallSpace-side"])
+def test_an_unhashable_id_is_an_unknown_point(call):
+    with pytest.raises(InputError, match=r"^(wall references )?unknown (point|vertex) "):
+        call(WallSpace(["a", "b"], [(["a"], ["b"])]))
