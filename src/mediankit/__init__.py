@@ -20,9 +20,8 @@ from .graphs import (CubeComplex, MedianGraphCert, SimpleGraph,
 from .metric import (Classification, FiniteMetric, MedianMetric,
                      check_colinear_lemma, check_median_lipschitz, classify,
                      find_rectangles, product)
-from .walls import (CubulationResult, Orientation, WallSpace, cubulate,
-                    extend_morphism, graph_wall_space, is_wall_morphism,
-                    principal_orientation)
+from .walls import (CubulationResult, WallSpace, cubulate, extend_morphism,
+                    graph_wall_space, is_wall_morphism)
 
 __version__ = "0.1.0"
 

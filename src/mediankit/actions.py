@@ -51,7 +51,11 @@ def apply_word(generators: Mapping[str, Mapping], word: str | Sequence[str],
     """Compose generators left to right: the first named acts first."""
     current = {p: p for p in points}
     for name in parse_word(word):
-        if name not in generators:
+        try:
+            known = name in generators
+        except TypeError:       # an unhashable name is unknown too
+            known = False
+        if not known:
             raise InputError(f"unknown generator {name!r}")
         g = generators[name]
         current = {p: g[current[p]] for p in points}

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import intervals
 from .intervals import pack_rows    # IntervalStructure's parameter shadows the module
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, unhashable_id
 
 Point = Hashable
 
@@ -51,10 +51,13 @@ class IntervalStructure:
         pts = list(points)
         if not pts:
             raise InputError("an interval structure needs at least one point")
-        if len(set(pts)) != len(pts):
+        try:
+            index = {p: i for i, p in enumerate(pts)}
+        except TypeError:
+            raise unhashable_id(pts, "point") from None
+        if len(index) != len(pts):
             raise InputError("duplicate point identifiers")
         n = len(pts)
-        index = {p: i for i, p in enumerate(pts)}
         bit = {p: 1 << i for p, i in index.items()}.get
         masks: list[int | None] = [None] * (n * n)    # [x,y] at n * x + y
         stray: set = set()
@@ -63,7 +66,10 @@ class IntervalStructure:
                 x, y = key
             except (TypeError, ValueError):
                 raise InputError(f"interval key {key!r} is not a pair of points") from None
-            i, j = index.get(x), index.get(y)
+            try:
+                i, j = index.get(x), index.get(y)
+            except TypeError:           # an unhashable id is unknown too
+                i = j = None
             if i is None or j is None:
                 raise InputError(f"interval {key!r} references an unknown point")
             mask = 0
@@ -248,7 +254,7 @@ class FiniteMedianAlgebra:
         wall.
         """
         full = (1 << len(self.points)) - 1
-        sides = [side for side, _ in intervals.halfspaces(self._s.packed)] + [full]
+        sides = intervals.halfspaces(self._s.packed)[0].sides + [full]
         sides.sort(key=intervals.members)
         return [Halfspace(intervals.unmask(self.points, side),
                           intervals.unmask(self.points, full & ~side))

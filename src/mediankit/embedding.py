@@ -457,8 +457,8 @@ def gns_embed(m: FiniteMetric, tol: float = DEFAULT_GNS_TOL,
 class L1Embedding:
     """Wall-side indicator vectors; Hamming distance equals path distance.
     ``bits`` holds them as one (vertices, dimension) 0/1 uint8 matrix, row
-    i for ``vertices[i]``; the tuples of ``vectors`` are built on first
-    use."""
+    i for ``vertices[i]`` (the certificate's read-only wall codes); the
+    tuples of ``vectors`` are built on first use."""
 
     vertices: tuple
     bits: np.ndarray = field(repr=False)
@@ -481,14 +481,11 @@ class L1Embedding:
         digits = self.bits + ord("0")
         return digits.view(f"S{width}").ravel().astype(str).tolist()
 
-    def hamming(self, u, v) -> int:
-        return sum(a != b for a, b in zip(self.vectors[u], self.vectors[v]))
-
 
 def l1_embed(cert: MedianGraphCert) -> L1Embedding:
-    """The certificate's wall coordinates as 0/1 vectors; their Hamming
+    """The certificate's wall codes as 0/1 vectors; their Hamming
     distance equals path distance, as certification has checked."""
-    return L1Embedding(tuple(cert.vertices), cert.coordinate_bits())
+    return L1Embedding(tuple(cert.vertices), cert.codes.bits)
 
 
 @dataclass(frozen=True)
@@ -649,29 +646,23 @@ def retraction_decomposition(mm: MedianMetric) -> DecompositionTrace:
     The distance of a median metric is the measure of the walls that
     separate two points, so one :func:`intervals.halfspaces` call gives
     every step: a wall's measure delta is the distance of its first
-    covering pair, a point's code is the set of walls whose listed side
-    misses it, and the halfspaces of the current (convex) set are the
-    walls' sides restricted to it.  Each step keeps the lexicographically
+    covering pair, a point's code is read off the wall record, and the
+    halfspaces of the current (convex) set are the walls' sides
+    restricted to it.  Each step keeps the lexicographically
     smallest maximal side, and a peeled point retracts to the point whose
     code flips only the peeled wall: its nearest point in the kept side,
     at distance delta.  The clauses this rests on (unique nearest points
     on geodesics, the rectangle property, a constant gap, the four-case
     distance law) are checked against ``retraction_oracle`` in the tests.
     """
-    n = len(mm.points)
-    full = (1 << n) - 1
-    walls = intervals.halfspaces(mm._between())
-    deltas = [mm.dist_int(*pairs[0]) for _, pairs in walls]
-    code = [0] * n
-    for k, (side, _) in enumerate(walls):
-        for p in intervals.members(full & ~side):
-            code[p] |= 1 << k
-    by_code = {c: p for p, c in enumerate(code)}
+    codes, pairs = intervals.halfspaces(mm._between())
+    deltas = [mm.dist_int(*covering[0]) for covering in pairs]
+    code, by_code = codes.ints, codes.point_of
     steps: list[RetractionStep] = []
-    current = full
+    current = (1 << len(mm.points)) - 1
     while current & (current - 1):
         wall_of = {}
-        for k, (side, _) in enumerate(walls):
+        for k, side in enumerate(codes.sides):
             inside, outside = current & side, current & ~side
             if inside and outside:
                 wall_of[inside] = wall_of[outside] = k

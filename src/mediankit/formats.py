@@ -431,13 +431,14 @@ def _dot_id(v) -> str:
 
 def dot_export(g: SimpleGraph, cert: MedianGraphCert | None = None) -> str:
     """Graphviz text (graph/node/edge statements only); with a certificate,
-    edges are colored by the wall they cross."""
+    edges are colored by the wall they cross: the one bit where the codes
+    of their ends differ."""
     colour: dict[tuple, str] = {}
     if cert is not None:
-        for k, wall in enumerate(cert.walls):
-            for u, v in wall.crossing_edges:
-                colour[(u, v)] = _PALETTE[k % len(_PALETTE)]
-                colour[(v, u)] = _PALETTE[k % len(_PALETTE)]
+        vs, ints = cert.vertices, cert.codes.ints
+        for i, j in cert.graph.edge_indices:
+            paint = _PALETTE[((ints[i] ^ ints[j]).bit_length() - 1) % len(_PALETTE)]
+            colour[(vs[i], vs[j])] = colour[(vs[j], vs[i])] = paint
     lines = ["graph G {"]
     for v in g.vertices:
         lines.append(f"  {_dot_id(v)};")

@@ -7,9 +7,12 @@ edges (the lemma at :class:`MedianGraphCert`).  Certification reads
 candidate coordinates off one BFS from vertex 0 (:func:`_bfs_coordinates`)
 and tests those hypotheses; no distance table is built.  The cubulation
 of a wall space passes its orientation bits, which meet them by
-construction.  Only on rejection is the path metric built, and the
-triple scan of ``classify`` (a numpy kernel on the packed betweenness
-table) names a witness.
+construction.  The certificate holds the coordinates as the one wall
+record (:class:`intervals.WallCodes`), vertex i's code in row i, and its
+medians, cubes, L1 embedding, wall space and DOT colours are read off
+it.  Only on rejection is the path metric built, and the triple scan of
+``classify`` (a numpy kernel on the packed betweenness table) names a
+witness.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from . import intervals
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, unhashable_id
 from .metric import FiniteMetric, MedianMetric, _exact_dtype
 
 Vertex = Hashable
@@ -68,7 +71,10 @@ class SimpleGraph:
         vs = list(vertices)
         if not vs:
             raise InputError("a graph needs at least one vertex")
-        index = dict(zip(vs, range(len(vs))))
+        try:
+            index = dict(zip(vs, range(len(vs))))
+        except TypeError:
+            raise unhashable_id(vs, "vertex") from None
         if len(index) != len(vs):
             raise InputError("duplicate vertex identifiers")
         edges = list(edges)
@@ -228,47 +234,37 @@ class MedianGraphCert:
 
     The constructor takes the hypotheses as proven by the caller and reads
     the certificate off ``bits``, the coordinates as a 0/1 matrix (row i
-    for vertex index i, every column non-constant, :func:`intervals.bit_rows`):
-    coordinates are re-based to vertex 0, so every wall's side holds
-    vertex 0, and walls are sorted on their sides' vertex indices
-    (:func:`intervals.side_order`).  Wall k is input column
-    ``wall_bits[k]``.  The
-    :class:`GraphWall` objects, with each wall's crossing edges (the
-    edges flipping it, in ``edge_indices`` order), are built on first
-    use of ``walls``.
+    for vertex index i, every column non-constant, :func:`intervals.bit_rows`),
+    into the wall record ``codes`` (:class:`intervals.WallCodes`):
+    coordinates re-based to vertex 0, so every wall's side holds vertex 0,
+    and walls sorted on their sides' vertex indices.  Wall k is input
+    column ``wall_bits[k]``.  The :class:`GraphWall` objects, with each
+    wall's crossing edges (the edges flipping it, in ``edge_indices``
+    order), are built on first use of ``walls``.
     """
 
     # always False: the walls are the coordinate bits by the lemma, and no
-    # 2^n halfspace scan runs; kept for readers
+    # 2^n halfspace scan runs; kept, like ``walls``, for the benchmark's probes
     halfspaces_exhaustively_checked = False
 
     def __init__(self, graph: SimpleGraph, bits: np.ndarray):
         self.graph = graph
-        bits = bits ^ bits[0]
-        # per bit, the side of vertex 0: the vertex indices with it clear
-        order = intervals.side_order(bits.T ^ 1)
-        self.wall_bits = tuple(order.tolist())
-        self._coords = intervals.row_ints(bits[:, order])    # per vertex index
-        self._by_coord = dict(zip(self._coords, range(len(bits))))
+        self.codes = intervals.WallCodes(bits)
+        self.wall_bits = tuple(self.codes.order.tolist())
 
     @functools.cached_property
     def walls(self) -> list[GraphWall]:
         """The walls in order, each with its sides and crossing edges."""
         vs = self.graph.vertices
-        coords = self._coords
-        n = len(coords)
+        ints = self.codes.ints
+        full = (1 << len(vs)) - 1
         crossing: list[list[tuple[Vertex, Vertex]]] = [[] for _ in self.wall_bits]
         for i, j in self.graph.edge_indices:
-            crossing[(coords[i] ^ coords[j]).bit_length() - 1].append((vs[i], vs[j]))
-        out = []
-        for col, edges in zip(intervals.bit_rows(coords, len(self.wall_bits)).T, crossing):
-            side = np.flatnonzero(col == 0).tolist()
-            out.append(GraphWall(
-                side=frozenset(map(vs.__getitem__, side)),
-                complement=frozenset(map(vs.__getitem__, np.flatnonzero(col).tolist())),
-                crossing_edges=tuple(edges),
-                side_mask=_mask(side, n)))
-        return out
+            crossing[(ints[i] ^ ints[j]).bit_length() - 1].append((vs[i], vs[j]))
+        return [GraphWall(side=intervals.unmask(vs, side),
+                          complement=intervals.unmask(vs, full ^ side),
+                          crossing_edges=tuple(edges), side_mask=side)
+                for side, edges in zip(self.codes.sides, crossing)]
 
     @property
     def vertices(self) -> list[Vertex]:
@@ -279,48 +275,22 @@ class MedianGraphCert:
         """The path metric, median by the lemma; its tables fill lazily."""
         return MedianMetric._proven(self.graph.path_metric())
 
-    @functools.cached_property
-    def bipartition(self) -> tuple[frozenset, frozenset]:
-        """Vertices at even and at odd distance from vertex 0."""
-        even = [c.bit_count() % 2 == 0 for c in self._coords]
-        return (frozenset(v for v, e in zip(self.vertices, even) if e),
-                frozenset(v for v, e in zip(self.vertices, even) if not e))
-
     def dist(self, u: Vertex, v: Vertex) -> int:
         return self.graph.all_pairs()[self.graph.index(u)][self.graph.index(v)]
 
     def median(self, u: Vertex, v: Vertex, w: Vertex) -> Vertex:
         """The vertex whose coordinates are the bitwise majority of theirs."""
-        a, b, c = (self._coords[self.graph.index(x)] for x in (u, v, w))
-        return self.vertices[self._by_coord[a & b | b & c | a & c]]
-
-    def coordinate_int(self, v: Vertex, base: Vertex | None = None) -> int:
-        bits = self._coords[self.graph.index(v)]
-        if base is not None:
-            bits ^= self._coords[self.graph.index(base)]
-        return bits
-
-    def coordinate_bits(self, base: Vertex | None = None) -> np.ndarray:
-        """The wall coordinates as an (n, walls) 0/1 uint8 matrix, row i
-        for vertex index i, zeroed at the base vertex."""
-        rows = intervals.bit_rows(self._coords, len(self.wall_bits))
-        if base is not None:
-            rows ^= rows[self.graph.index(base)]
-        return rows
+        a, b, c = (self.codes.ints[self.graph.index(x)] for x in (u, v, w))
+        return self.vertices[self.codes.point_of[a & b | b & c | a & c]]
 
     def wall_coordinates(self, base: Vertex | None = None) -> dict[Vertex, tuple[int, ...]]:
         """Per-vertex wall-side indicators, zeroed at the base vertex.
         Hamming distance between two coordinate vectors equals path distance.
         """
-        return dict(zip(self.vertices, map(tuple, self.coordinate_bits(base).tolist())))
-
-
-def _mask(indices: Sequence[int], n: int) -> int:
-    """The bitmask of ``indices`` < n, read from one binary numeral."""
-    flags = bytearray(b"0") * n
-    for t in indices:
-        flags[t] = 49          # ord("1")
-    return int(flags[::-1], 2)
+        rows = self.codes.bits
+        if base is not None:
+            rows = rows ^ rows[self.graph.index(base)]
+        return dict(zip(self.vertices, map(tuple, rows.tolist())))
 
 
 def _bfs_coordinates(g: SimpleGraph) -> tuple[list[int], int]:
@@ -448,8 +418,8 @@ class CubeComplex:
     def cubes(self) -> dict[int, list[frozenset]]:
         """The vertex set of every cube, by dimension."""
         vs = self.cert.vertices
-        coords = self.cert._coords
-        by_coord = self.cert._by_coord
+        coords = self.cert.codes.ints
+        by_coord = self.cert.codes.point_of
         out = {}
         for dim, level in self.keys.items():
             sets = []
@@ -483,7 +453,7 @@ def fill_cubes(cert: MedianGraphCert, max_dim: int | None = None) -> CubeComplex
     """
     if max_dim is not None and max_dim < 1:
         raise InputError("max_dim must be >= 1")
-    coords = cert._coords
+    coords = cert.codes.ints
     # per vertex index, its up-neighbours (wall mask, index), ascending
     up: list[list[tuple[int, int]]] = [[] for _ in coords]
     level = []

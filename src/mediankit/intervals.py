@@ -14,9 +14,17 @@ stops at its first hit reads only the blocks up to it.
 ``is_median_closure`` reads points as wall-coordinate bitvectors, where
 the median is the bitwise majority, given as 0/1 matrices (bit k in
 column k) and packed the same way by ``pack_bits``; ``bit_rows`` and
-``row_ints`` turn bitvectors of any width into such matrices and back,
-and ``side_order`` sorts sets given as the rows of such a matrix in the
-canonical order.
+``row_ints`` turn bitvectors of any width into such matrices and back.
+
+Walls have one record, :class:`WallCodes`: a point is its code, the
+sides of the walls it lies on, and the distance of two points is the
+number (or measure) of the walls that separate their codes.  Row i of
+its n x W 0/1 matrix is point i's code, zero at point 0, with the walls
+in the canonical order of their sides (``side_order``); the code ints,
+the side masks and the point of each code are read off it once, on first
+use.  Wall spaces, median-graph certificates and :func:`halfspaces` build
+it; cubulation, wall pullbacks, cube filling, the L1 embedding, median
+algebra halfspaces, retraction, graph wall spaces and DOT export read it.
 
 The median closure of a set I of bitvectors is the solution set C of
 the 2-clauses that every element of I satisfies (Schaefer 1978).  For a
@@ -42,6 +50,7 @@ column, O(pairs * n) bits, so no subset scan is needed.
 
 from __future__ import annotations
 
+import functools
 from itertools import repeat
 from typing import Iterator, Sequence
 
@@ -139,6 +148,39 @@ def side_order(sides: np.ndarray) -> np.ndarray:
     return np.argsort(keys.view(np.dtype((np.void, sides.shape[1]))).ravel(), kind="stable")
 
 
+class WallCodes:
+    """The one wall record of n points and W walls, built from any (n, W)
+    0/1 uint8 matrix, one wall per column whose sides are the points at 0
+    and the points at 1.
+
+    ``bits`` is that matrix re-based to row 0 (bit k of point i set iff i
+    lies off the side of wall k that holds point 0) with its columns sorted
+    on those sides (:func:`side_order`); wall k is input column
+    ``order[k]``.  It is read-only, since every holder shares it.  The
+    rows as ints (``ints``, point i's code), the side of each wall holding
+    point 0 as a mask of point indices (``sides``) and the point of each
+    code (``point_of``) are built on first use."""
+
+    def __init__(self, walls: np.ndarray):
+        walls = walls ^ walls[0]
+        self.order = side_order(walls.T ^ 1)
+        self.bits = walls.take(self.order, axis=1)
+        self.bits.flags.writeable = False
+
+    @functools.cached_property
+    def ints(self) -> list[int]:
+        return row_ints(self.bits)
+
+    @functools.cached_property
+    def sides(self) -> list[int]:
+        full = (1 << len(self.bits)) - 1
+        return [full ^ off for off in row_ints(self.bits.T)]
+
+    @functools.cached_property
+    def point_of(self) -> dict[int, int]:
+        return dict(zip(self.ints, range(len(self.bits))))
+
+
 def meet(packed: np.ndarray, i: int, j: int, k: int) -> int:
     """The mask [i,j] & [j,k] & [k,i] of a packed table."""
     return as_int(packed[i, j] & packed[j, k] & packed[k, i])
@@ -206,27 +248,27 @@ def is_convex(packed: np.ndarray, mask: int) -> bool:
     return not (packed[np.ix_(idx, idx)] & outside).any()
 
 
-def halfspaces(packed: np.ndarray) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    """Proper halfspaces of the median algebra of a packed table.
+def halfspaces(packed: np.ndarray) -> tuple[WallCodes, list[tuple[tuple[int, int], ...]]]:
+    """The proper halfspaces of the median algebra of a packed table, as
+    the record of their walls, with the covering pairs of each wall.
 
     The covering pairs (x, y), x < y, are the entries [x,y] above the
-    diagonal of popcount 2 (an interval holds its ends), and side H(x,y) = {z : x in [z,y]} is bit x
-    of column y, complemented unless it holds point 0.  Each wall appears
-    once, by its side holding point 0, paired with the covering pairs
-    whose H(x,y) is that side or its complement, in row-major order.
-    Entries are sorted lexicographically on the side (:func:`side_order`).
+    diagonal of popcount 2 (an interval holds its ends), and H(x,y) = {z : x in [z,y]} is bit x
+    of column y.  H(x,y) and its complement are the sides of one wall, so
+    the pairs whose H, re-based to point 0, agree are one wall: its column
+    is its first pair's, and its pairs are listed in row-major order.
     """
     counts = np.bitwise_count(packed).sum(axis=-1)
     xs, ys = np.nonzero(np.triu(counts == 2, 1))
-    sides = (packed[:, ys, xs >> 6] >> (xs & 63).astype(np.uint64) & 1).T.astype(np.uint8)
-    sides ^= sides[:, :1] ^ 1
-    by_side: dict[int, list[int]] = {}
-    for k, side in enumerate(row_ints(sides)):
-        by_side.setdefault(side, []).append(k)
-    keys, groups = list(by_side), list(by_side.values())
+    inside = (packed[:, ys, xs >> 6] >> (xs & 63).astype(np.uint64) & 1).astype(np.uint8)
+    off = inside ^ inside[0]        # [z, pair]: z lies off the side holding point 0
+    by_wall: dict[int, list[int]] = {}
+    for k, key in enumerate(row_ints(off.T)):
+        by_wall.setdefault(key, []).append(k)
+    groups = list(by_wall.values())
+    codes = WallCodes(off.take([group[0] for group in groups], axis=1))
     pairs = list(zip(xs.tolist(), ys.tolist()))
-    order = side_order(sides[[group[0] for group in groups]])
-    return [(keys[t], tuple(pairs[k] for k in groups[t])) for t in order.tolist()]
+    return codes, [tuple(map(pairs.__getitem__, groups[t])) for t in codes.order.tolist()]
 
 
 # each byte with its bits in reverse order

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import intervals
 from .algebra import FiniteMedianAlgebra, IntervalStructure
-from .errors import InputError, InternalCheckError, NotMedianError
+from .errors import InputError, InternalCheckError, NotMedianError, unhashable_id
 
 Point = Hashable
 
@@ -167,7 +167,11 @@ class FiniteMetric:
         n = len(pts)
         if n == 0:
             raise InputError("a metric space needs at least one point")
-        if len(set(pts)) != len(pts):
+        try:
+            distinct = len(set(pts))
+        except TypeError:
+            raise unhashable_id(pts, "point") from None
+        if distinct != n:
             raise InputError("duplicate point identifiers")
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise InputError(f"distance matrix must be {n}x{n}")
@@ -217,7 +221,11 @@ class FiniteMetric:
                 raise InputError(f"upper-triangle row {i} must have {n - 1 - i} entries")
             for j, v in enumerate(row, i + 1):
                 full[i][j] = full[j][i] = v
-        if len(set(pts)) != n:
+        try:
+            repeated = len(set(pts)) != n
+        except TypeError:       # the constructor reports the unhashable id
+            repeated = True
+        if repeated:
             _scaled_rows(rows[:n - 1])
         return cls(pts, full)
 

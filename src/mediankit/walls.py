@@ -2,12 +2,17 @@
 graph.
 
 A wall is a two-part partition of the point set; the trivial wall
-{empty, X} is always present.  The cubulation's vertices are the
-consistent orientations (a chosen side per wall, any two chosen sides
-meeting), enumerated one wall at a time as the solutions of the sides'
-2-clauses; edges join orientations differing on exactly one wall.  Every
-vertex is reached from the principal orientations sigma_x by single-wall
-flips, which ``cubulate`` proves on the edges it builds.
+{empty, X} is always present.  A wall space holds its nontrivial walls as
+the one wall record (:class:`intervals.WallCodes`): point i's code, its
+sigma bits, has bit k set iff it lies off wall k's side holding the first
+point, and the wall metric counts the bits where two codes differ.  The
+cubulation's vertices are the consistent orientations (a chosen side per
+wall, any two chosen sides meeting), enumerated one wall at a time as the
+solutions of the sides' 2-clauses; edges join orientations differing on
+exactly one wall.  Every vertex is reached from the principal
+orientations sigma_x by single-wall flips, which ``cubulate`` proves on
+the edges it builds, and the cubulation's certificate builds the same
+record from the vertex bits.
 
 A point map between wall spaces matters only through the walls it pulls
 back.  One pullback (:func:`_pullback`) reads, for every wall of the
@@ -18,7 +23,6 @@ of a wall action (in ``actions``) all use it.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -26,7 +30,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import intervals
-from .errors import InputError, InternalCheckError, ResourceLimitError
+from .errors import InputError, InternalCheckError, ResourceLimitError, unhashable_id
 from .graphs import MedianGraphCert, SimpleGraph
 
 Point = Hashable
@@ -38,9 +42,10 @@ DEFAULT_VERTEX_CAP = 65536
 class WallSpace:
     """Finite point set plus walls; any two points separated by >= 1 wall.
 
-    Nontrivial walls are stored in a canonical order (lexicographic on the
-    side containing the first point); the trivial wall is always present
-    and never stored explicitly.
+    The nontrivial walls are held as one wall record, ``codes``
+    (:class:`intervals.WallCodes`), in the canonical order of their sides
+    containing the first point; the trivial wall is always present and
+    never stored explicitly.
     """
 
     def __init__(self, points: Sequence[Point],
@@ -49,15 +54,17 @@ class WallSpace:
         pts = list(points)
         if not pts:
             raise InputError("a wall space needs at least one point")
-        if len(set(pts)) != len(pts):
+        try:
+            self._index = {p: i for i, p in enumerate(pts)}
+        except TypeError:
+            raise unhashable_id(pts, "point") from None
+        if len(self._index) != len(pts):
             raise InputError("duplicate point identifiers")
         self.points = pts
-        self._index = {p: i for i, p in enumerate(pts)}
         n = len(pts)
         full = (1 << n) - 1
-        seen: set[int] = set()
+        offs: set[int] = set()          # per wall, its side off point 0
         trivial_given = False
-        order: list[int] = []
         for a, b in walls:
             ma = self._mask(a)
             mb = self._mask(b)
@@ -68,20 +75,13 @@ class WallSpace:
             if ma == 0 or mb == 0:
                 trivial_given = True
                 continue
-            canon = ma if ma & 1 else mb
-            if canon not in seen:
-                seen.add(canon)
-                order.append(canon)
+            offs.add(mb if ma & 1 else ma)
         if not trivial_given and warn_missing_trivial:
             warnings.warn("trivial wall absent from input; added automatically",
                           stacklevel=2)
-        # one row per canonical side, point t in column t
-        sides = intervals.bit_rows(order, n)
-        ranked = intervals.side_order(sides)
-        self._sides = [(order[k], full & ~order[k]) for k in ranked.tolist()]
-        self._full = full
-        sigma = intervals.row_ints(sides[ranked].T ^ 1)
-        self._sigma = sigma
+        # one column per wall, 1 at the points off its side holding point 0
+        self.codes = intervals.WallCodes(intervals.bit_rows(list(offs), n).T)
+        sigma = self.codes.ints
         # two points are separated iff their sigma bits differ
         if len(set(sigma)) != n:
             groups: dict[int, list[int]] = {}
@@ -107,7 +107,7 @@ class WallSpace:
     @property
     def wall_count(self) -> int:
         """Number of nontrivial walls."""
-        return len(self._sides)
+        return self.codes.bits.shape[1]
 
     def index(self, p: Point) -> int:
         try:
@@ -115,65 +115,22 @@ class WallSpace:
         except (KeyError, TypeError):   # an unhashable id is unknown too
             raise InputError(f"unknown point {p!r}") from None
 
-    def side_masks(self, k: int) -> tuple[int, int]:
-        """(canonical side, other side) of nontrivial wall k, as bitmasks."""
-        return self._sides[k]
-
     def wall_sides(self, k: int) -> tuple[frozenset, frozenset]:
-        a, b = self._sides[k]
-        return (intervals.unmask(self.points, a), intervals.unmask(self.points, b))
+        """(side containing the first point, other side) of nontrivial wall k."""
+        side = self.codes.sides[k]
+        full = (1 << len(self.points)) - 1
+        return intervals.unmask(self.points, side), intervals.unmask(self.points, full ^ side)
 
     def sigma_bits(self, x: Point) -> int:
         """Orientation bitvector of sigma_x: bit k set iff x lies on the
         non-canonical side of wall k."""
-        return self._sigma[self.index(x)]
-
-    def sigma_halfspaces(self, x: Point) -> frozenset:
-        """The halfspaces containing x, as (wall, side) tags; the trivial
-        wall contributes its full side."""
-        i = self.index(x)
-        tags = [("trivial", 1)]
-        for k, (a, _) in enumerate(self._sides):
-            tags.append((k, 0 if a >> i & 1 else 1))
-        return frozenset(tags)
-
-    def separating_walls(self, x: Point, y: Point) -> list[int]:
-        i, j = self.index(x), self.index(y)
-        return [k for k, (a, _) in enumerate(self._sides)
-                if (a >> i & 1) != (a >> j & 1)]
+        return self.codes.ints[self.index(x)]
 
     def wall_metric(self, x: Point, y: Point) -> int:
         """Number of separating walls: the bits where the orientations
         sigma_x and sigma_y differ, half the symmetric difference of the
         halfspace collections (``wall_metric_recount`` in the tests)."""
         return (self.sigma_bits(x) ^ self.sigma_bits(y)).bit_count()
-
-
-@dataclass(frozen=True)
-class Orientation:
-    """A choice of one side per wall (trivial wall implicitly chooses X)."""
-
-    space: WallSpace
-    bits: int
-
-    def side_mask(self, k: int) -> int:
-        a, b = self.space.side_masks(k)
-        return b if self.bits >> k & 1 else a
-
-    def chosen_sides(self) -> list[frozenset]:
-        return [intervals.unmask(self.space.points, self.side_mask(k))
-                for k in range(self.space.wall_count)]
-
-    def is_consistent(self) -> bool:
-        masks = [self.side_mask(k) for k in range(self.space.wall_count)]
-        return all(a & b for a, b in itertools.combinations(masks, 2)) \
-            if len(masks) > 1 else True
-
-
-def principal_orientation(w: WallSpace, x: Point) -> Orientation:
-    """For each wall, choose the side containing x; any two such sides
-    share x, so the orientation is consistent."""
-    return Orientation(w, w.sigma_bits(x))
 
 
 def _pullback(w1: WallSpace, w2: WallSpace, image: Sequence[int]
@@ -184,13 +141,13 @@ def _pullback(w1: WallSpace, w2: WallSpace, image: Sequence[int]
     (None, flip) when it is empty or all of w1, and None when it is not a
     halfspace.  The flip bit is the preimage's bit at point 0, so it is 1
     exactly when the preimage is wall k1's canonical side (which holds
-    point 0) or all of w1.  The preimages are the columns of w2's side
-    matrix picked by the map, read back in one pass."""
-    sides = intervals.bit_rows([b for _, b in w2._sides], len(w2.points))
-    pres = intervals.row_ints(sides[:, list(image)])
-    wall: dict[int, int | None] = {0: None, w1._full: None}
-    for k1, (a, b) in enumerate(w1._sides):
-        wall[a] = wall[b] = k1
+    point 0) or all of w1.  The preimages are the columns of w2's codes
+    at the images, read back in one pass."""
+    pres = intervals.row_ints(w2.codes.bits[list(image)].T)
+    full = (1 << len(w1.points)) - 1
+    wall: dict[int, int | None] = {0: None, full: None}
+    for k1, side in enumerate(w1.codes.sides):
+        wall[side] = wall[full ^ side] = k1
     return [(wall[pre], pre & 1) if pre in wall else None for pre in pres]
 
 
@@ -343,7 +300,7 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
             cap=max_walls)
     ends = _orientation_array([[0] * W, [1 << k for k in range(W)]], W)   # [s, k]: wall k's bit on side s
     walls = ends[1]
-    sigma = _orientation_array(w._sigma, W)
+    sigma = _orientation_array(w.codes.ints, W)
     force, value = _side_tables(sigma, walls, (1 << W) - 1)
 
     # the consistent orientations of walls 0..k-1, ascending, extended by
@@ -401,37 +358,34 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
 
 
 def graph_wall_space(cert: MedianGraphCert) -> WallSpace:
-    """A median graph as a space with walls (its edge halfspaces)."""
-    return WallSpace(cert.vertices,
-                     [(wall.side, wall.complement) for wall in cert.walls])
+    """A median graph as a space with walls (its edge halfspaces), the
+    sides read off the certificate's wall record."""
+    vs = cert.vertices
+    full = (1 << len(vs)) - 1
+    return WallSpace(vs, [(intervals.unmask(vs, side), intervals.unmask(vs, full ^ side))
+                          for side in cert.codes.sides])
 
 
 def extend_morphism(f: Mapping[Point, Point], w1: WallSpace, w2: WallSpace,
-                    cub1: CubulationResult | None = None,
-                    cub2: CubulationResult | None = None) -> dict:
+                    cub1: CubulationResult | None = None) -> dict:
     """Extend a wall morphism to the unique median morphism between the
-    cubulations, as a vertex map (need not be a graph morphism).
+    cubulations, as a vertex map (need not be a graph morphism).  Without
+    ``cub1``, w1 is cubulated under the vertex cap alone.
 
     Wall k2 of w2 is read off the pullback (:func:`_pullback`): bit k2 of
     a vertex's image is bit k1 of the vertex XOR the flip bit, or the flip
     bit alone when the pullback is constant.  At the vertex of a point p
     that is the sigma of f(p), so the extension agrees with the point map.
+    A median morphism maps consistent orientations to consistent ones, so
+    every image is a vertex of w2's cubulation (``extend_morphism_oracle``
+    in the tests checks both).
     """
     rules = _pullback(w1, w2, _image(f, w1, w2))
     if None in rules:
         raise InputError("map is not a wall morphism")
-    cub1 = cub1 or cubulate(w1)
-    cub2 = cub2 or cubulate(w2)
+    cub1 = cub1 or cubulate(w1, max_walls=w1.wall_count)
     flips = sum(flip << k2 for k2, (_, flip) in enumerate(rules))
     moved = [(k1, k2) for k2, (k1, _) in enumerate(rules) if k1 is not None]
-
-    out = {}
-    w2_vertices = set(cub2.graph.vertices)
-    for name, bits in cub1.vertex_bits.items():
-        img = flips ^ sum((bits >> k1 & 1) << k2 for k1, k2 in moved)
-        img_name = _vertex_name(img, w2.wall_count)
-        if img_name not in w2_vertices:
-            raise InternalCheckError(
-                "extension left the target cubulation's vertex set")
-        out[name] = img_name
-    return out
+    width = w2.wall_count
+    return {name: _vertex_name(flips ^ sum((bits >> k1 & 1) << k2 for k1, k2 in moved), width)
+            for name, bits in cub1.vertex_bits.items()}

@@ -23,10 +23,10 @@ from mediankit.corpus import (graph_instances, hypercube_graph, median_graph_ins
                               random_tree, random_wall_space)
 from mediankit import formats, intervals
 from mediankit.embedding import DecompositionTrace, Elimination, RetractionStep
-from mediankit.graphs import GraphWall, MedianGraphCert, SimpleGraph, _lemma_holds, _mask
+from mediankit.graphs import GraphWall, MedianGraphCert, SimpleGraph, _lemma_holds
 from mediankit.intervals import members
 from mediankit.metric import Classification, MedianMetric, _to_fraction
-from mediankit.walls import CubulationResult, Orientation, _vertex_name, graph_wall_space
+from mediankit.walls import CubulationResult, _vertex_name, graph_wall_space
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -505,13 +505,63 @@ def random_crossing_wall_space(rng, n_points, n_walls):
     return WallSpace(pts, walls)       # may raise InputError (unseparated pair)
 
 
+def side_masks(w: WallSpace, k: int) -> tuple[int, int]:
+    """(canonical side, other side) of nontrivial wall k of a wall space,
+    as bitmasks, read off its wall record."""
+    side = w.codes.sides[k]
+    return side, side ^ (1 << len(w.points)) - 1
+
+
+def sigma_halfspaces(w: WallSpace, x) -> frozenset:
+    """Oracle: the halfspaces containing x, as (wall, side) tags, side 0
+    the canonical one; the trivial wall contributes its full side."""
+    i = w.index(x)
+    tags = [("trivial", 1)]
+    for k, side in enumerate(w.codes.sides):
+        tags.append((k, 0 if side >> i & 1 else 1))
+    return frozenset(tags)
+
+
+def separating_walls(w: WallSpace, x, y) -> list[int]:
+    """Oracle: the walls whose canonical side holds one of x and y."""
+    i, j = w.index(x), w.index(y)
+    return [k for k, side in enumerate(w.codes.sides) if (side >> i ^ side >> j) & 1]
+
+
+@dataclass(frozen=True)
+class Orientation:
+    """Oracle: a choice of one side per wall of a wall space (the trivial
+    wall implicitly chooses every point), bit k set for the non-canonical
+    side of wall k."""
+
+    space: WallSpace
+    bits: int
+
+    def side_mask(self, k: int) -> int:
+        return side_masks(self.space, k)[self.bits >> k & 1]
+
+    def chosen_sides(self) -> list[frozenset]:
+        return [intervals.unmask(self.space.points, self.side_mask(k))
+                for k in range(self.space.wall_count)]
+
+    def is_consistent(self) -> bool:
+        masks = [self.side_mask(k) for k in range(self.space.wall_count)]
+        return all(a & b for a, b in itertools.combinations(masks, 2))
+
+
+def principal_orientation(w: WallSpace, x) -> Orientation:
+    """For each wall, choose the side containing x; any two such sides
+    share x, so the orientation is consistent."""
+    return Orientation(w, w.sigma_bits(x))
+
+
 def consistent_orientations_bruteforce(w: WallSpace, max_walls: int = 20) -> set[int]:
     """Oracle: every orientation bitvector whose chosen sides pairwise meet."""
     W = w.wall_count
     if W > max_walls:
         raise ResourceLimitError(
             f"brute-force orientation scan capped at {max_walls} walls", cap=max_walls)
-    sides = [w.side_masks(k) for k in range(W)]
+    sides = [side_masks(w, k) for k in range(W)]
     out = set()
     for bits in range(1 << W):
         chosen = [sides[k][bits >> k & 1] for k in range(W)]
@@ -531,7 +581,7 @@ def check_upward_closure(o: Orientation) -> bool:
         for l in range(w):
             if l == k:
                 continue
-            for t in o.space.side_masks(l):
+            for t in side_masks(o.space, l):
                 if not s & ~t and chosen[l] != t:
                     return False
     return True
@@ -564,18 +614,76 @@ def certificate_order_oracle(bits: np.ndarray) -> tuple[tuple[int, ...], list[in
 
 
 def wall_space_order_oracle(n: int, order: list[int]) -> tuple[list, list[int]]:
-    """Oracle: the ``_sides`` and ``_sigma`` of a wall space on n points
-    whose distinct canonical sides (masks holding point 0) are ``order``:
-    sides sorted on their member tuples, and sigma bit k of point i set
-    iff i lies off side k, one numeral character at a time."""
-    full = (1 << n) - 1
+    """Oracle: the side masks and code ints of the wall record of a wall
+    space on n points whose distinct canonical sides (masks holding point
+    0) are ``order``: sides sorted on their member tuples, and sigma bit k
+    of point i set iff i lies off side k, one numeral character at a
+    time."""
     order = sorted(order, key=lambda m: tuple(t for t in range(n) if m >> t & 1))
     sigma = [0] * n
     for k, m in enumerate(order):
         for i, c in enumerate(reversed(format(m, f"0{n}b"))):
             if c == "0":
                 sigma[i] |= 1 << k
-    return [(m, full & ~m) for m in order], sigma
+    return order, sigma
+
+
+def _mask(indices: Sequence[int], n: int) -> int:
+    """The bitmask of ``indices`` < n, read from one binary numeral."""
+    flags = bytearray(b"0") * n
+    for t in indices:
+        flags[t] = 49          # ord("1")
+    return int(flags[::-1], 2)
+
+
+def bipartition(cert: MedianGraphCert) -> tuple[frozenset, frozenset]:
+    """Oracle: the vertices at even and at odd distance from vertex 0, by
+    the parity of their codes."""
+    even = [c.bit_count() % 2 == 0 for c in cert.codes.ints]
+    return (frozenset(v for v, e in zip(cert.vertices, even) if e),
+            frozenset(v for v, e in zip(cert.vertices, even) if not e))
+
+
+def coordinate_int(cert: MedianGraphCert, v, base=None) -> int:
+    """Oracle: the code of vertex v as an int, re-based to ``base``."""
+    bits = cert.codes.ints[cert.graph.index(v)]
+    if base is not None:
+        bits ^= cert.codes.ints[cert.graph.index(base)]
+    return bits
+
+
+def hamming(emb, u, v) -> int:
+    """Oracle: the Hamming distance of two vectors of an L1 embedding."""
+    return sum(a != b for a, b in zip(emb.vectors[u], emb.vectors[v]))
+
+
+def halfspace_list(packed: np.ndarray) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """``intervals.halfspaces`` in the form of :func:`halfspaces_oracle`:
+    (side holding point 0, covering pairs) per wall."""
+    codes, pairs = intervals.halfspaces(packed)
+    return list(zip(codes.sides, pairs))
+
+
+def dot_export_oracle(g: SimpleGraph, cert: MedianGraphCert | None = None) -> str:
+    """Oracle: the DOT text of ``formats.dot_export``, each edge coloured
+    from the crossing edges of the certificate's ``GraphWall`` objects."""
+    colour: dict[tuple, str] = {}
+    if cert is not None:
+        for k, wall in enumerate(cert.walls):
+            for u, v in wall.crossing_edges:
+                colour[(u, v)] = formats._PALETTE[k % len(formats._PALETTE)]
+                colour[(v, u)] = formats._PALETTE[k % len(formats._PALETTE)]
+    lines = ["graph G {"]
+    for v in g.vertices:
+        lines.append(f"  {formats._dot_id(v)};")
+    for u, v in g.edges:
+        paint = colour.get((u, v))
+        if paint:
+            lines.append(f'  {formats._dot_id(u)} -- {formats._dot_id(v)} [color="{paint}"];')
+        else:
+            lines.append(f"  {formats._dot_id(u)} -- {formats._dot_id(v)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 class EagerCertificate:
@@ -607,12 +715,12 @@ class EagerCertificate:
                                 crossing_edges=tuple(crossing[k]),
                                 side_mask=_mask(split[bit][0], n))
                       for k, bit in enumerate(self.wall_bits)]
-        self._coords = rebased
+        self.ints = rebased
 
     def wall_coordinates(self, base=None) -> dict:
-        shift = 0 if base is None else self._coords[self.graph.index(base)]
+        shift = 0 if base is None else self.ints[self.graph.index(base)]
         return {v: tuple((c ^ shift) >> k & 1 for k in range(len(self.walls)))
-                for v, c in zip(self.graph.vertices, self._coords)}
+                for v, c in zip(self.graph.vertices, self.ints)}
 
 
 @dataclass(frozen=True)
@@ -638,8 +746,8 @@ def fill_cubes_oracle(cert: MedianGraphCert, max_dim: int | None = None) -> Cube
     if max_dim is not None and max_dim < 1:
         raise InputError("max_dim must be >= 1")
     nwalls = len(cert.wall_bits)
-    coords = cert._coords
-    by_coord = cert._by_coord
+    coords = cert.codes.ints
+    by_coord = cert.codes.point_of
 
     # level k maps (fixed coordinate part, varying wall mask) -> present
     level: dict[tuple[int, int], None] = {}
@@ -704,7 +812,7 @@ def cubulate_oracle(w: WallSpace, *, max_walls: int = 24,
     if W > max_walls:
         raise ResourceLimitError(
             f"cubulation capped at {max_walls} nontrivial walls, got {W}", cap=max_walls)
-    blocked = _blocked_literals([w.side_masks(k) for k in range(W)])
+    blocked = _blocked_literals([side_masks(w, k) for k in range(W)])
     principals = {p: w.sigma_bits(p) for p in w.points}
     frontier = deque((b, _literals(b, W)) for b in sorted(set(principals.values())))
     vertex_set = {b for b, _ in frontier}
@@ -755,10 +863,10 @@ def wall_metric_recount(w: WallSpace, res) -> bool:
     ``wall_metric`` reads that count."""
     bits = {x: res.vertex_bits[res.embedding[x]] for x in w.points}
     for x, y in itertools.combinations(w.points, 2):
-        count = len(w.separating_walls(x, y))
+        count = len(separating_walls(w, x, y))
         if w.wall_metric(x, y) != count:
             return False
-        if len(w.sigma_halfspaces(x) ^ w.sigma_halfspaces(y)) != 2 * count:
+        if len(sigma_halfspaces(w, x) ^ sigma_halfspaces(w, y)) != 2 * count:
             return False
         if (bits[x] ^ bits[y]).bit_count() != count:
             return False
@@ -813,9 +921,9 @@ def wall_morphism_oracle(f, w1: WallSpace, w2: WallSpace) -> bool:
         images[p] = w2.index(f[p])
     legal = {0, (1 << len(w1.points)) - 1}
     for k in range(w1.wall_count):
-        legal.update(w1.side_masks(k))
+        legal.update(side_masks(w1, k))
     for k in range(w2.wall_count):
-        for side in w2.side_masks(k):
+        for side in side_masks(w2, k):
             pre = 0
             for p in w1.points:
                 if side >> images[p] & 1:
@@ -835,12 +943,12 @@ def extend_morphism_oracle(f, w1: WallSpace, w2: WallSpace, cub1, cub2) -> dict:
     full1 = (1 << len(w1.points)) - 1
     side_index = {}
     for k in range(w1.wall_count):
-        a, b = w1.side_masks(k)
+        a, b = side_masks(w1, k)
         side_index[a] = (k, False)
         side_index[b] = (k, True)
     rules = []
     for k2 in range(w2.wall_count):
-        a2, _ = w2.side_masks(k2)
+        a2, _ = side_masks(w2, k2)
         pre = 0
         for p in w1.points:
             if a2 >> w2.index(f[p]) & 1:

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import networkx as nx
 import numpy as np
 
-from conftest import (consistent_orientations_bruteforce, record_acceptance,
+from conftest import (consistent_orientations_bruteforce, hamming, record_acceptance,
                       zero_sum_sampling_oracle)
 from mediankit import (certify_hypermetric, certify_negative_definite,
                        check_colinear_lemma, check_helly,
@@ -100,7 +100,7 @@ def test_criterion_05_wall_path_l1_coincidence(median_certs):
                     separated = sum((u in w.side) != (v in w.side)
                                     for w in cert.walls)
                     d = cert.dist(u, v)
-                    assert separated == d == emb.hamming(u, v), name
+                    assert separated == d == hamming(emb, u, v), name
 
 
 def test_criterion_06_cubulation_round_trip(median_certs):

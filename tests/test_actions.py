@@ -11,7 +11,7 @@ from mediankit.actions import (MetricAction, WallAction, apply_word,
                                parse_word)
 from mediankit.corpus import cycle_graph, hypercube_graph, path_graph
 
-from conftest import pullback_case, wall_action_oracle
+from conftest import pullback_case, separating_walls, sigma_halfspaces, wall_action_oracle
 
 
 def cube_metric():
@@ -103,7 +103,7 @@ def test_wall_action_rejects_wall_breakers():
 
 def symdiff_recount(w, v, gv):
     """|sigma_v symdiff sigma_gv| recounted from the halfspace tags."""
-    return len(w.sigma_halfspaces(v) ^ w.sigma_halfspaces(gv))
+    return len(sigma_halfspaces(w, v) ^ sigma_halfspaces(w, gv))
 
 
 @settings(max_examples=150, deadline=None)
@@ -136,7 +136,7 @@ def test_wall_action_matches_the_frozenset_oracle(kind, seed, count):
         action = WallAction(w, gens, pts[0])
         rep = displacement_walls(action, sorted(gens) * 2)
         assert rep.sigma_symdiff == symdiff_recount(w, pts[0], rep.image) \
-            == 2 * len(w.separating_walls(pts[0], rep.image))
+            == 2 * len(separating_walls(w, pts[0], rep.image))
 
 
 # ---------------------------------------------------------------- metric case

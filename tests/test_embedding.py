@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bareiss_rows_oracle, centered_gram, convex_sets_oracle, distance_form_oracle,
-                      eigh_gns_oracle,
+from conftest import (bareiss_rows_oracle, centered_gram, convex_sets_oracle, coordinate_int,
+                      distance_form_oracle, eigh_gns_oracle, hamming,
                       fraction_negdef_oracle, fraction_psd_eliminate, helly_witness_oracle,
                       hypermetric_oracle, random_shortest_path_metric,
                       retraction_oracle, zero_sum_sampling_oracle)
@@ -743,7 +743,7 @@ def test_p4_and_cube_l1_exact():
         emb = l1_embed(cert)
         for u in cert.vertices:
             for v in cert.vertices:
-                assert emb.hamming(u, v) == cert.dist(u, v)
+                assert hamming(emb, u, v) == cert.dist(u, v)
 
 
 def test_l1_strings_are_the_vectors_joined(median_certs):
@@ -760,10 +760,10 @@ def test_l1_vectors_are_the_certificate_coordinates(median_certs):
         emb = l1_embed(cert)
         assert emb.dimension == len(cert.walls)
         for v in cert.vertices:
-            assert emb.vectors[v] == tuple(cert.coordinate_int(v) >> k & 1
+            assert emb.vectors[v] == tuple(coordinate_int(cert, v) >> k & 1
                                            for k in range(emb.dimension))
         for u, v in itertools.combinations(cert.vertices, 2):
-            assert emb.hamming(u, v) == cert.dist(u, v)
+            assert hamming(emb, u, v) == cert.dist(u, v)
 
 
 # ---------------------------------------------------------------- helly

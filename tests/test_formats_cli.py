@@ -9,12 +9,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import EagerCertificate, fill_cubes_oracle, load_json_oracle
+from conftest import EagerCertificate, dot_export_oracle, fill_cubes_oracle, load_json_oracle
 from mediankit import (InputError, InternalCheckError, IntervalStructure, SimpleGraph,
-                       certify_median_graph)
+                       certify_median_graph, cubulate)
 from mediankit import formats
 from mediankit.corpus import (cycle_graph, generate_corpus, grid_graph, hypercube_graph,
-                              path_graph, random_tree)
+                              path_graph, random_tree, wall_instances)
 from mediankit.graphs import _bfs_coordinates
 from mediankit.walls import graph_wall_space
 
@@ -220,6 +220,20 @@ def test_dot_export_plain_structure():
     assert "color=" in text
     bare = formats.dot_export(cert.graph)
     assert "color=" not in bare
+
+
+def test_dot_export_colours_match_the_crossing_edge_oracle(median_certs):
+    """The colours read off the codes are those of the crossing edges of
+    the ``GraphWall`` objects, byte for byte, also for a graph listing the
+    certificate's edges reversed and in another order."""
+    certs = [*median_certs.values(), certify_median_graph(grid_graph(4, 7)),
+             certify_median_graph(random_tree(40, 3)),   # more walls than colours
+             *(cubulate(w.payload).cert for w in wall_instances())]
+    for cert in certs:
+        flipped = SimpleGraph(cert.vertices[::-1], [e[::-1] for e in cert.graph.edges[::-1]])
+        for g in (cert.graph, flipped):
+            assert formats.dot_export(g, cert) == dot_export_oracle(g, cert)
+            assert formats.dot_export(g) == dot_export_oracle(g)
 
 
 def test_dot_export_escapes_quotes_and_backslashes():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (EagerCertificate, between_oracle, bfs_distance_check,
-                      fill_cubes_oracle, majority_closure_check, random_crossing_wall_space,
-                      simple_graph_oracle, subsets_bruteforce_halfspaces)
+from conftest import (EagerCertificate, between_oracle, bfs_distance_check, bipartition,
+                      coordinate_int, fill_cubes_oracle, halfspace_list, majority_closure_check,
+                      random_crossing_wall_space, simple_graph_oracle,
+                      subsets_bruteforce_halfspaces)
 from mediankit import (FiniteMetric, InputError, InternalCheckError, MedianMetric,
                        NotMedianError, SimpleGraph, certify_median_graph, classify,
                        cubulate, fill_cubes, intervals)
@@ -145,7 +146,7 @@ def test_all_pairs_on_one_vertex_and_multiword_balls(g):
 def test_a_1024_vertex_tree_is_certified_with_1023_walls():
     cert = certify_median_graph(random_tree(1024, 11))
     assert len(cert.wall_bits) == 1023
-    assert cert.coordinate_int(cert.vertices[5]).bit_count() == \
+    assert coordinate_int(cert, cert.vertices[5]).bit_count() == \
         cert.graph.bfs_distances(0)[5]
 
 
@@ -189,7 +190,7 @@ def test_odd_cycle_rejected():
 
 def test_certificate_is_bipartite():
     cert = certify_median_graph(grid_graph(3, 3))
-    even, odd = cert.bipartition
+    even, odd = bipartition(cert)
     assert even | odd == frozenset(cert.vertices)
     for u, v in cert.graph.edges:
         assert (u in even) != (v in even)
@@ -272,7 +273,7 @@ def check_against_classify(g):
     index = g.index
     got = [(w.side_mask, tuple((index(u), index(v)) for u, v in w.crossing_edges))
            for w in cert.walls]
-    assert got == intervals.halfspaces(cert.metric._between())
+    assert got == halfspace_list(cert.metric._between())
     for w in cert.walls:
         assert w.side | w.complement == frozenset(g.vertices)
         assert w.side == frozenset(v for v in g.vertices if w.side_mask >> index(v) & 1)
@@ -305,9 +306,9 @@ def test_the_three_wall_paths_agree_on_the_corpus_median_graphs(median_certs):
         got = [(w.side_mask, tuple((index(u), index(v)) for u, v in w.crossing_edges))
                for w in cert.walls]
         m = g.path_metric()
-        assert got == intervals.halfspaces(m._between())
+        assert got == halfspace_list(m._between())
         alg = m.to_algebra()
-        assert intervals.halfspaces(alg._s.packed) == got
+        assert halfspace_list(alg._s.packed) == got
         walls = [(h.side, h.complement) for h in alg.halfspaces() if h.complement]
         assert walls == [(w.side, w.complement) for w in cert.walls]
 
@@ -365,7 +366,7 @@ def test_lemma_holds_exactly_on_isometric_majority_closed_subsets(case):
     assert len(cert.walls) == varying
     if varying == width:               # every bit is a wall: same certificate
         direct = MedianGraphCert(g, bit_rows(bits, width))
-        assert direct.walls == cert.walls and direct._coords == cert._coords
+        assert direct.walls == cert.walls and direct.codes.ints == cert.codes.ints
 
 
 def test_certificate_matches_the_eager_oracle_at_every_width():
@@ -378,7 +379,7 @@ def test_certificate_matches_the_eager_oracle_at_every_width():
             shifted = [c ^ shift & ((1 << width) - 1) for c in coords]
             cert = MedianGraphCert(g, bit_rows(shifted, width))
             want = EagerCertificate(g, shifted, width)
-            assert cert.wall_bits == want.wall_bits and cert._coords == want._coords
+            assert cert.wall_bits == want.wall_bits and cert.codes.ints == want.ints
             assert "walls" not in vars(cert)               # built on first use
             assert cert.wall_coordinates() == want.wall_coordinates()
             base = g.vertices[-1]
@@ -404,8 +405,9 @@ def test_lemma_rejections(coords, edges, width, median):
 
 
 def test_certificate_metric_and_bipartition_are_built_on_demand():
+    # the bipartition is read off the code ints, built on first use too
     cert = certify_median_graph(grid_graph(3, 4))
-    assert "metric" not in vars(cert) and "bipartition" not in vars(cert)
+    assert "metric" not in vars(cert) and "ints" not in vars(cert.codes)
     assert cert.metric is cert.metric
     assert cert.metric.median_point("0,0", "2,3", "0,3") == "0,3"
 

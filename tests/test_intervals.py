@@ -3,6 +3,7 @@ subset oracle, for n <= 12, and against the Python kernels across the
 64-bit word boundary; the median-closure test against the majority
 fixpoint and the 2-clause solution count."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,12 +14,13 @@ import numpy as np
 import pytest
 
 from conftest import (between_oracle, boolean_median_algebra, certificate_order_oracle,
-                      count_closure, halfspaces_oracle, interval_masks, is_convex_oracle,
-                      majority_closure, row_ints_oracle, subsets_bruteforce_halfspaces,
-                      wall_space_order_oracle)
-from mediankit import (FiniteMetric, InputError, MedianGraphCert, MedianMetric, WallSpace,
-                       cubulate, product)
-from mediankit.corpus import grid_graph, path_graph
+                      count_closure, halfspace_list, halfspaces_oracle, interval_masks,
+                      is_convex_oracle,
+                      majority_closure, random_crossing_wall_space, row_ints_oracle,
+                      subsets_bruteforce_halfspaces, wall_space_order_oracle)
+from mediankit import (FiniteMetric, InputError, MedianGraphCert, MedianMetric, SimpleGraph,
+                       WallSpace, certify_median_graph, cubulate, graph_wall_space, product)
+from mediankit.corpus import grid_graph, hypercube_graph, path_graph, random_tree
 from mediankit.intervals import (bit_rows, halfspaces, is_convex, is_median_closure, members,
                                  row_ints)
 
@@ -81,7 +83,7 @@ def check_against_oracle(betw, within):
 @given(tables)
 def test_halfspaces_match_the_subset_oracle_within_every_halfspace(case):
     packed, betw = case
-    got = halfspaces(packed)
+    got = halfspace_list(packed)
     assert got == halfspaces_oracle(betw)
     full = (1 << len(betw)) - 1
     check_against_oracle(betw, full)
@@ -126,7 +128,7 @@ def test_packed_kernels_match_the_python_kernels_across_word_boundaries(name):
     n = len(m.points)
     packed, betw = metric_tables(m)
     assert [[m.between_mask(i, j) for j in range(n)] for i in range(n)] == betw
-    walls = halfspaces(packed)
+    walls = halfspace_list(packed)
     assert walls == halfspaces_oracle(betw)
     # convex sets (intervals, sides) and near misses of each, then random sets
     rng = random.Random(n)
@@ -238,7 +240,7 @@ def bit_matrices(draw):
 @given(bit_matrices())
 def test_certificate_order_matches_the_sorted_index_lists(bits):
     cert = MedianGraphCert(path_graph(len(bits)), bits)
-    assert (cert.wall_bits, cert._coords) == certificate_order_oracle(bits)
+    assert (cert.wall_bits, cert.codes.ints) == certificate_order_oracle(bits)
     assert row_ints(bits) == row_ints_oracle(bits)
 
 
@@ -262,5 +264,60 @@ def test_wall_space_order_matches_the_sorted_member_tuples(bits, seed):
             WallSpace(points, walls)
         return
     w = WallSpace(points, walls)
-    assert w._sides == sides
-    assert w._sigma == sigma
+    assert w.codes.sides == sides
+    assert w.codes.ints == sigma
+
+
+# ---------------------------------------------------------------- the one wall record
+
+RECORD_FAMILIES = ["tree", "grid", "cube", "product", "cubulation"]
+
+
+def record_graph(family: str, seed: int) -> tuple[SimpleGraph, list]:
+    """A seeded median graph of one family, with the records built with it:
+    a random tree, a grid, a cube, the covering graph of a product of two
+    tree metrics, or the cubulation of a random crossing wall space, with
+    its certificate's record."""
+    rng = random.Random(seed)
+    if family == "tree":
+        return random_tree(rng.randint(1, 30), seed), []
+    if family == "grid":
+        return grid_graph(rng.randint(1, 5), rng.randint(1, 6)), []
+    if family == "cube":
+        return hypercube_graph(rng.randint(0, 5)), []
+    if family == "product":
+        m = product(*(MedianMetric.certify(random_tree(rng.randint(1, 6), seed + t).path_metric())
+                      for t in (0, 1)))
+        return SimpleGraph(m.points, [(p, q) for p, q in itertools.combinations(m.points, 2)
+                                      if m.dist(p, q) == 1]), []
+    while True:
+        try:
+            w = random_crossing_wall_space(rng, rng.randint(2, 7), rng.randint(1, 8))
+        except InputError:
+            continue
+        res = cubulate(w)
+        return res.graph, [res.cert.codes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RECORD_FAMILIES), st.integers(0, 10 ** 6))
+def test_certificates_wall_spaces_and_halfspaces_build_one_record(family, seed):
+    """The codes of a median graph's certificate, of its wall space and of
+    the halfspaces of its path metric are one matrix, with the same ints
+    and sides; the median algebra's halfspaces are those sides and the
+    trivial one."""
+    g, built = record_graph(family, seed)
+    cert = certify_median_graph(g)
+    m = g.path_metric()
+    codes, pairs = halfspaces(m._between())
+    for other in [graph_wall_space(cert).codes, codes, *built]:
+        assert other.bits.shape == cert.codes.bits.shape
+        assert (other.bits == cert.codes.bits).all()
+        assert other.ints == cert.codes.ints and other.sides == cert.codes.sides
+    assert not cert.codes.bits[0].any()
+    assert len(pairs) == cert.codes.bits.shape[1]
+    want = sorted([*map(frozenset, map(members, cert.codes.sides)), frozenset(range(len(g)))],
+                  key=sorted)
+    got = m.to_algebra().halfspaces()
+    assert [frozenset(map(g.index, h.side)) for h in got] == want
+    assert all(h.complement == frozenset(g.vertices) - h.side for h in got)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import deque
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mediankit import (InputError, Orientation, ResourceLimitError, WallSpace,
-                       certify_median_graph, cubulate, extend_morphism,
-                       graph_wall_space, is_wall_morphism,
-                       principal_orientation)
+from mediankit import (FiniteMetric, InputError, IntervalStructure, ResourceLimitError,
+                       SimpleGraph, WallSpace, certify_median_graph, cubulate, extend_morphism,
+                       graph_wall_space, is_wall_morphism)
+from mediankit.actions import apply_word
 from mediankit.corpus import (cycle_graph, grid_graph, hypercube_graph,
                               nested_wall_space, path_graph, random_tree,
                               random_wall_space, wall_instances)
@@ -20,11 +21,11 @@ from mediankit.errors import InternalCheckError
 from mediankit.intervals import bit_rows
 from mediankit.walls import _orientation_array, _reaches_vertex_0, _side_tables
 
-from conftest import (bfs_distance_check, check_upward_closure,
+from conftest import (Orientation, bfs_distance_check, check_upward_closure,
                       consistent_orientations_bruteforce, count_closure, cubulate_oracle,
-                      majority_closure, majority_closure_check,
+                      majority_closure, majority_closure_check, principal_orientation,
                       extend_morphism_oracle, pullback_case, random_crossing_wall_space,
-                      steps_toward_all, wall_metric_recount, wall_morphism_oracle)
+                      side_masks, steps_toward_all, wall_metric_recount, wall_morphism_oracle)
 
 
 def two_point_space():
@@ -110,7 +111,7 @@ def test_sigma_bits_mark_the_non_canonical_sides():
         w = random_wall_space(seed)
         for i, x in enumerate(w.points):
             want = sum(1 << k for k in range(w.wall_count)
-                       if not w.side_masks(k)[0] >> i & 1)
+                       if not side_masks(w, k)[0] >> i & 1)
             assert w.sigma_bits(x) == want
 
 
@@ -255,7 +256,7 @@ def mask_consistent(w, orientations) -> list[bool]:
     wall: per orientation, whether no chosen side misses another."""
     W = w.wall_count
     walls = _orientation_array([1 << k for k in range(W)], W)
-    force, value = _side_tables(_orientation_array(w._sigma, W), walls, (1 << W) - 1)
+    force, value = _side_tables(_orientation_array(w.codes.ints, W), walls, (1 << W) - 1)
     v = _orientation_array(orientations, W)
     return _meets(v, (v[:, None] & walls) != 0, force, value).all(axis=1).tolist()
 
@@ -306,7 +307,7 @@ def assert_same_cubulation(res, want):
     assert list(res.wall_correspondence.items()) == list(want.wall_correspondence.items())
     assert list(res.checks.items()) == list(want.checks.items())
     assert res.cert.wall_bits == want.cert.wall_bits
-    assert res.cert._coords == want.cert._coords
+    assert res.cert.codes.ints == want.cert.ints
     assert res.cert.wall_coordinates() == want.cert.wall_coordinates()
     assert res.cert.walls == want.cert.walls           # built on first use
 
@@ -416,7 +417,7 @@ def test_dropping_a_clause_is_caught_by_the_closure_test(monkeypatch):
     # inconsistent orientation that takes both, and the independent closure
     # test, which no table feeds, fails
     w = nested_wall_space(3)
-    assert [w.side_masks(k) for k in range(2)] == [(0b001, 0b110), (0b011, 0b100)]
+    assert [side_masks(w, k) for k in range(2)] == [(0b001, 0b110), (0b011, 0b100)]
     tables = walls._side_tables
 
     def dropped(*args):
@@ -481,7 +482,7 @@ def test_certificate_beyond_the_old_certify_size_matches_certification():
     assert res.vertex_count == 320 and res.checks["wall_bijection"] == "certified"
     oracle = certify_median_graph(res.graph)
     assert res.cert.walls == oracle.walls
-    assert res.cert._coords == oracle._coords
+    assert res.cert.codes.ints == oracle.codes.ints
     bits = [res.vertex_bits[v] for v in res.graph.vertices]
     assert steps_toward_all(bits, res.graph._adj)
     base = bits[0]
@@ -596,7 +597,7 @@ def assert_median_morphism_of_graphs(fmap, res1, res2):
 def test_identity_extends_to_identity():
     w = c4_wall_space()
     res = cubulate(w)
-    ext = extend_morphism({p: p for p in w.points}, w, w, res, res)
+    ext = extend_morphism({p: p for p in w.points}, w, w, res)
     assert all(ext[v] == v for v in res.graph.vertices)
 
 
@@ -612,7 +613,7 @@ def test_quotient_extension_is_a_median_morphism():
     w2 = two_point_space()
     f = {"p0": "a", "p1": "b", "p2": "b"}
     res1, res2 = cubulate(w1), cubulate(w2)
-    ext = extend_morphism(f, w1, w2, res1, res2)
+    ext = extend_morphism(f, w1, w2, res1)
     for p in w1.points:
         assert ext[res1.embedding[p]] == res2.embedding[f[p]]
     assert_median_morphism_of_graphs(ext, res1, res2)
@@ -625,8 +626,29 @@ def test_extension_of_random_wall_morphisms_is_median_morphic():
     f = {"a": "a", "b": "b", "c": "b"}
     if is_wall_morphism(f, w1, w2):
         res1, res2 = cubulate(w1), cubulate(w2)
-        ext = extend_morphism(f, w1, w2, res1, res2)
+        ext = extend_morphism(f, w1, w2, res1)
         assert_median_morphism_of_graphs(ext, res1, res2)
+
+
+def test_extension_needs_no_target_cubulation():
+    # 29 walls, over the default cap of 24: only the source is cubulated,
+    # under its vertex cap alone
+    w = graph_wall_space(certify_median_graph(random_tree(30, 1)))
+    assert w.wall_count == 29
+    ext = extend_morphism({p: p for p in w.points}, w, w)
+    assert len(ext) == 30 and all(name == image for name, image in ext.items())
+
+
+def test_extension_still_caps_the_source_vertices():
+    # 17 pairwise crossing walls: every one of the 2^17 orientations is a vertex
+    k = 17
+    codes = [0, *(1 << i for i in range(k)),
+             *(1 << i | 1 << j for i, j in itertools.combinations(range(k), 2))]
+    pts = [f"p{c}" for c in codes]
+    w = WallSpace(pts, [([p for p, c in zip(pts, codes) if c >> i & 1],
+                         [p for p, c in zip(pts, codes) if not c >> i & 1]) for i in range(k)])
+    with pytest.raises(ResourceLimitError, match="65536 vertices"):
+        extend_morphism({p: p for p in pts}, w, w)
 
 
 def test_extend_rejects_non_morphisms():
@@ -691,7 +713,7 @@ def test_pullback_matches_point_by_point_oracles(kind1, kind2, seed1, seed2, how
         res1, res2 = cubulation(w1), cubulation(w2)
         # both constructors give distinct sigmas: the embedding is injective
         assert len(set(res1.embedding.values())) == len(w1)
-        ext = outcome(lambda: extend_morphism(f, w1, w2, res1, res2))
+        ext = outcome(lambda: extend_morphism(f, w1, w2, res1))
         assert ext[0] == "ok"
         assert ext == outcome(lambda: extend_morphism_oracle(f, w1, w2, res1, res2))
     elif got == ("ok", False):
@@ -791,3 +813,19 @@ def test_checks_fire_on_tampered_vertex_sets():
 def test_an_unhashable_id_is_an_unknown_point(call):
     with pytest.raises(InputError, match=r"^(wall references )?unknown (point|vertex) "):
         call(WallSpace(["a", "b"], [(["a"], ["b"])]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: FiniteMetric([["a"], "b"], [[0, 1], [1, 0]]),
+    lambda: FiniteMetric.from_upper_triangle([["a"], "b"], [[1]]),
+    lambda: SimpleGraph([["a"], "b"], []),
+    lambda: WallSpace([["a"], "b"], []),
+    lambda: IntervalStructure(["a"], SimpleNamespace(items=lambda: [(("a", ["a"]), ["a"])])),
+    lambda: apply_word({"g": {"a": "a"}}, ["g", ["g"]], ["a"]),
+], ids=["FiniteMetric", "from_upper_triangle", "SimpleGraph", "WallSpace", "IntervalStructure",
+        "apply_word"])
+def test_unhashable_ids_are_input_errors(call):
+    with pytest.raises(InputError, match=r"^(point id \['a'\] is not hashable|vertex id \['a'\] "
+                                         r"is not hashable|interval \('a', \['a'\]\) references "
+                                         r"an unknown point|unknown generator \['g'\])$"):
+        call()
