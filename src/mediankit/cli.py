@@ -127,14 +127,14 @@ def cmd_cubulate(args) -> int:
     _expected_block(data)
     result = cubulate(w, max_walls=args.max_walls)
     if args.graph_out:
-        formats.write_text(args.graph_out, formats.dumps(formats.graph_to_json(result.graph)))
+        formats.write_text(args.graph_out, formats.graph_text(result.graph))
     if args.dot:
         formats.write_text(args.dot, formats.dot_export(result.graph, result.cert))
     report = {
         "command": "cubulate",
         "input": data.digest,
         "vertices": result.vertex_count,
-        "edges": len(result.graph.edge_indices),
+        "edges": len(result.graph.edge_src),
         "walls": w.wall_count,
         "embedding": {str(p): v for p, v in sorted(result.embedding.items(),
                                                    key=lambda kv: str(kv[0]))},

@@ -197,14 +197,14 @@ def generate_corpus(names=None, seed: int = 0, out_dir: str = ".") -> list:
     written = []
     for inst in roster:
         if inst.kind == "graph":
-            payload = formats.graph_to_json(inst.payload, inst.expected)
+            text = formats.graph_text(inst.payload, inst.expected)
         elif inst.kind == "walls":
-            payload = formats.walls_to_json(inst.payload, inst.expected)
+            text = formats.dumps(formats.walls_to_json(inst.payload, inst.expected))
         elif inst.kind == "intervals":
-            payload = formats.interval_structure_to_json(inst.payload, inst.expected)
+            text = formats.dumps(formats.interval_structure_to_json(inst.payload, inst.expected))
         else:
             raise InputError(f"cannot serialize corpus kind {inst.kind!r}")
         path = out / f"{inst.name}.json"
-        formats.write_text(path, formats.dumps(payload))
+        formats.write_text(path, text)
         written.append(path)
     return written

@@ -2,9 +2,12 @@
 
 Rationals travel as strings ("3", "5/2"); floats are rejected in metric
 input.  Interval keys are "x,y", so point ids there must not contain
-commas.  Every report and JSON artifact is written by ``dumps``, whose
-bytes are those of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a
-newline, so outputs are byte-stable for golden tests.  Files go through
+commas.  Every report and JSON artifact has the bytes of
+``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, so outputs
+are byte-stable for golden tests.  Graph files are written by
+``graph_text`` from the graph's edge record, two sorted index arrays
+(:class:`graphs.SimpleGraph`), with each vertex id encoded once; every
+other report and artifact is written by ``dumps``.  Files go through
 ``write_text`` and are read by ``load_json``, which turn an unwritable
 path, an unreadable or non-UTF-8 file and bad JSON into ``InputError``;
 ``load_json`` reads each file once, keeps the digest of its bytes, and
@@ -21,6 +24,8 @@ from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 from pathlib import Path
+
+import numpy as np
 
 from .algebra import IntervalStructure
 from .convexity import PointCloud
@@ -320,13 +325,38 @@ def graph_from_json(data: dict) -> SimpleGraph:
     raise error
 
 
-def graph_to_json(g: SimpleGraph, expected: dict | None = None) -> dict:
+def graph_text(g: SimpleGraph, expected: dict | None = None) -> str:
+    """The graph file of ``g``: the object of its ``vertices``, its
+    ``edges`` as [u, v] rows in the order of its edge record, and
+    ``expected`` when given and nonempty, as ``dumps`` writes it.
+
+    Each vertex id is encoded once, as ``dumps`` encodes it, and the edge
+    rows are laid out as one array of strings, each row's two ends taken
+    from the record's index arrays and its separators filled in, that is
+    joined once; no list of edge pairs is built.  An id that is not a JSON
+    scalar (a tuple, from a library caller) is written at the depth
+    ``dumps`` gives it in each list."""
     vs = g.vertices
-    out = {"vertices": list(vs),
-           "edges": [[vs[i], vs[j]] for i, j in g.edge_indices]}
+    cells = _scalars(vs, set(map(type, vs)))
+    if cells is None:       # mixed kinds or containers: one encoding per depth
+        cells = [_encode(v, 2) for v in vs]
+        ends = np.array([_encode(v, 3) for v in vs], dtype=object)
+    else:
+        ends = np.array(cells, dtype=object)
+    edges = "[]"
+    if len(g.edge_src):
+        rows = np.empty((len(g.edge_src), 4), dtype=object)
+        rows[:, 0] = ends[g.edge_src]
+        rows[:, 1] = ",\n      "
+        rows[:, 2] = ends[g.edge_dst]
+        rows[:, 3] = "\n    ],\n    [\n      "
+        rows[-1, 3] = "\n    ]\n  ]"
+        edges = "[\n    [\n      " + "".join(rows.ravel().tolist())
+    parts = ['"edges": ' + edges]
     if expected:
-        out["expected"] = expected
-    return out
+        parts.append('"expected": ' + _encode(expected, 1))
+    parts.append('"vertices": [\n    ' + ",\n    ".join(cells) + "\n  ]")
+    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
 
 
 # -- wall spaces ---------------------------------------------------------

@@ -1,14 +1,19 @@
 """Median graphs: recognition, wall coordinates, and the cube complex
 obtained by filling hypercube skeletons.
 
-A connected graph is median iff its vertices carry distinct bitvectors,
-closed under the bitwise majority, whose Hamming-1 pairs are exactly its
-edges (the lemma at :class:`MedianGraphCert`).  Certification reads
-candidate coordinates off one BFS from vertex 0 (:func:`_bfs_coordinates`)
-and tests those hypotheses; no distance table is built.  The cubulation
-of a wall space passes its orientation bits, which meet them by
-construction.  The certificate holds the coordinates as the one wall
-record (:class:`intervals.WallCodes`), vertex i's code in row i, and its
+A graph (:class:`SimpleGraph`) holds its edges as one record, two sorted
+index arrays, and builds its adjacency lists, id index, edge tuples and
+BFS from vertex 0 as views on first use; a graph read from JSON keeps the
+ones its constructor already built.  A connected graph is median iff its
+vertices carry distinct bitvectors, closed under the bitwise majority,
+whose Hamming-1 pairs are exactly its edges (the lemma at
+:class:`MedianGraphCert`).  Certification reads candidate coordinates off
+the constructor's BFS from vertex 0 (:func:`_bfs_coordinates`) and tests
+those hypotheses; no distance table is built.  The cubulation of a wall
+space passes its orientation bits, which meet them by construction, and
+its graph keeps the cubulation's edge arrays and builds no view.  The
+certificate holds the coordinates as the one wall record
+(:class:`intervals.WallCodes`), vertex i's code in row i, and its
 medians, cubes, L1 embedding, wall space and DOT colours are read off
 it.  Only on rejection is the path metric built, and the triple scan of
 ``classify`` (a numpy kernel on the packed betweenness table) names a
@@ -59,11 +64,21 @@ class SimpleGraph:
     """Connected graph, no loops, no multi-edges.
 
     Edges are pairs of vertex ids; an edge listed twice, in either
-    orientation, is one edge.  The endpoints are mapped to indices in one
-    pass, and the distinct index pairs are sorted once, so each vertex's
-    neighbours are appended in ascending order.  Only when that pass fails
-    are the edges rescanned in input order (:func:`_checked_ends`), and
-    the first bad one is reported.
+    orientation, is one edge.  The graph holds one edge record: the index
+    arrays ``edge_src`` and ``edge_dst``, edge e joining vertices
+    edge_src[e] < edge_dst[e], the pairs sorted.  The other forms of the
+    edges and vertices are views of it and of ``vertices``, built on first
+    use: ``edge_indices`` (the pairs as tuples), ``_adj`` (each vertex's
+    neighbours, ascending), ``_index`` (id -> index) and ``_bfs`` (the BFS
+    from vertex 0).
+
+    The constructor maps the endpoints to indices in one pass and sorts
+    the distinct index pairs once, so each vertex's neighbours are
+    appended in ascending order; it keeps the pairs, the adjacency lists,
+    the id index and the BFS that checks connectivity as those views, and
+    its arrays are derived from the pairs when they are read.  Only when
+    that pass fails are the edges rescanned in input order
+    (:func:`_checked_ends`), and the first bad one is reported.
     """
 
     def __init__(self, vertices: Sequence[Vertex],
@@ -99,40 +114,71 @@ class SimpleGraph:
             lo, hi = zip(*pairs)
             deque(map(list.append, map(adj.__getitem__, hi), lo), 0)
             deque(map(list.append, map(adj.__getitem__, lo), hi), 0)
-        self._adopt(vs, index, pairs, adj)
-        if -1 in self.bfs_distances(0):
+        self.vertices = vs
+        self._index = index
+        self.edge_indices = pairs
+        self._adj = adj
+        self._dist: list[list[int]] | None = None
+        self._dist_array: np.ndarray | None = None
+        if len(self._bfs[0]) < len(vs):
             raise InputError("graph is not connected")
 
     @classmethod
     def _trusted(cls, vertices: list[Vertex], src: np.ndarray,
                  dst: np.ndarray) -> "SimpleGraph":
-        """The graph on distinct ``vertices`` whose edges are the index
-        pairs (src[e], dst[e]), distinct, with src < dst and sorted, and
-        which is connected, as a construction guarantees and checks: the
+        """The graph on distinct ``vertices`` whose edge record is
+        ``src``, ``dst``: distinct index pairs with src < dst, sorted, of a
+        connected graph, as a construction guarantees and checks: the
         cubulation's Hamming-1 pairs, whose connectivity ``cubulate``
-        proves by :func:`walls._reaches_vertex_0`.  Nothing is checked
-        here."""
-        n = len(vertices)
+        proves by :func:`walls._reaches_vertex_0`.  Nothing is checked, and
+        no view is built, here."""
+        out = cls.__new__(cls)
+        out.vertices = vertices
+        out.edge_src = src
+        out.edge_dst = dst
+        out._dist = None
+        out._dist_array = None
+        return out
+
+    @functools.cached_property
+    def edge_src(self) -> np.ndarray:
+        """The lower end of every edge, read off ``edge_indices``."""
+        return np.fromiter(map(operator.itemgetter(0), self.edge_indices), np.intp,
+                           len(self.edge_indices))
+
+    @functools.cached_property
+    def edge_dst(self) -> np.ndarray:
+        """The upper end of every edge, read off ``edge_indices``."""
+        return np.fromiter(map(operator.itemgetter(1), self.edge_indices), np.intp,
+                           len(self.edge_indices))
+
+    @functools.cached_property
+    def edge_indices(self) -> list[tuple[int, int]]:
+        """The edges as sorted index pairs (i, j), i < j."""
+        return list(zip(self.edge_src.tolist(), self.edge_dst.tolist()))
+
+    @functools.cached_property
+    def _adj(self) -> list[list[int]]:
+        """Each vertex's neighbours, ascending."""
+        src, dst = self.edge_src, self.edge_dst
         ends = np.concatenate((dst, src))
         order = np.argsort(ends, kind="stable")
         nbrs = np.concatenate((src, dst))[order].tolist()
-        stops = np.cumsum(np.bincount(ends, minlength=n)).tolist()
+        stops = np.cumsum(np.bincount(ends, minlength=len(self.vertices))).tolist()
         # a stable sort of the sorted pairs lists each vertex's lower
         # neighbours, then its upper ones, each ascending: sorted lists
-        adj = [nbrs[a:b] for a, b in zip([0] + stops, stops)]
-        out = cls.__new__(cls)
-        out._adopt(vertices, dict(zip(vertices, range(n))),
-                   list(zip(src.tolist(), dst.tolist())), adj)
-        return out
+        return [nbrs[a:b] for a, b in zip([0] + stops, stops)]
 
-    def _adopt(self, vs: list[Vertex], index: dict, edge_indices: list[tuple[int, int]],
-               adj: list[list[int]]) -> None:
-        self.vertices = vs
-        self._index = index
-        self.edge_indices = edge_indices
-        self._adj = adj
-        self._dist: list[list[int]] | None = None
-        self._dist_array: np.ndarray | None = None
+    @functools.cached_property
+    def _index(self) -> dict[Vertex, int]:
+        return dict(zip(self.vertices, range(len(self.vertices))))
+
+    @functools.cached_property
+    def _bfs(self) -> tuple[list[int], list[int]]:
+        """The BFS from vertex 0: the vertices it reaches, in discovery
+        order, and every vertex's distance from vertex 0 (-1 if
+        unreached)."""
+        return self._search(0)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -150,11 +196,15 @@ class SimpleGraph:
     def edges(self) -> list[tuple[Vertex, Vertex]]:
         return [(self.vertices[i], self.vertices[j]) for i, j in self.edge_indices]
 
-    def bfs_distances(self, start: int) -> list[int]:
-        """Distances from ``start``, one BFS level at a time."""
+    def _search(self, start: int) -> tuple[list[int], list[int]]:
+        """The vertices reached from ``start`` in discovery order, and the
+        distances from it, one BFS level at a time.  The levels are
+        scanned in the order they were found, as a FIFO queue would visit
+        them."""
         adj = self._adj
         dist = [-1] * len(adj)
         dist[start] = 0
+        order = [start]
         frontier = [start]
         d = 0
         while frontier:
@@ -165,8 +215,13 @@ class SimpleGraph:
                     if dist[w] < 0:
                         dist[w] = d
                         reached.append(w)
+            order += reached
             frontier = reached
-        return dist
+        return order, dist
+
+    def bfs_distances(self, start: int) -> list[int]:
+        """Distances from ``start``, one BFS level at a time."""
+        return self._search(start)[1]
 
     def all_pairs(self) -> list[list[int]]:
         """Path distances of every pair, from every vertex's ball grown one
@@ -294,10 +349,12 @@ class MedianGraphCert:
 
 
 def _bfs_coordinates(g: SimpleGraph) -> tuple[list[int], int]:
-    """Candidate wall coordinates from one BFS from vertex 0, and their
-    width.  A vertex with exactly one down-neighbour u (a neighbour one
-    level nearer vertex 0) gets coord(u) plus a fresh bit; a vertex with
-    several gets the OR of their coordinates.
+    """Candidate wall coordinates from the BFS from vertex 0 (the graph's
+    ``_bfs`` view, which the constructor's connectivity check keeps), and
+    their width.  The vertices are coded in discovery order, so each one's
+    down-neighbours (its neighbours one level nearer vertex 0) come first.
+    A vertex with exactly one down-neighbour u gets coord(u) plus a fresh
+    bit; a vertex with several gets the OR of their coordinates.
 
     On a median graph these are its wall coordinates, zero at vertex 0.
     Let v have one down-neighbour u, and let H be the side of the wall of
@@ -311,23 +368,16 @@ def _bfs_coordinates(g: SimpleGraph) -> tuple[list[int], int]:
     bit of their coordinates.  Soundness never rests on this: the caller
     tests the coordinates with :func:`_lemma_holds`.
     """
-    n = len(g.vertices)
     adj = g._adj
-    level = [-1] * n
-    level[0] = 0
-    coords = [0] * n
+    order, level = g._bfs
+    coords = [0] * len(level)
     width = 0
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
+    for v in order:
         up = level[v] - 1
         down = 0
         c = 0
         for u in adj[v]:
-            if level[u] < 0:
-                level[u] = up + 2
-                queue.append(u)
-            elif level[u] == up:
+            if level[u] == up:
                 down += 1
                 c |= coords[u]
         if down == 1:

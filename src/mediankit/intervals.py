@@ -22,8 +22,9 @@ number (or measure) of the walls that separate their codes.  Row i of
 its n x W 0/1 matrix is point i's code, zero at point 0, with the walls
 in the canonical order of their sides (``side_order``); the code ints,
 the side masks and the point of each code are read off it once, on first
-use.  Wall spaces, median-graph certificates and :func:`halfspaces` build
-it; cubulation, wall pullbacks, cube filling, the L1 embedding, median
+use, except the side masks that :func:`halfspaces` has already packed.
+Wall spaces, median-graph certificates and :func:`halfspaces` build it;
+cubulation, wall pullbacks, cube filling, the L1 embedding, median
 algebra halfspaces, retraction, graph wall spaces and DOT export read it.
 
 The median closure of a set I of bitvectors is the solution set C of
@@ -159,7 +160,8 @@ class WallCodes:
     ``order[k]``.  It is read-only, since every holder shares it.  The
     rows as ints (``ints``, point i's code), the side of each wall holding
     point 0 as a mask of point indices (``sides``) and the point of each
-    code (``point_of``) are built on first use."""
+    code (``point_of``) are built on first use; a builder that has the
+    side masks already sets ``sides``."""
 
     def __init__(self, walls: np.ndarray):
         walls = walls ^ walls[0]
@@ -256,7 +258,9 @@ def halfspaces(packed: np.ndarray) -> tuple[WallCodes, list[tuple[tuple[int, int
     diagonal of popcount 2 (an interval holds its ends), and H(x,y) = {z : x in [z,y]} is bit x
     of column y.  H(x,y) and its complement are the sides of one wall, so
     the pairs whose H, re-based to point 0, agree are one wall: its column
-    is its first pair's, and its pairs are listed in row-major order.
+    is its first pair's, and its pairs are listed in row-major order.  The
+    record's ``sides`` are the complements of the off-masks packed to
+    group the pairs, so its columns are not packed again.
     """
     counts = np.bitwise_count(packed).sum(axis=-1)
     xs, ys = np.nonzero(np.triu(counts == 2, 1))
@@ -267,8 +271,12 @@ def halfspaces(packed: np.ndarray) -> tuple[WallCodes, list[tuple[tuple[int, int
         by_wall.setdefault(key, []).append(k)
     groups = list(by_wall.values())
     codes = WallCodes(off.take([group[0] for group in groups], axis=1))
+    order = codes.order.tolist()
+    offs = list(by_wall)
+    full = (1 << len(packed)) - 1
+    codes.sides = [full ^ offs[t] for t in order]     # the masks packed above
     pairs = list(zip(xs.tolist(), ys.tolist()))
-    return codes, [tuple(map(pairs.__getitem__, groups[t])) for t in codes.order.tolist()]
+    return codes, [tuple(map(pairs.__getitem__, groups[t])) for t in order]
 
 
 # each byte with its bits in reverse order

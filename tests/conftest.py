@@ -272,8 +272,53 @@ def simple_graph_oracle(vertices, edges) -> SimpleGraph:
     if len(seen) != len(vs):
         raise InputError("graph is not connected")
     out = SimpleGraph.__new__(SimpleGraph)
-    out._adopt(vs, index, sorted(canon), [sorted(a) for a in adj])
+    out.vertices, out._index = vs, index
+    out.edge_indices, out._adj = sorted(canon), [sorted(a) for a in adj]
+    out._dist = out._dist_array = None
     return out
+
+
+def graph_to_json(g: SimpleGraph, expected: dict | None = None) -> dict:
+    """Reference: a graph file as a JSON object, its edges as [u, v] lists
+    in ``edge_indices`` order; ``formats.graph_text`` writes
+    ``formats.dumps`` of it."""
+    vs = g.vertices
+    out = {"vertices": list(vs),
+           "edges": [[vs[i], vs[j]] for i, j in g.edge_indices]}
+    if expected:
+        out["expected"] = expected
+    return out
+
+
+def bfs_coordinates_oracle(g: SimpleGraph) -> tuple[list[int], int]:
+    """Oracle: candidate wall coordinates from a FIFO-queue BFS from
+    vertex 0 of its own, as certification computed them before it read
+    the graph's BFS view: a vertex with one down-neighbour gets its
+    coordinates plus a fresh bit, a vertex with several their OR."""
+    n = len(g.vertices)
+    adj = g._adj
+    level = [-1] * n
+    level[0] = 0
+    coords = [0] * n
+    width = 0
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        up = level[v] - 1
+        down = 0
+        c = 0
+        for u in adj[v]:
+            if level[u] < 0:
+                level[u] = up + 2
+                queue.append(u)
+            elif level[u] == up:
+                down += 1
+                c |= coords[u]
+        if down == 1:
+            c |= 1 << width
+            width += 1
+        coords[v] = c
+    return coords, width
 
 
 def edge_halfspaces(dist: list[list[int]], edges) -> list[int]:

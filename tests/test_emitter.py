@@ -1,4 +1,6 @@
-"""``formats.dumps`` against its oracle, ``json.dumps(indent=2, sort_keys=True)``.
+"""``formats.dumps`` against its oracle, ``json.dumps(indent=2, sort_keys=True)``,
+and the graph writer ``formats.graph_text`` against ``dumps`` of the
+reference graph object.
 
 Seeded random trees reach every path of the emitter: lists of one exact
 scalar type, equal-width rows, and the per-item path for everything else.
@@ -10,9 +12,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mediankit import cli, formats
-from mediankit.corpus import default_roster
+from conftest import graph_to_json, random_crossing_wall_space
+from mediankit import InputError, SimpleGraph, cli, cubulate, formats
+from mediankit.corpus import default_roster, graph_instances
 
 
 def oracle(obj) -> str:
@@ -126,3 +131,77 @@ def test_every_json_file_the_cli_writes_is_in_the_oracle_form(tmp_path, capsys):
     for path in written:
         text = path.read_text(encoding="utf-8")
         assert text == oracle(json.loads(text)), path
+
+
+# ---------------------------------------------------------------- the graph writer
+
+ID_TEXT = st.text(st.sampled_from(["a", "é", "中", "\U0001F600", "\x00", "\x1f", "\x7f",
+                                   "\n", '"', "\\", "%", "s", ","]) | st.characters(),
+                  max_size=4)
+ID_SCALARS = (ID_TEXT | st.integers(-(2 ** 70), 2 ** 70) | st.sampled_from(INTS)
+              | st.floats(allow_nan=False) | st.booleans() | st.none())
+GRAPH_IDS = {
+    "text": ID_TEXT,
+    "int": st.integers(-(2 ** 70), 2 ** 70) | st.sampled_from(INTS),
+    "float": st.floats(allow_nan=False),
+    "mixed": ID_SCALARS,
+    "tuple": st.lists(ID_SCALARS, max_size=3).map(tuple),
+    "tuple-and-scalar": ID_SCALARS | st.lists(ID_SCALARS, max_size=2).map(tuple),
+}
+
+
+@st.composite
+def id_graphs(draw):
+    """Distinct ids of one family and the edges of a connected graph on
+    them: a random spanning tree, with duplicate edges in either
+    orientation, in random order."""
+    ids = draw(st.lists(GRAPH_IDS[draw(st.sampled_from(sorted(GRAPH_IDS)))],
+                        min_size=1, max_size=12, unique=True))
+    n = len(ids)
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    edges = [(ids[j], ids[i]) if draw(st.booleans()) else (ids[i], ids[j]) for i, j in pairs]
+    return ids, draw(st.permutations(edges))
+
+
+NAN = float("nan")      # one object, so that edges can name it
+EXPECTED = st.none() | st.just({}) | st.dictionaries(
+    st.text(max_size=3), st.integers() | st.text(max_size=3) | st.lists(st.integers(), max_size=2),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(id_graphs(), EXPECTED)
+def test_graph_text_is_dumps_of_the_reference_object(graph, expected):
+    g = SimpleGraph(*graph)
+    want = formats.dumps(graph_to_json(g, expected))
+    assert formats.graph_text(g, expected) == want == oracle(graph_to_json(g, expected))
+
+
+@pytest.mark.parametrize("vertices, edges", [
+    (["v"], []),
+    ([NAN, float("inf"), -0.0], [(float("inf"), -0.0), (-0.0, float("inf")), (NAN, -0.0)]),
+    ([("a", 1), ("b",), "c", ()], [(("a", 1), ("b",)), ("c", ("b",)), ((), "c")]),
+    ([7, "7x", 2.5, True, None], [(7, "7x"), ("7x", 2.5), (True, 2.5), (None, True)]),
+], ids=["one-vertex", "non-finite-floats", "tuples", "mixed-kinds"])
+@pytest.mark.parametrize("expected", [None, {}, {"classify": "neither", "walls": 2}],
+                         ids=["no-expected", "empty-expected", "expected"])
+def test_graph_text_on_edge_cases(vertices, edges, expected):
+    g = SimpleGraph(vertices, edges)
+    assert formats.graph_text(g, expected) == formats.dumps(graph_to_json(g, expected))
+
+
+def test_graph_text_of_corpus_graphs_and_cubulations():
+    for inst in graph_instances():
+        assert formats.graph_text(inst.payload, inst.expected) == \
+            oracle(graph_to_json(inst.payload, inst.expected)), inst.name
+    rng = random.Random(2705)
+    done = 0
+    while done < 30:
+        try:
+            w = random_crossing_wall_space(rng, rng.randint(2, 8), rng.randint(1, 9))
+        except InputError:
+            continue
+        g = cubulate(w).graph
+        assert formats.graph_text(g) == formats.dumps(graph_to_json(g))
+        done += 1

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import EagerCertificate, dot_export_oracle, fill_cubes_oracle, load_json_oracle
+from conftest import (EagerCertificate, dot_export_oracle, fill_cubes_oracle, graph_to_json,
+                      load_json_oracle)
 from mediankit import (InputError, InternalCheckError, IntervalStructure, SimpleGraph,
                        certify_median_graph, cubulate)
 from mediankit import formats
@@ -42,16 +43,16 @@ def files(tmp_path):
     c6 = cycle_graph(6)
     out["c6_graph"] = tmp_path / "c6.json"
     out["c6_graph"].write_text(formats.dumps(
-        formats.graph_to_json(c6, {"classify": "neither"})))
+        graph_to_json(c6, {"classify": "neither"})))
 
     from mediankit.corpus import complete_bipartite_graph
     out["k23_graph"] = tmp_path / "k23.json"
     out["k23_graph"].write_text(formats.dumps(
-        formats.graph_to_json(complete_bipartite_graph(2, 3))))
+        graph_to_json(complete_bipartite_graph(2, 3))))
 
     q3 = hypercube_graph(3)
     out["q3_graph"] = tmp_path / "q3.json"
-    out["q3_graph"].write_text(formats.dumps(formats.graph_to_json(q3)))
+    out["q3_graph"].write_text(formats.dumps(graph_to_json(q3)))
 
     walls = graph_wall_space(certify_median_graph(cycle_graph(4)))
     out["c4_walls"] = tmp_path / "c4walls.json"
@@ -68,7 +69,7 @@ def files(tmp_path):
 
     out["c4_graph"] = tmp_path / "c4.json"
     out["c4_graph"].write_text(formats.dumps(
-        formats.graph_to_json(cycle_graph(4))))
+        graph_to_json(cycle_graph(4))))
 
     out["dir"] = tmp_path
     return out
@@ -93,7 +94,7 @@ def test_metric_accepts_full_square_matrix():
 
 def test_graph_round_trip():
     g = hypercube_graph(2)
-    again = formats.graph_from_json(formats.graph_to_json(g))
+    again = formats.graph_from_json(graph_to_json(g))
     assert set(map(frozenset, again.edges)) == set(map(frozenset, g.edges))
 
 
@@ -339,7 +340,7 @@ def test_embed_gns_bytes_do_not_depend_on_blas_threads(tmp_path):
     # coordinates depended on LAPACK's thread count; the exact factor's do not
     from mediankit.corpus import grid_graph
     path = tmp_path / "grid20.json"
-    path.write_text(formats.dumps(formats.graph_to_json(grid_graph(20, 20))))
+    path.write_text(formats.dumps(graph_to_json(grid_graph(20, 20))))
     argv = [sys.executable, "-m", "mediankit", "embed", "--mode", "gns", "--in", str(path)]
     runs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
@@ -817,7 +818,7 @@ GRAPH_REPORT_CASES = {
 def graph_file(request, tmp_path):
     g = GRAPH_REPORT_CASES[request.param]
     path = tmp_path / "graph.json"
-    path.write_text(formats.dumps(formats.graph_to_json(g)))
+    path.write_text(formats.dumps(graph_to_json(g)))
     return g, path
 
 

@@ -2,17 +2,19 @@ import itertools
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (EagerCertificate, between_oracle, bfs_distance_check, bipartition,
-                      coordinate_int, fill_cubes_oracle, halfspace_list, majority_closure_check,
+from conftest import (EagerCertificate, between_oracle, bfs_coordinates_oracle,
+                      bfs_distance_check, bipartition, coordinate_int, fill_cubes_oracle,
+                      graph_to_json, halfspace_list, majority_closure_check,
                       random_crossing_wall_space, simple_graph_oracle,
                       subsets_bruteforce_halfspaces)
 from mediankit import (FiniteMetric, InputError, InternalCheckError, MedianMetric,
                        NotMedianError, SimpleGraph, certify_median_graph, classify,
-                       cubulate, fill_cubes, intervals)
+                       cubulate, fill_cubes, formats, intervals)
 from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               grid_graph, hypercube_graph, path_graph,
                               random_tree, star_graph)
@@ -141,6 +143,73 @@ def test_all_pairs_on_one_vertex_and_multiword_balls(g):
     assert dist == bfs_table(g)
     assert g.all_pairs() is dist
     assert all(type(d) is int for row in dist for d in row)
+
+
+def seeded_cubulation(seed: int) -> SimpleGraph:
+    """The cubulation graph of a seeded random crossing wall space."""
+    rng = random.Random(seed)
+    while True:
+        try:
+            return cubulate(random_crossing_wall_space(rng, rng.randint(2, 7),
+                                                       rng.randint(1, 8))).graph
+        except InputError:
+            continue
+
+
+@st.composite
+def bfs_graphs(draw):
+    """A tree, grid, cube, cycle, K_{m,n}, random connected graph or
+    cubulation graph, its vertices in random order unless it is a
+    cubulation's."""
+    kind = draw(st.sampled_from(["tree", "grid", "cube", "cycle", "kmn", "random",
+                                 "cubulation"]))
+    if kind == "random":
+        return draw(connected_graphs())
+    if kind == "cubulation":
+        return seeded_cubulation(draw(st.integers(0, 10 ** 6)))
+    g = {"tree": lambda: random_tree(draw(st.integers(1, 40)), draw(st.integers(0, 99))),
+         "grid": lambda: grid_graph(draw(st.integers(1, 6)), draw(st.integers(1, 6))),
+         "cube": lambda: hypercube_graph(draw(st.integers(0, 5))),
+         "cycle": lambda: cycle_graph(draw(st.integers(3, 12))),
+         "kmn": lambda: complete_bipartite_graph(draw(st.integers(1, 4)), draw(st.integers(1, 6))),
+         }[kind]()
+    return SimpleGraph(draw(st.permutations(g.vertices)), draw(st.permutations(g.edges)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bfs_graphs())
+def test_bfs_coordinates_read_the_graph_bfs_as_the_queue_oracle_does(g):
+    if "edge_indices" not in vars(g):       # a cubulation's: its BFS is built here
+        assert "_bfs" not in vars(g)
+    assert _bfs_coordinates(g) == bfs_coordinates_oracle(g)
+
+
+def trusted_copy(g: SimpleGraph) -> SimpleGraph:
+    """``g`` rebuilt through ``_trusted`` from its sorted index pairs."""
+    pairs = sorted({tuple(sorted((g.index(u), g.index(v)))) for u, v in g.edges})
+    src = np.array([i for i, _ in pairs], dtype=np.intp)
+    dst = np.array([j for _, j in pairs], dtype=np.intp)
+    return SimpleGraph._trusted(list(g.vertices), src, dst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bfs_graphs())
+def test_trusted_and_constructed_graphs_agree_on_every_view(g):
+    built = SimpleGraph(g.vertices, g.edges)
+    trusted = trusted_copy(built)
+    assert not {"edge_indices", "_adj", "_index", "_bfs"} & vars(trusted).keys()
+    assert (trusted.edge_src.tolist(), trusted.edge_dst.tolist()) == \
+        (built.edge_src.tolist(), built.edge_dst.tolist())
+    assert trusted.edge_indices == built.edge_indices
+    assert all(type(i) is int for pair in trusted.edge_indices for i in pair)
+    assert trusted._adj == built._adj
+    assert [trusted.index(v) for v in g.vertices] == [built.index(v) for v in g.vertices]
+    assert [trusted.neighbors(v) for v in g.vertices] == [built.neighbors(v) for v in g.vertices]
+    assert trusted.edges == built.edges
+    assert trusted._bfs == built._bfs
+    assert trusted.all_pairs() == built.all_pairs()
+    assert formats.graph_text(trusted, {"n": 1}) == formats.graph_text(built, {"n": 1}) == \
+        formats.dumps(graph_to_json(built, {"n": 1}))
 
 
 def test_a_1024_vertex_tree_is_certified_with_1023_walls():

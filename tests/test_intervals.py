@@ -21,8 +21,8 @@ from conftest import (between_oracle, boolean_median_algebra, certificate_order_
 from mediankit import (FiniteMetric, InputError, MedianGraphCert, MedianMetric, SimpleGraph,
                        WallSpace, certify_median_graph, cubulate, graph_wall_space, product)
 from mediankit.corpus import grid_graph, hypercube_graph, path_graph, random_tree
-from mediankit.intervals import (bit_rows, halfspaces, is_convex, is_median_closure, members,
-                                 row_ints)
+from mediankit.intervals import (WallCodes, bit_rows, halfspaces, is_convex, is_median_closure,
+                                 members, row_ints)
 
 
 def closure_of_ints(image, vertices, width):
@@ -321,3 +321,15 @@ def test_certificates_wall_spaces_and_halfspaces_build_one_record(family, seed):
     got = m.to_algebra().halfspaces()
     assert [frozenset(map(g.index, h.side)) for h in got] == want
     assert all(h.complement == frozenset(g.vertices) - h.side for h in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RECORD_FAMILIES), st.integers(0, 10 ** 6))
+def test_halfspaces_seed_the_sides_a_fresh_record_packs(family, seed):
+    """``halfspaces`` sets its record's sides from the off-masks it packed
+    to group the pairs; they are the sides a record built on the same
+    matrix reads off its columns."""
+    g, _ = record_graph(family, seed)
+    codes, _ = halfspaces(g.path_metric()._between())
+    assert "sides" in vars(codes)
+    assert codes.sides == WallCodes(codes.bits).sides

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import deque
 from types import SimpleNamespace
@@ -16,13 +17,14 @@ from mediankit.actions import apply_word
 from mediankit.corpus import (cycle_graph, grid_graph, hypercube_graph,
                               nested_wall_space, path_graph, random_tree,
                               random_wall_space, wall_instances)
-from mediankit import walls
+from mediankit import cli, formats, walls
 from mediankit.errors import InternalCheckError
 from mediankit.intervals import bit_rows
 from mediankit.walls import _orientation_array, _reaches_vertex_0, _side_tables
 
 from conftest import (Orientation, bfs_distance_check, check_upward_closure,
                       consistent_orientations_bruteforce, count_closure, cubulate_oracle,
+                      graph_to_json,
                       majority_closure, majority_closure_check, principal_orientation,
                       extend_morphism_oracle, pullback_case, random_crossing_wall_space,
                       side_masks, steps_toward_all, wall_metric_recount, wall_morphism_oracle)
@@ -829,3 +831,28 @@ def test_unhashable_ids_are_input_errors(call):
                                          r"is not hashable|interval \('a', \['a'\]\) references "
                                          r"an unknown point|unknown generator \['g'\])$"):
         call()
+
+
+GRAPH_VIEWS = {"edge_indices", "_adj", "_index", "_bfs"}
+
+
+@pytest.mark.parametrize("inst", wall_instances(0), ids=lambda inst: inst.name)
+def test_cubulate_and_its_cli_build_no_graph_view(inst, tmp_path, monkeypatch, capsys):
+    """A cubulation's graph keeps the edge arrays it was built from: neither
+    ``cubulate`` nor ``cubulate --out`` builds its adjacency lists, id
+    index, edge tuples or BFS."""
+    assert not GRAPH_VIEWS & vars(cubulate(inst.payload).graph).keys()
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(cubulate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "cubulate", spy)
+    infile, outfile = tmp_path / "walls.json", tmp_path / "graph.json"
+    infile.write_text(formats.dumps(formats.walls_to_json(inst.payload)))
+    assert cli.main(["cubulate", "--in", str(infile), "--out", str(outfile)]) == 0
+    g = results[0].graph
+    assert not GRAPH_VIEWS & vars(g).keys()
+    assert json.loads(capsys.readouterr().out)["edges"] == len(g.edge_src)
+    assert outfile.read_text() == formats.dumps(graph_to_json(g))
