@@ -390,8 +390,15 @@ class GnsEmbedding:
     tol: float
     max_error: float
 
+    @functools.cached_property
+    def _index(self) -> dict:
+        return dict(zip(self.points, range(len(self.points))))
+
     def coordinate(self, x) -> np.ndarray:
-        return self.coords[self.points.index(x)]
+        try:
+            return self.coords[self._index[x]]
+        except (KeyError, TypeError):   # an unhashable id is unknown too
+            raise InputError(f"unknown point {x!r}") from None
 
     def distance_sq(self, x, y) -> float:
         diff = self.coordinate(x) - self.coordinate(y)

@@ -459,24 +459,29 @@ def _dot_id(v) -> str:
     return '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+# the end of an edge statement: coloured by wall k at entry k % len(_PALETTE), plain at the last
+_EDGE_ENDS = np.array([f' [color="{paint}"];\n' for paint in _PALETTE] + [";\n"], dtype=object)
+
+
 def dot_export(g: SimpleGraph, cert: MedianGraphCert | None = None) -> str:
     """Graphviz text (graph/node/edge statements only); with a certificate,
-    edges are colored by the wall they cross: the one bit where the codes
-    of their ends differ."""
-    colour: dict[tuple, str] = {}
-    if cert is not None:
-        vs, ints = cert.vertices, cert.codes.ints
-        for i, j in cert.graph.edge_indices:
-            paint = _PALETTE[((ints[i] ^ ints[j]).bit_length() - 1) % len(_PALETTE)]
-            colour[(vs[i], vs[j])] = colour[(vs[j], vs[i])] = paint
-    lines = ["graph G {"]
-    for v in g.vertices:
-        lines.append(f"  {_dot_id(v)};")
-    for u, v in g.edges:
-        paint = colour.get((u, v))
-        if paint:
-            lines.append(f'  {_dot_id(u)} -- {_dot_id(v)} [color="{paint}"];')
-        else:
-            lines.append(f"  {_dot_id(u)} -- {_dot_id(v)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges are colored by the wall they cross: an edge whose ends' codes
+    (their rows of the certificate's wall record, matched by vertex id)
+    differ in exactly one bit crosses that bit's wall, since by the lemma
+    at :class:`graphs.MedianGraphCert` such a pair is a certificate edge.
+
+    Each vertex id is encoded once, and the edge statements are laid out
+    as one array of strings, each row's ends taken from the graph's edge
+    record, that is joined once."""
+    ids = [_dot_id(v) for v in g.vertices]
+    src, dst = g.edge_src, g.edge_dst
+    paint = np.full(len(src), len(_PALETTE))
+    if cert is not None and len(src):
+        codes = cert.codes.bits[list(map(cert.graph.index, g.vertices))]
+        crossed = codes[src] ^ codes[dst]
+        one = crossed.sum(axis=1) == 1
+        paint[one] = crossed[one].argmax(axis=1) % len(_PALETTE)
+    starts = np.array([f"  {v} -- " for v in ids], dtype=object)
+    rows = np.column_stack((starts[src], np.array(ids, dtype=object)[dst], _EDGE_ENDS[paint]))
+    nodes = "".join(f"  {v};\n" for v in ids)
+    return "graph G {\n" + nodes + "".join(rows.ravel().tolist()) + "}\n"

@@ -128,10 +128,10 @@ class SimpleGraph:
                  dst: np.ndarray) -> "SimpleGraph":
         """The graph on distinct ``vertices`` whose edge record is
         ``src``, ``dst``: distinct index pairs with src < dst, sorted, of a
-        connected graph, as a construction guarantees and checks: the
-        cubulation's Hamming-1 pairs, whose connectivity ``cubulate``
-        proves by :func:`walls._reaches_vertex_0`.  Nothing is checked, and
-        no view is built, here."""
+        connected graph, as a construction guarantees: the cubulation's
+        Hamming-1 pairs, connected by the argument at
+        :func:`walls.cubulate`.  Nothing is checked, and no view is built,
+        here."""
         out = cls.__new__(cls)
         out.vertices = vertices
         out.edge_src = src
@@ -392,9 +392,9 @@ def _lemma_holds(g: SimpleGraph, coords: Sequence[int], width: int) -> np.ndarra
     meet the hypotheses of the lemma at :class:`MedianGraphCert`, else
     None: distinct, one flipped bit per edge, exactly the edges at Hamming
     distance 1 (one set lookup per set bit of each coordinate, O(sum of
-    popcounts)), and closed under the bitwise majority (they are their own
-    median closure, :func:`intervals.is_median_closure`).  The graph is
-    connected by construction."""
+    popcounts)), and closed under the bitwise majority
+    (:func:`intervals.is_median_closed`).  The graph is connected by
+    construction."""
     n = len(coords)
     present = set(coords)
     if len(present) != n:
@@ -411,7 +411,7 @@ def _lemma_holds(g: SimpleGraph, coords: Sequence[int], width: int) -> np.ndarra
     if pairs != len(g.edge_indices):
         return None
     bits = intervals.bit_rows(coords, width)
-    return bits if intervals.is_median_closure(bits, bits) else None
+    return bits if intervals.is_median_closed(bits) else None
 
 
 def certify_median_graph(g: SimpleGraph) -> MedianGraphCert:

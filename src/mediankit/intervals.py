@@ -1,6 +1,6 @@
 """The interval kernel: betweenness tables packed into uint64 words, and
-the triple-meet count, convexity, halfspaces and the median-closure test
-on them.
+the triple-meet count, convexity, halfspaces and the median-closedness
+test on them.
 
 A betweenness table over n points is an (n, n, words(n)) uint64 array in
 which bit t of ``packed[i, j]`` (bit t % 64 of word t // 64) is set iff t
@@ -11,8 +11,8 @@ held by ``IntervalStructure.packed``; it is the only form of the table.
 of every triple with ``np.bitwise_count``, in blocks of consecutive rows
 i of about ``BLOCK`` triples, in lexicographic order, so a caller that
 stops at its first hit reads only the blocks up to it.
-``is_median_closure`` reads points as wall-coordinate bitvectors, where
-the median is the bitwise majority, given as 0/1 matrices (bit k in
+``is_median_closed`` reads points as wall-coordinate bitvectors, where
+the median is the bitwise majority, given as a 0/1 matrix (bit k in
 column k) and packed the same way by ``pack_bits``; ``bit_rows`` and
 ``row_ints`` turn bitvectors of any width into such matrices and back.
 
@@ -31,14 +31,14 @@ The median closure of a set I of bitvectors is the solution set C of
 the 2-clauses that every element of I satisfies (Schaefer 1978).  For a
 literal L = (bit k, side s) let AND_L and OR_L be the AND and the OR of
 the elements of I that hold L; a bitvector is in C iff every literal L it
-holds occurs in I and AND_L <= it <= OR_L.  These clauses are closed
-under resolution, so a prefix (bits 0..k-1) that meets them and AND_L <=
-prefix <= OR_L below bit k extends to an element of C holding L.  Hence
-a set V inside C is all of C iff the bit trie of V misses no branch: no
-prefix p of an element of V, extended by side s of bit k, is a prefix of
-no element of V while (k, s) occurs in I and AND_L <= p <= OR_L below
-bit k.  (A solution outside V has a longest prefix inside the trie, and
-it names such a branch.)
+holds occurs in I and AND_L <= it <= OR_L, so I lies inside C.  These
+clauses are closed under resolution, so a prefix (bits 0..k-1) that
+meets them and AND_L <= prefix <= OR_L below bit k extends to an element
+of C holding L.  Hence I is median-closed (I = C) iff the bit trie of I
+misses no branch: no prefix p of an element of I, extended by side s of
+bit k, is a prefix of no element of I while (k, s) occurs in I and
+AND_L <= p <= OR_L below bit k.  (A solution outside I has a longest
+prefix inside the trie, and it names such a branch.)
 
 Halfspaces come from covering pairs.  In a finite median algebra, if
 [x,y] = {x,y} then every z has median m(x,y,z) in {x,y}, so
@@ -60,7 +60,7 @@ import numpy as np
 from .errors import InternalCheckError
 
 BLOCK = 1 << 14     # entries per block of meet_counts, the metric's table build and
-                    # triangle check, and the median-closure test
+                    # triangle check, and the median-closedness test
 
 
 def members(mask: int) -> tuple[int, ...]:
@@ -285,7 +285,6 @@ _REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.ui
 # levels below it at the bits below
 _LEVELS = np.uint64(1) << np.arange(31, -1, -1, dtype=np.uint64)
 _BELOW = _LEVELS - np.uint64(1)
-_SIDES = np.array([[0], [1]], dtype=np.uint8)
 
 
 def _clauses(columns: np.ndarray, ones: np.ndarray, m: int, lower: np.ndarray,
@@ -316,46 +315,44 @@ def _clauses(columns: np.ndarray, ones: np.ndarray, m: int, lower: np.ndarray,
     return fixes[:, :2] | fixes[:, 2:], fixes[:, :2]
 
 
-def is_median_closure(image: np.ndarray, vertices: np.ndarray) -> bool:
-    """Whether the set of rows of ``vertices`` is the median closure of
-    the rows of ``image``: the solution set of the 2-clauses that every
-    element of ``image`` satisfies (the closure of no element is empty).
-    Both are 0/1 uint8 matrices of one width, a bitvector per row with
-    bit k in column k (:func:`bit_rows`); ``vertices`` is any set,
-    consistent or not.
+def is_median_closed(bits: np.ndarray) -> bool:
+    """Whether the set of rows of the 0/1 uint8 matrix ``bits`` (a
+    bitvector per row, bit k in column k, :func:`bit_rows`) is closed
+    under the bitwise majority: whether it is its own median closure, the
+    solution set of the 2-clauses that its elements satisfy.
 
     The test is the criterion of the module docstring, run over the
-    levels k of the vertices' bit trie 32 at a time.  Every vertex must
-    meet the clauses between each literal it holds and its bits below it
-    (so it lies in the closure), and no branch may be missing.  The
+    levels k of the set's bit trie 32 at a time.  Every element meets the
+    clauses of each literal it holds, since it is one of the elements they
+    come from, so the set fails only where a missing branch's side occurs
+    and its prefix meets that literal's clauses.  The side of a missing
+    branch at a constant bit occurs in no element; at any other bit both
+    sides occur, and the prefix, an element's, meets its own side's
+    clauses, so the missing side's clauses hold iff both sides' do.  The
     trie's nodes in a block of levels are the distinct prefixes of the
-    vertices through the block, as sorted keys (the rank of the prefix of
+    elements through the block, as sorted keys (the rank of the prefix of
     the earlier levels, then the block's bits in reverse order), so a
     branch is present iff a key lies in the range that its prefix spans:
-    one ``searchsorted`` per block.  One vertex per distinct prefix is
-    tested against the block's clauses (:func:`_clauses`), one word at a
-    time, both sides of each level at once, in chunks of about ``BLOCK``
-    (vertex, level) pairs.
+    one ``searchsorted`` per block.  A block with no missing branch at a
+    varying bit builds no clause table; otherwise one element per
+    distinct prefix is tested against the block's clauses
+    (:func:`_clauses`), one word at a time, both sides of each level at
+    once, in chunks of about ``BLOCK`` (element, level) pairs.
 
-    For n vertices, m image elements and W bits this costs O((m + n) *
-    W * W / 64) word operations.  There are ceil(W/32) blocks, each of
-    O(m/64) numpy steps on 32 x W counts and O(n * 32/BLOCK * W/64) steps
-    on chunks of about ``BLOCK`` pairs, so up to 64 bits, 64 image
-    elements and 512 vertices take a fixed number of numpy calls."""
-    m = len(image)
-    if not (m and len(vertices)):
-        return m == len(vertices)
-    width = image.shape[1]
-    columns = np.ascontiguousarray(pack_bits(image.T).T)   # [word, k]: elements holding bit k
-    ones = image.sum(axis=0, dtype=np.int64)
-    occurs = np.empty((2, width), dtype=bool)           # [s, k]: an element holds (k, s)
-    np.less(ones, m, out=occurs[0])
-    np.greater(ones, 0, out=occurs[1])
+    For n elements and W bits this costs O(n * W * W / 64) word
+    operations.  There are ceil(W/32) blocks, each of O(n/64) numpy steps
+    on 32 x W counts and O(n * 32/BLOCK * W/64) steps on chunks of about
+    ``BLOCK`` pairs, so up to 64 bits and 512 elements take a fixed
+    number of numpy calls."""
+    n, width = bits.shape
+    columns = np.ascontiguousarray(pack_bits(bits.T).T)    # [word, k]: elements holding bit k
+    ones = bits.sum(axis=0, dtype=np.int64)
+    varies = (ones > 0) & (ones < n)                    # both sides of bit k occur
     lower = np.arange(width) < np.arange(width)[:, None]   # [k, j]: j < k
-    rows = pack_bits(vertices)
+    rows = pack_bits(bits)
     # block h of 32 levels, bit 32h + t at bit 31 - t
     reversed_bits = _REVERSED[rows.view(np.uint8)].view(">u4").astype(np.uint64)
-    rank = np.zeros(len(rows), dtype=np.uint64)
+    rank = np.zeros(n, dtype=np.uint64)
     for a in range(0, width, 32):
         b = min(width, a + 32)
         prefixes = rank << np.uint64(32) | reversed_bits[:, a // 32]
@@ -366,9 +363,12 @@ def is_median_closure(image: np.ndarray, vertices: np.ndarray) -> bool:
         below = _BELOW[:b - a]
         lo = (keys[:, None] ^ _LEVELS[:b - a]) & ~below
         missing = keys.take(keys.searchsorted(lo), mode="clip") ^ lo > below
-        own = vertices[first, a:b]
-        x = np.ascontiguousarray(rows[first].T)          # [word, vertex]
-        force, value = _clauses(columns, ones, m, lower, a, b)
+        # a missing branch of a constant bit is a side that no element holds
+        missing &= varies[a:b]
+        if not missing.any():
+            continue
+        x = np.ascontiguousarray(rows[first].T)          # [word, key]
+        force, value = _clauses(columns, ones, n, lower, a, b)
         step = max(1, BLOCK // (b - a))
         for r in range(0, len(keys), step):
             clash = np.zeros((len(keys[r:r + step]), 2, b - a), dtype=np.uint64)
@@ -377,11 +377,7 @@ def is_median_closure(image: np.ndarray, vertices: np.ndarray) -> bool:
                 np.bitwise_and(word[r:r + step, None, None], f, out=part)
                 part ^= v
                 clash |= part
-            # [vertex, s, level]: side s meets the clauses, and is the
-            # vertex's own; the own side must, and the other side must not
-            # where its branch is missing
-            meets = (clash == 0) & occurs[:, a:b]
-            mine = own[r:r + step, None] == _SIDES
-            if ((meets ^ mine) & (mine | missing[r:r + step, None])).any():
+            # the missing side meets its clauses iff both sides do
+            if (((clash[:, 0] | clash[:, 1]) == 0) & missing[r:r + step]).any():
                 return False
     return True

@@ -1378,42 +1378,76 @@ def count_closure(image_bits: Sequence[int], width: int, limit: int) -> int:
     return count
 
 
-def majority_closure(image_bits) -> set[int]:
-    """Oracle: the median closure of a set of bitvectors, by iterating the
-    bitwise majority to a fixpoint."""
-    current = set(image_bits)
-    fresh = list(current)
-    while fresh:
-        cur = np.fromiter(current, dtype=np.int64, count=len(current))
-        gg = cur[:, None] & cur[None, :]
-        uu = cur[:, None] | cur[None, :]
+def int_array(values) -> np.ndarray:
+    """Bitvectors as one array: int64 words below 2^62, Python ints (an
+    object array) beyond."""
+    values = list(values)
+    return np.array(values, dtype=object if any(v >> 62 for v in values) else np.int64)
+
+
+def _members(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether each of ``values`` lies in the ascending array ``ordered``."""
+    pos = np.minimum(np.searchsorted(ordered, values), len(ordered) - 1)
+    return ordered[pos] == values
+
+
+def _pair_meets_and_joins(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x & y and x | y for the pairs x = arr[j], y = arr[i], j < i, by
+    ascending i: the pairs below index t are the first t(t-1)/2."""
+    ys, xs = np.tril_indices(len(arr), -1)
+    return arr[ys] & arr[xs], arr[ys] | arr[xs]
+
+
+def majority_closure(image_bits, stable: set[int] | None = None) -> set[int]:
+    """Oracle: the median closure of a set of bitvectors of any width, by
+    iterating the bitwise majority to a fixpoint: each round adds the
+    majorities of the triples that hold an element added by the last
+    round, each triple taken once (the new elements are listed last, and
+    a triple is taken at its last element).  Given a majority-stable set
+    ``stable``, the iteration stops when it has reached all of it, since
+    no majority of its elements then lies outside."""
+    current: set[int] = set()
+    fresh = set(image_bits)
+    while fresh and current | fresh != stable:
+        listed = int_array([*current, *fresh])
+        ordered = np.sort(listed)
+        meet, join = _pair_meets_and_joins(listed)
         added: set[int] = set()
-        for c in fresh:
-            meds = gg | (uu & c)
-            added.update(int(x) for x in np.unique(meds[~np.isin(meds, cur)]))
-        added -= current
-        current |= added
-        fresh = list(added)
-    return current
+        for t in range(len(current), len(listed)):
+            below = t * (t - 1) // 2
+            meds = meet[:below] | (join[:below] & listed[t])
+            added.update(meds[~_members(ordered, meds)].tolist())
+        current |= fresh
+        fresh = added
+    return current | fresh
 
 
 def majority_closure_check(vertex_bits, image_bits) -> bool:
-    """Oracle: the vertex set is majority-stable AND equals the median
-    closure of the image (bitvectors of fewer than 63 bits)."""
-    arr = np.sort(np.fromiter(vertex_bits, dtype=np.int64))
-    nv = len(arr)
+    """Oracle: the vertex set is majority-stable (the majority of any
+    three distinct vertices, each triple taken once, is a vertex) AND
+    equals the median closure of the image (bitvectors of any width)."""
+    arr = np.sort(int_array(vertex_bits))
+    meet, join = _pair_meets_and_joins(arr)
+    for t, c in enumerate(arr):
+        below = t * (t - 1) // 2
+        if not _members(arr, meet[:below] | (join[:below] & c)).all():
+            return False
+    vertices = {int(b) for b in arr}
+    return majority_closure(image_bits, vertices) == vertices
 
-    def all_members(values: np.ndarray) -> bool:
-        flat = values.ravel()
-        pos = np.searchsorted(arr, flat)
-        pos[pos == nv] = nv - 1
-        return bool((arr[pos] == flat).all())
 
-    g = arr[:, None] & arr[None, :]
-    u = arr[:, None] | arr[None, :]
-    if not all(all_members(g | (u & c)) for c in arr):
-        return False
-    return majority_closure(image_bits) == {int(b) for b in arr}
+def reaches_vertex_0(bits: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                     k: np.ndarray) -> bool:
+    """Oracle: whether every row of the 0/1 matrix ``bits`` but row 0 has a
+    neighbour one bit nearer row 0, where edge e joins rows src[e] and
+    dst[e], which differ in column k[e] alone.  Then every row is joined
+    to row 0 by a path, by induction on its Hamming distance to row 0.
+    Edge e brings nearer whichever end differs from row 0 in column
+    k[e]; one pass over the edges marks those ends."""
+    far = np.where(bits[0, k] == 1, src, dst)
+    seen = np.zeros(len(bits), dtype=bool)
+    seen[far] = True
+    return bool(seen[1:].all())
 
 
 def bfs_distance_check(vertex_bits, adj) -> bool:

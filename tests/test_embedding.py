@@ -599,6 +599,22 @@ def test_p3_two_dimensional_embedding():
     assert abs(emb.distance_sq(v[0], v[2]) - 2.0) < 1e-9
 
 
+def test_gns_lookups_of_an_unknown_point_are_input_errors():
+    m = path_graph(3).path_metric()
+    emb = gns_embed(m)
+    v = m.points
+    for bad in ("zz", ["a"], [v[0]]):
+        with pytest.raises(InputError, match=r"unknown point"):
+            emb.coordinate(bad)
+        with pytest.raises(InputError, match=r"unknown point"):
+            emb.distance_sq(v[0], bad)
+        with pytest.raises(InputError, match=r"unknown point"):
+            emb.distance_sq(bad, v[1])
+    with pytest.raises(InputError, match=r"unknown point 'zz'"):
+        emb.coordinate("zz")
+    assert [emb.coordinate(p).tolist() for p in v] == emb.coords.tolist()
+
+
 def test_cube_embedding_faithful():
     m = hypercube_graph(3).path_metric()
     emb = gns_embed(m)

@@ -392,7 +392,7 @@ def test_certificate_scans_no_triples(monkeypatch):
 
 
 def test_a_wall_test_failing_on_a_median_graph_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(intervals, "is_median_closure", lambda *args: False)
+    monkeypatch.setattr(intervals, "is_median_closed", lambda *args: False)
     with pytest.raises(InternalCheckError, match="no witness"):
         certify_median_graph(grid_graph(2, 3))
 

@@ -1,7 +1,7 @@
 """The packed interval kernel against the Python kernels and the 2^n
 subset oracle, for n <= 12, and against the Python kernels across the
-64-bit word boundary; the median-closure test against the majority
-fixpoint and the 2-clause solution count."""
+64-bit word boundary; the median-closedness test against the majority
+fixpoint."""
 
 import itertools
 import random
@@ -16,18 +16,28 @@ import pytest
 from conftest import (between_oracle, boolean_median_algebra, certificate_order_oracle,
                       count_closure, halfspace_list, halfspaces_oracle, interval_masks,
                       is_convex_oracle,
-                      majority_closure, random_crossing_wall_space, row_ints_oracle,
+                      majority_closure, majority_closure_check, random_crossing_wall_space,
+                      row_ints_oracle,
                       subsets_bruteforce_halfspaces, wall_space_order_oracle)
 from mediankit import (FiniteMetric, InputError, MedianGraphCert, MedianMetric, SimpleGraph,
                        WallSpace, certify_median_graph, cubulate, graph_wall_space, product)
 from mediankit.corpus import grid_graph, hypercube_graph, path_graph, random_tree
-from mediankit.intervals import (WallCodes, bit_rows, halfspaces, is_convex, is_median_closure,
+from mediankit import intervals
+from mediankit.graphs import _bfs_coordinates
+from mediankit.intervals import (WallCodes, bit_rows, halfspaces, is_convex, is_median_closed,
                                  members, row_ints)
 
 
-def closure_of_ints(image, vertices, width):
-    """``is_median_closure`` on int bitvectors, through their bit matrices."""
-    return is_median_closure(bit_rows(image, width), bit_rows(vertices, width))
+def closed(values, width):
+    """``is_median_closed`` on int bitvectors, through their bit matrix."""
+    return is_median_closed(bit_rows(values, width))
+
+
+def closed_oracle(values):
+    """Whether a set of int bitvectors is its own majority closure,
+    ``majority_closure(values) == set(values)``, with majority stability
+    decided first, so that no closure of a grown set is built."""
+    return majority_closure_check(values, values)
 
 
 def rational_tree_metric(n, seed):
@@ -177,31 +187,31 @@ def widened_images(draw):
 def test_median_closure_test_matches_the_oracles(case, data):
     width, image, closure = case
     assert count_closure(image, width, len(closure)) == len(closure)
-    assert closure_of_ints(image, closure, width)
-    assert closure_of_ints(image, image, width) == (image == closure)
+    assert closed(closure, width)
+    assert closed(image, width) == closed_oracle(image) == (image == closure)
+    # dropping an element can leave the set closed (an end of a path)
     drop = data.draw(st.sampled_from(closure))
-    assert not closure_of_ints(image, [v for v in closure if v != drop], width)
+    dropped = [v for v in closure if v != drop]
+    assert closed(dropped, width) == closed_oracle(dropped)
     if len(closure) < 1 << width:
         outsider = data.draw(st.integers(0, (1 << width) - 1).filter(
             lambda v: v not in closure))
-        assert not closure_of_ints(image, sorted(closure + [outsider]), width)
+        grown = sorted(closure + [outsider])
+        assert closed(grown, width) == closed_oracle(grown)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 6).flatmap(lambda w: st.tuples(
-    st.just(w), st.sets(st.integers(0, (1 << w) - 1), min_size=1, max_size=10),
-    st.sets(st.integers(0, (1 << w) - 1), max_size=20))))
+    st.just(w), st.sets(st.integers(0, (1 << w) - 1), max_size=20))))
 def test_median_closure_test_holds_for_any_vertex_set(case):
-    width, image, vertices = case
-    assert closure_of_ints(sorted(image), sorted(vertices), width) == \
-        (vertices == majority_closure(image))
+    width, values = case
+    assert closed(sorted(values), width) == closed_oracle(values)
 
 
 def test_median_closure_of_nothing_is_empty():
-    assert closure_of_ints([], [], 3)
-    assert not closure_of_ints([], [0], 0)
-    assert not closure_of_ints([0], [], 0)
-    assert closure_of_ints([0], [0], 0)
+    """The empty set is its own median closure, and so is one point."""
+    assert closed([], 0) and closed([], 3)
+    assert closed([0], 0) and closed([0b101], 3)
 
 
 def test_the_tripod_without_its_centre_is_no_median_closure():
@@ -210,9 +220,23 @@ def test_the_tripod_without_its_centre_is_no_median_closure():
     res = cubulate(w)
     bits = sorted(res.vertex_bits.values())
     image = sorted(res.vertex_bits[v] for v in res.embedding.values())
-    centre = next(b for b in bits if b not in image)
-    assert closure_of_ints(image, bits, w.wall_count)
-    assert not closure_of_ints(image, [b for b in bits if b != centre], w.wall_count)
+    assert len(bits) == 4 and len(image) == 3
+    assert closed(bits, w.wall_count) and closed_oracle(bits)
+    assert not closed(image, w.wall_count) and not closed_oracle(image)
+
+
+def test_cube_coordinates_build_no_clause_table(monkeypatch):
+    """Every branch of a cube's bit trie is present, so no block builds
+    the clause tables; a tree's coordinates miss branches and do."""
+    def forbidden(*args):
+        raise AssertionError("a clause table was built")
+    monkeypatch.setattr(intervals, "_clauses", forbidden)
+    for k in range(1, 7):
+        coords, width = _bfs_coordinates(hypercube_graph(k))
+        assert width == k and closed(coords, width)
+    coords, width = _bfs_coordinates(random_tree(12, 1))
+    with pytest.raises(AssertionError, match="clause table"):
+        closed(coords, width)
 
 
 # ---------------------------------------------------------------- side order

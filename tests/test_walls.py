@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -20,14 +21,15 @@ from mediankit.corpus import (cycle_graph, grid_graph, hypercube_graph,
 from mediankit import cli, formats, walls
 from mediankit.errors import InternalCheckError
 from mediankit.intervals import bit_rows
-from mediankit.walls import _orientation_array, _reaches_vertex_0, _side_tables
+from mediankit.walls import _orientation_array, _side_tables
 
 from conftest import (Orientation, bfs_distance_check, check_upward_closure,
                       consistent_orientations_bruteforce, count_closure, cubulate_oracle,
                       graph_to_json,
                       majority_closure, majority_closure_check, principal_orientation,
                       extend_morphism_oracle, pullback_case, random_crossing_wall_space,
-                      side_masks, steps_toward_all, wall_metric_recount, wall_morphism_oracle)
+                      reaches_vertex_0, side_masks, steps_toward_all, wall_metric_recount,
+                      wall_morphism_oracle)
 
 
 def two_point_space():
@@ -413,11 +415,11 @@ def test_cubulate_matches_the_oracle_on_every_bench_rung_shape(name):
             cubulate(w, max_walls=80, max_vertices=res.vertex_count - 1)
 
 
-def test_dropping_a_clause_is_caught_by_the_closure_test(monkeypatch):
+def test_dropping_a_clause_is_caught_by_the_oracles(monkeypatch):
     # a - b - c cut twice: {a} and {c} are the sides of walls 0 and 1 that
     # miss each other; dropped from both tables, the expansion admits the
-    # inconsistent orientation that takes both, and the independent closure
-    # test, which no table feeds, fails
+    # inconsistent orientation that takes both, and the oracles, which no
+    # table feeds, build the path without it
     w = nested_wall_space(3)
     assert [side_masks(w, k) for k in range(2)] == [(0b001, 0b110), (0b011, 0b100)]
     tables = walls._side_tables
@@ -430,19 +432,82 @@ def test_dropping_a_clause_is_caught_by_the_closure_test(monkeypatch):
             value[s, k] &= ~np.uint64(1 << l)
         return force, value
 
+    want = cubulate_oracle(w)
+    assert set(want.vertex_bits.values()) == consistent_orientations_bruteforce(w) == {0, 1, 3}
+    assert set(cubulate(w).vertex_bits.values()) == {0, 1, 3}
     monkeypatch.setattr(walls, "_side_tables", dropped)
-    with pytest.raises(InternalCheckError, match="median closure"):
-        cubulate(w)
+    got = cubulate(w)
+    assert set(got.vertex_bits.values()) == {0, 1, 2, 3}
+    with pytest.raises(AssertionError):
+        assert_same_cubulation(got, want)
+
+
+def assert_passes_the_construction_oracles(res):
+    """What ``cubulate`` keeps by construction, checked by oracles that it
+    does not call: every edge flips one bit, every vertex but vertex 0
+    (the empty orientation) has a neighbour one bit nearer it
+    (``reaches_vertex_0``, so the graph is connected), and the vertex set
+    is majority-stable and the median closure of the embedded points
+    (``majority_closure_check``)."""
+    ordered = list(res.vertex_bits.values())
+    src, dst = res.graph.edge_src, res.graph.edge_dst
+    flips = [ordered[i] ^ ordered[j] for i, j in zip(src.tolist(), dst.tolist())]
+    assert all(f.bit_count() == 1 for f in flips)
+    k = np.array([f.bit_length() - 1 for f in flips], dtype=np.intp)
+    assert ordered[0] == 0
+    assert reaches_vertex_0(bit_rows(ordered, len(res.wall_correspondence)), src, dst, k)
+    image = [res.vertex_bits[v] for v in res.embedding.values()]
+    assert majority_closure_check(ordered, image)
+
+
+@functools.cache
+def rung_passes_the_construction_oracles(name):
+    """The oracles on a bench rung shape, run once per shape: the 600-vertex
+    boxes take seconds each."""
+    assert_passes_the_construction_oracles(cubulate(RUNG_SPACES[name](), max_walls=80))
+
+
+CORPUS_WALL_SPACES = [inst.payload for inst in wall_instances()]
+
+
+@st.composite
+def wall_space_draws(draw):
+    """A random crossing wall space, a corpus wall space, or the name of a
+    bench rung shape (beyond 64 walls among them)."""
+    kind = draw(st.sampled_from(["random", "corpus", "rung"]))
+    if kind == "rung":
+        return draw(st.sampled_from(list(RUNG_SPACES)))
+    if kind == "corpus":
+        return draw(st.sampled_from(CORPUS_WALL_SPACES))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    try:
+        return random_crossing_wall_space(rng, rng.randint(2, 8), rng.randint(1, 10))
+    except InputError:
+        return nested_wall_space(rng.randint(1, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wall_space_draws())
+def test_every_cubulation_passes_the_construction_oracles(w):
+    if isinstance(w, str):
+        rung_passes_the_construction_oracles(w)
+    else:
+        assert_passes_the_construction_oracles(cubulate(w, max_walls=w.wall_count))
+
+
+def test_the_shapes_beyond_64_walls_pass_the_construction_oracles():
+    for name in BEYOND_64:
+        rung_passes_the_construction_oracles(name)
 
 
 def test_connectivity_proof_rejects_two_antipodal_vertices():
     bits = bit_rows([0b000, 0b111], 3)
     none = np.zeros(0, dtype=np.intp)
-    assert not _reaches_vertex_0(bits, none, none, none)
+    assert not reaches_vertex_0(bits, none, none, none)
     path = bit_rows([0b000, 0b001, 0b011, 0b111], 3)
-    assert _reaches_vertex_0(path, np.array([0, 1, 2]), np.array([1, 2, 3]), np.array([0, 1, 2]))
+    assert reaches_vertex_0(path, np.array([0, 1, 2]), np.array([1, 2, 3]), np.array([0, 1, 2]))
     # every vertex is one step from vertex 0, except vertex 3, which has no edge down
-    assert not _reaches_vertex_0(path, np.array([0, 1]), np.array([1, 2]), np.array([0, 1]))
+    assert not reaches_vertex_0(path, np.array([0, 1]), np.array([1, 2]), np.array([0, 1]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -454,7 +519,7 @@ def test_connectivity_proof_matches_the_one_step_oracle(case):
     index = {b: i for i, b in enumerate(ordered)}
     edges = np.array([(index[b], index[b | 1 << t], t) for b in ordered for t in range(width)
                       if not b >> t & 1 and b | 1 << t in index], dtype=np.intp).reshape(-1, 3)
-    got = _reaches_vertex_0(bit_rows(ordered, width), *edges.T)
+    got = reaches_vertex_0(bit_rows(ordered, width), *edges.T)
     # the proof holds iff BFS distance from vertex 0 is Hamming distance to it
     adj = cube_adjacency(ordered)
     dist, queue = {0: 0}, deque([0])
