@@ -17,10 +17,11 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
+from .algebra import total_image
 from .embedding import GnsEmbedding, gns_embed
 from .errors import InputError, InternalCheckError
 from .metric import FiniteMetric
-from .walls import WallSpace, _image, _pullback
+from .walls import WallSpace, _pullback
 
 Point = Hashable
 
@@ -105,7 +106,7 @@ class WallAction:
         checked = {}
         for name, g in self.generators.items():
             perm = _check_permutation(name, g, space.points)
-            inverse = _image({q: p for p, q in perm.items()}, space, space)
+            inverse = total_image({q: p for p, q in perm.items()}, space, space)
             for k, rule in enumerate(_pullback(space, space, inverse)):
                 if rule is None:
                     a, b = space.wall_sides(k)

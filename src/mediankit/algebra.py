@@ -299,6 +299,16 @@ class FiniteMedianAlgebra:
         return frozenset(current)
 
 
+def total_image(f: Mapping[Point, Point], source, target) -> list[int]:
+    """The target index of each source point's image; f must be total and land in the target."""
+    image = []
+    for p in source.points:
+        if p not in f:
+            raise InputError(f"map is not total: {p!r} has no image")
+        image.append(target.index(f[p]))
+    return image
+
+
 def is_median_morphism(f: Mapping[Point, Point], a: FiniteMedianAlgebra,
                        b: FiniteMedianAlgebra) -> bool:
     """Whether f maps every interval of `a` into the image interval in `b`.
@@ -309,12 +319,7 @@ def is_median_morphism(f: Mapping[Point, Point], a: FiniteMedianAlgebra,
     read in blocks of rows x, as the nesting check of :func:`validate_axioms`
     reads one.
     """
-    image = []
-    for p in a.points:
-        if p not in f:
-            raise InputError(f"map is not total: {p!r} has no image")
-        image.append(b.index(f[p]))
-    n, fi = len(a.points), np.array(image)
+    n, fi = len(a.points), np.array(total_image(f, a, b))
     step = max(1, intervals.BLOCK // (n * n))
     for lo in range(0, n, step):
         inside = intervals.unpack_bits(a._s.packed[lo:lo + step], n)   # [x - lo, y, t]: t in [x,y]

@@ -246,8 +246,6 @@ def _psd_eliminate(g: Sequence[Sequence[int]]) -> Elimination:
 @dataclass(frozen=True)
 class NegDefCertificate:
     metric: FiniteMetric
-    gram: tuple[tuple[int, ...], ...]      # gram_scale * (-1/2 J D J)
-    gram_scale: int
     negative_definite: bool
     pivots: tuple[Fraction, ...]
     witness: tuple[Fraction, ...] | None   # zero-sum vector with positive form
@@ -281,8 +279,6 @@ def certify_negative_definite(m: FiniteMetric) -> NegDefCertificate:
         witness = tuple(alpha)
     return NegDefCertificate(
         metric=m,
-        gram=tuple(map(tuple, g.tolist())),
-        gram_scale=scale,
         negative_definite=ok,
         pivots=tuple(p / scale for p in pivots),
         witness=witness,
@@ -479,14 +475,8 @@ class L1Embedding:
         return dict(zip(self.vertices, map(tuple, self.bits.tolist())))
 
     def strings(self) -> list[str]:
-        """Each vertex's vector as a string of 0s and 1s, coordinate k at
-        position k: the digit matrix read as one S{dimension} string per
-        row."""
-        n, width = self.bits.shape
-        if not width:
-            return [""] * n
-        digits = self.bits + ord("0")
-        return digits.view(f"S{width}").ravel().astype(str).tolist()
+        """Each vertex's vector as a string of 0s and 1s (:func:`intervals.digit_strings`)."""
+        return intervals.digit_strings(self.bits)
 
 
 def l1_embed(cert: MedianGraphCert) -> L1Embedding:

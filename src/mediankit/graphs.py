@@ -243,7 +243,7 @@ class SimpleGraph:
             inside = np.zeros((n, n), dtype=_exact_dtype(0, n))
             levels = 0
             while True:
-                inside += np.unpackbits(ball.view(np.uint8), axis=1, count=n, bitorder="little")
+                inside += intervals.unpack_bits(ball, n)
                 levels += 1
                 grown = np.bitwise_or.reduceat(ball[closed], starts, axis=0)
                 if not (grown != ball).any():

@@ -13,8 +13,10 @@ i of about ``BLOCK`` triples, in lexicographic order, so a caller that
 stops at its first hit reads only the blocks up to it.
 ``is_median_closed`` reads points as wall-coordinate bitvectors, where
 the median is the bitwise majority, given as a 0/1 matrix (bit k in
-column k) and packed the same way by ``pack_bits``; ``bit_rows`` and
-``row_ints`` turn bitvectors of any width into such matrices and back.
+column k) and packed the same way by ``pack_bits``.  The bit codecs are
+here alone: ``bit_rows`` and ``row_ints`` (``word_ints`` on packed words)
+turn bitvectors of any width into such matrices and back, and
+``digit_strings`` writes their rows as strings of 0s and 1s.
 
 Walls have one record, :class:`WallCodes`: a point is its code, the
 sides of the walls it lies on, and the distance of two points is the
@@ -38,7 +40,9 @@ of C holding L.  Hence I is median-closed (I = C) iff the bit trie of I
 misses no branch: no prefix p of an element of I, extended by side s of
 bit k, is a prefix of no element of I while (k, s) occurs in I and
 AND_L <= p <= OR_L below bit k.  (A solution outside I has a longest
-prefix inside the trie, and it names such a branch.)
+prefix inside the trie, and it names such a branch.)  On a wall space's
+codes, C is the set of consistent orientations (Roller's poc-set
+duality), and cubulation builds it from the same clause tables.
 
 Halfspaces come from covering pairs.  In a finite median algebra, if
 [x,y] = {x,y} then every z has median m(x,y,z) in {x,y}, so
@@ -120,17 +124,30 @@ def bit_rows(values: Sequence[int], width: int) -> np.ndarray:
     return unpack_bits(pack_rows(values, width), width)
 
 
-def row_ints(bits: np.ndarray) -> list[int]:
-    """The rows of a 0/1 uint8 matrix as ints, column k as bit k: the
-    inverse of :func:`bit_rows`, read off the packed words of
-    :func:`pack_bits` with one ``tolist`` per word."""
-    packed = pack_bits(bits)
+def word_ints(packed: np.ndarray) -> list[int]:
+    """The rows of a (rows, words) uint64 array as ints, one ``tolist`` per word."""
     if not packed.shape[1]:
-        return [0] * len(bits)
+        return [0] * len(packed)
     out = packed[:, -1].tolist()
     for x in range(packed.shape[1] - 2, -1, -1):
         out = [high << 64 | low for high, low in zip(out, packed[:, x].tolist())]
     return out
+
+
+def row_ints(bits: np.ndarray) -> list[int]:
+    """The rows of a 0/1 uint8 matrix as ints, column k as bit k: the
+    inverse of :func:`bit_rows`."""
+    return word_ints(pack_bits(bits))
+
+
+def digit_strings(bits: np.ndarray) -> list[str]:
+    """Each row of a 0/1 uint8 matrix as a string of 0s and 1s, column k
+    at position k, read as one ``S{width}`` string per row."""
+    n, width = bits.shape
+    if not width:
+        return [""] * n
+    digits = np.ascontiguousarray(bits + ord("0"))
+    return digits.view(f"S{width}").ravel().astype(str).tolist()
 
 
 def side_order(sides: np.ndarray) -> np.ndarray:
@@ -315,6 +332,14 @@ def _clauses(columns: np.ndarray, ones: np.ndarray, m: int, lower: np.ndarray,
     return fixes[:, :2] | fixes[:, 2:], fixes[:, :2]
 
 
+def _clause_inputs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """The leading arguments (columns, ones, m, lower) of :func:`_clauses`
+    for the set of rows of a 0/1 uint8 matrix, bit k in column k."""
+    columns = np.ascontiguousarray(pack_bits(bits.T).T)    # [word, k]: elements holding bit k
+    m, width = bits.shape
+    return columns, bits.sum(axis=0, dtype=np.int64), m, np.tri(width, k=-1, dtype=bool)
+
+
 def is_median_closed(bits: np.ndarray) -> bool:
     """Whether the set of rows of the 0/1 uint8 matrix ``bits`` (a
     bitvector per row, bit k in column k, :func:`bit_rows`) is closed
@@ -344,11 +369,9 @@ def is_median_closed(bits: np.ndarray) -> bool:
     on 32 x W counts and O(n * 32/BLOCK * W/64) steps on chunks of about
     ``BLOCK`` pairs, so up to 64 bits and 512 elements take a fixed
     number of numpy calls."""
-    n, width = bits.shape
-    columns = np.ascontiguousarray(pack_bits(bits.T).T)    # [word, k]: elements holding bit k
-    ones = bits.sum(axis=0, dtype=np.int64)
+    columns, ones, n, lower = _clause_inputs(bits)
+    width = bits.shape[1]
     varies = (ones > 0) & (ones < n)                    # both sides of bit k occur
-    lower = np.arange(width) < np.arange(width)[:, None]   # [k, j]: j < k
     rows = pack_bits(bits)
     # block h of 32 levels, bit 32h + t at bit 31 - t
     reversed_bits = _REVERSED[rows.view(np.uint8)].view(">u4").astype(np.uint64)

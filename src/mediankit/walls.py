@@ -8,7 +8,8 @@ sigma bits, has bit k set iff it lies off wall k's side holding the first
 point, and the wall metric counts the bits where two codes differ.  The
 cubulation's vertices are the consistent orientations (a chosen side per
 wall, any two chosen sides meeting), enumerated one wall at a time as the
-solutions of the sides' 2-clauses; edges join orientations differing on
+solutions of the points' 2-clauses (``intervals._clauses``, as the
+median-closure test reads them); edges join orientations differing on
 exactly one wall.  Every vertex is reached from the principal
 orientations sigma_x by single-wall flips, as the construction
 guarantees, and the cubulation's certificate builds the same record from
@@ -30,6 +31,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import intervals
+from .algebra import total_image
 from .errors import InputError, ResourceLimitError, unhashable_id
 from .graphs import MedianGraphCert, SimpleGraph
 
@@ -151,24 +153,13 @@ def _pullback(w1: WallSpace, w2: WallSpace, image: Sequence[int]
     return [(wall[pre], pre & 1) if pre in wall else None for pre in pres]
 
 
-def _image(f: Mapping[Point, Point], w1: WallSpace, w2: WallSpace) -> list[int]:
-    """The w2-index of the image of each point of w1; the map must be
-    total and land in w2."""
-    image = []
-    for p in w1.points:
-        if p not in f:
-            raise InputError(f"map is not total: {p!r} has no image")
-        image.append(w2.index(f[p]))
-    return image
-
-
 def is_wall_morphism(f: Mapping[Point, Point], w1: WallSpace, w2: WallSpace) -> bool:
     """True iff the preimage of every halfspace of w2 is a halfspace of w1
     (:func:`_pullback`).
 
     The trivial wall's sides make constant maps morphisms.
     """
-    return None not in _pullback(w1, w2, _image(f, w1, w2))
+    return None not in _pullback(w1, w2, total_image(f, w1, w2))
 
 
 @dataclass
@@ -195,41 +186,13 @@ def _orientation_array(values, width: int) -> np.ndarray:
     return np.array(values, dtype=np.uint64 if width <= 64 else object)
 
 
-def _lookup(ordered: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each of ``values`` sits in the ascending array ``ordered``,
-    and whether it is there."""
-    at = np.searchsorted(ordered, values)
-    return at, ordered[np.minimum(at, len(ordered) - 1)] == values
-
-
-def _side_tables(sigma: np.ndarray, walls: np.ndarray, full: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tables (force, value) of shape (2, W) for side s of wall k: the
-    walls l != k one of whose sides misses that side, and the side each of
-    them must then be on (bit l set iff its side 0 misses, so side 1 must
-    be chosen).  A point's sigma bits say which side of every wall it is
-    on, so side 0 of wall l misses side s of wall k iff every point with
-    bit k == s has bit l set (the AND of their sigma bits), and side 1
-    misses it iff none has (the complement of their OR).  No wall has
-    both sides missing a nonempty side, so an orientation b may take side
-    s of wall k iff ``b & force[s, k] == value[s, k]``: ``~b & Z`` and
-    ``b & O`` are empty for Z = value and O = force & ~value."""
-    on = (sigma[:, None] & walls) != 0
-    side = np.stack((~on, on))            # [s, point, k]: the point is on side s of wall k
-    col = sigma[:, None]
-    others = full & ~walls
-    value = np.bitwise_and.reduce(np.where(side, col, full), axis=1) & others
-    force = value | others & ~np.bitwise_or.reduce(np.where(side, col, 0), axis=1)
-    return force, value
-
-
-def _bit_matrix(values: np.ndarray, width: int) -> np.ndarray:
-    """An orientation array as a 0/1 uint8 matrix, bit k in column k
-    (:func:`intervals.bit_rows`); uint64 words are unpacked directly."""
-    if values.dtype == object:
-        return intervals.bit_rows(values.tolist(), width)
-    rows = values.astype("<u8", copy=False).view(np.uint8).reshape(len(values), 8)
-    return np.unpackbits(rows, axis=1, count=width, bitorder="little")
+def _clause_tables(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 2-clause tables (force, value) of the points' codes, (2, W)
+    orientations: for side s of wall k, the walls j < k one of whose sides
+    misses it, and the side each must then be on (bit j set for side 1)."""
+    W = codes.shape[1]
+    return tuple(_orientation_array(intervals.word_ints(t.reshape(len(t), 2 * W).T), W).reshape(2, W)
+                 for t in intervals._clauses(*intervals._clause_inputs(codes), 0, W))
 
 
 def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
@@ -237,23 +200,20 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
     """Build the canonical median graph of a wall space.
 
     Vertices are the consistent orientations (any two chosen sides
-    meet); edges join orientations differing on one wall.  Orientations
-    are held as one array (:func:`_orientation_array`).  Side s of wall k
-    meets every side that an orientation b chooses on another wall iff
-    ``b & force[s, k] == value[s, k]``, one mask test
-    (:func:`_side_tables`).  The vertex set is built one wall at a time,
-    with no search: after wall k the array holds, ascending, the
-    orientations of walls 0..k whose chosen sides meet pairwise, each an
-    orientation of walls 0..k-1 extended by a side of wall k that passes
-    the mask test with the tables masked to the walls below k.  Side 0
-    comes first, so the array stays ascending, and each step is four
-    numpy calls.  The sides' clauses are closed under resolution (a side
+    meet), held as one array (:func:`_orientation_array`); edges join
+    orientations differing on one wall.  Side s of wall k meets every
+    side that an orientation b chooses below wall k iff ``b & force[s, k]
+    == value[s, k]`` (:func:`_clause_tables`).  The vertex set is built
+    one wall at a time, with no search: the orientations of walls 0..k-1,
+    ascending, are each extended by every side of wall k that passes this
+    test, side 0 first, so the array stays ascending, in four numpy calls
+    per wall.  The sides' clauses are closed under resolution (a side
     inside a side inside the complement of a third lies in that
     complement), so every partial orientation extends to a vertex, no
     step holds more than |V| orientations, and the vertex cap is checked
     at each step.  The edges are found by one sorted search for every
-    vertex with one more bit set.  One 0/1 matrix of the vertices
-    (:func:`_bit_matrix`) gives their names and the certificate.
+    vertex with one more bit set.  One 0/1 matrix of the vertices, read
+    by the ``intervals`` codecs, gives their names and the certificate.
 
     The report's ``checks`` are what the construction guarantees, and
     nothing is re-derived (``cubulate_oracle`` and the connectivity and
@@ -289,15 +249,14 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
     ends = _orientation_array([[0] * W, [1 << k for k in range(W)]], W)   # [s, k]: wall k's bit on side s
     walls = ends[1]
     sigma = _orientation_array(w.codes.ints, W)
-    force, value = _side_tables(sigma, walls, (1 << W) - 1)
+    force, value = _clause_tables(w.codes.bits)
 
     # the consistent orientations of walls 0..k-1, ascending, extended by
     # each side of wall k that meets their chosen sides, side 0 first; the
     # image alone (distinct sigmas, one per point) never trips the cap
     limit = max(max_vertices, len(sigma))
-    below = walls - 1
     vertices = _orientation_array([0], W)
-    for f, v, s in zip(*(t.T[:, :, None] for t in (force & below, value & below, ends))):
+    for f, v, s in zip(*(t.T[:, :, None] for t in (force, value, ends))):
         vertices = (vertices | s)[(vertices & f) == v]
         if len(vertices) > limit:
             raise ResourceLimitError(
@@ -306,12 +265,14 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
     ordered = vertices.tolist()
     # vertex names: the binary numerals, read off the bit matrix
     width = max(W, 1)
-    bits = _bit_matrix(vertices, width)
-    names = np.ascontiguousarray(bits[:, ::-1] + ord("0")).view(f"S{width}").ravel().astype(str).tolist()
+    bits = (intervals.bit_rows(ordered, width) if vertices.dtype == object
+            else intervals.unpack_bits(vertices[:, None], width))
+    names = intervals.digit_strings(bits[:, ::-1])
     bits = bits[:, :W]
     # edges (i, j), i < j: vertex j is vertex i with one more bit set
     up = vertices[:, None] | walls
-    pos, found = _lookup(vertices, up)
+    pos = np.searchsorted(vertices, up)
+    found = vertices[np.minimum(pos, len(vertices) - 1)] == up
     src, k = np.nonzero(found & ~bits.view(bool))
     graph = SimpleGraph._trusted(names, src, pos[src, k])
     cert = MedianGraphCert(graph, bits)
@@ -351,7 +312,7 @@ def extend_morphism(f: Mapping[Point, Point], w1: WallSpace, w2: WallSpace,
     every image is a vertex of w2's cubulation (``extend_morphism_oracle``
     in the tests checks both).
     """
-    rules = _pullback(w1, w2, _image(f, w1, w2))
+    rules = _pullback(w1, w2, total_image(f, w1, w2))
     if None in rules:
         raise InputError("map is not a wall morphism")
     cub1 = cub1 or cubulate(w1, max_walls=w1.wall_count)

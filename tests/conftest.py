@@ -844,6 +844,25 @@ def _literals(bits: int, width: int) -> int:
             | int(format(bits, "b"), 4) << 1)
 
 
+def side_tables_oracle(sigma: np.ndarray, walls: np.ndarray, full: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: tables (force, value) of shape (2, W) for side s of wall k,
+    over orientation arrays (uint64 or Python ints): the walls l != k one
+    of whose sides misses that side, and the side each of them must then
+    be on (bit l set iff its side 0 misses, so side 1 must be chosen).  A
+    point's sigma bits say which side of every wall it is on, so side 0 of
+    wall l misses side s of wall k iff every point with bit k == s has bit
+    l set (the AND of their sigma bits), and side 1 misses it iff none has
+    (the complement of their OR), by reductions over the points."""
+    on = (sigma[:, None] & walls) != 0
+    side = np.stack((~on, on))            # [s, point, k]: the point is on side s of wall k
+    col = sigma[:, None]
+    others = full & ~walls
+    value = np.bitwise_and.reduce(np.where(side, col, full), axis=1) & others
+    force = value | others & ~np.bitwise_or.reduce(np.where(side, col, 0), axis=1)
+    return force, value
+
+
 def cubulate_oracle(w: WallSpace, *, max_walls: int = 24,
                     max_vertices: int = 65536) -> CubulationResult:
     """Oracle: the cubulation by a Python flip BFS on literal masks, one

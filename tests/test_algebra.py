@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from conftest import (interval_masks, median_table, morphism_by_halfspaces,
                       subsets_bruteforce_halfspaces)
 from mediankit import (FiniteMedianAlgebra, Halfspace, InputError,
-                       IntervalStructure,
-                       is_median_morphism, validate_axioms)
+                       IntervalStructure, certify_median_graph, extend_morphism,
+                       graph_wall_space, is_median_morphism, is_wall_morphism,
+                       validate_axioms)
 from mediankit.corpus import asymmetric_interval_fixture, cycle_graph, path_graph
 
 
@@ -324,6 +325,20 @@ def test_partial_map_is_an_input_error():
     a = path3_algebra()
     with pytest.raises(InputError, match="total"):
         is_median_morphism({a.points[0]: a.points[0]}, a, a)
+
+
+@pytest.mark.parametrize("f, message", [
+    ({"v0": "v0", "v1": "v1"}, "map is not total: 'v2' has no image"),
+    ({"v0": "v0", "v1": "v1", "v2": "zz"}, "unknown point 'zz'"),
+    ({"v0": "v0", "v1": "v1", "v2": ["v2"]}, r"unknown point \['v2'\]")])
+def test_every_map_reader_raises_the_same_input_error(f, message):
+    a = path3_algebra()
+    w = graph_wall_space(certify_median_graph(path_graph(3)))
+    assert a.points == w.points == ["v0", "v1", "v2"]
+    for check in (lambda: is_median_morphism(f, a, a), lambda: is_wall_morphism(f, w, w),
+                  lambda: extend_morphism(f, w, w)):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            check()
 
 
 # ------------------------------------------------- sigma embedding property

@@ -85,7 +85,8 @@ def test_centered_form_matches_distance_form_on_zero_sums(seed):
     rng = random.Random(seed)
     m = cycle_graph(4).path_metric()
     cert = certify_negative_definite(m)
-    b = [[Fraction(v, cert.gram_scale) for v in row] for row in cert.gram]
+    g, scale = _integer_gram(cert.metric)
+    b = [[Fraction(v, scale) for v in row] for row in g.tolist()]
     assert b == centered_gram(m)
     alpha = random_zero_sum(rng, len(m.points))
     via_b = sum(alpha[i] * alpha[j] * b[i][j]

@@ -24,8 +24,8 @@ from mediankit import (FiniteMetric, InputError, MedianGraphCert, MedianMetric, 
 from mediankit.corpus import grid_graph, hypercube_graph, path_graph, random_tree
 from mediankit import intervals
 from mediankit.graphs import _bfs_coordinates
-from mediankit.intervals import (WallCodes, bit_rows, halfspaces, is_convex, is_median_closed,
-                                 members, row_ints)
+from mediankit.intervals import (WallCodes, bit_rows, digit_strings, halfspaces, is_convex,
+                                 is_median_closed, members, row_ints)
 
 
 def closed(values, width):
@@ -258,6 +258,16 @@ def bit_matrices(draw):
             bits[:cut, col] = bits[:cut, src]
             bits[cut:, col] = bits[0, src] ^ 1
     return bits
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 64, 65])
+def test_digit_strings_match_format(width):
+    rng = random.Random(width)
+    values = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(20)]
+    numerals = [format(v, f"0{width}b") if width else "" for v in values]
+    bits = bit_rows(values, width)
+    assert digit_strings(bits[:, ::-1]) == numerals
+    assert digit_strings(bits) == [s[::-1] for s in numerals]
 
 
 @settings(max_examples=200, deadline=None)

@@ -18,18 +18,18 @@ from mediankit.actions import apply_word
 from mediankit.corpus import (cycle_graph, grid_graph, hypercube_graph,
                               nested_wall_space, path_graph, random_tree,
                               random_wall_space, wall_instances)
-from mediankit import cli, formats, walls
+from mediankit import cli, formats, intervals, walls
 from mediankit.errors import InternalCheckError
 from mediankit.intervals import bit_rows
-from mediankit.walls import _orientation_array, _side_tables
+from mediankit.walls import _clause_tables, _orientation_array
 
 from conftest import (Orientation, bfs_distance_check, check_upward_closure,
                       consistent_orientations_bruteforce, count_closure, cubulate_oracle,
                       graph_to_json,
                       majority_closure, majority_closure_check, principal_orientation,
                       extend_morphism_oracle, pullback_case, random_crossing_wall_space,
-                      reaches_vertex_0, side_masks, steps_toward_all, wall_metric_recount,
-                      wall_morphism_oracle)
+                      reaches_vertex_0, side_masks, side_tables_oracle, steps_toward_all,
+                      wall_metric_recount, wall_morphism_oracle)
 
 
 def two_point_space():
@@ -256,11 +256,16 @@ def _meets(bits, side, force, value):
 
 
 def mask_consistent(w, orientations) -> list[bool]:
-    """cubulate's mask test on the tables of ``_side_tables``, on every
-    wall: per orientation, whether no chosen side misses another."""
+    """cubulate's mask test on the clause tables it reads
+    (``intervals._clauses`` on the wall record's codes), taken whole, with
+    every wall j != k below each wall k, on every wall: per orientation,
+    whether no chosen side misses another."""
     W = w.wall_count
+    columns, ones, m, _ = intervals._clause_inputs(w.codes.bits)
+    tables = intervals._clauses(columns, ones, m, ~np.eye(W, dtype=bool), 0, W)
+    force, value = (_orientation_array(intervals.word_ints(t.reshape(len(t), 2 * W).T), W)
+                    .reshape(2, W) for t in tables)
     walls = _orientation_array([1 << k for k in range(W)], W)
-    force, value = _side_tables(_orientation_array(w.codes.ints, W), walls, (1 << W) - 1)
     v = _orientation_array(orientations, W)
     return _meets(v, (v[:, None] & walls) != 0, force, value).all(axis=1).tolist()
 
@@ -417,29 +422,102 @@ def test_cubulate_matches_the_oracle_on_every_bench_rung_shape(name):
 
 def test_dropping_a_clause_is_caught_by_the_oracles(monkeypatch):
     # a - b - c cut twice: {a} and {c} are the sides of walls 0 and 1 that
-    # miss each other; dropped from both tables, the expansion admits the
-    # inconsistent orientation that takes both, and the oracles, which no
-    # table feeds, build the path without it
+    # miss each other, so side 1 of wall 1 fixes wall 0 to its side 1;
+    # dropped from the clause tables, the expansion admits the inconsistent
+    # orientation that takes both, and the oracles, which no table feeds,
+    # build the path without it
     w = nested_wall_space(3)
     assert [side_masks(w, k) for k in range(2)] == [(0b001, 0b110), (0b011, 0b100)]
-    tables = walls._side_tables
+    tables = intervals._clauses
 
     def dropped(*args):
         force, value = tables(*args)
+        assert force[0, 1, 1] == value[0, 1, 1] == 1     # word 0, side 1, wall 1: wall 0 is on side 1
         force, value = force.copy(), value.copy()
-        for s, k, l in ((0, 0, 1), (1, 1, 0)):
-            force[s, k] &= ~np.uint64(1 << l)
-            value[s, k] &= ~np.uint64(1 << l)
+        force[0, 1, 1] = value[0, 1, 1] = 0
         return force, value
 
     want = cubulate_oracle(w)
     assert set(want.vertex_bits.values()) == consistent_orientations_bruteforce(w) == {0, 1, 3}
     assert set(cubulate(w).vertex_bits.values()) == {0, 1, 3}
-    monkeypatch.setattr(walls, "_side_tables", dropped)
+    monkeypatch.setattr(intervals, "_clauses", dropped)
     got = cubulate(w)
     assert set(got.vertex_bits.values()) == {0, 1, 2, 3}
     with pytest.raises(AssertionError):
         assert_same_cubulation(got, want)
+
+
+def spread_wall_space(rng, width):
+    """A wall space of exactly ``width`` nontrivial walls: the path of
+    width + 1 points below 7 walls, else 8 points with the 7 cuts of one
+    point off the rest and width - 7 further random cuts among the 120
+    others."""
+    if width < 7:
+        return nested_wall_space(width + 1)
+    pts = [f"p{i}" for i in range(8)]
+    singles = [1 << i for i in range(7)]
+    offs = singles + rng.sample([m for m in range(1, 128) if m not in singles], width - 7)
+    return WallSpace(pts, [([p for i, p in enumerate(pts[1:]) if m >> i & 1],
+                            [pts[0]] + [p for i, p in enumerate(pts[1:]) if not m >> i & 1])
+                           for m in offs])
+
+
+@st.composite
+def table_spaces(draw):
+    """A wall space of 0-70 walls (63, 64 and 65 among them), a random
+    crossing one, a corpus one, or a bench rung shape."""
+    kind = draw(st.sampled_from(["width", "random", "corpus", "rung"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if kind == "rung":
+        return RUNG_SPACES[draw(st.sampled_from(list(RUNG_SPACES)))]()
+    if kind == "corpus":
+        return draw(st.sampled_from(CORPUS_WALL_SPACES))
+    if kind == "width":
+        return spread_wall_space(rng, draw(st.sampled_from([0, 1, 63, 64, 65]) | st.integers(0, 70)))
+    try:
+        return random_crossing_wall_space(rng, rng.randint(2, 9), rng.randint(1, 80))
+    except InputError:
+        return nested_wall_space(rng.randint(1, 9))
+
+
+def assert_tables_are_the_oracle_tables_below_each_wall(w):
+    W = w.wall_count
+    walls = _orientation_array([1 << k for k in range(W)], W)
+    want = side_tables_oracle(_orientation_array(w.codes.ints, W), walls, (1 << W) - 1)
+    for got, t in zip(_clause_tables(w.codes.bits), want):
+        assert got.dtype == t.dtype == (np.uint64 if W <= 64 else object)
+        assert got.tolist() == (t & (walls - 1)).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_spaces())
+def test_cubulation_tables_are_the_oracle_tables_below_each_wall(w):
+    assert_tables_are_the_oracle_tables_below_each_wall(w)
+
+
+@pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 70])
+def test_cubulation_tables_at_the_word_edges(width):
+    path = nested_wall_space(width + 1)
+    for w in (path, spread_wall_space(random.Random(width), width)):
+        assert w.wall_count == width
+        assert_tables_are_the_oracle_tables_below_each_wall(w)
+    assert_same_cubulation(cubulate(path, max_walls=80), cubulate_oracle(path, max_walls=80))
+
+
+def test_the_one_and_two_point_cubulations_are_pinned():
+    res = cubulate(WallSpace(["a"], []))
+    assert res.graph.vertices == ["0"] and res.graph.edges == []
+    assert res.embedding == {"a": "0"} and res.vertex_bits == {"0": 0}
+    assert res.wall_correspondence == {} and res.cert.codes.bits.shape == (1, 0)
+    res = cubulate(two_point_space())
+    assert res.graph.vertices == ["0", "1"] and res.graph.edges == [("0", "1")]
+    assert res.embedding == {"a": "0", "b": "1"} and res.vertex_bits == {"0": 0, "1": 1}
+    assert res.wall_correspondence == {0: 0} and res.cert.codes.bits.tolist() == [[0], [1]]
+    for r in (res, cubulate(WallSpace(["a"], []))):
+        assert r.checks == {
+            "embedding_injective": True, "vertices_consistent": True,
+            "embedding_isometric": True, "median_closure": "checked",
+            "distance_vs_hamming": "exhaustive", "wall_bijection": "certified"}
 
 
 def assert_passes_the_construction_oracles(res):
