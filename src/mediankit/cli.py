@@ -23,12 +23,13 @@ from . import corpus as corpus_mod
 from . import formats
 from .actions import MetricAction, WallAction, displacement_metric, displacement_walls
 from .convexity import circumcenter
-from .embedding import (certify_hypermetric, certify_negative_definite, check_helly,
+from .embedding import (DEFAULT_GNS_TOL, DEFAULT_HELLY_CAP, DEFAULT_HYPERMETRIC_BOUND,
+                        certify_hypermetric, certify_negative_definite, check_helly,
                         gns_embed, l1_embed)
 from .errors import InputError, InternalCheckError, NotMedianError, ResourceLimitError
 from .graphs import certify_median_graph, fill_cubes
 from .metric import classify
-from .walls import cubulate
+from .walls import DEFAULT_WALL_CAP, cubulate
 
 CLASSIFY_KINDS = ("median", "modular", "neither")
 
@@ -357,7 +358,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--out", dest="graph_out",
                    help="write the median graph JSON here (report goes to stdout)")
     p.add_argument("--dot", help="write a Graphviz rendering here")
-    p.add_argument("--max-walls", type=int, default=24)
+    p.add_argument("--max-walls", type=int, default=DEFAULT_WALL_CAP)
     p.set_defaults(handler=cmd_cubulate)
 
     p = sub.add_parser("fill-cubes", help="cube complex of a median graph")
@@ -372,18 +373,18 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p = sub.add_parser("certify-hypermetric", help="bounded hypermetric scan")
     common(p)
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--bound", type=int, default=DEFAULT_HYPERMETRIC_BOUND)
     p.set_defaults(handler=cmd_certify_hypermetric)
 
     p = sub.add_parser("embed", help="l1 (walls) or gns (squared-distance) embedding")
     common(p)
     p.add_argument("--mode", choices=["l1", "gns"], required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_GNS_TOL)
     p.set_defaults(handler=cmd_embed)
 
     p = sub.add_parser("helly", help="Helly property over convex sets")
     common(p)
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=int, default=DEFAULT_HELLY_CAP)
     p.set_defaults(handler=cmd_helly)
 
     p = sub.add_parser("displace", help="group-element displacement identities")

@@ -28,7 +28,7 @@ import numpy as np
 from . import intervals
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .graphs import MedianGraphCert
-from .metric import FiniteMetric, MedianMetric, Classification, classify
+from .metric import FiniteMetric, MedianMetric, Classification, _require_median, classify
 
 Point = Hashable
 
@@ -413,7 +413,8 @@ def gns_embed(m: FiniteMetric, tol: float = DEFAULT_GNS_TOL,
     to the raised error.  The squared-distance reproduction is verified at
     every pair in one pass: the squared norms of all pair differences come
     from one stacked matmul, which rounds as ``diff @ diff`` does pair by
-    pair, against targets divided exactly from the integer distances.
+    pair, against targets divided as Python ints, so correctly rounded
+    at every exact dtype (a float division rounds entries past 2^53).
     """
     if not math.isfinite(tol) or tol < 0:
         raise InputError(f"tol must be finite and >= 0, got {tol!r}")
@@ -423,6 +424,7 @@ def gns_embed(m: FiniteMetric, tol: float = DEFAULT_GNS_TOL,
         err.witness = cert.witness
         raise err
     n = len(m.points)
+    i, j = np.triu_indices(n, 1)
     dim = len(cert.pivot_order)
     out_of_range = InputError("metric is out of double-precision range for a GNS embedding")
     try:
@@ -431,14 +433,12 @@ def gns_embed(m: FiniteMetric, tol: float = DEFAULT_GNS_TOL,
                           for q, col in zip(cert.pivot_order, cert.columns)],
                          dtype=float).reshape(dim, n)
         root = np.sqrt(np.array([float(p) for p in cert.pivots[:dim]]))
-        target = np.array([v / m.scale for a, row in enumerate(m._di) for v in row[a + 1:]],
-                          dtype=float)
+        target = np.array([v / m.scale for v in m._d[i, j].tolist()], dtype=float)
     except OverflowError:
         raise out_of_range from None
     coords = lower.T * root
     # overflow past here shows as a non-finite error, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        i, j = np.triu_indices(n, 1)
         diff = coords[i] - coords[j]
         sq = (diff[:, None, :] @ diff[:, :, None]).ravel()
         err = np.abs(sq - target)
@@ -652,6 +652,7 @@ def retraction_decomposition(mm: MedianMetric) -> DecompositionTrace:
     on geodesics, the rectangle property, a constant gap, the four-case
     distance law) are checked against ``retraction_oracle`` in the tests.
     """
+    _require_median("retraction_decomposition", mm)
     codes, pairs = intervals.halfspaces(mm._between())
     deltas = [mm.dist_int(*covering[0]) for covering in pairs]
     code, by_code = codes.ints, codes.point_of

@@ -14,10 +14,10 @@ space passes its orientation bits, which meet them by construction, and
 its graph keeps the cubulation's edge arrays and builds no view.  The
 certificate holds the coordinates as the one wall record
 (:class:`intervals.WallCodes`), vertex i's code in row i, and its
-medians, cubes, L1 embedding, wall space and DOT colours are read off
-it.  Only on rejection is the path metric built, and the triple scan of
-``classify`` (a numpy kernel on the packed betweenness table) names a
-witness.
+medians, cubes, L1 embedding, wall space, DOT colours and distances
+(Hamming distances of the codes) are read off it.  Only on rejection is
+the path metric built, and the triple scan of ``classify`` (a numpy
+kernel on the packed betweenness table) names a witness.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class SimpleGraph:
     edge_src[e] < edge_dst[e], the pairs sorted.  The other forms of the
     edges and vertices are views of it and of ``vertices``, built on first
     use: ``edge_indices`` (the pairs as tuples), ``_adj`` (each vertex's
-    neighbours, ascending), ``_index`` (id -> index) and ``_bfs`` (the BFS
-    from vertex 0).
+    neighbours, ascending), ``_index`` (id -> index), ``_bfs`` (the BFS
+    from vertex 0) and ``_dist_array`` (:meth:`all_pairs`).
 
     The constructor maps the endpoints to indices in one pass and sorts
     the distinct index pairs once, so each vertex's neighbours are
@@ -118,8 +118,6 @@ class SimpleGraph:
         self._index = index
         self.edge_indices = pairs
         self._adj = adj
-        self._dist: list[list[int]] | None = None
-        self._dist_array: np.ndarray | None = None
         if len(self._bfs[0]) < len(vs):
             raise InputError("graph is not connected")
 
@@ -136,8 +134,6 @@ class SimpleGraph:
         out.vertices = vertices
         out.edge_src = src
         out.edge_dst = dst
-        out._dist = None
-        out._dist_array = None
         return out
 
     @functools.cached_property
@@ -223,42 +219,43 @@ class SimpleGraph:
         """Distances from ``start``, one BFS level at a time."""
         return self._search(start)[1]
 
-    def all_pairs(self) -> list[list[int]]:
+    @functools.cached_property
+    def _dist_array(self) -> np.ndarray:
         """Path distances of every pair, from every vertex's ball grown one
         level at a time: ball_{d+1}(i) is the union of ball_d(j) over i and
         its neighbours j, as packed uint64 rows (``np.bitwise_or.reduceat``
         over the closed neighbourhoods), and d(i, j) is the number of
         levels d at which j lies outside ball_d(i).  That costs
         O(diameter * m * n/64) word operations in O(diameter) numpy steps.
-        The counts are kept in the narrowest dtype that holds distances
-        below n (:func:`metric._exact_dtype`), and that array is kept for
-        :meth:`path_metric`."""
-        if self._dist is None:
-            n = len(self._adj)
-            sizes = np.array([len(nbrs) + 1 for nbrs in self._adj])
-            starts = np.cumsum(sizes) - sizes
-            closed = np.fromiter(itertools.chain.from_iterable(
-                [i, *nbrs] for i, nbrs in enumerate(self._adj)), dtype=np.intp)
-            ball = intervals.pack_rows([1 << i for i in range(n)], n)   # ball_0(i) = {i}
-            inside = np.zeros((n, n), dtype=_exact_dtype(0, n))
-            levels = 0
-            while True:
-                inside += intervals.unpack_bits(ball, n)
-                levels += 1
-                grown = np.bitwise_or.reduceat(ball[closed], starts, axis=0)
-                if not (grown != ball).any():
-                    break
-                ball = grown
-            self._dist_array = levels - inside
-            self._dist = self._dist_array.tolist()
-        return self._dist
+        The counts are kept, read-only, in the narrowest dtype that holds
+        distances below n (:func:`metric._exact_dtype`)."""
+        n = len(self._adj)
+        sizes = np.array([len(nbrs) + 1 for nbrs in self._adj])
+        starts = np.cumsum(sizes) - sizes
+        closed = np.fromiter(itertools.chain.from_iterable(
+            [i, *nbrs] for i, nbrs in enumerate(self._adj)), dtype=np.intp)
+        ball = intervals.pack_rows([1 << i for i in range(n)], n)   # ball_0(i) = {i}
+        inside = np.zeros((n, n), dtype=_exact_dtype(0, n))
+        levels = 0
+        while True:
+            inside += intervals.unpack_bits(ball, n)
+            levels += 1
+            grown = np.bitwise_or.reduceat(ball[closed], starts, axis=0)
+            if not (grown != ball).any():
+                break
+            ball = grown
+        dist = levels - inside
+        dist.flags.writeable = False
+        return dist
+
+    def all_pairs(self) -> np.ndarray:
+        """The read-only path-distance array, shared by the path metrics."""
+        return self._dist_array
 
     def path_metric(self) -> FiniteMetric:
-        """Path distances of a connected graph are a metric by construction,
-        so they are not validated again; the metric takes the distance
-        array of :meth:`all_pairs` as its exact array."""
-        di = self.all_pairs()
-        return FiniteMetric._trusted(self.vertices, di, d=self._dist_array)
+        """Path distances are a metric by construction: the metric takes the
+        array of :meth:`all_pairs` unchecked, with no copy."""
+        return FiniteMetric._trusted(self.vertices, self.all_pairs())
 
 
 @dataclass(frozen=True)
@@ -331,7 +328,9 @@ class MedianGraphCert:
         return MedianMetric._proven(self.graph.path_metric())
 
     def dist(self, u: Vertex, v: Vertex) -> int:
-        return self.graph.all_pairs()[self.graph.index(u)][self.graph.index(v)]
+        """The Hamming distance of the wall codes; no table is built."""
+        ints = self.codes.ints
+        return (ints[self.graph.index(u)] ^ ints[self.graph.index(v)]).bit_count()
 
     def median(self, u: Vertex, v: Vertex, w: Vertex) -> Vertex:
         """The vertex whose coordinates are the bitwise majority of theirs."""

@@ -15,9 +15,9 @@ int64 in which every sum of two entries fits, Python ints beyond
 blocks of about ``intervals.BLOCK`` int64 entries' worth of bytes, each
 covering a run of middle points, so a narrower dtype takes more of them
 per block.  Only a rejected matrix is scanned in Python, for the first
-failed axiom that the error reports.  The metric keeps the checked
-array; a graph's path metric is handed the array its distances were
-counted in.
+failed axiom that the error reports.  The checked array, read-only, is
+the metric's one distance record, shared by the metrics made from it; a
+graph's path metric is handed the array its distances were counted in.
 
 The betweenness table is built the same way, on that array: one
 broadcast comparison d(i,t) + d(j,t) == d(i,j) per block of rows i,
@@ -160,7 +160,8 @@ def _raise_first_violation(pts: list, di: list[list[int]]) -> None:
 
 
 class FiniteMetric:
-    """A finite point set with an exact, validated metric."""
+    """A finite point set with an exact, validated metric: one read-only
+    array ``_d`` of :func:`_exact_dtype` holds d(i, j) * ``scale``."""
 
     def __init__(self, points: Sequence[Point], matrix: Sequence[Sequence]):
         pts = list(points)
@@ -179,26 +180,24 @@ class FiniteMetric:
         d = _exact_array(di)
         if not _is_metric(d):
             _raise_first_violation(pts, di)
-        self._adopt(pts, di, scale, d)
+        self._adopt(pts, scale, d)
 
-    def _adopt(self, points: list, di: list[list[int]], scale: int,
-               d: np.ndarray) -> None:
+    def _adopt(self, points: list, scale: int, d: np.ndarray) -> None:
         self.points = points
         self._index = {p: i for i, p in enumerate(points)}
         self._scale = scale
-        self._di = di
-        self._d = d             # di as an exact array, of _exact_dtype
+        d.flags.writeable = False       # shared by every metric made from it
+        self._d = d
         self._betw: np.ndarray | None = None
 
     @classmethod
-    def _trusted(cls, points: Sequence[Point], di: list[list[int]],
-                 scale: int = 1, d: np.ndarray | None = None) -> "FiniteMetric":
-        """Wrap a scaled integer matrix that is a metric by construction
-        (BFS distances, or another metric's validated matrix); nothing is
-        re-checked.  ``d`` is the same matrix as an exact array of
-        :func:`_exact_dtype`, built from ``di`` when not given."""
+    def _trusted(cls, points: Sequence[Point], d: np.ndarray,
+                 scale: int = 1) -> "FiniteMetric":
+        """Wrap an exact array of :func:`_exact_dtype` whose scaled distances
+        are a metric by construction (BFS distances, another metric's
+        array); nothing is re-checked, and the array is kept, not copied."""
         out = cls.__new__(cls)
-        out._adopt(list(points), di, scale, _exact_array(di) if d is None else d)
+        out._adopt(list(points), scale, d)
         return out
 
     @classmethod
@@ -243,16 +242,16 @@ class FiniteMetric:
             raise InputError(f"unknown point {p!r}") from None
 
     def dist(self, x: Point, y: Point) -> Fraction:
-        return Fraction(self._di[self.index(x)][self.index(y)], self._scale)
+        return Fraction(self.dist_int(self.index(x), self.index(y)), self._scale)
 
     def dist_int(self, i: int, j: int) -> int:
         """Scaled integer distance between point indices."""
-        return self._di[i][j]
+        return int(self._d[i, j])
 
     def upper_triangle(self) -> list[list[Fraction]]:
-        n = len(self.points)
-        return [[Fraction(self._di[i][j], self._scale) for j in range(i + 1, n)]
-                for i in range(n - 1)]
+        rows = self._d.tolist()
+        return [[Fraction(v, self._scale) for v in row[i + 1:]]
+                for i, row in enumerate(rows[:-1])]
 
     # -- geodesic intervals -------------------------------------------
 
@@ -347,8 +346,8 @@ class MedianMetric(FiniteMetric):
 
     @classmethod
     def certify(cls, metric: FiniteMetric) -> "MedianMetric":
-        """Certify a metric as median, sharing its integer matrix and exact
-        array (not validated again) and its betweenness table."""
+        """Certify a metric as median, sharing its exact array (not
+        validated again) and its betweenness table."""
         out = cls._proven(metric)
         out._certify()
         return out
@@ -358,7 +357,7 @@ class MedianMetric(FiniteMetric):
         """Wrap a metric already proven median by other means (a median
         graph's wall coordinates); no triple is scanned, and the median
         table fills lazily."""
-        out = cls._trusted(metric.points, metric._di, metric._scale, metric._d)
+        out = cls._trusted(metric.points, metric._d, metric._scale)
         out._betw = metric._betw
         out._med = {}
         return out
@@ -371,6 +370,12 @@ class MedianMetric(FiniteMetric):
                                              self.index(z))]
 
 
+def _require_median(caller: str, *metrics: FiniteMetric) -> None:
+    if not all(isinstance(m, MedianMetric) for m in metrics):
+        raise InputError(f"{caller} needs a median metric; certify it first "
+                         "with MedianMetric.certify")
+
+
 def product(m1: MedianMetric, m2: MedianMetric) -> MedianMetric:
     """The l1 product metric on pairs, in row-major order.
 
@@ -381,21 +386,20 @@ def product(m1: MedianMetric, m2: MedianMetric) -> MedianMetric:
 
     Each factor's scale is the least common denominator of its distances,
     and the product holds every distance of each factor, so its scale is
-    lcm(s1, s2).  The integer rows are one broadcast sum of the factors'
-    exact arrays at that scale, in int64 while the largest sum, peak,
-    fits, in Python ints beyond, and kept in :func:`_exact_dtype` of
-    [0, peak], as the constructor would.
+    lcm(s1, s2).  Its array is one broadcast sum of the factors' exact
+    arrays at that scale, in int64 while the largest sum, peak, fits, in
+    Python ints beyond, and kept in :func:`_exact_dtype` of [0, peak], as
+    the constructor would.  Each factor must be a MedianMetric.
     """
+    _require_median("product", m1, m2)
     pts = [(p, q) for p in m1.points for q in m2.points]
     scale = math.lcm(m1._scale, m2._scale)
     f1, f2 = scale // m1._scale, scale // m2._scale
     peak = int(m1._d.max()) * f1 + int(m2._d.max()) * f2
     wide = np.int64 if peak < 1 << 62 else object
-    d1 = m1._d.astype(wide) * f1
-    d2 = m2._d.astype(wide) * f2
-    rows = (d1[:, None, :, None] + d2[None, :, None, :]).reshape(len(pts), len(pts))
-    d = rows.astype(_exact_dtype(0, peak))
-    return MedianMetric._proven(FiniteMetric._trusted(pts, d.tolist(), scale, d))
+    rows = m1._d.astype(wide)[:, None, :, None] * f1 + m2._d.astype(wide)[None, :, None, :] * f2
+    d = rows.reshape(len(pts), len(pts)).astype(_exact_dtype(0, peak))
+    return MedianMetric._proven(FiniteMetric._trusted(pts, d, scale))
 
 
 @dataclass(frozen=True)
@@ -408,17 +412,14 @@ class PropertyReport:
     seed: int | None = None
 
 
-def _multiset_triples(n: int):
-    return itertools.combinations_with_replacement(range(n), 3)
-
-
 def check_colinear_lemma(m: MedianMetric, exhaustive_cap: int = 50,
                          samples: int = 20000, seed: int = 0) -> PropertyReport:
     """For m the median of (x,y,z): every v between y and z has m between
     x and v.  Exhaustive up to the cap, seeded sampling beyond.
     """
+    _require_median("check_colinear_lemma", m)
     n = len(m.points)
-    d = m._di
+    d = m._d.tolist()
     checked = 0
 
     def holds(x: int, y: int, z: int, v: int) -> bool:
@@ -428,15 +429,14 @@ def check_colinear_lemma(m: MedianMetric, exhaustive_cap: int = 50,
     if n <= exhaustive_cap:
         between = [[intervals.members(m.between_mask(y, z)) for z in range(n)]
                    for y in range(n)]
-        for x in range(n):
-            for y in range(n):
-                for z in range(y, n):
-                    for v in between[y][z]:
-                        checked += 1
-                        if not holds(x, y, z, v):
-                            pts = tuple(m.points[t] for t in (x, y, z, v))
-                            return PropertyReport("colinear-median", False,
-                                                  checked, "exhaustive", pts)
+        pairs = list(itertools.combinations_with_replacement(range(n), 2))
+        for x, (y, z) in itertools.product(range(n), pairs):
+            for v in between[y][z]:
+                checked += 1
+                if not holds(x, y, z, v):
+                    pts = tuple(m.points[t] for t in (x, y, z, v))
+                    return PropertyReport("colinear-median", False,
+                                          checked, "exhaustive", pts)
         return PropertyReport("colinear-median", True, checked, "exhaustive")
 
     rng = random.Random(seed)
@@ -477,8 +477,9 @@ def check_median_lipschitz(m: MedianMetric, point_cap: int = 50,
     all multiset triples are tabulated only for an exhaustive scan; a
     sampled one computes those of its samples alone.
     """
+    _require_median("check_median_lipschitz", m)
     n = len(m.points)
-    d = m._di
+    d = m._d.tolist()
 
     def first_violation(t, mi, vs) -> int | None:
         """The first v of ``vs`` that breaks inequality i at triple t."""
@@ -493,7 +494,7 @@ def check_median_lipschitz(m: MedianMetric, point_cap: int = 50,
 
     # the multiset triples and their medians, for the exhaustive branches only
     if n <= max(point_cap, pair_cap):
-        triples = list(_multiset_triples(n))
+        triples = list(itertools.combinations_with_replacement(range(n), 3))
         meds = [m.median_index(*t) for t in triples]
 
     checked = 0
@@ -524,15 +525,11 @@ def check_median_lipschitz(m: MedianMetric, point_cap: int = 50,
     witness = None
     if n <= pair_cap:
         mode2 = "exhaustive"
-        for a in range(len(triples)):
-            t1, mi1 = triples[a], meds[a]
-            for b in range(a, len(triples)):
-                checked += 1
-                if not pairing_ok(t1, mi1, triples[b], meds[b]):
-                    witness = (tuple(m.points[q] for q in t1),
-                               tuple(m.points[q] for q in triples[b]))
-                    break
-            if witness:
+        for a, b in itertools.combinations_with_replacement(range(len(triples)), 2):
+            checked += 1
+            if not pairing_ok(triples[a], meds[a], triples[b], meds[b]):
+                witness = (tuple(m.points[q] for q in triples[a]),
+                           tuple(m.points[q] for q in triples[b]))
                 break
     else:
         mode2 = "sampled"

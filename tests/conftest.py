@@ -141,7 +141,7 @@ def between_oracle(m: FiniteMetric) -> list[list[int]]:
     """Oracle: the betweenness bitmask table by a Python loop over every
     (i, j, t): bit t of [i][j] set iff d(i,t) + d(t,j) = d(i,j)."""
     n = len(m.points)
-    d = m._di
+    d = m._d.tolist()
     betw = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -274,7 +274,6 @@ def simple_graph_oracle(vertices, edges) -> SimpleGraph:
     out = SimpleGraph.__new__(SimpleGraph)
     out.vertices, out._index = vs, index
     out.edge_indices, out._adj = sorted(canon), [sorted(a) for a in adj]
-    out._dist = out._dist_array = None
     return out
 
 
@@ -1182,7 +1181,7 @@ def distance_form_oracle(m: FiniteMetric, coeffs) -> Fraction:
     den = math.lcm(*(a.denominator for a in frac))
     a = [v.numerator * (den // v.denominator) for v in frac]
     total = 0
-    for ai, row in zip(a, m._di):
+    for ai, row in zip(a, m._d.tolist()):
         if ai:
             total += ai * sum(aj * d for aj, d in zip(a, row) if aj)
     return Fraction(total, den * den * m.scale)

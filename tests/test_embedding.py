@@ -24,6 +24,7 @@ from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               path_graph, random_tree)
 from mediankit import cli, embedding, formats, intervals
 from mediankit.embedding import _integer_gram, _psd_eliminate, convex_sets, distance_form
+from mediankit.metric import _exact_array
 
 
 def random_zero_sum(rng, n, span=6):
@@ -341,7 +342,7 @@ def l1_grid_metric(rng, n: int, dim: int, unit: int) -> FiniteMetric:
     while len(pts) < n:
         pts.add(tuple(rng.randint(0, 4) for _ in range(dim)))
     di = [[unit * sum(abs(a - b) for a, b in zip(p, q)) for q in pts] for p in pts]
-    return FiniteMetric._trusted(range(n), di)
+    return FiniteMetric._trusted(range(n), _exact_array(di))
 
 
 @pytest.mark.parametrize("unit", [1, 1 << 8, 1 << 20, 1 << 40, 1 << 50, 1 << 54, 1 << 60])
@@ -350,7 +351,7 @@ def test_centered_gram_and_the_h_divisor_on_both_phases(unit):
     for n, dim in ((6, 2), (12, 3), (20, 3)):
         m = l1_grid_metric(rng, n, dim, unit)
         g, scale = _integer_gram(m)
-        peak = max(map(max, m._di))
+        peak = int(m._d.max())
         assert g.dtype == (np.int64 if 4 * n * n * peak < 1 << 62 else object)
         assert [[Fraction(v, scale) for v in row] for row in g.tolist()] == centered_gram(m)
         got = _psd_eliminate(g)
@@ -563,7 +564,7 @@ def test_hypermetric_at_the_int64_threshold():
     rng = random.Random(21)
     n, bound = 6, 2
     base = random_integer_metric(rng, n, 9)
-    peak = max(map(max, base._di))
+    peak = int(base._d.max())
     limit = 2 ** 62 // (n * bound) ** 2
     for factor in (limit // peak, limit // peak + 1):
         m = scaled(base, factor)
@@ -589,6 +590,20 @@ def test_two_points_distance_four_embeds_at_euclidean_two():
     assert emb.coords.shape[1] == 1
     diff = np.linalg.norm(emb.coordinate("a") - emb.coordinate("b"))
     assert abs(diff - 2.0) < 1e-12
+
+
+def test_gns_targets_are_correctly_rounded_past_two_to_the_53():
+    # int64 entries past 2^53 over a scale of 3: a float division of the
+    # entries would round each twice, and the error would read 8.0
+    f = 18014398509733030
+    m = FiniteMetric(["a", "b", "c"], [[Fraction(v * f, 3) for v in row]
+                                       for row in [[0, 4, 7], [4, 0, 3], [7, 3, 0]]])
+    assert m._d.dtype == np.int64 and m.scale == 3 and (m._d[m._d > 0] > 2 ** 53).all()
+    emb = gns_embed(m, tol=16.0)
+    assert emb.max_error == 4.0
+    assert emb.coords.tolist() == [[112591291.63169599, 0.0],
+                                   [-29629287.27149894, 61583317.135548],
+                                   [-82962004.36019704, -61583317.135548]]
 
 
 def test_p3_two_dimensional_embedding():

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -968,6 +969,20 @@ def test_known_subcommands_parse_without_the_top_level_parser(files, monkeypatch
     assert json.loads(capsys.readouterr().err)["kind"] == "input"
     with pytest.raises(AssertionError):
         cli.main(["frobnicate"])
+
+
+def test_parser_defaults_are_the_library_defaults():
+    from mediankit import cli, embedding
+    _, commands = cli._parsers()
+
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    assert commands["cubulate"].get_default("max_walls") == default(cubulate, "max_walls")
+    assert commands["helly"].get_default("cap") == default(embedding.check_helly, "cap")
+    assert commands["certify-hypermetric"].get_default("bound") == \
+        default(embedding.certify_hypermetric, "bound")
+    assert commands["embed"].get_default("tol") == default(embedding.gns_embed, "tol")
 
 
 USAGE_ERRORS = [

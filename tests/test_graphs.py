@@ -20,6 +20,8 @@ from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               random_tree, star_graph)
 from mediankit.graphs import MedianGraphCert, _bfs_coordinates, _lemma_holds
 from mediankit.intervals import bit_rows
+from mediankit.metric import _exact_dtype
+from mediankit.walls import CubulationResult
 
 
 def to_networkx(g: SimpleGraph) -> nx.Graph:
@@ -111,7 +113,7 @@ def test_constructor_takes_any_pair_iterables():
 def test_bfs_distances():
     g = path_graph(4)
     assert g.bfs_distances(0) == [0, 1, 2, 3]
-    assert g.all_pairs()[0][3] == 3
+    assert g.all_pairs()[0, 3] == 3
 
 
 @st.composite
@@ -133,25 +135,27 @@ def bfs_table(g):
 @settings(max_examples=100, deadline=None)
 @given(connected_graphs())
 def test_all_pairs_matches_a_bfs_from_every_vertex(g):
-    assert g.all_pairs() == bfs_table(g)
+    assert g.all_pairs().tolist() == bfs_table(g)
 
 
 @pytest.mark.parametrize("g", [path_graph(1), path_graph(130), complete_bipartite_graph(3, 200)],
                          ids=["single-vertex", "path130", "k3-200"])
 def test_all_pairs_on_one_vertex_and_multiword_balls(g):
     dist = g.all_pairs()
-    assert dist == bfs_table(g)
+    assert dist.tolist() == bfs_table(g)
     assert g.all_pairs() is dist
-    assert all(type(d) is int for row in dist for d in row)
+    assert dist.dtype == _exact_dtype(0, len(g))
+    with pytest.raises(ValueError):
+        dist[0, 0] = 1
 
 
-def seeded_cubulation(seed: int) -> SimpleGraph:
-    """The cubulation graph of a seeded random crossing wall space."""
+def seeded_cubulation(seed: int) -> CubulationResult:
+    """The cubulation of a seeded random crossing wall space."""
     rng = random.Random(seed)
     while True:
         try:
             return cubulate(random_crossing_wall_space(rng, rng.randint(2, 7),
-                                                       rng.randint(1, 8))).graph
+                                                       rng.randint(1, 8)))
         except InputError:
             continue
 
@@ -166,7 +170,7 @@ def bfs_graphs(draw):
     if kind == "random":
         return draw(connected_graphs())
     if kind == "cubulation":
-        return seeded_cubulation(draw(st.integers(0, 10 ** 6)))
+        return seeded_cubulation(draw(st.integers(0, 10 ** 6))).graph
     g = {"tree": lambda: random_tree(draw(st.integers(1, 40)), draw(st.integers(0, 99))),
          "grid": lambda: grid_graph(draw(st.integers(1, 6)), draw(st.integers(1, 6))),
          "cube": lambda: hypercube_graph(draw(st.integers(0, 5))),
@@ -207,9 +211,34 @@ def test_trusted_and_constructed_graphs_agree_on_every_view(g):
     assert [trusted.neighbors(v) for v in g.vertices] == [built.neighbors(v) for v in g.vertices]
     assert trusted.edges == built.edges
     assert trusted._bfs == built._bfs
-    assert trusted.all_pairs() == built.all_pairs()
+    assert trusted.all_pairs().tolist() == built.all_pairs().tolist()
     assert formats.graph_text(trusted, {"n": 1}) == formats.graph_text(built, {"n": 1}) == \
         formats.dumps(graph_to_json(built, {"n": 1}))
+
+
+@st.composite
+def median_certificates(draw):
+    """The certificate of a tree, grid or cube, its vertices in random
+    order, or the one a cubulation builds on its ``SimpleGraph._trusted``
+    graph."""
+    kind = draw(st.sampled_from(["tree", "grid", "cube", "cubulation"]))
+    if kind == "cubulation":
+        return seeded_cubulation(draw(st.integers(0, 10 ** 6))).cert
+    g = {"tree": lambda: random_tree(draw(st.integers(1, 40)), draw(st.integers(0, 99))),
+         "grid": lambda: grid_graph(draw(st.integers(1, 6)), draw(st.integers(1, 6))),
+         "cube": lambda: hypercube_graph(draw(st.integers(0, 5))),
+         }[kind]()
+    g = SimpleGraph(draw(st.permutations(g.vertices)), draw(st.permutations(g.edges)))
+    return certify_median_graph(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(median_certificates())
+def test_certificate_distances_are_the_bfs_distances(cert):
+    g = cert.graph
+    got = [[cert.dist(u, v) for v in g.vertices] for u in g.vertices]
+    assert "_dist_array" not in vars(g)
+    assert got == [g.bfs_distances(i) for i in range(len(g))]
 
 
 def test_a_1024_vertex_tree_is_certified_with_1023_walls():
@@ -223,10 +252,11 @@ def test_path_metric_passes_full_validation(corpus_graphs):
     # path_metric skips the metric checks, which BFS distances pass by construction
     for inst in corpus_graphs.values():
         g = inst.payload
-        checked = FiniteMetric(g.vertices, g.all_pairs())
+        checked = FiniteMetric(g.vertices, g.all_pairs().tolist())
         trusted = g.path_metric()
-        assert (trusted.points, trusted.scale, trusted._di) == \
-            (checked.points, checked.scale, checked._di)
+        assert (trusted.points, trusted.scale, trusted._d.tolist()) == \
+            (checked.points, checked.scale, checked._d.tolist())
+        assert trusted._d.dtype == checked._d.dtype
 
 
 # ---------------------------------------------------------------- certify

@@ -1,14 +1,17 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mediankit import (FiniteMetric, InputError, MedianMetric, NotMedianError,
                        check_colinear_lemma, check_median_lipschitz, classify,
-                       find_rectangles, intervals, product)
+                       find_rectangles, formats, intervals, product,
+                       retraction_decomposition)
 from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               grid_graph, hypercube_graph, path_graph,
                               random_tree, star_graph)
@@ -124,7 +127,7 @@ def outcome(build, *args):
         got = build(*args)
     except Exception as exc:       # the exception is the outcome
         return type(exc), str(exc)
-    return got if isinstance(got, tuple) else (got.scale, got._di)
+    return got if isinstance(got, tuple) else (got.scale, got._d.tolist())
 
 
 @settings(max_examples=200, deadline=None)
@@ -478,7 +481,8 @@ def test_product_rows_are_those_of_the_fraction_construction(seed):
              (weighted_tree(rng, 4, 3, 1 << 62), weighted_tree(rng, 3, 2))]
     for m1, m2 in pairs:
         got, want = product(m1, m2), product_oracle(m1, m2)
-        assert (got.points, got._di, got.scale) == (want.points, want._di, want.scale)
+        assert (got.points, got._d.tolist(), got.scale) == \
+            (want.points, want._d.tolist(), want.scale)
         assert got._d.dtype == want._d.dtype and (got._d == want._d).all()
     assert got._d.dtype == object
 
@@ -605,3 +609,75 @@ def test_random_trees_certify_and_legs_hold(seed):
     x, y, z = pts[0], pts[len(pts) // 2], pts[-1]
     md = m.median_point(x, y, z)
     assert m.dist(x, md) == (m.dist(x, y) + m.dist(x, z) - m.dist(y, z)) / 2
+
+
+# ---------------------------------------------------- the one distance record
+
+# (factor, dtype): the tree's scaled entries are factor * {1, 2, 3, 5, 6},
+# each factor prime to 6, so that over 6 the scale stays 6
+LADDER = [(1, np.int16), ((1 << 20) + 1, np.int32), ((1 << 55) + 3, np.int64),
+          (10 ** 400 + 1, object)]
+TREE = [[0, 1, 3, 6], [1, 0, 2, 5], [3, 2, 0, 3], [6, 5, 3, 0]]   # P4, weights 1, 2, 3
+
+
+def assert_reads_the_oracle(m: FiniteMetric, want: list[list[Fraction]]) -> None:
+    """dist, dist_int, upper_triangle and metric_to_json against a Fraction
+    matrix, as Python ints and Fractions; the array is read-only."""
+    n = len(want)
+    pts = m.points
+    assert m.scale == math.lcm(*(v.denominator for row in want for v in row))
+    for i, j in itertools.product(range(n), repeat=2):
+        got = m.dist(pts[i], pts[j])
+        assert got == want[i][j] and type(got.numerator) is int
+        got = m.dist_int(i, j)
+        assert got == want[i][j] * m.scale and type(got) is int
+    rows = [[want[i][j] for j in range(i + 1, n)] for i in range(n - 1)]
+    triangle = m.upper_triangle()
+    assert triangle == rows
+    assert all(type(v.numerator) is int for row in triangle for v in row)
+    assert formats.metric_to_json(m)["dist"] == [[str(v) for v in row] for row in rows]
+    with pytest.raises(ValueError):
+        m._d[0, 0] = 0
+
+
+@pytest.mark.parametrize("factor, dtype", LADDER, ids=["int16", "int32", "int64", "object"])
+@pytest.mark.parametrize("den", [1, 6])
+def test_distance_readers_match_the_fraction_oracle_at_every_dtype(factor, dtype, den):
+    pts = list("abcd")
+    want = [[Fraction(v * factor, den) for v in row] for row in TREE]
+    built = FiniteMetric(pts, want)
+    assert built._d.dtype == dtype
+    scaled = [[v * factor for v in row] for row in TREE]
+    trusted = FiniteMetric._trusted(pts, _exact_array(scaled), den)
+    assert trusted._d.dtype == dtype
+    proven = MedianMetric._proven(built)
+    assert proven._d is built._d
+    for m in (built, trusted, proven, MedianMetric.certify(trusted)):
+        assert_reads_the_oracle(m, want)
+    edge = MedianMetric.certify(FiniteMetric(["x", "y"], [[0, "1/4"], ["1/4", 0]]))
+    pairs = [(i, y) for i in range(4) for y in edge.points]
+    assert_reads_the_oracle(product(proven, edge),
+                            [[want[i][k] + edge.dist(y, z) for k, z in pairs] for i, y in pairs])
+
+
+def test_path_metrics_read_the_graph_array():
+    g = grid_graph(3, 4)
+    want = [[Fraction(d) for d in g.bfs_distances(i)] for i in range(len(g))]
+    assert_reads_the_oracle(g.path_metric(), want)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(6), path_graph(4)], ids=["c6", "p4"])
+def test_median_entry_points_reject_an_uncertified_metric(g):
+    m = g.path_metric()
+    edge = MedianMetric.certify(path_graph(2).path_metric())
+    for call in (lambda: product(m, edge), lambda: product(edge, m),
+                 lambda: retraction_decomposition(m), lambda: check_colinear_lemma(m),
+                 lambda: check_median_lipschitz(m)):
+        with pytest.raises(InputError, match=r"needs a median metric; certify it "
+                                             r"first with MedianMetric\.certify"):
+            call()
+    if len(g) == 4:             # the P4 is median once certified
+        mm = MedianMetric.certify(m)
+        assert check_colinear_lemma(mm).passed and check_median_lipschitz(mm).passed
+        assert len(retraction_decomposition(mm).steps) == 3
+        assert len(product(mm, edge).points) == 8
