@@ -13,13 +13,15 @@ Raw data arrives as an :class:`IntervalStructure` and is promoted to a
 :class:`FiniteMedianAlgebra` only after passing :func:`validate_axioms`.
 A structure holds its intervals only as a packed betweenness table over
 the point indices (the layout of :mod:`intervals`), and a metric's
-structure holds the metric's own table.  The axioms, medians, convexity,
+structure holds the metric's own table.  The axioms, convexity,
 halfspaces and morphisms read that table with the kernels of
-:mod:`intervals`.
+:mod:`intervals`; an algebra's medians are read off its halfspaces' wall
+record (``WallCodes.median``), built once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -220,7 +222,6 @@ class FiniteMedianAlgebra:
         self._s = structure
         self.report = report
         self.points = structure.points
-        self._med: dict[tuple[int, int, int], int] = {}
 
     @staticmethod
     def promote(structure: IntervalStructure) -> "FiniteMedianAlgebra":
@@ -239,9 +240,15 @@ class FiniteMedianAlgebra:
     def interval(self, x: Point, y: Point) -> frozenset:
         return self._s.interval(x, y)
 
+    @functools.cached_property
+    def _walls(self) -> intervals.WallCodes:
+        """The proper halfspaces' wall record, shared by medians and halfspaces."""
+        return intervals.halfspaces(self._s.packed)[0]
+
     def median(self, x: Point, y: Point, z: Point) -> Point:
-        return self.points[intervals.median(self._s.packed, self._med, self.index(x),
-                                            self.index(y), self.index(z))]
+        """The point whose code is the majority of theirs: a halfspace holds
+        the median iff it holds two of the three, and halfspaces separate points."""
+        return self.points[self._walls.median(self.index(x), self.index(y), self.index(z))]
 
     def is_convex(self, subset: Iterable[Point]) -> bool:
         return intervals.is_convex(self._s.packed, sum({1 << self.index(p) for p in subset}))
@@ -254,7 +261,7 @@ class FiniteMedianAlgebra:
         wall.
         """
         full = (1 << len(self.points)) - 1
-        sides = intervals.halfspaces(self._s.packed)[0].sides + [full]
+        sides = self._walls.sides + [full]
         sides.sort(key=intervals.members)
         return [Halfspace(intervals.unmask(self.points, side),
                           intervals.unmask(self.points, full & ~side))

@@ -641,20 +641,19 @@ def retraction_decomposition(mm: MedianMetric) -> DecompositionTrace:
     """Peel a maximal proper halfspace at a time, read off the walls.
 
     The distance of a median metric is the measure of the walls that
-    separate two points, so one :func:`intervals.halfspaces` call gives
-    every step: a wall's measure delta is the distance of its first
-    covering pair, a point's code is read off the wall record, and the
-    halfspaces of the current (convex) set are the walls' sides
-    restricted to it.  Each step keeps the lexicographically
-    smallest maximal side, and a peeled point retracts to the point whose
-    code flips only the peeled wall: its nearest point in the kept side,
-    at distance delta.  The clauses this rests on (unique nearest points
+    separate two points, so its ``measured_walls`` record gives every
+    step: a wall's measure delta, a point's code, and the halfspaces of
+    the current (convex) set, the walls' sides restricted to it.  The
+    record is searched for at most once per metric, and not at all on a
+    median graph's path metric or a product.  Each step keeps the
+    lexicographically smallest maximal side, and a peeled point retracts
+    to the point whose code flips only the peeled wall: its nearest point
+    in the kept side, at distance delta.  The clauses this rests on (unique nearest points
     on geodesics, the rectangle property, a constant gap, the four-case
     distance law) are checked against ``retraction_oracle`` in the tests.
     """
     _require_median("retraction_decomposition", mm)
-    codes, pairs = intervals.halfspaces(mm._between())
-    deltas = [mm.dist_int(*covering[0]) for covering in pairs]
+    codes, deltas = mm.measured_walls
     code, by_code = codes.ints, codes.point_of
     steps: list[RetractionStep] = []
     current = (1 << len(mm.points)) - 1

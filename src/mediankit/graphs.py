@@ -290,9 +290,10 @@ class MedianGraphCert:
     into the wall record ``codes`` (:class:`intervals.WallCodes`):
     coordinates re-based to vertex 0, so every wall's side holds vertex 0,
     and walls sorted on their sides' vertex indices.  Wall k is input
-    column ``wall_bits[k]``.  The :class:`GraphWall` objects, with each
-    wall's crossing edges (the edges flipping it, in ``edge_indices``
-    order), are built on first use of ``walls``.
+    column ``wall_bits[k]``, and the record is also the measured walls of
+    the path metric ``metric``, each of measure 1.  The :class:`GraphWall`
+    objects, with each wall's crossing edges (the edges flipping it, in
+    ``edge_indices`` order), are built on first use of ``walls``.
     """
 
     # always False: the walls are the coordinate bits by the lemma, and no
@@ -324,8 +325,10 @@ class MedianGraphCert:
 
     @functools.cached_property
     def metric(self) -> MedianMetric:
-        """The path metric, median by the lemma; its tables fill lazily."""
-        return MedianMetric._proven(self.graph.path_metric())
+        """The path metric, median by the lemma, whose measured walls are
+        this record with every delta 1; no table is built."""
+        return MedianMetric._proven(self.graph.path_metric(),
+                                    (self.codes, [1] * len(self.wall_bits)))
 
     def dist(self, u: Vertex, v: Vertex) -> int:
         """The Hamming distance of the wall codes; no table is built."""
@@ -334,8 +337,8 @@ class MedianGraphCert:
 
     def median(self, u: Vertex, v: Vertex, w: Vertex) -> Vertex:
         """The vertex whose coordinates are the bitwise majority of theirs."""
-        a, b, c = (self.codes.ints[self.graph.index(x)] for x in (u, v, w))
-        return self.vertices[self.codes.point_of[a & b | b & c | a & c]]
+        index = self.graph.index
+        return self.vertices[self.codes.median(index(u), index(v), index(w))]
 
     def wall_coordinates(self, base: Vertex | None = None) -> dict[Vertex, tuple[int, ...]]:
         """Per-vertex wall-side indicators, zeroed at the base vertex.

@@ -1,13 +1,14 @@
 """The interval kernel: betweenness tables packed into uint64 words, and
-the triple-meet count, convexity, halfspaces and the median-closedness
-test on them.
+the triple meet and its blocked count, convexity, halfspaces and the
+median-closedness test on them.
 
 A betweenness table over n points is an (n, n, words(n)) uint64 array in
 which bit t of ``packed[i, j]`` (bit t % 64 of word t // 64) is set iff t
 lies in the interval [i,j], as built by ``FiniteMetric._between`` and
 held by ``IntervalStructure.packed``; it is the only form of the table.
 ``as_int`` reads one mask back, and ``unmask`` as a set of points.
-``meet_counts`` counts the common points |[i,j] & [j,k] & [k,i]|
+``meet`` is the mask of one triple's common points, and ``meet_counts``
+counts the common points |[i,j] & [j,k] & [k,i]|
 of every triple with ``np.bitwise_count``, in blocks of consecutive rows
 i of about ``BLOCK`` triples, in lexicographic order, so a caller that
 stops at its first hit reads only the blocks up to it.
@@ -25,9 +26,11 @@ its n x W 0/1 matrix is point i's code, zero at point 0, with the walls
 in the canonical order of their sides (``side_order``); the code ints,
 the side masks and the point of each code are read off it once, on first
 use, except the side masks that :func:`halfspaces` has already packed.
-Wall spaces, median-graph certificates and :func:`halfspaces` build it;
-cubulation, wall pullbacks, cube filling, the L1 embedding, median
-algebra halfspaces, retraction, graph wall spaces and DOT export read it.
+Wall spaces, median-graph certificates, products of median metrics and
+:func:`halfspaces` build it.  Every median is read off it
+(``WallCodes.median``, the bitwise majority of three codes); cubulation,
+wall pullbacks, cube filling, the L1 embedding, median algebra
+halfspaces, retraction, graph wall spaces and DOT export read it too.
 
 The median closure of a set I of bitvectors is the solution set C of
 the 2-clauses that every element of I satisfies (Schaefer 1978).  For a
@@ -60,8 +63,6 @@ from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
-
-from .errors import InternalCheckError
 
 BLOCK = 1 << 14     # entries per block of meet_counts, the metric's table build and
                     # triangle check, and the median-closedness test
@@ -199,23 +200,17 @@ class WallCodes:
     def point_of(self) -> dict[int, int]:
         return dict(zip(self.ints, range(len(self.bits))))
 
+    def median(self, i: int, j: int, k: int) -> int:
+        """The point whose code is the bitwise majority of the codes of
+        points i, j and k: their median, when the codes are a median
+        space's walls."""
+        a, b, c = self.ints[i], self.ints[j], self.ints[k]
+        return self.point_of[a & b | b & c | a & c]
+
 
 def meet(packed: np.ndarray, i: int, j: int, k: int) -> int:
     """The mask [i,j] & [j,k] & [k,i] of a packed table."""
     return as_int(packed[i, j] & packed[j, k] & packed[k, i])
-
-
-def median(packed: np.ndarray, memo: dict, i: int, j: int, k: int) -> int:
-    """The one point of :func:`meet` on a median algebra's packed table,
-    memoized in ``memo`` by the sorted triple."""
-    key = tuple(sorted((i, j, k)))
-    got = memo.get(key)
-    if got is None:
-        common = meet(packed, i, j, k)
-        if common.bit_count() != 1:
-            raise InternalCheckError(f"median not unique at {key}")
-        got = memo[key] = common.bit_length() - 1
-    return got
 
 
 def meet_counts(packed: np.ndarray, ordered: bool

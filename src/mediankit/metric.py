@@ -24,15 +24,18 @@ broadcast comparison d(i,t) + d(j,t) == d(i,j) per block of rows i,
 packed into uint64 words (the layout of :mod:`intervals`), once per
 metric by ``_between``.  It is the metric's only betweenness table:
 ``classify`` counts the common points of each triple's intervals on it
-with the blocked meet kernel of :mod:`intervals`, medians are single
-meets (``intervals.median``), the readers of single intervals take one
-entry as an int, and ``to_algebra`` wraps the table itself.
+with the blocked meet kernel of :mod:`intervals`, the readers of single
+intervals take one entry as an int, and ``to_algebra`` wraps the table
+itself; a median metric's medians are read off its measured walls
+(:class:`MedianMetric`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,8 +56,8 @@ def _to_fraction(value) -> Fraction:
             f"boolean distance {value!r} rejected; pass an int, Fraction or 'p/q' string")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, numbers.Integral):     # int, or a numpy integer
+        return Fraction(int(value))
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -324,7 +327,12 @@ def classify(m: FiniteMetric) -> Classification:
 
 
 class MedianMetric(FiniteMetric):
-    """A finite metric certified median, with a memoized median table.
+    """A finite metric certified median, with its measured walls.
+
+    Its distance is the measure of the walls that separate two points, and
+    a median lies on the majority side of every wall (Chatterji-Druţu-Haglund,
+    arXiv 0809.4099), so ``median_index`` reads the majority of three codes
+    of ``measured_walls`` (``WallCodes.median``).
 
     The leg identity 2*d(x,m) = d(x,y)+d(x,z)-d(y,z) holds on every triple
     without a separate scan: it follows from the three betweenness
@@ -333,7 +341,6 @@ class MedianMetric(FiniteMetric):
 
     def __init__(self, points, matrix):
         super().__init__(points, matrix)
-        self._med: dict[tuple[int, int, int], int] = {}
         self._certify()
 
     def _certify(self) -> None:
@@ -348,22 +355,32 @@ class MedianMetric(FiniteMetric):
     def certify(cls, metric: FiniteMetric) -> "MedianMetric":
         """Certify a metric as median, sharing its exact array (not
         validated again) and its betweenness table."""
-        out = cls._proven(metric)
+        out = cls._trusted(metric.points, metric._d, metric._scale)
+        out._betw = metric._betw
         out._certify()
         return out
 
     @classmethod
-    def _proven(cls, metric: FiniteMetric) -> "MedianMetric":
-        """Wrap a metric already proven median by other means (a median
-        graph's wall coordinates); no triple is scanned, and the median
-        table fills lazily."""
+    def _proven(cls, metric: FiniteMetric,
+                walls: tuple[intervals.WallCodes, list[int]]) -> "MedianMetric":
+        """Wrap a metric proven median by its measured walls, given as the
+        ``measured_walls`` record (a median graph's wall coordinates with
+        delta = 1, a product's factors' walls); no triple is scanned and
+        no halfspace is searched."""
         out = cls._trusted(metric.points, metric._d, metric._scale)
-        out._betw = metric._betw
-        out._med = {}
+        out.measured_walls = walls
         return out
 
+    @functools.cached_property
+    def measured_walls(self) -> tuple[intervals.WallCodes, list[int]]:
+        """The walls' codes and scaled measures (codes, delta), delta the
+        distance of each wall's first covering pair: one
+        ``intervals.halfspaces`` call, unless :meth:`_proven` seeded it."""
+        codes, pairs = intervals.halfspaces(self._between())
+        return codes, [self.dist_int(*covering[0]) for covering in pairs]
+
     def median_index(self, i: int, j: int, k: int) -> int:
-        return intervals.median(self._between(), self._med, i, j, k)
+        return self.measured_walls[0].median(i, j, k)
 
     def median_point(self, x: Point, y: Point, z: Point) -> Point:
         return self.points[self.median_index(self.index(x), self.index(y),
@@ -382,7 +399,9 @@ def product(m1: MedianMetric, m2: MedianMetric) -> MedianMetric:
     An interval of the product is the product of the factors' intervals,
     so the product of two median metrics is median, with the
     componentwise median; no triple is scanned.  The tests check both
-    (``test_product_median_is_componentwise_on_p3_grid``).
+    (``test_product_median_is_componentwise_on_p3_grid``).  Its walls, the
+    factors' side by side, each measured by its factor's delta times
+    lcm(s1, s2)/s_i, seed its ``measured_walls``; no halfspace is searched.
 
     Each factor's scale is the least common denominator of its distances,
     and the product holds every distance of each factor, so its scale is
@@ -399,7 +418,13 @@ def product(m1: MedianMetric, m2: MedianMetric) -> MedianMetric:
     wide = np.int64 if peak < 1 << 62 else object
     rows = m1._d.astype(wide)[:, None, :, None] * f1 + m2._d.astype(wide)[None, :, None, :] * f2
     d = rows.reshape(len(pts), len(pts)).astype(_exact_dtype(0, peak))
-    return MedianMetric._proven(FiniteMetric._trusted(pts, d, scale))
+    (c1, delta1), (c2, delta2) = m1.measured_walls, m2.measured_walls
+    n1, n2 = len(m1.points), len(m2.points)
+    codes = intervals.WallCodes(np.hstack([c1.bits.repeat(n2, axis=0),
+                                           np.tile(c2.bits, (n1, 1))]))
+    delta = [v * f1 for v in delta1] + [v * f2 for v in delta2]
+    return MedianMetric._proven(FiniteMetric._trusted(pts, d, scale),
+                                (codes, [delta[t] for t in codes.order.tolist()]))
 
 
 @dataclass(frozen=True)

@@ -290,12 +290,13 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
 
 
 def graph_wall_space(cert: MedianGraphCert) -> WallSpace:
-    """A median graph as a space with walls (its edge halfspaces), the
-    sides read off the certificate's wall record."""
-    vs = cert.vertices
-    full = (1 << len(vs)) - 1
-    return WallSpace(vs, [(intervals.unmask(vs, side), intervals.unmask(vs, full ^ side))
-                          for side in cert.codes.sides])
+    """A median graph as a space with walls (its edge halfspaces), holding
+    the certificate's wall record, which is the one the constructor builds."""
+    out = WallSpace.__new__(WallSpace)
+    out.points = list(cert.vertices)
+    out._index = {p: i for i, p in enumerate(out.points)}
+    out.codes = cert.codes
+    return out
 
 
 def extend_morphism(f: Mapping[Point, Point], w1: WallSpace, w2: WallSpace,

@@ -1144,9 +1144,19 @@ def retraction_oracle(mm: MedianMetric) -> DecompositionTrace:
     return DecompositionTrace(mm, tuple(steps))
 
 
+def median_oracle(packed: np.ndarray, i: int, j: int, k: int) -> int:
+    """Oracle: the median of points i, j, k of a median algebra's packed
+    table, the one common point of [i,j], [j,k] and [k,i]; a meet of any
+    other size is an error."""
+    common = intervals.meet(packed, i, j, k)
+    if common.bit_count() != 1:
+        raise InternalCheckError(f"median not unique at {(i, j, k)}")
+    return common.bit_length() - 1
+
+
 def median_table(a: FiniteMedianAlgebra) -> dict:
     """The ternary operation of an algebra as a table over every
-    unordered triple, derived from its intervals."""
+    unordered triple."""
     return {
         (x, y, z): a.median(x, y, z)
         for x, y, z in itertools.combinations_with_replacement(a.points, 3)

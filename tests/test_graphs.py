@@ -417,8 +417,10 @@ def test_certificate_scans_no_triples(monkeypatch):
         raise AssertionError("classify ran on a median graph")
     monkeypatch.setattr("mediankit.metric.classify", forbidden)
     cert = certify_median_graph(grid_graph(5, 6))
-    assert cert.metric._betw is None and cert.metric._med == {}
+    assert cert.metric.measured_walls == (cert.codes, [1] * 9)
     assert cert.median("0,0", "4,5", "0,5") == "0,5"
+    assert cert.metric.median_point("0,0", "4,5", "0,5") == "0,5"
+    assert cert.metric._betw is None        # the metric's medians build no table
 
 
 def test_a_wall_test_failing_on_a_median_graph_is_an_internal_error(monkeypatch):

@@ -2,22 +2,23 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mediankit import (FiniteMetric, InputError, MedianMetric, NotMedianError,
-                       check_colinear_lemma, check_median_lipschitz, classify,
-                       find_rectangles, formats, intervals, product,
-                       retraction_decomposition)
+from mediankit import (FiniteMedianAlgebra, FiniteMetric, InputError, MedianMetric,
+                       NotMedianError, certify_median_graph, check_colinear_lemma,
+                       check_median_lipschitz, classify, find_rectangles, formats,
+                       intervals, product, retraction_decomposition)
 from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               grid_graph, hypercube_graph, path_graph,
                               random_tree, star_graph)
 
 from conftest import (between_oracle, fraction_metric_oracle, is_metric_oracle,
-                      product_oracle, rectangles_oracle, scaled_rows_oracle,
+                      median_oracle, product_oracle, rectangles_oracle, scaled_rows_oracle,
                       upper_triangle_oracle)
 from mediankit.metric import _exact_array, _is_metric, _scaled_rows
 
@@ -391,13 +392,18 @@ def test_cube_median_is_bitwise_majority():
 
 
 def test_median_table_fills_on_demand():
+    """Certification reads no walls; the first median searches them, and
+    no later median searches again."""
     grid = grid_graph(3, 3).path_metric()
     m = MedianMetric(grid.points, [[grid.dist(x, y) for y in grid.points]
                                    for x in grid.points])
-    assert m._med == {}                  # certification keeps no table
-    for x, y, z in itertools.combinations(m.points, 3):
-        m.median_point(x, y, z)
-    assert len(m._med) == 84
+    assert "measured_walls" not in vars(m)      # certification keeps no record
+    with mock.patch.object(intervals, "halfspaces", wraps=intervals.halfspaces) as spy:
+        for x, y, z in itertools.combinations(m.points, 3):
+            m.median_point(x, y, z)
+    assert spy.call_count == 1
+    codes, delta = m.measured_walls
+    assert codes.bits.shape == (9, 4) and delta == [1] * 4
 
 
 def test_leg_identity_exact_on_all_triples():
@@ -519,13 +525,13 @@ def test_lipschitz_sampled_modes_compute_only_sampled_medians(monkeypatch):
     the reports are those of the exhaustive predicates on the samples."""
     m = MedianMetric.certify(random_tree(40, 3).path_metric())
     calls = []
-    real = intervals.median
+    real = MedianMetric.median_index
 
-    def spy(packed, memo, i, j, k):
+    def spy(self, i, j, k):
         calls.append((i, j, k))
-        return real(packed, memo, i, j, k)
+        return real(self, i, j, k)
 
-    monkeypatch.setattr(intervals, "median", spy)
+    monkeypatch.setattr(MedianMetric, "median_index", spy)
     rep = check_median_lipschitz(m, point_cap=20, pair_cap=12, samples=300, seed=9)
     assert len(calls) == 3 * 300
     assert rep.passed
@@ -611,6 +617,118 @@ def test_random_trees_certify_and_legs_hold(seed):
     assert m.dist(x, md) == (m.dist(x, y) + m.dist(x, z) - m.dist(y, z)) / 2
 
 
+# ------------------------------------------------ medians of the measured walls
+
+median_graphs = st.one_of(
+    st.builds(random_tree, st.integers(1, 14), st.integers(0, 10 ** 6)),
+    st.builds(grid_graph, st.integers(1, 4), st.integers(1, 4)),
+    st.builds(hypercube_graph, st.integers(0, 4)))
+
+
+@st.composite
+def median_spaces(draw):
+    """A median metric from each producer, or a median algebra built from
+    a median metric's intervals: certified path metrics and rational
+    weighted trees, certificates' path metrics, and products of those,
+    the factors at rational and at unequal scales."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    kind = draw(st.sampled_from(["certify", "weighted", "cert", "product", "algebra"]))
+    if kind == "certify":
+        return MedianMetric.certify(draw(median_graphs).path_metric())
+    if kind == "weighted":
+        return weighted_tree(rng, draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    if kind == "cert":
+        return certify_median_graph(draw(median_graphs)).metric
+    if kind == "product":
+        small = st.one_of(
+            st.builds(lambda n, den: weighted_tree(rng, n, den),
+                      st.integers(1, 5), st.integers(1, 12)),
+            st.builds(lambda g: certify_median_graph(g).metric,
+                      st.builds(grid_graph, st.integers(1, 2), st.integers(1, 3))),
+            st.builds(lambda g: MedianMetric.certify(g.path_metric()),
+                      st.builds(random_tree, st.integers(1, 5), st.integers(0, 99))))
+        return product(draw(small), draw(small))
+    m = draw(st.one_of(median_graphs.map(lambda g: g.path_metric()),
+                       st.builds(lambda n: weighted_tree(rng, n, 3), st.integers(1, 10))))
+    return FiniteMedianAlgebra.from_intervals(
+        m.points, {(x, y): m.geodesic_interval(x, y) for x in m.points for y in m.points})
+
+
+def assert_walls_are_the_searched_ones(m: MedianMetric) -> None:
+    """The measured walls, seeded or searched, are those that
+    ``intervals.halfspaces`` finds on the metric's own table, measures
+    included."""
+    codes, delta = m.measured_walls
+    want, pairs = intervals.halfspaces(m._between())
+    assert (codes.bits == want.bits).all() and codes.sides == want.sides
+    assert delta == [m.dist_int(*covering[0]) for covering in pairs]
+
+
+def test_product_walls_are_sorted_with_their_measures():
+    """A second factor's walls can change order in the product: on a path
+    a-b-c the side {a} sorts before {a, b}, but {a} x P after {a, b} x P.
+    Their measures must move with them."""
+    path = MedianMetric.certify(FiniteMetric("abc", [[0, 1, 3], [1, 0, 2], [3, 2, 0]]))
+    edge = MedianMetric.certify(FiniteMetric("xy", [[0, "1/2"], ["1/2", 0]]))
+    assert path.measured_walls[1] == [1, 2]
+    for m1, m2 in ((edge, path), (path, edge), (path, path)):
+        assert_walls_are_the_searched_ones(product(m1, m2))
+    assert product(edge, path).measured_walls[1] == [1, 4, 2]      # not [1, 2, 4]
+
+
+@settings(max_examples=120, deadline=None)
+@given(median_spaces())
+def test_medians_are_the_meets_of_the_intervals(space):
+    """Every median read off the walls' codes is the one common point of
+    the three intervals, on every multiset triple, and a metric's measured
+    walls are those of its own table."""
+    pts = space.points
+    if isinstance(space, FiniteMedianAlgebra):
+        packed, median = space._s.packed, space.median
+    else:
+        packed, median = space._between(), space.median_point
+        assert_walls_are_the_searched_ones(space)
+    for i, j, k in itertools.combinations_with_replacement(range(len(pts)), 3):
+        want = median_oracle(packed, i, j, k)
+        assert median(pts[i], pts[j], pts[k]) == pts[want]
+        if not isinstance(space, FiniteMedianAlgebra):
+            assert space.median_index(i, j, k) == want
+
+
+def read_every_median(space) -> None:
+    pts = space.points
+    read = space.median if isinstance(space, FiniteMedianAlgebra) else space.median_point
+    for x, y, z in itertools.combinations_with_replacement(pts, 3):
+        read(x, y, z)
+
+
+def test_medians_and_retraction_search_halfspaces_at_most_once():
+    """A certificate's path metric and a product are handed their walls and
+    search no halfspace for their medians and retraction; any other
+    median metric or algebra searches once, however much it reads."""
+    rng = random.Random(3)
+    cert = certify_median_graph(grid_graph(3, 3))
+    edge = certify_median_graph(path_graph(2)).metric
+    left, right = weighted_tree(rng, 4, 2), weighted_tree(rng, 3, 5)
+    left.measured_walls, right.measured_walls      # the factors' own searches
+    seeded = [cert.metric, product(cert.metric, edge), product(left, right)]
+    searched = [MedianMetric.certify(grid_graph(3, 3).path_metric()),
+                weighted_tree(rng, 6, 4), MedianMetric(["a", "b"], [[0, 2], [2, 0]])]
+    for m, searches in [(m, 0) for m in seeded] + [(m, 1) for m in searched]:
+        with mock.patch.object(intervals, "halfspaces", wraps=intervals.halfspaces) as spy:
+            read_every_median(m)
+            retraction_decomposition(m)
+            read_every_median(m)
+        assert spy.call_count == searches
+    a = grid_graph(2, 3).path_metric().to_algebra()
+    with mock.patch.object(intervals, "halfspaces", wraps=intervals.halfspaces) as spy:
+        read_every_median(a)
+        a.halfspaces()
+        a.separate({"0,0"}, {"1,2"})
+        read_every_median(a)
+    assert spy.call_count == 1
+
+
 # ---------------------------------------------------- the one distance record
 
 # (factor, dtype): the tree's scaled entries are factor * {1, 2, 3, 5, 6},
@@ -650,7 +768,7 @@ def test_distance_readers_match_the_fraction_oracle_at_every_dtype(factor, dtype
     scaled = [[v * factor for v in row] for row in TREE]
     trusted = FiniteMetric._trusted(pts, _exact_array(scaled), den)
     assert trusted._d.dtype == dtype
-    proven = MedianMetric._proven(built)
+    proven = MedianMetric._proven(built, MedianMetric.certify(built).measured_walls)
     assert proven._d is built._d
     for m in (built, trusted, proven, MedianMetric.certify(trusted)):
         assert_reads_the_oracle(m, want)
@@ -658,6 +776,23 @@ def test_distance_readers_match_the_fraction_oracle_at_every_dtype(factor, dtype
     pairs = [(i, y) for i in range(4) for y in edge.points]
     assert_reads_the_oracle(product(proven, edge),
                             [[want[i][k] + edge.dist(y, z) for k, z in pairs] for i, y in pairs])
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+def test_numpy_integer_distances_read_as_ints(dtype):
+    g = grid_graph(3, 4)
+    want = g.path_metric()
+    m = FiniteMetric(g.vertices, g.all_pairs().astype(dtype))   # int16: all_pairs() itself
+    assert m.scale == want.scale and m._d.dtype == want._d.dtype
+    assert (m._d == want._d).all()
+    if dtype is np.int64:       # exact past 2^53
+        big = (1 << 55) + 3
+        m = FiniteMetric("ab", np.array([[0, big], [big, 0]], dtype=dtype))
+        assert m.dist_int(0, 1) == big and type(m.dist("a", "b").numerator) is int
+    with pytest.raises(InputError, match="float distance"):
+        FiniteMetric("ab", np.array([[0, 1], [1, 0]], dtype=np.float64))
+    with pytest.raises(InputError, match="cannot interpret"):
+        FiniteMetric("ab", np.array([[0, 1], [1, 0]], dtype=np.bool_))
 
 
 def test_path_metrics_read_the_graph_array():

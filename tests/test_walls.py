@@ -674,6 +674,23 @@ def test_separating_walls_sigma_halfspaces_and_hamming_agree():
         assert wall_metric_recount(w, res)
 
 
+def test_graph_wall_spaces_hold_the_constructor_record(median_certs):
+    """A median graph's wall space shares its certificate's record, and it
+    is the record the constructor builds from the walls' sides."""
+    certs = list(median_certs.values())
+    certs += [certify_median_graph(random_tree(n, n)) for n in (1, 2, 65, 130, 400)]
+    for cert in certs:
+        w = graph_wall_space(cert)
+        vs = cert.vertices
+        full = (1 << len(vs)) - 1
+        want = WallSpace(vs, [(intervals.unmask(vs, side), intervals.unmask(vs, full ^ side))
+                              for side in cert.codes.sides])
+        assert w.codes is cert.codes
+        assert w.points == want.points and w._index == want._index
+        assert (w.codes.bits == want.codes.bits).all()
+        assert w.codes.sides == want.codes.sides and w.codes.ints == want.codes.ints
+
+
 def test_cubulation_idempotence():
     for seed in (0, 6):
         w = random_wall_space(seed)
