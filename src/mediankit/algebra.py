@@ -12,8 +12,9 @@ ground set.  Four axioms make it a median algebra:
 Raw data arrives as an :class:`IntervalStructure` and is promoted to a
 :class:`FiniteMedianAlgebra` only after passing :func:`validate_axioms`.
 A structure holds its intervals only as a packed betweenness table over
-the point indices (the layout of :mod:`intervals`), and a metric's
-structure holds the metric's own table.  The axioms, convexity,
+the point indices (the layout of :mod:`intervals`), and its ids as one
+record (:class:`intervals.PointIndex`); a metric's structure holds the
+metric's own table and record, and an algebra its structure's.  The axioms, convexity,
 halfspaces and morphisms read that table with the kernels of
 :mod:`intervals`; an algebra's medians are read off its halfspaces' wall
 record (``WallCodes.median``), built once.
@@ -29,15 +30,15 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import intervals
-from .intervals import pack_rows    # IntervalStructure's parameter shadows the module
-from .errors import InputError, InternalCheckError, unhashable_id
+from .intervals import PointIndex, pack_rows    # IntervalStructure's parameter shadows the module
+from .errors import InputError, InternalCheckError
 
 Point = Hashable
 
 AXIOMS = ("idempotence", "symmetry", "nesting", "unique_median")
 
 
-class IntervalStructure:
+class IntervalStructure(intervals.OnPoints):
     """A finite point set with an interval map and no axiom guarantees.
 
     Every ordered pair must have an interval and every member must be a
@@ -50,15 +51,8 @@ class IntervalStructure:
 
     def __init__(self, points: Sequence[Point],
                  intervals: Mapping[tuple[Point, Point], Iterable[Point]]):
-        pts = list(points)
-        if not pts:
-            raise InputError("an interval structure needs at least one point")
-        try:
-            index = {p: i for i, p in enumerate(pts)}
-        except TypeError:
-            raise unhashable_id(pts, "point") from None
-        if len(index) != len(pts):
-            raise InputError("duplicate point identifiers")
+        ids = PointIndex.checked(points, "an interval structure")
+        pts, index = ids.points, ids.positions
         n = len(pts)
         bit = {p: 1 << i for p, i in index.items()}.get
         masks: list[int | None] = [None] * (n * n)    # [x,y] at n * x + y
@@ -92,25 +86,18 @@ class IntervalStructure:
             x, y = divmod(masks.index(None), n)
             raise InputError(
                 f"interval ({pts[x]!r},{pts[y]!r}) missing; every ordered pair must be given")
-        self.points = pts
-        self._index = index
+        self._ids = ids
         self.packed = pack_rows(masks, n).reshape(n, n, -1)
 
     @classmethod
-    def _trusted(cls, points: Sequence[Point], packed: np.ndarray) -> "IntervalStructure":
+    def _trusted(cls, ids: PointIndex, packed: np.ndarray) -> "IntervalStructure":
         """Wrap a packed table that is valid by construction (a metric's
-        betweenness table); nothing is re-read or re-packed."""
+        betweenness table) on an id record (the metric's); nothing is
+        re-read, re-packed or re-indexed."""
         out = cls.__new__(cls)
-        out.points = list(points)
-        out._index = {p: i for i, p in enumerate(out.points)}
+        out._ids = ids
         out.packed = packed
         return out
-
-    def index(self, p: Point) -> int:
-        try:
-            return self._index[p]
-        except (KeyError, TypeError):   # an unhashable id is unknown too
-            raise InputError(f"unknown point {p!r}") from None
 
     def interval(self, x: Point, y: Point) -> frozenset:
         mask = intervals.as_int(self.packed[self.index(x), self.index(y)])
@@ -213,15 +200,16 @@ class Halfspace:
         return frozenset((self.side, self.complement))
 
 
-class FiniteMedianAlgebra:
-    """A validated interval structure.  Construct via :meth:`promote`."""
+class FiniteMedianAlgebra(intervals.OnPoints):
+    """A validated interval structure, on its id record.  Construct via
+    :meth:`promote`."""
 
     def __init__(self, structure: IntervalStructure, report: AxiomReport):
         if not report.passed:
             raise InputError(f"axioms failing: {', '.join(report.failing())}")
         self._s = structure
+        self._ids = structure._ids
         self.report = report
-        self.points = structure.points
 
     @staticmethod
     def promote(structure: IntervalStructure) -> "FiniteMedianAlgebra":
@@ -230,12 +218,6 @@ class FiniteMedianAlgebra:
     @classmethod
     def from_intervals(cls, points, intervals) -> "FiniteMedianAlgebra":
         return cls.promote(IntervalStructure(points, intervals))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def index(self, p: Point) -> int:
-        return self._s.index(p)
 
     def interval(self, x: Point, y: Point) -> frozenset:
         return self._s.interval(x, y)

@@ -28,7 +28,7 @@ from .embedding import (DEFAULT_GNS_TOL, DEFAULT_HELLY_CAP, DEFAULT_HYPERMETRIC_
                         gns_embed, l1_embed)
 from .errors import InputError, InternalCheckError, NotMedianError, ResourceLimitError
 from .graphs import certify_median_graph, fill_cubes
-from .metric import classify
+from .metric import Classification, classify
 from .walls import DEFAULT_WALL_CAP, cubulate
 
 CLASSIFY_KINDS = ("median", "modular", "neither")
@@ -86,9 +86,15 @@ def _verdict_exit(actual: str, positive: str, expected: str | None) -> int:
 
 def cmd_classify(args) -> int:
     data = formats.load_json(args.infile)
-    metric = _metric_payload(data)
+    if formats.detect_payload(data) == "graph":
+        try:    # a rejected graph's error carries the triple scan's verdict
+            certify_median_graph(formats.graph_from_json(data))
+            c = Classification("median")
+        except NotMedianError as exc:
+            c = exc.witness
+    else:
+        c = classify(_metric_payload(data))
     expected = _expected(data, args.expect)
-    c = classify(metric)
     report = {
         "command": "classify",
         "input": data.digest,

@@ -379,7 +379,8 @@ def certify_hypermetric(m: FiniteMetric, bound: int = DEFAULT_HYPERMETRIC_BOUND,
 
 @dataclass
 class GnsEmbedding:
-    """Coordinates gamma with d(x,y) = ||gamma(x)-gamma(y)||^2 within tol."""
+    """Coordinates gamma with d(x,y) = ||gamma(x)-gamma(y)||^2 within tol,
+    on the metric's id record ``_ids`` (a new one if built directly)."""
 
     points: list
     coords: np.ndarray          # shape (n, dim)
@@ -387,14 +388,11 @@ class GnsEmbedding:
     max_error: float
 
     @functools.cached_property
-    def _index(self) -> dict:
-        return dict(zip(self.points, range(len(self.points))))
+    def _ids(self) -> intervals.PointIndex:
+        return intervals.PointIndex(self.points)
 
     def coordinate(self, x) -> np.ndarray:
-        try:
-            return self.coords[self._index[x]]
-        except (KeyError, TypeError):   # an unhashable id is unknown too
-            raise InputError(f"unknown point {x!r}") from None
+        return self.coords[self._ids.index(x)]
 
     def distance_sq(self, x, y) -> float:
         diff = self.coordinate(x) - self.coordinate(y)
@@ -453,7 +451,9 @@ def gns_embed(m: FiniteMetric, tol: float = DEFAULT_GNS_TOL,
                 f"below double-precision resolution at distances up to {dmax:.3e}")
         raise InternalCheckError(
             f"embedding error {worst:.3e} exceeds tolerance {tol:.3e}")
-    return GnsEmbedding(list(m.points), coords, tol, worst)
+    out = GnsEmbedding(m.points, coords, tol, worst)
+    out._ids = m._ids
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,13 +41,3 @@ class InternalCheckError(MedianKitError):
 class UnsupportedNormError(InputError):
     """The requested norm lacks the convexity the operation needs."""
 
-
-def unhashable_id(ids, kind: str) -> InputError:
-    """The InputError of a constructor whose index of ``ids`` raised
-    TypeError: it names the first id that cannot be hashed."""
-    for p in ids:
-        try:
-            hash(p)
-        except TypeError:
-            return InputError(f"{kind} id {p!r} is not hashable")
-    return InputError(f"{kind} ids cannot be indexed")

@@ -1,23 +1,25 @@
 """Median graphs: recognition, wall coordinates, and the cube complex
 obtained by filling hypercube skeletons.
 
-A graph (:class:`SimpleGraph`) holds its edges as one record, two sorted
-index arrays, and builds its adjacency lists, id index, edge tuples and
-BFS from vertex 0 as views on first use; a graph read from JSON keeps the
-ones its constructor already built.  A connected graph is median iff its
-vertices carry distinct bitvectors, closed under the bitwise majority,
-whose Hamming-1 pairs are exactly its edges (the lemma at
-:class:`MedianGraphCert`).  Certification reads candidate coordinates off
-the constructor's BFS from vertex 0 (:func:`_bfs_coordinates`) and tests
-those hypotheses; no distance table is built.  The cubulation of a wall
-space passes its orientation bits, which meet them by construction, and
-its graph keeps the cubulation's edge arrays and builds no view.  The
-certificate holds the coordinates as the one wall record
-(:class:`intervals.WallCodes`), vertex i's code in row i, and its
-medians, cubes, L1 embedding, wall space, DOT colours and distances
-(Hamming distances of the codes) are read off it.  Only on rejection is
-the path metric built, and the triple scan of ``classify`` (a numpy
-kernel on the packed betweenness table) names a witness.
+A graph (:class:`SimpleGraph`) holds its vertex ids as one record
+(:class:`intervals.PointIndex`), shared by its path metric and its wall
+space, and its edges as one record, two sorted index arrays; it builds
+its adjacency lists, edge tuples and BFS from vertex 0 as views on first
+use, and the id record its index on the first lookup.  A graph read from
+JSON keeps the views and the index its constructor already built.  A
+connected graph is median iff its vertices carry distinct bitvectors,
+closed under the bitwise majority, whose Hamming-1 pairs are exactly its
+edges (the lemma at :class:`MedianGraphCert`).  Certification reads
+candidate coordinates off the constructor's BFS from vertex 0
+(:func:`_bfs_coordinates`) and tests those hypotheses; no distance table
+is built.  The cubulation of a wall space passes its orientation bits,
+which meet them by construction, and its graph keeps the cubulation's
+edge arrays and builds no view.  The certificate holds the coordinates
+as the one wall record (:class:`intervals.WallCodes`), vertex i's code
+in row i, and its medians, cubes, L1 embedding, wall space, DOT colours
+and distances (Hamming distances of the codes) are read off it.  Only on
+rejection is the path metric built, and the triple scan of ``classify``
+(a numpy kernel on the packed betweenness table) names a witness.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from . import intervals
-from .errors import InputError, InternalCheckError, unhashable_id
+from .errors import InputError, InternalCheckError
 from .metric import FiniteMetric, MedianMetric, _exact_dtype
 
 Vertex = Hashable
@@ -67,31 +69,28 @@ class SimpleGraph:
     orientation, is one edge.  The graph holds one edge record: the index
     arrays ``edge_src`` and ``edge_dst``, edge e joining vertices
     edge_src[e] < edge_dst[e], the pairs sorted.  The other forms of the
-    edges and vertices are views of it and of ``vertices``, built on first
-    use: ``edge_indices`` (the pairs as tuples), ``_adj`` (each vertex's
-    neighbours, ascending), ``_index`` (id -> index), ``_bfs`` (the BFS
-    from vertex 0) and ``_dist_array`` (:meth:`all_pairs`).
+    edges are views of it, built on first use: ``edge_indices`` (the
+    pairs as tuples), ``_adj`` (each vertex's neighbours, ascending),
+    ``_bfs`` (the BFS from vertex 0) and ``_dist_array``
+    (:meth:`all_pairs`).  ``vertices`` and ``index`` read the id record
+    ``_ids`` (:class:`intervals.PointIndex`).
 
-    The constructor maps the endpoints to indices in one pass and sorts
-    the distinct index pairs once, so each vertex's neighbours are
-    appended in ascending order; it keeps the pairs, the adjacency lists,
-    the id index and the BFS that checks connectivity as those views, and
-    its arrays are derived from the pairs when they are read.  Only when
+    The constructor checks the ids, maps the endpoints to indices in one
+    pass and sorts the distinct index pairs once, so each vertex's
+    neighbours are appended in ascending order; it keeps the pairs, the
+    adjacency lists and the BFS that checks connectivity as those views,
+    and its arrays are derived from the pairs when they are read.  Only when
     that pass fails are the edges rescanned in input order
     (:func:`_checked_ends`), and the first bad one is reported.
     """
 
+    vertices = property(operator.attrgetter("_ids.points"))
+    index = property(lambda g: functools.partial(g._ids.index, noun="vertex"))
+
     def __init__(self, vertices: Sequence[Vertex],
                  edges: Iterable[Sequence[Vertex]]):
-        vs = list(vertices)
-        if not vs:
-            raise InputError("a graph needs at least one vertex")
-        try:
-            index = dict(zip(vs, range(len(vs))))
-        except TypeError:
-            raise unhashable_id(vs, "vertex") from None
-        if len(index) != len(vs):
-            raise InputError("duplicate vertex identifiers")
+        ids = intervals.PointIndex.checked(vertices, "a graph", "vertex")
+        vs, index = ids.points, ids.positions
         edges = list(edges)
         try:
             if set(map(len, edges)) - {2}:
@@ -114,8 +113,7 @@ class SimpleGraph:
             lo, hi = zip(*pairs)
             deque(map(list.append, map(adj.__getitem__, hi), lo), 0)
             deque(map(list.append, map(adj.__getitem__, lo), hi), 0)
-        self.vertices = vs
-        self._index = index
+        self._ids = ids
         self.edge_indices = pairs
         self._adj = adj
         if len(self._bfs[0]) < len(vs):
@@ -129,9 +127,9 @@ class SimpleGraph:
         connected graph, as a construction guarantees: the cubulation's
         Hamming-1 pairs, connected by the argument at
         :func:`walls.cubulate`.  Nothing is checked, and no view is built,
-        here."""
+        here: the id record indexes the vertices on its first lookup."""
         out = cls.__new__(cls)
-        out.vertices = vertices
+        out._ids = intervals.PointIndex(vertices)
         out.edge_src = src
         out.edge_dst = dst
         return out
@@ -166,10 +164,6 @@ class SimpleGraph:
         return [nbrs[a:b] for a, b in zip([0] + stops, stops)]
 
     @functools.cached_property
-    def _index(self) -> dict[Vertex, int]:
-        return dict(zip(self.vertices, range(len(self.vertices))))
-
-    @functools.cached_property
     def _bfs(self) -> tuple[list[int], list[int]]:
         """The BFS from vertex 0: the vertices it reaches, in discovery
         order, and every vertex's distance from vertex 0 (-1 if
@@ -178,12 +172,6 @@ class SimpleGraph:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def index(self, v: Vertex) -> int:
-        try:
-            return self._index[v]
-        except (KeyError, TypeError):   # an unhashable id is unknown too
-            raise InputError(f"unknown vertex {v!r}") from None
 
     def neighbors(self, v: Vertex) -> list[Vertex]:
         return [self.vertices[i] for i in self._adj[self.index(v)]]
@@ -254,8 +242,9 @@ class SimpleGraph:
 
     def path_metric(self) -> FiniteMetric:
         """Path distances are a metric by construction: the metric takes the
-        array of :meth:`all_pairs` unchecked, with no copy."""
-        return FiniteMetric._trusted(self.vertices, self.all_pairs())
+        array of :meth:`all_pairs` and the graph's id record unchecked,
+        with no copy."""
+        return FiniteMetric._trusted(self._ids, self.all_pairs())
 
 
 @dataclass(frozen=True)

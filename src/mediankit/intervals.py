@@ -19,6 +19,9 @@ here alone: ``bit_rows`` and ``row_ints`` (``word_ints`` on packed words)
 turn bitvectors of any width into such matrices and back, and
 ``digit_strings`` writes their rows as strings of 0s and 1s.
 
+Point ids have one record, :class:`PointIndex`, checked once where they
+come in and shared by every structure made from them (:class:`OnPoints`).
+
 Walls have one record, :class:`WallCodes`: a point is its code, the
 sides of the walls it lies on, and the distance of two points is the
 number (or measure) of the walls that separate their codes.  Row i of
@@ -59,10 +62,13 @@ column, O(pairs * n) bits, so no subset scan is needed.
 from __future__ import annotations
 
 import functools
+import operator
 from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from .errors import InputError
 
 BLOCK = 1 << 14     # entries per block of meet_counts, the metric's table build and
                     # triangle check, and the median-closedness test
@@ -165,6 +171,59 @@ def side_order(sides: np.ndarray) -> np.ndarray:
     later = np.maximum.accumulate(sides[:, ::-1], axis=1)[:, ::-1]   # a member at t or after
     keys = np.ascontiguousarray(2 * later - sides)
     return np.argsort(keys.view(np.dtype((np.void, sides.shape[1]))).ravel(), kind="stable")
+
+
+class PointIndex:
+    """The one record of a structure's point ids: ``points``, the ids in
+    order, and ``positions``, each id's index.  :meth:`checked` checks ids
+    from outside; a record made directly is trusted (distinct, hashable
+    ids, kept, not copied) and builds ``positions`` on its first lookup."""
+
+    def __init__(self, points: list):
+        self.points = points
+
+    @classmethod
+    def checked(cls, ids, owner: str, noun: str = "point") -> "PointIndex":
+        """The record of ``ids``: nonempty, hashable and distinct, checked
+        in that order; ``owner`` names the structure in the empty error."""
+        out = cls(list(ids))
+        if not out.points:
+            raise InputError(f"{owner} needs at least one {noun}")
+        try:
+            out.positions = dict(zip(out.points, range(len(out.points))))
+        except TypeError:
+            for p in out.points:
+                try:
+                    hash(p)
+                except TypeError:
+                    raise InputError(f"{noun} id {p!r} is not hashable") from None
+            raise InputError(f"{noun} ids cannot be indexed") from None
+        if len(out.positions) != len(out.points):
+            raise InputError(f"duplicate {noun} identifiers")
+        return out
+
+    @functools.cached_property
+    def positions(self) -> dict:
+        return dict(zip(self.points, range(len(self.points))))
+
+    def index(self, p, noun: str = "point") -> int:
+        """The index of id ``p``; an unknown or unhashable id is an input
+        error that names it as a ``noun``, the caller's word for its ids."""
+        try:
+            return self.positions[p]
+        except (KeyError, TypeError):   # an unhashable id is unknown too
+            raise InputError(f"unknown {noun} {p!r}") from None
+
+
+class OnPoints:
+    """A structure on the points of its id record ``_ids``: its
+    ``points``, ``index`` and size are the record's."""
+
+    points = property(operator.attrgetter("_ids.points"))
+    index = property(operator.attrgetter("_ids.index"))
+
+    def __len__(self) -> int:
+        return len(self._ids.points)
 
 
 class WallCodes:

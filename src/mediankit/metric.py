@@ -2,15 +2,18 @@
 
 Distances are rationals; internally everything is rescaled to integers so
 interval membership and the lemma scans are plain integer equalities.
-Geodesic intervals are [x,y] = {t : d(x,t)+d(t,y) = d(x,y)}.
+Geodesic intervals are [x,y] = {t : d(x,t)+d(t,y) = d(x,y)}.  The ids
+are one record (:class:`intervals.PointIndex`), shared like the distance
+record by every metric made from it and by a graph's path metric.
 
 An input matrix is read through one table: each distinct entry (an int,
-a string or a Fraction) is parsed once, and every row is mapped through
-the table of scaled ints; floats and booleans are rejected, and only an
-input with a rejected entry is parsed entry by entry, for the first bad
-entry in row-major order.  The scaled matrix is checked as a whole by
-exact numpy kernels on one array, of the narrowest of int16, int32 and
-int64 in which every sum of two entries fits, Python ints beyond
+a string or a Fraction; a numpy integer array is read as its ``tolist``)
+is parsed once, and every row is mapped through the table of scaled
+ints; floats and booleans are rejected, and only an input with a
+rejected entry is parsed entry by entry, for the first bad entry in
+row-major order.  The scaled matrix is checked as a whole by exact numpy
+kernels on one array, of the narrowest of int16, int32 and int64 in
+which every sum of two entries fits, Python ints beyond
 (:func:`_exact_dtype`).  The triangle inequality runs in broadcast
 blocks of about ``intervals.BLOCK`` int64 entries' worth of bytes, each
 covering a run of middle points, so a narrower dtype takes more of them
@@ -45,7 +48,7 @@ import numpy as np
 
 from . import intervals
 from .algebra import FiniteMedianAlgebra, IntervalStructure
-from .errors import InputError, InternalCheckError, NotMedianError, unhashable_id
+from .errors import InputError, InternalCheckError, NotMedianError
 
 Point = Hashable
 
@@ -74,11 +77,14 @@ _TABLE_TYPES = {int, str, Fraction}
 
 def _scaled_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """Every entry as an integer multiple of 1/scale, scale the least
-    common denominator.  When every entry is an int, str or Fraction, each
+    common denominator.  A numpy integer array is read as its ``tolist``.
+    When every entry is an int, str or Fraction, each
     distinct entry is parsed by :func:`_to_fraction` once, and each row is
     mapped through one table of scaled ints.  Otherwise, or when some entry
     is rejected, the entries are parsed one by one in row-major order, so
     the grammar and the first bad entry are those of :func:`_to_fraction`."""
+    if isinstance(matrix, np.ndarray) and matrix.dtype.kind in "iu":
+        matrix = matrix.tolist()
     entries = itertools.chain.from_iterable
     if set(map(type, entries(matrix))) <= _TABLE_TYPES:
         try:
@@ -162,45 +168,37 @@ def _raise_first_violation(pts: list, di: list[list[int]]) -> None:
     raise InternalCheckError("metric check rejected a matrix with no failed axiom")
 
 
-class FiniteMetric:
+class FiniteMetric(intervals.OnPoints):
     """A finite point set with an exact, validated metric: one read-only
     array ``_d`` of :func:`_exact_dtype` holds d(i, j) * ``scale``."""
 
     def __init__(self, points: Sequence[Point], matrix: Sequence[Sequence]):
-        pts = list(points)
-        n = len(pts)
-        if n == 0:
-            raise InputError("a metric space needs at least one point")
-        try:
-            distinct = len(set(pts))
-        except TypeError:
-            raise unhashable_id(pts, "point") from None
-        if distinct != n:
-            raise InputError("duplicate point identifiers")
+        ids = intervals.PointIndex.checked(points, "a metric space")
+        n = len(ids.points)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise InputError(f"distance matrix must be {n}x{n}")
         di, scale = _scaled_rows(matrix)
         d = _exact_array(di)
         if not _is_metric(d):
-            _raise_first_violation(pts, di)
-        self._adopt(pts, scale, d)
+            _raise_first_violation(ids.points, di)
+        self._adopt(ids, scale, d)
 
-    def _adopt(self, points: list, scale: int, d: np.ndarray) -> None:
-        self.points = points
-        self._index = {p: i for i, p in enumerate(points)}
+    def _adopt(self, ids: intervals.PointIndex, scale: int, d: np.ndarray) -> None:
+        self._ids = ids
         self._scale = scale
         d.flags.writeable = False       # shared by every metric made from it
         self._d = d
         self._betw: np.ndarray | None = None
 
     @classmethod
-    def _trusted(cls, points: Sequence[Point], d: np.ndarray,
+    def _trusted(cls, ids: intervals.PointIndex, d: np.ndarray,
                  scale: int = 1) -> "FiniteMetric":
         """Wrap an exact array of :func:`_exact_dtype` whose scaled distances
         are a metric by construction (BFS distances, another metric's
-        array); nothing is re-checked, and the array is kept, not copied."""
+        array) on an id record (the graph's, the other metric's); nothing
+        is re-checked or re-indexed, and both are kept, not copied."""
         out = cls.__new__(cls)
-        out._adopt(list(points), scale, d)
+        out._adopt(ids, scale, d)
         return out
 
     @classmethod
@@ -224,25 +222,15 @@ class FiniteMetric:
             for j, v in enumerate(row, i + 1):
                 full[i][j] = full[j][i] = v
         try:
-            repeated = len(set(pts)) != n
-        except TypeError:       # the constructor reports the unhashable id
-            repeated = True
-        if repeated:
+            intervals.PointIndex.checked(pts, "a metric space")
+        except InputError:
             _scaled_rows(rows[:n - 1])
+            raise
         return cls(pts, full)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
     @property
     def scale(self) -> int:
         return self._scale
-
-    def index(self, p: Point) -> int:
-        try:
-            return self._index[p]
-        except (KeyError, TypeError):   # an unhashable id is unknown too
-            raise InputError(f"unknown point {p!r}") from None
 
     def dist(self, x: Point, y: Point) -> Fraction:
         return Fraction(self.dist_int(self.index(x), self.index(y)), self._scale)
@@ -282,7 +270,7 @@ class FiniteMetric:
         return intervals.unmask(self.points, self.between_mask(self.index(x), self.index(y)))
 
     def interval_structure(self) -> IntervalStructure:
-        return IntervalStructure._trusted(self.points, self._between())
+        return IntervalStructure._trusted(self._ids, self._between())
 
     def to_algebra(self) -> FiniteMedianAlgebra:
         """Promote the geodesic intervals; fails unless the metric is median."""
@@ -354,8 +342,8 @@ class MedianMetric(FiniteMetric):
     @classmethod
     def certify(cls, metric: FiniteMetric) -> "MedianMetric":
         """Certify a metric as median, sharing its exact array (not
-        validated again) and its betweenness table."""
-        out = cls._trusted(metric.points, metric._d, metric._scale)
+        validated again), its id record and its betweenness table."""
+        out = cls._trusted(metric._ids, metric._d, metric._scale)
         out._betw = metric._betw
         out._certify()
         return out
@@ -366,8 +354,8 @@ class MedianMetric(FiniteMetric):
         """Wrap a metric proven median by its measured walls, given as the
         ``measured_walls`` record (a median graph's wall coordinates with
         delta = 1, a product's factors' walls); no triple is scanned and
-        no halfspace is searched."""
-        out = cls._trusted(metric.points, metric._d, metric._scale)
+        no halfspace is searched.  It shares the metric's array and id record."""
+        out = cls._trusted(metric._ids, metric._d, metric._scale)
         out.measured_walls = walls
         return out
 
@@ -423,7 +411,7 @@ def product(m1: MedianMetric, m2: MedianMetric) -> MedianMetric:
     codes = intervals.WallCodes(np.hstack([c1.bits.repeat(n2, axis=0),
                                            np.tile(c2.bits, (n1, 1))]))
     delta = [v * f1 for v in delta1] + [v * f2 for v in delta2]
-    return MedianMetric._proven(FiniteMetric._trusted(pts, d, scale),
+    return MedianMetric._proven(FiniteMetric._trusted(intervals.PointIndex(pts), d, scale),
                                 (codes, [delta[t] for t in codes.order.tolist()]))
 
 

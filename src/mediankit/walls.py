@@ -2,12 +2,14 @@
 graph.
 
 A wall is a two-part partition of the point set; the trivial wall
-{empty, X} is always present.  A wall space holds its nontrivial walls as
-the one wall record (:class:`intervals.WallCodes`): point i's code, its
-sigma bits, has bit k set iff it lies off wall k's side holding the first
-point, and the wall metric counts the bits where two codes differ.  The
-cubulation's vertices are the consistent orientations (a chosen side per
-wall, any two chosen sides meeting), enumerated one wall at a time as the
+{empty, X} is always present.  A wall space holds its ids as one record
+(:class:`intervals.PointIndex`; a median graph's wall space, the
+graph's) and its nontrivial walls as the one wall record
+(:class:`intervals.WallCodes`): point i's code, its sigma bits, has bit
+k set iff it lies off wall k's side holding the first point, and the
+wall metric counts the bits where two codes differ.  The cubulation's
+vertices are the consistent orientations (a chosen side per wall, any
+two chosen sides meeting), enumerated one wall at a time as the
 solutions of the points' 2-clauses (``intervals._clauses``, as the
 median-closure test reads them); edges join orientations differing on
 exactly one wall.  Every vertex is reached from the principal
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import intervals
 from .algebra import total_image
-from .errors import InputError, ResourceLimitError, unhashable_id
+from .errors import InputError, ResourceLimitError
 from .graphs import MedianGraphCert, SimpleGraph
 
 Point = Hashable
@@ -41,7 +43,7 @@ DEFAULT_WALL_CAP = 24
 DEFAULT_VERTEX_CAP = 65536
 
 
-class WallSpace:
+class WallSpace(intervals.OnPoints):
     """Finite point set plus walls; any two points separated by >= 1 wall.
 
     The nontrivial walls are held as one wall record, ``codes``
@@ -53,16 +55,8 @@ class WallSpace:
     def __init__(self, points: Sequence[Point],
                  walls: Iterable[tuple[Iterable[Point], Iterable[Point]]],
                  *, warn_missing_trivial: bool = False):
-        pts = list(points)
-        if not pts:
-            raise InputError("a wall space needs at least one point")
-        try:
-            self._index = {p: i for i, p in enumerate(pts)}
-        except TypeError:
-            raise unhashable_id(pts, "point") from None
-        if len(self._index) != len(pts):
-            raise InputError("duplicate point identifiers")
-        self.points = pts
+        self._ids = intervals.PointIndex.checked(points, "a wall space")
+        pts = self.points
         n = len(pts)
         full = (1 << n) - 1
         offs: set[int] = set()          # per wall, its side off point 0
@@ -96,26 +90,18 @@ class WallSpace:
 
     def _mask(self, members: Iterable[Point]) -> int:
         m = 0
+        index = self._ids.positions
         for p in members:
             try:
-                m |= 1 << self._index[p]
+                m |= 1 << index[p]
             except (KeyError, TypeError):
                 raise InputError(f"wall references unknown point {p!r}") from None
         return m
-
-    def __len__(self) -> int:
-        return len(self.points)
 
     @property
     def wall_count(self) -> int:
         """Number of nontrivial walls."""
         return self.codes.bits.shape[1]
-
-    def index(self, p: Point) -> int:
-        try:
-            return self._index[p]
-        except (KeyError, TypeError):   # an unhashable id is unknown too
-            raise InputError(f"unknown point {p!r}") from None
 
     def wall_sides(self, k: int) -> tuple[frozenset, frozenset]:
         """(side containing the first point, other side) of nontrivial wall k."""
@@ -174,10 +160,6 @@ class CubulationResult:
     @property
     def vertex_count(self) -> int:
         return len(self.graph.vertices)
-
-
-def _vertex_name(bits: int, width: int) -> str:
-    return format(bits, f"0{max(width, 1)}b")
 
 
 def _orientation_array(values, width: int) -> np.ndarray:
@@ -291,10 +273,10 @@ def cubulate(w: WallSpace, *, max_walls: int = DEFAULT_WALL_CAP,
 
 def graph_wall_space(cert: MedianGraphCert) -> WallSpace:
     """A median graph as a space with walls (its edge halfspaces), holding
-    the certificate's wall record, which is the one the constructor builds."""
+    the graph's id record and the certificate's wall record, which is the
+    one the constructor builds."""
     out = WallSpace.__new__(WallSpace)
-    out.points = list(cert.vertices)
-    out._index = {p: i for i, p in enumerate(out.points)}
+    out._ids = cert.graph._ids
     out.codes = cert.codes
     return out
 
@@ -311,7 +293,8 @@ def extend_morphism(f: Mapping[Point, Point], w1: WallSpace, w2: WallSpace,
     that is the sigma of f(p), so the extension agrees with the point map.
     A median morphism maps consistent orientations to consistent ones, so
     every image is a vertex of w2's cubulation (``extend_morphism_oracle``
-    in the tests checks both).
+    in the tests checks both).  The images are named as ``cubulate`` names
+    vertices, by the ``intervals`` bit codecs.
     """
     rules = _pullback(w1, w2, total_image(f, w1, w2))
     if None in rules:
@@ -319,6 +302,7 @@ def extend_morphism(f: Mapping[Point, Point], w1: WallSpace, w2: WallSpace,
     cub1 = cub1 or cubulate(w1, max_walls=w1.wall_count)
     flips = sum(flip << k2 for k2, (_, flip) in enumerate(rules))
     moved = [(k1, k2) for k2, (k1, _) in enumerate(rules) if k1 is not None]
-    width = w2.wall_count
-    return {name: _vertex_name(flips ^ sum((bits >> k1 & 1) << k2 for k1, k2 in moved), width)
-            for name, bits in cub1.vertex_bits.items()}
+    images = [flips ^ sum((bits >> k1 & 1) << k2 for k1, k2 in moved)
+              for bits in cub1.vertex_bits.values()]
+    names = intervals.digit_strings(intervals.bit_rows(images, max(w2.wall_count, 1))[:, ::-1])
+    return dict(zip(cub1.vertex_bits, names))

@@ -26,7 +26,7 @@ from mediankit.embedding import DecompositionTrace, Elimination, RetractionStep
 from mediankit.graphs import GraphWall, MedianGraphCert, SimpleGraph, _lemma_holds
 from mediankit.intervals import members
 from mediankit.metric import Classification, MedianMetric, _to_fraction
-from mediankit.walls import CubulationResult, _vertex_name, graph_wall_space
+from mediankit.walls import CubulationResult, graph_wall_space
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -210,7 +210,7 @@ def interval_structure_oracle(points, mapping) -> IntervalStructure:
                 raise InputError(
                     f"interval ({x!r},{y!r}) missing; every ordered pair must be given")
     index = {p: i for i, p in enumerate(pts)}
-    return IntervalStructure._trusted(pts, pack_table([[sum(1 << index[p] for p in table[(x, y)])
+    return IntervalStructure._trusted(intervals.PointIndex(pts), pack_table([[sum(1 << index[p] for p in table[(x, y)])
                                                         for y in pts] for x in pts]))
 
 
@@ -272,7 +272,7 @@ def simple_graph_oracle(vertices, edges) -> SimpleGraph:
     if len(seen) != len(vs):
         raise InputError("graph is not connected")
     out = SimpleGraph.__new__(SimpleGraph)
-    out.vertices, out._index = vs, index
+    out._ids = intervals.PointIndex(vs)
     out.edge_indices, out._adj = sorted(canon), [sorted(a) for a in adj]
     return out
 
@@ -862,6 +862,12 @@ def side_tables_oracle(sigma: np.ndarray, walls: np.ndarray, full: int
     return force, value
 
 
+def vertex_name_oracle(bits: int, width: int) -> str:
+    """Oracle: a cubulation's vertex name, the binary numeral of its
+    orientation bits, at least one digit."""
+    return format(bits, f"0{max(width, 1)}b")
+
+
 def cubulate_oracle(w: WallSpace, *, max_walls: int = 24,
                     max_vertices: int = 65536) -> CubulationResult:
     """Oracle: the cubulation by a Python flip BFS on literal masks, one
@@ -892,8 +898,8 @@ def cubulate_oracle(w: WallSpace, *, max_walls: int = 24,
                     raise ResourceLimitError(
                         f"cubulation exceeded {max_vertices} vertices", cap=max_vertices)
     ordered = sorted(vertex_set)
-    names = [_vertex_name(b, W) for b in ordered]
-    edges = [(_vertex_name(b, W), _vertex_name(b ^ (1 << k), W))
+    names = [vertex_name_oracle(b, W) for b in ordered]
+    edges = [(vertex_name_oracle(b, W), vertex_name_oracle(b ^ (1 << k), W))
              for b in ordered for k in range(W)
              if b ^ (1 << k) > b and b ^ (1 << k) in vertex_set]
     graph = SimpleGraph(names, edges)
@@ -914,7 +920,7 @@ def cubulate_oracle(w: WallSpace, *, max_walls: int = 24,
     cert = EagerCertificate(graph, ordered, W)
     corr = dict(sorted((k, widx) for widx, k in enumerate(cert.wall_bits)))
     checks["wall_bijection"] = "certified"
-    embedding = {p: _vertex_name(bits, W) for p, bits in principals.items()}
+    embedding = {p: vertex_name_oracle(bits, W) for p, bits in principals.items()}
     vertex_bits = dict(zip(names, ordered))
     return CubulationResult(graph, embedding, vertex_bits, corr, cert, checks)
 
@@ -946,9 +952,12 @@ def pullback_case(kind: str, seed: int) -> tuple[WallSpace, list[dict]]:
     """A seeded wall space of one kind, with some of its automorphisms
     (the identity first): "random" (``corpus.random_wall_space``), "cube"
     (the walls of Q1-Q4, each automorphism a coordinate permutation and
-    a flip), "cycle" (4-12 points; rotations and reflections) or "tree"
-    (the walls of a random tree of 65-100 vertices; identity only)."""
+    a flip), "cycle" (4-12 points; rotations and reflections), "tree"
+    (the walls of a random tree of 65-100 vertices, mostly beyond 64
+    walls; identity only) or "point" (one point and no wall)."""
     rng = random.Random(seed)
+    if kind == "point":
+        return WallSpace(["o"], []), [{"o": "o"}]
     if kind == "random":
         w = random_wall_space(seed)
         return w, [{p: p for p in w.points}]
@@ -1029,7 +1038,7 @@ def extend_morphism_oracle(f, w1: WallSpace, w2: WallSpace, cub1, cub2) -> dict:
         for k2, (kind, val, flipped) in enumerate(rules):
             bit = val if kind == "const" else (bits >> val & 1) ^ flipped
             img |= bit << k2
-        img_name = _vertex_name(img, w2.wall_count)
+        img_name = vertex_name_oracle(img, w2.wall_count)
         if img_name not in w2_vertices:
             raise InternalCheckError("extension left the target cubulation's vertex set")
         out[name] = img_name

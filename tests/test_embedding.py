@@ -342,7 +342,7 @@ def l1_grid_metric(rng, n: int, dim: int, unit: int) -> FiniteMetric:
     while len(pts) < n:
         pts.add(tuple(rng.randint(0, 4) for _ in range(dim)))
     di = [[unit * sum(abs(a - b) for a, b in zip(p, q)) for q in pts] for p in pts]
-    return FiniteMetric._trusted(range(n), _exact_array(di))
+    return FiniteMetric._trusted(intervals.PointIndex(list(range(n))), _exact_array(di))
 
 
 @pytest.mark.parametrize("unit", [1, 1 << 8, 1 << 20, 1 << 40, 1 << 50, 1 << 54, 1 << 60])

@@ -201,7 +201,8 @@ def trusted_copy(g: SimpleGraph) -> SimpleGraph:
 def test_trusted_and_constructed_graphs_agree_on_every_view(g):
     built = SimpleGraph(g.vertices, g.edges)
     trusted = trusted_copy(built)
-    assert not {"edge_indices", "_adj", "_index", "_bfs"} & vars(trusted).keys()
+    assert not {"edge_indices", "_adj", "_bfs"} & vars(trusted).keys()
+    assert "positions" not in vars(trusted._ids)
     assert (trusted.edge_src.tolist(), trusted.edge_dst.tolist()) == \
         (built.edge_src.tolist(), built.edge_dst.tolist())
     assert trusted.edge_indices == built.edge_indices

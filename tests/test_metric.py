@@ -20,7 +20,8 @@ from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
 from conftest import (between_oracle, fraction_metric_oracle, is_metric_oracle,
                       median_oracle, product_oracle, rectangles_oracle, scaled_rows_oracle,
                       upper_triangle_oracle)
-from mediankit.metric import _exact_array, _is_metric, _scaled_rows
+from mediankit import metric as metric_module
+from mediankit.metric import _exact_array, _is_metric, _scaled_rows, _to_fraction
 
 
 def triple_intersections_oracle(metric):
@@ -766,7 +767,7 @@ def test_distance_readers_match_the_fraction_oracle_at_every_dtype(factor, dtype
     built = FiniteMetric(pts, want)
     assert built._d.dtype == dtype
     scaled = [[v * factor for v in row] for row in TREE]
-    trusted = FiniteMetric._trusted(pts, _exact_array(scaled), den)
+    trusted = FiniteMetric._trusted(intervals.PointIndex(pts), _exact_array(scaled), den)
     assert trusted._d.dtype == dtype
     proven = MedianMetric._proven(built, MedianMetric.certify(built).measured_walls)
     assert proven._d is built._d
@@ -779,20 +780,41 @@ def test_distance_readers_match_the_fraction_oracle_at_every_dtype(factor, dtype
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
-def test_numpy_integer_distances_read_as_ints(dtype):
+def test_numpy_integer_distances_read_as_ints(dtype, monkeypatch):
     g = grid_graph(3, 4)
     want = g.path_metric()
-    m = FiniteMetric(g.vertices, g.all_pairs().astype(dtype))   # int16: all_pairs() itself
-    assert m.scale == want.scale and m._d.dtype == want._d.dtype
-    assert (m._d == want._d).all()
+    arrays = [(g.vertices, g.all_pairs().astype(dtype))]   # int16: all_pairs() itself
     if dtype is np.int64:       # exact past 2^53
         big = (1 << 55) + 3
-        m = FiniteMetric("ab", np.array([[0, big], [big, 0]], dtype=dtype))
+        arrays.append(("abc", np.array([[0, big, big + 2], [big, 0, 2], [big + 2, 2, 0]],
+                                       dtype=dtype)))
+    parsed = []
+
+    def spy(value):
+        parsed.append(value)
+        return _to_fraction(value)
+
+    monkeypatch.setattr(metric_module, "_to_fraction", spy)
+    for pts, array in arrays:
+        listed = FiniteMetric(pts, array.tolist())
+        del parsed[:]
+        m = FiniteMetric(pts, array)
+        # the one-table parse: each distinct entry once, as a Python int
+        assert sorted(parsed) == sorted(set(array.ravel().tolist()))
+        assert all(type(v) is int for v in parsed)
+        assert m.scale == listed.scale and m._d.dtype == listed._d.dtype
+        assert m._d.tolist() == listed._d.tolist()
+    first = FiniteMetric(*arrays[0])
+    assert first.scale == want.scale and (first._d == want._d).all()
+    if dtype is np.int64:
         assert m.dist_int(0, 1) == big and type(m.dist("a", "b").numerator) is int
-    with pytest.raises(InputError, match="float distance"):
+    with pytest.raises(InputError) as info:
         FiniteMetric("ab", np.array([[0, 1], [1, 0]], dtype=np.float64))
-    with pytest.raises(InputError, match="cannot interpret"):
+    assert str(info.value) == ("float distance np.float64(0.0) rejected; "
+                               "pass an int, Fraction or 'p/q' string")
+    with pytest.raises(InputError) as info:
         FiniteMetric("ab", np.array([[0, 1], [1, 0]], dtype=np.bool_))
+    assert str(info.value) == "cannot interpret np.False_ as a rational"
 
 
 def test_path_metrics_read_the_graph_array():

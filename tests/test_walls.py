@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mediankit import (FiniteMetric, InputError, IntervalStructure, ResourceLimitError,
-                       SimpleGraph, WallSpace, certify_median_graph, cubulate, extend_morphism,
-                       graph_wall_space, is_wall_morphism)
+from mediankit import (FiniteMetric, InputError, IntervalStructure, MedianMetric,
+                       ResourceLimitError, SimpleGraph, WallSpace, certify_median_graph, cubulate,
+                       extend_morphism, gns_embed, graph_wall_space, is_wall_morphism)
 from mediankit.actions import apply_word
 from mediankit.corpus import (cycle_graph, grid_graph, hypercube_graph,
                               nested_wall_space, path_graph, random_tree,
@@ -686,7 +686,7 @@ def test_graph_wall_spaces_hold_the_constructor_record(median_certs):
         want = WallSpace(vs, [(intervals.unmask(vs, side), intervals.unmask(vs, full ^ side))
                               for side in cert.codes.sides])
         assert w.codes is cert.codes
-        assert w.points == want.points and w._index == want._index
+        assert w.points == want.points and w._ids.positions == want._ids.positions
         assert (w.codes.bits == want.codes.bits).all()
         assert w.codes.sides == want.codes.sides and w.codes.ints == want.codes.ints
 
@@ -830,7 +830,7 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-PULLBACK_KINDS = st.sampled_from(["random", "cube", "cycle", "tree"])
+PULLBACK_KINDS = st.sampled_from(["random", "cube", "cycle", "tree", "point"])
 
 
 def cubulation(w):
@@ -993,7 +993,70 @@ def test_unhashable_ids_are_input_errors(call):
         call()
 
 
-GRAPH_VIEWS = {"edge_indices", "_adj", "_index", "_bfs"}
+def square(ids: list) -> list[list[int]]:
+    return [[int(x is not y) for y in ids] for x in ids]
+
+
+# each entry point builds a valid structure on distinct, hashable ids
+ID_ENTRY_POINTS = {
+    "FiniteMetric": (lambda ids: FiniteMetric(ids, square(ids)), "a metric space", "point"),
+    "from_upper_triangle": (lambda ids: FiniteMetric.from_upper_triangle(
+        ids, [[1] * (len(ids) - 1 - i) for i in range(len(ids) - 1)]), "a metric space", "point"),
+    "IntervalStructure": (lambda ids: IntervalStructure(ids, SimpleNamespace(
+        items=lambda: [((x, y), [x, y]) for x in ids for y in ids])),
+        "an interval structure", "point"),
+    "WallSpace": (lambda ids: WallSpace(ids, ([[p], [q for q in ids if q is not p]]
+                                              for p in ids)), "a wall space", "point"),
+    "SimpleGraph": (lambda ids: SimpleGraph(ids, zip(ids, ids[1:])), "a graph", "vertex"),
+}
+
+
+@pytest.mark.parametrize("entry", ID_ENTRY_POINTS)
+@pytest.mark.parametrize("ids, message", [
+    ([], "{owner} needs at least one {noun}"),
+    (["a", ["b"], "c"], "{noun} id ['b'] is not hashable"),
+    (["a", "b", "a"], "duplicate {noun} identifiers"),
+    # the checks run in that order
+    (["a", "a", ["b"]], "{noun} id ['b'] is not hashable"),
+], ids=["empty", "unhashable", "duplicate", "unhashable-first"])
+def test_id_errors_have_one_text_at_every_entry_point(entry, ids, message):
+    build, owner, noun = ID_ENTRY_POINTS[entry]
+    with pytest.raises(InputError) as info:
+        build(ids)
+    assert str(info.value) == message.format(owner=owner, noun=noun)
+    structure = build(["a", "b", "c"])
+    assert [structure.index(p) for p in "abc"] == [0, 1, 2]
+    for p in ("z", ["a"], 0):
+        with pytest.raises(InputError) as info:
+            structure.index(p)
+        assert str(info.value) == f"unknown {noun} {p!r}"
+
+
+def test_derived_structures_hold_their_source_id_record():
+    """A structure made from another holds the other's id record, and a
+    trusted record builds no index on the way."""
+    g = cubulate(graph_wall_space(certify_median_graph(grid_graph(3, 4)))).graph
+    ids = g._ids
+    metric = g.path_metric()
+    cert = certify_median_graph(g)
+    certified = MedianMetric.certify(metric)
+    derived = [metric, certified, cert.metric, graph_wall_space(cert),
+               MedianMetric._proven(metric, certified.measured_walls),
+               metric.interval_structure(), certified.interval_structure(),
+               gns_embed(metric)]
+    assert all(s._ids is ids for s in derived)
+    assert metric.to_algebra()._s._ids is ids
+    assert "positions" not in vars(ids)
+    # the index is built on the first lookup, then shared
+    assert metric.index(g.vertices[5]) == 5
+    assert vars(ids)["positions"] is derived[3]._ids.positions
+
+
+def graph_views(g: SimpleGraph) -> set:
+    """The views a graph has built: its edge tuples, adjacency lists and
+    BFS, and its id record's index."""
+    return ({"edge_indices", "_adj", "_bfs"} & vars(g).keys()) | (
+        {"positions"} & vars(g._ids).keys())
 
 
 @pytest.mark.parametrize("inst", wall_instances(0), ids=lambda inst: inst.name)
@@ -1001,7 +1064,7 @@ def test_cubulate_and_its_cli_build_no_graph_view(inst, tmp_path, monkeypatch, c
     """A cubulation's graph keeps the edge arrays it was built from: neither
     ``cubulate`` nor ``cubulate --out`` builds its adjacency lists, id
     index, edge tuples or BFS."""
-    assert not GRAPH_VIEWS & vars(cubulate(inst.payload).graph).keys()
+    assert not graph_views(cubulate(inst.payload).graph)
     results = []
 
     def spy(*args, **kwargs):
@@ -1013,6 +1076,17 @@ def test_cubulate_and_its_cli_build_no_graph_view(inst, tmp_path, monkeypatch, c
     infile.write_text(formats.dumps(formats.walls_to_json(inst.payload)))
     assert cli.main(["cubulate", "--in", str(infile), "--out", str(outfile)]) == 0
     g = results[0].graph
-    assert not GRAPH_VIEWS & vars(g).keys()
+    assert not graph_views(g)
     assert json.loads(capsys.readouterr().out)["edges"] == len(g.edge_src)
     assert outfile.read_text() == formats.dumps(graph_to_json(g))
+
+
+def test_cubulate_indexes_its_vertices_on_the_first_lookup():
+    res = cubulate(nested_wall_space(70), max_walls=69)
+    g = res.graph
+    assert "positions" not in vars(g._ids) and not graph_views(g)
+    assert [g.index(res.embedding[p]) for p in res.embedding] == list(range(70))
+    assert vars(g._ids)["positions"] == {v: i for i, v in enumerate(g.vertices)}
+    with pytest.raises(InputError) as info:
+        g.index("2")
+    assert str(info.value) == "unknown vertex '2'"
