@@ -231,10 +231,7 @@ def cmd_embed(args) -> int:
         emb = gns_embed(metric, tol=args.tol)
         report["dimension"] = int(emb.coords.shape[1])
         report["max_error"] = float(emb.max_error)
-        report["coordinates"] = {
-            str(p): [float(f"{x:.12g}") for x in row]
-            for p, row in zip(emb.points, emb.coords.tolist())
-        }
+        report["coordinates"] = dict(zip(map(str, emb.points), formats.number_rows(emb.coords)))
     _emit(report, args)
     return 0
 

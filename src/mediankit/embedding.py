@@ -51,10 +51,15 @@ def distance_form(m: FiniteMetric, coeffs: Sequence[Fraction | int]) -> Fraction
     frac = [Fraction(a) for a in coeffs]
     den = math.lcm(*(a.denominator for a in frac))
     a = [v.numerator * (den // v.denominator) for v in frac]
+    return Fraction(_integer_form(m, a), den * den * m.scale)
+
+
+def _integer_form(m: FiniteMetric, a: list[int]) -> int:
+    """a D' a for integers a and the metric's scaled array D'."""
     top = max(map(abs, a))
-    dtype = np.int64 if n * n * top * top * max(int(m._d.max()), 1) < 1 << 62 else object
+    dtype = np.int64 if len(a) ** 2 * top * top * max(int(m._d.max()), 1) < 1 << 62 else object
     v = np.array(a, dtype=dtype)
-    return Fraction(int(v @ m._d.astype(dtype) @ v), den * den * m.scale)
+    return int(v @ m._d.astype(dtype) @ v)
 
 
 def _integer_gram(m: FiniteMetric) -> tuple[np.ndarray, int]:
@@ -99,16 +104,18 @@ def _word_block(g: np.ndarray) -> np.ndarray | None:
     return g.astype(np.int64) if -_WORD < g.min() and g.max() < _WORD else None
 
 
-def _psd_eliminate(g: Sequence[Sequence[int]]) -> Elimination:
+def _psd_eliminate(g: Sequence[Sequence[int]], scale: int = 1) -> Elimination:
     """Exact PSD test and LDL^T factor of a symmetric integer matrix by
     symmetric fraction-free elimination with greedy diagonal pivoting,
     each step divided by the content (the gcd of the entries) of what
     remains.
 
-    The pivots are the successive Schur complement diagonals, and the
-    witness is a vector v with v^T g v < 0 when the test fails.  When g is
-    PSD, g[i][j] = sum_k L[i][k] * pivots[k] * L[j][k] over the positive
-    pivots.
+    The pivots are the successive Schur complement diagonals divided by
+    ``scale``, each built as one Fraction from integers, and the witness
+    is a vector v with v^T g v < 0 when the test fails, computed as
+    integers over one common denominator.  When g is PSD,
+    g[i][j] = scale * sum_k L[i][k] * pivots[k] * L[j][k] over the
+    positive pivots.
 
     The work matrix E is mu * S, S the rational Schur complement of the
     remaining indices and mu > 0 a rational held as an integer pair.  g
@@ -145,7 +152,7 @@ def _psd_eliminate(g: Sequence[Sequence[int]]) -> Elimination:
 
     def pivot(q: int, p: int, full: list[int]) -> None:
         """Record the positive pivot p at index q, with its column."""
-        pivots.append(Fraction(p * den, num))
+        pivots.append(Fraction(p * den, num * scale))
         order.append(q)
         columns.append(full)
 
@@ -248,7 +255,7 @@ class NegDefCertificate:
     metric: FiniteMetric
     negative_definite: bool
     pivots: tuple[Fraction, ...]
-    witness: tuple[Fraction, ...] | None   # zero-sum vector with positive form
+    witness: tuple[int, ...] | None        # zero-sum vector with positive form
     witness_value: Fraction | None         # its distance form, as re-evaluated
     pivot_order: tuple[int, ...]           # indices of the positive pivots, in turn
     # per positive pivot, its column of the scaled Schur complement that the
@@ -260,27 +267,41 @@ class NegDefCertificate:
         return distance_form(self.metric, coeffs)
 
 
+def _zero_sum(v: list[Fraction]) -> tuple[int, ...]:
+    """The projection v - mean(v) times the least common denominator of
+    its entries, on integers over one denominator: with c the common
+    denominator of v and x = n * c * (v - mean(v)), which is
+    n * c * v - sum(c * v), it is x divided by the gcd of n * c and the
+    entries of x."""
+    common = math.lcm(*(a.denominator for a in v))
+    vec = [a.numerator * (common // a.denominator) for a in v]
+    total = sum(vec)
+    x = [len(vec) * a - total for a in vec]
+    r = math.gcd(len(vec) * common, *x)
+    return tuple(a // r for a in x)
+
+
 def certify_negative_definite(m: FiniteMetric) -> NegDefCertificate:
     """Exact verdict, with the LDL^T factor of the centered form (-1/2 J D J
     = L diag(pivots) L^T on success); a failing certificate carries a
-    zero-sum rational vector whose distance form is positive
-    (re-evaluated to confirm)."""
+    zero-sum integer vector whose distance form is positive (re-evaluated
+    to confirm).
+
+    Each pivot is one Fraction, built by the elimination at the scale of
+    the integer Gram matrix, and the elimination's witness is projected to
+    zero sum on integers (:func:`_zero_sum`)."""
     g, scale = _integer_gram(m)
-    ok, pivots, raw, order, columns = _psd_eliminate(g)
+    ok, pivots, raw, order, columns = _psd_eliminate(g, scale)
     witness = value = None
     if not ok:
-        mean = sum(raw) / len(raw)
-        alpha = [v - mean for v in raw]          # project to zero sum
-        den = math.lcm(*(a.denominator for a in alpha))
-        alpha = [a * den for a in alpha]
-        value = distance_form(m, alpha)
+        witness = _zero_sum(raw)
+        value = Fraction(_integer_form(m, witness), m.scale)
         if value <= 0:
             raise InternalCheckError("extracted witness fails to certify")
-        witness = tuple(alpha)
     return NegDefCertificate(
         metric=m,
         negative_definite=ok,
-        pivots=tuple(p / scale for p in pivots),
+        pivots=tuple(pivots),
         witness=witness,
         witness_value=value,
         pivot_order=tuple(order),

@@ -9,10 +9,11 @@ are byte-stable for golden tests.  Graph files are written by
 (:class:`graphs.SimpleGraph`), with each vertex id encoded once; every
 other report and artifact is written by ``dumps``.  Files go through
 ``write_text`` and are read by ``load_json``, which turn an unwritable
-path, an unreadable or non-UTF-8 file and bad JSON into ``InputError``;
-``load_json`` reads each file once, keeps the digest of its bytes, and
-decodes them once into the text that text mode yields (UTF-8, universal
-newlines).
+path, an unreadable or non-UTF-8 file and bad JSON into ``InputError``,
+and an integer literal or a nesting past the decoder's limits into
+``ResourceLimitError``; ``load_json`` reads each file once, keeps the
+digest of its bytes, and decodes them once into the text that text mode
+yields (UTF-8, universal newlines).
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ def _encode(o, level: int) -> str:
         return _array(o, level)
     if isinstance(o, dict):
         return _object(o, level)
+    if type(o) is NumberRow:
+        return _number_row(o.texts, level)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
@@ -146,11 +149,57 @@ def dumps(obj) -> str:
 
     Scalars go through json's own string encoder and ``repr``; a list of
     one exact scalar type, or of equal-width rows of one, is written with
-    one join.  Other values take json's per-item order, so a value or key
-    json cannot serialize raises json's ``TypeError``.  A container that
-    holds itself is not detected and ends in ``RecursionError``.
+    one join.  A :class:`NumberRow`, a row of number texts, is written as
+    its texts are, which is what json writes for the floats they are the
+    ``repr`` of.  Other values take json's per-item order, so a value or
+    key json cannot serialize raises json's ``TypeError``.  A container
+    that holds itself is not detected and ends in ``RecursionError``.
     """
     return _encode(obj, 0) + "\n"
+
+
+class NumberRow:
+    """A row of finite floats for :func:`dumps`, held as the texts
+    :func:`number_texts` gives them."""
+
+    __slots__ = ("texts",)
+
+    def __init__(self, texts: list[str]):
+        self.texts = texts
+
+
+def _number_row(texts: list[str], level: int) -> str:
+    if not texts:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(texts) + "\n" + "  " * level + "]"
+
+
+def _exponent_text(t: str) -> str:
+    """repr(float(t)) for a ``.12g`` text t with an exponent: repr writes
+    exponents 12 to 15 in positional notation, and a subnormal (exponent
+    below -307, a harmless superset) may read back to fewer digits."""
+    exponent = int(t[t.index("e") + 1:])
+    return repr(float(t)) if 12 <= exponent <= 15 or exponent < -307 else t
+
+
+def number_texts(values: list[float]) -> list[str]:
+    """``repr(float(format(x, ".12g")))`` for each finite float x, with no
+    round trip where the two agree: the ``.12g`` text itself, with ".0"
+    appended when it has neither "." nor "e"; only texts of decimal
+    exponent 12 to 15 or below -307 are read back and written by
+    ``repr``."""
+    texts = ["%.12g" % x for x in values]
+    return [(t if "." in t else t + ".0") if "e" not in t else _exponent_text(t)
+            for t in texts]
+
+
+def number_rows(values: np.ndarray) -> list[NumberRow]:
+    """The rows of a 2-d array of finite floats, each value at 12
+    significant digits (:func:`number_texts`)."""
+    n, width = values.shape
+    texts = number_texts(values.ravel().tolist())
+    return [NumberRow(texts[k * width:(k + 1) * width]) for k in range(n)]
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -173,7 +222,9 @@ def load_json(path: str | Path) -> Document:
     r"""The JSON object in a file, read once.  The bytes are hashed and
     decoded once as UTF-8, and ``\r\n`` and ``\r`` become ``\n`` when
     the text holds a ``\r``: that is the text that text mode yields, so a
-    BOM is kept, and json rejects it."""
+    BOM is kept, and json rejects it.  An integer literal past Python's
+    limit on int-to-string conversion and nesting past the recursion
+    limit are resource errors, capped at that limit."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -187,6 +238,16 @@ def load_json(path: str | Path) -> Document:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError:      # the decoder's one other error: a long integer literal
+        limit = sys.get_int_max_str_digits()
+        raise ResourceLimitError(
+            f"{path}: a JSON integer has more than {limit} digits, "
+            "Python's limit on string-to-int conversion", cap=limit) from None
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        raise ResourceLimitError(
+            f"{path}: JSON nested deeper than the decoder can recurse "
+            f"(recursion limit {limit})", cap=limit) from None
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object at top level")
     doc = Document(data)
@@ -194,12 +255,12 @@ def load_json(path: str | Path) -> Document:
     return doc
 
 
-def rational_str(value: Fraction) -> str:
+def rational_str(value: Fraction | int) -> str:
     """"p/q" or "p"; a numerator or denominator past Python's limit on
     int-to-string conversion (``sys.get_int_max_str_digits``, 4300 digits
     by default) is a resource error, and the limit is left as it is."""
     try:
-        return str(Fraction(value))
+        return str(value)
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise ResourceLimitError(

@@ -8,10 +8,12 @@ record by every metric made from it and by a graph's path metric.
 
 An input matrix is read through one table: each distinct entry (an int,
 a string or a Fraction; a numpy integer array is read as its ``tolist``)
-is parsed once, and every row is mapped through the table of scaled
-ints; floats and booleans are rejected, and only an input with a
-rejected entry is parsed entry by entry, for the first bad entry in
-row-major order.  The scaled matrix is checked as a whole by exact numpy
+is read once, a plain ASCII integer or ``p/q`` string as an integer pair
+in lowest terms and every other string by the rational grammar of
+``Fraction``, and every row is mapped through the table of scaled ints;
+floats and booleans are rejected, and only an input with a rejected
+entry is parsed entry by entry, for the first bad entry in row-major
+order.  The scaled matrix is checked as a whole by exact numpy
 kernels on one array, of the narrowest of int16, int32 and int64 in
 which every sum of two entries fits, Python ints beyond
 (:func:`_exact_dtype`).  The triangle inequality runs in broadcast
@@ -72,29 +74,52 @@ def _to_fraction(value) -> Fraction:
     raise InputError(f"cannot interpret {value!r} as a rational")
 
 
+def _pair(value) -> tuple[int, int]:
+    """An entry as (numerator, denominator) in lowest terms.  An int, and
+    a string that is a plain ASCII integer or ``p/q`` with a nonzero
+    ``q``, are read as integers; every other form, and every failure (a
+    zero denominator, a part past ``sys.get_int_max_str_digits()``), is
+    :func:`_to_fraction`'s."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+            try:
+                p, q = int(num), int(den) if slash else 1
+            except ValueError:      # past the digit limit
+                pass
+            else:
+                if q:
+                    r = math.gcd(p, q)
+                    return p // r, q // r
+    f = _to_fraction(value)
+    return f.numerator, f.denominator
+
+
 _TABLE_TYPES = {int, str, Fraction}
 
 
 def _scaled_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """Every entry as an integer multiple of 1/scale, scale the least
     common denominator.  A numpy integer array is read as its ``tolist``.
-    When every entry is an int, str or Fraction, each
-    distinct entry is parsed by :func:`_to_fraction` once, and each row is
-    mapped through one table of scaled ints.  Otherwise, or when some entry
-    is rejected, the entries are parsed one by one in row-major order, so
+    When every entry is an int, str or Fraction, each distinct entry is
+    read once, as an integer pair by :func:`_pair`, and each row is mapped
+    through one table of scaled ints.  Otherwise, or when some entry is
+    rejected, the entries are parsed one by one in row-major order, so
     the grammar and the first bad entry are those of :func:`_to_fraction`."""
     if isinstance(matrix, np.ndarray) and matrix.dtype.kind in "iu":
         matrix = matrix.tolist()
     entries = itertools.chain.from_iterable
     if set(map(type, entries(matrix))) <= _TABLE_TYPES:
         try:
-            table = {v: _to_fraction(v) for v in set(entries(matrix))}
+            table = {v: _pair(v) for v in set(entries(matrix))}
         except InputError:
             pass                # the scan below reports the first bad entry
         else:
-            scale = math.lcm(*{f.denominator for f in table.values()})
-            for v, f in table.items():
-                table[v] = f.numerator * (scale // f.denominator)
+            scale = math.lcm(*{q for _, q in table.values()})
+            for v, (p, q) in table.items():
+                table[v] = p * (scale // q)
             return [list(map(table.__getitem__, row)) for row in matrix], scale
     parsed = [[_to_fraction(v) for v in row] for row in matrix]
     scale = math.lcm(*{f.denominator for f in entries(parsed)})

@@ -198,6 +198,40 @@ def test_rationals_past_the_digit_limit_are_a_resource_error(tmp_path, capsys, c
                  "digits, Python's limit on int-to-string conversion"}
 
 
+def past_the_decoder_limits():
+    """(text, error, cap) of a JSON document whose integer literal has
+    more digits than ``sys.get_int_max_str_digits()``, and of one nested
+    deeper than the decoder can recurse."""
+    digits, depth = sys.get_int_max_str_digits(), sys.getrecursionlimit()
+    literal = "1" * (digits + 700)
+    yield (f'{{"points": ["a", "b"], "dist": [[0, {literal}], [{literal}, 0]]}}',
+           f"a JSON integer has more than {digits} digits, "
+           "Python's limit on string-to-int conversion", digits)
+    yield ("[" * 100_000 + "]" * 100_000,
+           f"JSON nested deeper than the decoder can recurse (recursion limit {depth})", depth)
+
+
+@pytest.mark.parametrize("argv", [sub for sub in SUBCOMMANDS if sub[0] != "corpus"]
+                         + [["displace-action"]])
+def test_documents_past_the_decoder_limits_are_a_resource_error(tmp_path, capsys, argv):
+    metric, action = tmp_path / "metric.json", tmp_path / "action.json"
+    metric.write_text(json.dumps({"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}))
+    action.write_text(json.dumps({"generators": {"s": {"a": "b", "b": "a"}}, "basepoint": "a"}))
+    path = tmp_path / "doc.json"
+    for text, error, cap in past_the_decoder_limits():
+        path.write_text(text)
+        if argv[0] == "displace":       # the document as the space
+            args = argv + ["--in", str(path), "--action", str(action)]
+        elif argv[0] == "displace-action":      # the document as the action
+            args = ["displace", "--word", "s", "--in", str(metric), "--action", str(path)]
+        else:
+            args = argv + ["--in", str(path)]
+        assert cli.main(args) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"cap": cap, "kind": "resource", "error": f"{path}: {error}"}
+
+
 def test_boolean_metric_entries_are_rejected(tmp_path, capsys):
     path = tmp_path / "bools.json"
     path.write_text(json.dumps({"points": ["a", "b", "c"],

@@ -23,7 +23,8 @@ from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
                               graph_instances, grid_graph, hypercube_graph,
                               path_graph, random_tree)
 from mediankit import cli, embedding, formats, intervals
-from mediankit.embedding import _integer_gram, _psd_eliminate, convex_sets, distance_form
+from mediankit.embedding import (_integer_gram, _psd_eliminate, _zero_sum, convex_sets,
+                                 distance_form)
 from mediankit.metric import _exact_array
 
 
@@ -431,6 +432,16 @@ def test_content_reduction_is_blind_to_scale_and_hand_over(g, scale, bits):
             assert _psd_eliminate(np.array(matrix, dtype=object)) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.fractions(max_denominator=12).filter(lambda f: abs(f) < 50),
+                min_size=1, max_size=7))
+def test_witness_projection_matches_the_fraction_projection(raw):
+    mean = sum(raw) / len(raw)
+    alpha = [v - mean for v in raw]
+    den = math.lcm(*(a.denominator for a in alpha))
+    assert _zero_sum(raw) == tuple(a * den for a in alpha)
+
+
 def test_witness_survives_rescaling():
     # scaling preserves the sign of the form, so the verdict is unchanged
     rows = [[0, 2, 1, 1, 1], [2, 0, 1, 1, 1], [1, 1, 0, 2, 2],
@@ -755,8 +766,13 @@ def test_reports_are_those_of_bareiss_elimination(tmp_path, capsys):
     for path, m in zip(paths, metrics):
         path.write_text(formats.dumps(formats.metric_to_json(m)))
     got = negative_type_reports(paths, capsys)
-    with mock.patch.object(embedding, "_psd_eliminate",
-                           lambda g: bareiss_rows_oracle(g.tolist())):
+
+    def bareiss(g, scale):
+        """The Bareiss oracle's elimination of g, its pivots divided by scale."""
+        out = bareiss_rows_oracle(g.tolist())
+        return out._replace(pivots=[p / scale for p in out.pivots])
+
+    with mock.patch.object(embedding, "_psd_eliminate", bareiss):
         assert negative_type_reports(paths, capsys) == got
     assert {rc for rc, _ in got} == {0, 1, 2}      # indefinite metrics fail both ways
 

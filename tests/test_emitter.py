@@ -5,17 +5,22 @@ reference graph object.
 Seeded random trees reach every path of the emitter: lists of one exact
 scalar type, equal-width rows, and the per-item path for everything else.
 The CLI test checks that every JSON file the CLI writes is in the oracle's
-own form.
+own form.  The number writer ``formats.number_texts``, which writes GNS
+coordinates, is checked against ``repr(float(format(x, ".12g")))``.
 """
 
 import json
+import math
 import random
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_to_json, random_crossing_wall_space
+from test_negative_type_digests import generated
 from mediankit import InputError, SimpleGraph, cli, cubulate, formats
 from mediankit.corpus import default_roster, graph_instances
 
@@ -205,3 +210,58 @@ def test_graph_text_of_corpus_graphs_and_cubulations():
         g = cubulate(w).graph
         assert formats.graph_text(g) == formats.dumps(graph_to_json(g))
         done += 1
+
+
+# ---------------------------------------------------------------- the number writer
+
+def twelve_digits(x: float) -> str:
+    """Oracle: the text of ``float(format(x, ".12g"))`` in a JSON report."""
+    return repr(float(format(x, ".12g")))
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_number_texts_are_the_twelve_digit_round_trip(x):
+    assert formats.number_texts([x]) == [twelve_digits(x)]
+
+
+NUMBER_CASES = (0.0, 9.999999999995e11, 999999999999.5, 1e12, 9.99999999999e15,
+                9.999999999995e15, 1e16, 1e-4, 9.99999999999e-5, 0.5, 1.0, 100.0,
+                sys.float_info.min, 1e-307, 5e-324, 2.5e-320, sys.float_info.max)
+
+
+def test_number_texts_on_edge_cases():
+    cases = [x for c in NUMBER_CASES for x in (c, -c)]
+    cases += [y for x in cases for to in (0.0, math.inf) for y in [math.nextafter(x, to)]
+              if math.isfinite(y)]
+    assert formats.number_texts(cases) == list(map(twelve_digits, cases))
+    assert formats.number_texts([-0.0, 1e12, 5e-324]) == ["-0.0", "1000000000000.0", "5e-324"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12),
+       st.integers(0, 4))
+def test_number_rows_are_written_as_json_writes_their_floats(values, width):
+    values = values[:len(values) - len(values) % width] if width else []
+    array = np.array(values, dtype=float).reshape(-1, width) if width else np.zeros((3, 0))
+    rows = formats.number_rows(array)
+    floats = [[float(format(x, ".12g")) for x in row] for row in array.tolist()]
+    assert formats.dumps({"rows": dict(enumerate(rows)), "n": 1}) == \
+        oracle({"rows": dict(enumerate(floats)), "n": 1})
+
+
+def test_gns_reports_are_in_the_oracle_form(tmp_path, capsys):
+    docs = {name: doc for name, doc in generated().items()
+            if name.startswith(("huge", "tiny", "tree", "rational", "int"))}
+    docs.update((inst.name, graph_to_json(inst.payload)) for inst in graph_instances())
+    reports = 0
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        for tol in ("1e-9", "1e30"):
+            if cli.main(["embed", "--mode", "gns", "--tol", tol, "--in", str(path)]) == 0:
+                text = capsys.readouterr().out
+                assert text == oracle(json.loads(text)), name
+                reports += 1
+    capsys.readouterr()
+    assert reports > 100

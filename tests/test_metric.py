@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from mediankit.corpus import (complete_bipartite_graph, cycle_graph,
 from conftest import (between_oracle, fraction_metric_oracle, is_metric_oracle,
                       median_oracle, product_oracle, rectangles_oracle, scaled_rows_oracle,
                       upper_triangle_oracle)
+from mediankit import cli
 from mediankit import metric as metric_module
 from mediankit.metric import _exact_array, _is_metric, _scaled_rows, _to_fraction
 
@@ -219,6 +221,48 @@ def test_ingest_reports_the_first_bad_entry_in_row_major_order(late):
 def test_ingest_maps_equal_entries_of_different_types_to_one_value():
     rows = [[0, 1, "1", Fraction(1)], ["2/2", Fraction(1, 2), "1/2", "0.5"]]
     assert _scaled_rows(rows) == ([[0, 2, 2, 2], [2, 1, 1, 1]], 2) == scaled_rows_oracle(rows)
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=5)
+PLAIN = st.builds(str.__add__, st.sampled_from(["", "-", "+"]), DIGITS)
+RATIO = st.builds("{}{}/{}".format, st.sampled_from(["", "-", "+"]), DIGITS, DIGITS)
+LONG = ("7" * 5000, "-" + "7" * 5000, "7" * 5000 + "/3", "3/" + "7" * 5000,
+        "1" * 4300, "1" * 4301, "1" * 4300 + "/" + "3" * 4300)
+ODD_FORMS = ("3.0", "1e3", "-1E+2", "1_000", "1_0/3", "٣", "²", "٣/2", "3/٣", "", "-", "+",
+             "/", "3/", "/3", "-3/-2", "3/+2", "3/ 2", "3 /2", "0x10", "1/2/3", "--3",
+             "\u00a03", "3\u00a0", "NaN", "inf")
+ENTRY_GRAMMAR = st.one_of(
+    PLAIN, RATIO, st.sampled_from(ODD_FORMS), st.sampled_from(LONG),
+    st.builds("{}{}{}".format, st.sampled_from(" \t\n"), PLAIN | RATIO, st.sampled_from(["", " "])),
+    st.integers(-(10 ** 30), 10 ** 30), st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(ENTRY_GRAMMAR, min_size=1, max_size=4), min_size=1, max_size=4))
+def test_entry_reader_agrees_with_the_rational_grammar(rows):
+    # plain ASCII integers and p/q strings are read as integer pairs; every
+    # other form, and every failure, is _to_fraction's, with its message
+    assert outcome(_scaled_rows, rows) == outcome(scaled_rows_oracle, rows)
+
+
+def test_plain_entries_are_read_without_the_rational_grammar():
+    rows = [["0", "-12", "0007/21"], [3, "10/4", "1" * 4300], ["5/1", "-0/9", "0"]]
+    with mock.patch.object(metric_module, "_to_fraction", side_effect=AssertionError):
+        got = _scaled_rows(rows)
+    assert got == scaled_rows_oracle(rows) == (
+        [[0, -72, 2], [18, 15, int("1" * 4300) * 6], [30, 0, 0]], 6)
+
+
+@pytest.mark.parametrize("entry", ["7" * 5000, "7" * 5000 + "/3", "3/" + "7" * 5000])
+def test_entries_past_the_digit_limit_are_bad_rationals(tmp_path, capsys, entry):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"points": ["a", "b"], "dist": [[0, entry], [entry, 0]]}))
+    assert cli.main(["certify-negdef", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    error = json.loads(err)
+    assert out == "" and error["kind"] == "input"
+    assert error["error"].startswith(f"bad rational {entry!r}: ")
+    assert error["error"] == str(outcome(_to_fraction, entry)[1])
 
 
 def _one_short_cut(n: int, k: int, unit: int) -> list[list[int]]:
@@ -789,12 +833,13 @@ def test_numpy_integer_distances_read_as_ints(dtype, monkeypatch):
         arrays.append(("abc", np.array([[0, big, big + 2], [big, 0, 2], [big + 2, 2, 0]],
                                        dtype=dtype)))
     parsed = []
+    read = metric_module._pair
 
     def spy(value):
         parsed.append(value)
-        return _to_fraction(value)
+        return read(value)
 
-    monkeypatch.setattr(metric_module, "_to_fraction", spy)
+    monkeypatch.setattr(metric_module, "_pair", spy)
     for pts, array in arrays:
         listed = FiniteMetric(pts, array.tolist())
         del parsed[:]
