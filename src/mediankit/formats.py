@@ -79,12 +79,10 @@ def _encode(o, level: int) -> str:
         return int.__repr__(o)
     if isinstance(o, float):
         return _float(o)
-    if isinstance(o, (list, tuple)):
+    if isinstance(o, (list, tuple)) or type(o) is NumberRow:
         return _array(o, level)
     if isinstance(o, dict):
         return _object(o, level)
-    if type(o) is NumberRow:
-        return _number_row(o.texts, level)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
@@ -104,12 +102,16 @@ def _rows(rows, pad: str) -> str | None:
 
 
 def _array(items, level: int) -> str:
+    """A list or tuple, or a :class:`NumberRow`, whose texts are its cells."""
+    if type(items) is NumberRow:
+        items = cells = items.texts
+    else:
+        kinds = set(map(type, items))
+        cells = _scalars(items, kinds)
     if not items:
         return "[]"
     pad = "\n" + "  " * (level + 1)
     sep = "," + pad
-    kinds = set(map(type, items))
-    cells = _scalars(items, kinds)
     if cells is not None:
         body = sep.join(cells)
     else:
@@ -168,13 +170,6 @@ class NumberRow:
         self.texts = texts
 
 
-def _number_row(texts: list[str], level: int) -> str:
-    if not texts:
-        return "[]"
-    pad = "\n" + "  " * (level + 1)
-    return "[" + pad + ("," + pad).join(texts) + "\n" + "  " * level + "]"
-
-
 def _exponent_text(t: str) -> str:
     """repr(float(t)) for a ``.12g`` text t with an exponent: repr writes
     exponents 12 to 15 in positional notation, and a subnormal (exponent
@@ -207,7 +202,7 @@ def write_text(path: str | Path, text: str) -> None:
     error (exit 2), not a traceback."""
     try:
         Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:    # ValueError: a NUL byte in the path
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
@@ -222,20 +217,22 @@ def load_json(path: str | Path) -> Document:
     r"""The JSON object in a file, read once.  The bytes are hashed and
     decoded once as UTF-8, and ``\r\n`` and ``\r`` become ``\n`` when
     the text holds a ``\r``: that is the text that text mode yields, so a
-    BOM is kept, and json rejects it.  An integer literal past Python's
+    BOM is kept, and json rejects it.  A path that cannot be opened, a NUL
+    byte in it included, is an input error.  An integer literal past Python's
     limit on int-to-string conversion and nesting past the recursion
     limit are resource errors, capped at that limit."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
         text = raw.decode("utf-8")
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        data = json.loads(text)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+    except (OSError, ValueError) as exc:    # ValueError: a NUL byte in the path
+        raise InputError(f"cannot read {path}: {exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     except ValueError:      # the decoder's one other error: a long integer literal

@@ -232,6 +232,19 @@ def test_documents_past_the_decoder_limits_are_a_resource_error(tmp_path, capsys
         assert json.loads(err) == {"cap": cap, "kind": "resource", "error": f"{path}: {error}"}
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["certify-negdef", "--in", "a\0b.json"], "cannot read a\0b.json: embedded null byte"),
+    (["certify-negdef", "--in", "m.json", "--out", "a\0b.json"],
+     "cannot write a\0b.json: embedded null byte")])
+def test_a_nul_byte_in_a_path_is_an_input_error(monkeypatch, tmp_path, capsys, argv, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps({"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}))
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"kind": "input", "error": error}
+
+
 def test_boolean_metric_entries_are_rejected(tmp_path, capsys):
     path = tmp_path / "bools.json"
     path.write_text(json.dumps({"points": ["a", "b", "c"],

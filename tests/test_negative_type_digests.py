@@ -11,6 +11,16 @@ entries), every exact dtype (int16, int32, int64 with entries above 2^53,
 Python ints at 10**400), rational scales, indefinite {1,2} controls, and
 GNS coordinates with decimal exponents 12 to 15 and subnormal ones.
 
+Only outcomes that every supported interpreter and machine gives alike are
+hashed.  Entries with underscores, and parts past the int-to-string digit
+limit, are left out: ``Fraction`` reads "1_0" only from Python 3.11 on, and
+the digit-limit error quotes CPython's own message, which changed in 3.11.
+The entry reader checks both against ``Fraction`` on each interpreter
+(``test_metric.py``).  The GNS ``max_error``, also quoted by the error past
+``--tol``, is masked before hashing: it is a float sum of products that
+BLAS forms in an order, and with fused multiply-adds, chosen for the CPU,
+so it differs in its last bits from one machine to another.
+
 Regenerate the manifest from the root of a checkout with::
 
     PYTHONPATH=src python tests/test_negative_type_digests.py
@@ -22,6 +32,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -106,10 +117,8 @@ def generated() -> dict[str, dict]:
     odd[1][2], odd[2][1] = f"{base[1][2] * 2}/2", f"{base[2][1] * 3}/03"
     docs["odd-forms"] = odd
     for name, entry in (("zero-denominator", "1/0"), ("decimal-exponent", "1e3"),
-                        ("underscore", "1_0"), ("arabic-digit", "٣"),
-                        ("superscript", "²"), ("empty", ""), ("minus", "-"),
-                        ("long-plain", "7" * 5000), ("long-num", "7" * 5000 + "/3"),
-                        ("long-den", "3/" + "7" * 5000), ("negative", "-2")):
+                        ("arabic-digit", "٣"), ("superscript", "²"), ("empty", ""),
+                        ("minus", "-"), ("negative", "-2")):
             bad = strings(base)
             bad[2][4] = bad[4][2] = entry
             docs[f"entry-{name}"] = bad
@@ -161,8 +170,15 @@ def outcomes(root: Path) -> dict[str, tuple[int, str, str]]:
         os.chdir(here)
 
 
+# the figures of the GNS embedding error: the report's max_error, and the
+# error past --tol
+MACHINE_FLOATS = re.compile(r'("max_error": |embedding error )[-+.0-9a-z]+')
+
+
 def digest(outcome: tuple[int, str, str]) -> str:
-    return hashlib.sha256(json.dumps(outcome).encode()).hexdigest()
+    rc, out, err = outcome
+    masked = [rc, MACHINE_FLOATS.sub(r"\1#", out), MACHINE_FLOATS.sub(r"\1#", err)]
+    return hashlib.sha256(json.dumps(masked).encode()).hexdigest()
 
 
 def test_negative_type_reports_match_the_committed_digests(tmp_path):
@@ -173,6 +189,8 @@ def test_negative_type_reports_match_the_committed_digests(tmp_path):
     assert changed == []
     # the inputs reach what they are there for
     assert {rc for rc, _, _ in got.values()} == {0, 1, 2}
+    assert all(json.loads(out)["max_error"] <= 1e-9 for key, (rc, out, _) in got.items()
+               if key.startswith("gns ") and rc == 0)
     dtypes = {formats.metric_from_json(doc)._d.dtype for name, doc in generated().items()
               if name.startswith(("int", "above", "big"))}
     assert dtypes == {np.dtype(t) for t in (np.int16, np.int32, np.int64, object)}
