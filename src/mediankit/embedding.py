@@ -430,10 +430,13 @@ def gns_embed(m: FiniteMetric, tol: float = DEFAULT_GNS_TOL,
 
     Requires a negative-definite metric; a failing certificate is attached
     to the raised error.  The squared-distance reproduction is verified at
-    every pair in one pass: the squared norms of all pair differences come
-    from one stacked matmul, which rounds as ``diff @ diff`` does pair by
-    pair, against targets divided as Python ints, so correctly rounded
-    at every exact dtype (a float division rounds entries past 2^53).
+    every pair in one pass: each pair's squared norm is the sum of its
+    squared coordinate differences, added in coordinate order with one
+    rounding per term in numpy's own loops, so ``max_error`` is the same
+    on every machine (a BLAS dot product orders its sums, and fuses
+    multiply-adds, as the CPU kernel chooses).  It is compared with
+    targets divided as Python ints, so correctly rounded at every exact
+    dtype (a float division rounds entries past 2^53).
     """
     if not math.isfinite(tol) or tol < 0:
         raise InputError(f"tol must be finite and >= 0, got {tol!r}")
@@ -458,8 +461,9 @@ def gns_embed(m: FiniteMetric, tol: float = DEFAULT_GNS_TOL,
     coords = lower.T * root
     # overflow past here shows as a non-finite error, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = coords[i] - coords[j]
-        sq = (diff[:, None, :] @ diff[:, :, None]).ravel()
+        # (dim, pairs) in C order, so the reduction adds whole rows in turn
+        diff = np.subtract(coords[i].T, coords[j].T, order="C")
+        sq = np.add.reduce(np.square(diff, out=diff), axis=0)
         err = np.abs(sq - target)
     if not np.isfinite(err).all():
         raise out_of_range

@@ -7,11 +7,15 @@ commas.  Every report and JSON artifact has the bytes of
 are byte-stable for golden tests.  Graph files are written by
 ``graph_text`` from the graph's edge record, two sorted index arrays
 (:class:`graphs.SimpleGraph`), with each vertex id encoded once; every
-other report and artifact is written by ``dumps``.  Files go through
-``write_text`` and are read by ``load_json``, which turn an unwritable
-path, an unreadable or non-UTF-8 file and bad JSON into ``InputError``,
-and an integer literal or a nesting past the decoder's limits into
-``ResourceLimitError``; ``load_json`` reads each file once, keeps the
+other report and artifact is written by ``dumps``.  Every output file
+goes through ``write_text``, which writes the UTF-8 bytes in place and
+then cuts a longer regular file to their length (a pipe, tty or
+``/dev/null`` is not cut); a write that fails part way leaves the new
+bytes followed by the old tail, and a crash may leave old blocks in a
+file of the new length.  Files are read by ``load_json``.  The two turn an
+unwritable path, an unreadable or non-UTF-8 file and bad JSON into
+``InputError``, and an integer literal or a nesting past the decoder's
+limits into ``ResourceLimitError``; ``load_json`` reads each file once, keeps the
 digest of its bytes, and decodes them once into the text that text mode
 yields (UTF-8, universal newlines).
 """
@@ -20,6 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -198,11 +204,27 @@ def number_rows(values: np.ndarray) -> list[NumberRow]:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write an output file; a path that cannot be written is an input
-    error (exit 2), not a traceback."""
+    """Write an output file as UTF-8, in place: the bytes go over what the
+    file holds, and a regular file that was longer is then cut to their
+    length.  Emptying the file as it is opened costs far more when it
+    already holds data, since ext4 then allocates the blocks and starts
+    writeback at close.  An existing file keeps its inode, mode and links;
+    a pipe, tty or ``/dev/null`` is written and not cut.  The write is not
+    atomic: one that fails part way leaves the new bytes followed by the
+    old tail.  Nor is it durable across a crash: after a power loss an
+    overwritten file may hold the new length with some of its old blocks,
+    where a file emptied on open came back new or empty.  A path that
+    cannot be written, a NUL byte in it included, and a text that cannot
+    be encoded, which fails before the file is opened, are input errors
+    (exit 2), not tracebacks."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
-    except (OSError, ValueError) as exc:    # ValueError: a NUL byte in the path
+        data = text.encode("utf-8")
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+            st = os.fstat(f.fileno())
+            f.write(data)
+            if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+                f.truncate(len(data))
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 

@@ -617,6 +617,22 @@ def test_gns_targets_are_correctly_rounded_past_two_to_the_53():
                                    [-82962004.36019704, -61583317.135548]]
 
 
+def test_gns_factor_is_correctly_rounded_for_columns_past_two_to_the_63():
+    # columns mixing a negative entry with ones in [2^63, 2^64): numpy would
+    # make them one float64 array, already rounded, and a float division
+    # would round each ratio twice
+    big0, big1 = 10387487470760934340, 11398588156636574780
+    columns = ((3, big0, -5), (0, 5, big1))
+    m = path_graph(3).path_metric()
+    cert = embedding.NegDefCertificate(m, True, (Fraction(1), Fraction(1)), None, None,
+                                       (0, 1), columns)
+    emb = gns_embed(m, tol=1e300, certificate=cert)
+    want = [[float(Fraction(v, col[q])) for v in col] for q, col in zip((0, 1), columns)]
+    assert emb.coords.T.tolist() == want
+    assert float(np.array(columns[0])[1]) / 3 != want[0][1]
+    assert float(big1) / 5 != want[1][2]
+
+
 def test_p3_two_dimensional_embedding():
     m = path_graph(3).path_metric()
     emb = gns_embed(m)
@@ -649,13 +665,16 @@ def test_cube_embedding_faithful():
 
 
 def pairwise_max_error(m, coords) -> float:
-    """Oracle: the GNS reproduction error pair by pair, as ``diff @ diff``."""
+    """Oracle: the GNS reproduction error pair by pair, each squared norm
+    summed in coordinate order in Python floats."""
     worst = 0.0
     n = len(m.points)
     for i in range(n):
         for j in range(i + 1, n):
-            diff = coords[i] - coords[j]
-            worst = max(worst, abs(float(diff @ diff) - m.dist_int(i, j) / m.scale))
+            sq = 0.0
+            for x in (coords[i] - coords[j]).tolist():
+                sq += x * x
+            worst = max(worst, abs(sq - m.dist_int(i, j) / m.scale))
     return worst
 
 

@@ -557,6 +557,43 @@ def test_unwritable_output_path_exits_two(files, capsys, option, where):
     assert error["kind"] == "input" and str(dest) in error["error"]
 
 
+@pytest.mark.parametrize("option", sorted(OUTPUT_ARGV))
+def test_output_over_an_existing_file_is_a_fresh_write(files, capsys, option):
+    from mediankit import cli
+    fresh, over = files["dir"] / "fresh.out", files["dir"] / "over.out"
+    over.write_bytes(random.Random(0).randbytes(1 << 16))
+    over.chmod(0o640)
+    inode = over.stat().st_ino
+    argv = [a.format(**{k: str(v) for k, v in files.items()}) for a in OUTPUT_ARGV[option]]
+    assert cli.main([*argv, str(fresh)]) == cli.main([*argv, str(over)]) == 0
+    capsys.readouterr()
+    assert over.stat().st_size == fresh.stat().st_size < 1 << 16
+    assert over.read_bytes() == fresh.read_bytes()
+    # the same file, written in place: its inode and mode bits are kept
+    assert (over.stat().st_ino, over.stat().st_mode & 0o777) == (inode, 0o640)
+
+
+def test_out_dev_null_exits_zero(files, capsys):
+    from mediankit import cli
+    assert cli.main(["classify", "--in", str(files["p3_metric"]), "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_dev_stdout_into_a_pipe_is_the_report(files):
+    report = run_cli("classify", "--in", str(files["p3_metric"]))
+    piped = run_cli("classify", "--in", str(files["p3_metric"]), "--out", "/dev/stdout")
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, report.stdout, "")
+
+
+def test_a_text_that_cannot_be_encoded_leaves_the_file_as_it_was(tmp_path):
+    dest = tmp_path / "kept.json"
+    dest.write_bytes(b"old bytes")
+    with pytest.raises(InputError, match=f"^cannot write {dest}: 'utf-8' codec can't encode"):
+        formats.write_text(dest, "\ud800")
+    assert dest.read_bytes() == b"old bytes"
+
+
 @pytest.mark.parametrize("where", ["a-file", "under-a-file"])
 def test_corpus_out_dir_that_cannot_be_a_directory_exits_two(files, capsys, where):
     from mediankit import cli
